@@ -1,19 +1,33 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming over rationals for node-sized problems.
 
-A small dense two-phase primal simplex with Bland's rule, written for the
-node-sized problems this package generates (a handful of variables and
-rows).  All arithmetic is :class:`fractions.Fraction`, so feasibility,
-optimality and unboundedness are decided exactly.
-
-Three wrappers cover every use in the package:
+All arithmetic is :class:`fractions.Fraction`, so feasibility, optimality
+and unboundedness are decided exactly.  Three entry points cover every use
+in the package:
 
 * :func:`zero_in_relative_interior` -- decides whether 0 lies in the
-  relative interior of the convex hull of a finite point set by maximizing
-  the common floor of the convex weights,
+  relative interior of the convex hull of a finite point family, with
+  strictly positive convex weights as the witness,
 * :func:`separating_direction` -- the Stiemke alternative: a direction
   making a nonnegative, somewhere-positive inner product with every point,
 * :func:`maximize_over_admissible` -- maximizes a linear objective over the
   one-period admissibility polytope {theta : 1 + theta . delta >= 0}.
+
+The first two choose their method from the shape of the family (k points
+in dimension d).  The empty family passes; an all-zero family passes with
+uniform weights; a single nonzero point fails.  In one dimension, with P
+the sum of the positive points and N minus the sum of the negative ones,
+the family passes iff P > 0 and N > 0: weights N on positives, P on
+negatives and 1 on zeros, normalised to sum to 1, are the witness, and a
+failing family is separated by the common sign, (1,) or (-1,).  Every
+other family goes to :func:`solve_min`, a dense two-phase primal simplex
+with Bland's rule.  The relative-interior test is the LP in the
+substitution w_i = eps + v_i,
+
+    max eps  s.t.  eps * sum_i delta_i + sum_i v_i delta_i = 0,
+                   k * eps + sum_i v_i = 1,   eps, v >= 0,
+
+with k + 1 variables and d + 1 rows; 0 is relatively interior iff the LP
+is feasible with eps* > 0.
 """
 
 from __future__ import annotations
@@ -21,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .errors import StructuralViolation
 
 
 @dataclass
@@ -32,12 +48,16 @@ class LPResult:
 
 
 def _pivot(T, basis, row, col):
+    # zero entries are skipped here and in pricing; the arithmetic is exact,
+    # so the tableau and every pivot choice are the same as without skipping
     piv = T[row][col]
-    T[row] = [v / piv for v in T[row]]
+    if piv != 1:
+        T[row] = [v / piv for v in T[row]]
+    prow = T[row]
     for r in range(len(T)):
-        if r != row and T[r][col] != 0:
-            f = T[r][col]
-            T[r] = [a - f * b for a, b in zip(T[r], T[row])]
+        f = T[r][col]
+        if r != row and f != 0:
+            T[r] = [a - f * b if b else a for a, b in zip(T[r], prow)]
     basis[row] = col
 
 
@@ -48,10 +68,10 @@ def _iterate(T, basis, cost, ncols):
     """
     m = len(T)
     while True:
-        cb = [cost[basis[r]] for r in range(m)]
+        priced = [(cost[basis[r]], T[r]) for r in range(m) if cost[basis[r]] != 0]
         entering = -1
         for j in range(ncols):
-            red = cost[j] - sum(cb[r] * T[r][j] for r in range(m))
+            red = cost[j] - sum(cb * row[j] for cb, row in priced)
             if red < 0:
                 entering = j
                 break
@@ -86,7 +106,8 @@ def solve_min(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequenc
     cost1 = [Fraction(0)] * n + [Fraction(1)] * m
     basis = [n + r for r in range(m)]
     status, _ = _iterate(T, basis, cost1, n + m)
-    assert status == "optimal"  # phase-1 objective is bounded below by 0
+    if status != "optimal":
+        raise StructuralViolation("phase-1 objective is bounded below by 0")
     obj1 = sum(cost1[basis[r]] * T[r][-1] for r in range(m))
     if obj1 != 0:
         return LPResult("infeasible")
@@ -123,55 +144,54 @@ def zero_in_relative_interior(deltas: Sequence[tuple]):
     Returns (verdict, weights): strictly positive rational weights summing
     to 1 with sum(w_i * delta_i) = 0 when the verdict is true, else
     (False, None).  The empty family passes vacuously.
-
-    LP (as one maximization): max eps subject to
-        sum_i w_i delta_i = 0,  sum_i w_i = 1,  w_i - eps >= 0,
-    with eps free; the verdict is eps* > 0.
     """
     k = len(deltas)
     if k == 0:
         return True, ()
-    d = len(deltas[0])
-    if all(all(c == 0 for c in v) for v in deltas):
+    if all(c == 0 for point in deltas for c in point):
         w = Fraction(1, k)
         return True, tuple(w for _ in range(k))
-    # variables: w_1..w_k, ep, em, s_1..s_k  (eps = ep - em)
-    nvars = k + 2 + k
-    A, b = [], []
-    for comp in range(d):
-        A.append(
-            [deltas[i][comp] for i in range(k)] + [Fraction(0)] * (2 + k)
-        )
-        b.append(Fraction(0))
-    A.append([Fraction(1)] * k + [Fraction(0)] * (2 + k))
-    b.append(Fraction(1))
-    for i in range(k):
-        row = [Fraction(0)] * nvars
-        row[i] = Fraction(1)
-        row[k] = Fraction(-1)
-        row[k + 1] = Fraction(1)
-        row[k + 2 + i] = Fraction(-1)
-        A.append(row)
-        b.append(Fraction(0))
-    c = [Fraction(0)] * nvars
-    c[k] = Fraction(-1)
-    c[k + 1] = Fraction(1)
+    if k == 1:
+        return False, None
+    d = len(deltas[0])
+    if d == 1:
+        pos = sum(x for (x,) in deltas if x > 0)
+        neg = -sum(x for (x,) in deltas if x < 0)
+        if pos == 0 or neg == 0:
+            return False, None
+        raw = [neg if x > 0 else pos if x < 0 else 1 for (x,) in deltas]
+        total = Fraction(sum(raw))
+        return True, tuple(r / total for r in raw)
+    # variables: eps, v_1..v_k  (w_i = eps + v_i)
+    A = [[sum(p[j] for p in deltas)] + [p[j] for p in deltas] for j in range(d)]
+    A.append([k] + [1] * k)
+    b = [0] * d + [1]
+    c = [-1] + [0] * k
     res = solve_min(A, b, c)
     if res.status == "infeasible":
         return False, None
-    assert res.status == "optimal"  # eps <= 1/k, never unbounded
-    eps = -res.objective
+    if res.status != "optimal":
+        raise StructuralViolation("relative-interior LP is bounded by eps <= 1/k")
+    eps = res.x[0]
     if eps <= 0:
         return False, None
-    return True, tuple(res.x[:k])
+    return True, tuple(eps + v for v in res.x[1:])
 
 
 def separating_direction(deltas: Sequence[tuple]) -> tuple:
     """A direction theta with theta . delta_i >= 0 for all i and > 0 for at
     least one i, normalized to the unit box.  Exists exactly when
-    :func:`zero_in_relative_interior` fails on a nonempty family."""
+    :func:`zero_in_relative_interior` fails on a nonempty family; any other
+    family raises :class:`StructuralViolation`."""
+    if not deltas or all(c == 0 for point in deltas for c in point):
+        raise StructuralViolation("no separation: not a failing node")
     k = len(deltas)
     d = len(deltas[0])
+    if d == 1:
+        signs = {x > 0 for (x,) in deltas if x != 0}
+        if len(signs) != 1:
+            raise StructuralViolation("no separation: not a failing node")
+        return (Fraction(1),) if signs.pop() else (Fraction(-1),)
     # variables: u_1..u_d, v_1..v_d (theta = u - v), slack s_i for
     # theta.delta_i >= 0, box slacks p_j, q_j for u_j, v_j <= 1
     nvars = 2 * d + k + 2 * d
@@ -201,7 +221,8 @@ def separating_direction(deltas: Sequence[tuple]) -> tuple:
             c[j] -= deltas[i][j]
             c[d + j] += deltas[i][j]
     res = solve_min(A, b, c)
-    assert res.status == "optimal" and res.objective < 0, "no separation: not a failing node"
+    if res.status != "optimal" or res.objective >= 0:
+        raise StructuralViolation("no separation: not a failing node")
     theta = tuple(res.x[j] - res.x[d + j] for j in range(d))
     return theta
 
@@ -235,6 +256,7 @@ def maximize_over_admissible(objective: tuple, deltas: Sequence[tuple]):
     if res.status == "unbounded":
         ray = tuple(res.ray[j] - res.ray[d + j] for j in range(d))
         return "unbounded", ray, None
-    assert res.status == "optimal"
+    if res.status != "optimal":
+        raise StructuralViolation("theta = 0 is always admissible")
     theta = tuple(res.x[j] - res.x[d + j] for j in range(d))
     return "optimal", theta, -res.objective

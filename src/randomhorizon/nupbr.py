@@ -258,6 +258,27 @@ class MaskedCriterionRecord:
         return self.all_deltas == self.stopped_verdict
 
 
+def _masked_family(
+    S: AdaptedProcess, bundle: AzemaBundle, filt: Filtration, t: int, parent_idx: int
+):
+    """Increments of S over the children of a node that keep Zt_t > 0."""
+    family = []
+    for j in filt.children(t, parent_idx):
+        child = filt.parts[t][j]
+        if bundle.Ztilde.scalar_at(t, child[0]) > 0:
+            family.append(S.delta_at(t, child[0]))
+    return family
+
+
+def _nodes_with_survival(bundle: AzemaBundle, filt: Filtration, space: FiniteSpace):
+    """(Z_{t-1}, t, parent index) for every one-period node."""
+    return [
+        (bundle.Z.scalar_at(t - 1, parent[0]), t, parent_idx)
+        for t in range(1, space.horizon + 1)
+        for parent_idx, parent in enumerate(filt.parts[t - 1])
+    ]
+
+
 def masked_increment_criterion(
     S: AdaptedProcess,
     bundle: AzemaBundle,
@@ -270,19 +291,11 @@ def masked_increment_criterion(
     Zt_t > 0 (an empty family passes)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    for t in range(1, space.horizon + 1):
-        for parent_idx, parent in enumerate(filt.parts[t - 1]):
-            if bundle.Z.scalar_at(t - 1, parent[0]) < delta:
-                continue
-            deltas = []
-            for j in filt.children(t, parent_idx):
-                child = filt.parts[t][j]
-                if bundle.Ztilde.scalar_at(t, child[0]) > 0:
-                    deltas.append(S.delta_at(t, child[0]))
-            ok, _ = zero_in_relative_interior(deltas)
-            if not ok:
-                return False
-    return True
+    return all(
+        zero_in_relative_interior(_masked_family(S, bundle, filt, t, j))[0]
+        for z, t, j in _nodes_with_survival(bundle, filt, space)
+        if z >= delta
+    )
 
 
 def masked_increment_criterion_all(
@@ -298,12 +311,19 @@ def masked_increment_criterion_all(
     Z_-, plus any user-supplied thresholds; the conjunction must match the
     NUPBR certificate of the stopped process in the enlargement.
 
+    A node's verdict does not depend on delta, so each node is decided at
+    most once: the criterion at delta fails iff some failing node has
+    Z_{t-1} >= delta, i.e. iff delta <= the largest such Z_{t-1}.
+
     Requires S to satisfy NUPBR in the base filtration (theorem
     precondition; violations raise :class:`PreconditionViolated`)."""
     if not certify_nupbr(S, filt, space).verdict:
         raise PreconditionViolated(
             "masked-increment criterion requires the base process to satisfy NUPBR"
         )
+    extra = {frac(d) for d in extra_deltas}
+    if any(d <= 0 for d in extra):
+        raise ValueError("delta must be positive")
     values = sorted(
         {
             bundle.Z.scalar_at(t - 1, i)
@@ -311,9 +331,15 @@ def masked_increment_criterion_all(
             for i in range(space.n)
             if bundle.Z.scalar_at(t - 1, i) > 0
         }
-        | {frac(d) for d in extra_deltas}
+        | extra
     )
-    per = {d: masked_increment_criterion(S, bundle, filt, space, d) for d in values}
+    worst = Fraction(0)  # largest Z_{t-1} over the failing nodes seen
+    for z, t, j in _nodes_with_survival(bundle, filt, space):
+        if z <= worst:
+            continue  # cannot raise the bound, so the node need not be decided
+        if not zero_in_relative_interior(_masked_family(S, bundle, filt, t, j))[0]:
+            worst = z
+    per = {d: d > worst for d in values}
     combined = all(per.values())
     stopped = certify_nupbr(stop(S, tau), enlarged, space).verdict
     return MaskedCriterionRecord(per, combined, stopped)

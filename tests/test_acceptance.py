@@ -9,6 +9,7 @@ is the statistical surrogate for the continuous-path results: fixed seed,
 four-standard-error survival-formula validation.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction as F
@@ -17,6 +18,7 @@ from randomhorizon.campaign import _projection_identities, run_campaign
 from randomhorizon.deflator import build_deflator, is_supermartingale, verify_deflator
 from randomhorizon.enlargement import azema, enlarge
 from randomhorizon.generator import random_instance, random_predictable_fv
+from randomhorizon.io import dump_json
 from randomhorizon.mc import McModel, simulate, validate_survival_formula
 from randomhorizon.nupbr import certify_nupbr, thin_set_empty
 from randomhorizon.space import stop
@@ -26,6 +28,9 @@ MC_PATHS = 100_000
 MC_DT = 1e-3
 MC_SEED = 0
 VALIDATION_POINTS = ((0.25, 0.25), (0.5, 0.5), (0.5, 1.5), (0.75, 0.5), (0.9, 0.2))
+# sha256 of dump_json(run_campaign(1000, seed=0, battery=100)): the report is
+# byte-identical for a fixed (instances, seed, battery)
+CRITERION_3_SHA256 = "1e8774cd67042d71772784c4cec9ef7398dc1f3f3d84d8c07d07a9bea9bae00c"
 
 
 def _verdict(name, ok, detail=""):
@@ -84,14 +89,15 @@ def test_criterion_2_deflator_suite():
 def test_criterion_3_theorem_equivalence_campaign():
     report = run_campaign(INSTANCES, seed=0, battery=100)
     thin_empty = sum(1 for r in report["per_instance"] if r["thin_set_empty"])
+    digest = hashlib.sha256(dump_json(report).encode()).hexdigest()
     detail = (
         f"violations={report['violations_total']} "
-        f"thin-free={thin_empty}/{INSTANCES}"
+        f"thin-free={thin_empty}/{INSTANCES} sha256={digest}"
     )
     both_branches = 0 < thin_empty < INSTANCES
     _verdict(
         "criterion 3 (theorem-equivalence campaign, 1000 instances)",
-        report["violations_total"] == 0 and both_branches,
+        report["violations_total"] == 0 and both_branches and digest == CRITERION_3_SHA256,
         detail,
     )
 

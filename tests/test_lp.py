@@ -1,5 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import randomhorizon
+from randomhorizon.errors import StructuralViolation
 from randomhorizon.lp import (
     maximize_over_admissible,
     separating_direction,
@@ -47,6 +56,73 @@ def test_separating_direction():
         sum(t * d for t, d in zip(theta, delta)) > 0
         for delta in [v(1, 0), v(0, 1)]
     )
+
+
+def test_separating_direction_rejects_passing_families():
+    for family in ([v(1), v(-1)], [v(0)], [], [v(1, 0), v(-1, 0)]):
+        with pytest.raises(StructuralViolation):
+            separating_direction(family)
+
+
+def test_separating_direction_raises_under_optimize():
+    # the guard is a raise, not an assert, so it survives python -O
+    code = (
+        "from fractions import Fraction as F\n"
+        "from randomhorizon.errors import StructuralViolation\n"
+        "from randomhorizon.lp import separating_direction\n"
+        "try:\n"
+        "    separating_direction([(F(1),), (F(-1),)])\n"
+        "except StructuralViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(randomhorizon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def _families(d):
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    free = st.lists(point, max_size=5)
+    repeated = st.lists(point, min_size=1, max_size=2).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=5)
+    )
+    collinear = st.tuples(point, st.lists(st.integers(-3, 3), max_size=5)).map(
+        lambda spec: [tuple(m * c for c in spec[0]) for m in spec[1]]
+    )
+    return st.one_of(free, repeated, collinear)
+
+
+FAMILIES = st.sampled_from([1, 2]).flatmap(_families).map(
+    lambda family: [tuple(F(c) for c in point) for point in family]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(FAMILIES)
+def test_node_certificates_are_witnessed(family):
+    # the two witnesses exclude each other (Stiemke), so checking whichever
+    # one is returned proves the verdict on the closed-form and LP paths
+    ok, w = zero_in_relative_interior(family)
+    if not family:
+        assert (ok, w) == (True, ())  # the empty family passes vacuously
+    elif ok:
+        assert len(w) == len(family)
+        assert all(x > 0 for x in w) and sum(w) == 1
+        for j in range(len(family[0])):
+            assert sum(wi * point[j] for wi, point in zip(w, family)) == 0
+    else:
+        assert w is None
+        theta = separating_direction(family)
+        products = [sum(t * c for t, c in zip(theta, point)) for point in family]
+        assert all(x >= 0 for x in products) and any(x > 0 for x in products)
 
 
 def test_maximize_over_admissible_bounded():

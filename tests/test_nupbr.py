@@ -144,6 +144,35 @@ def test_masked_criterion_contract(ex1, ex2):
         assert F(1, 4) in rec.per_delta
 
 
+def test_masked_criterion_all_matches_each_threshold():
+    mixed = 0
+    for seed in range(50):
+        inst = random_instance(seed)
+        space, filt, tau = inst.space, inst.filtration, inst.tau
+        b = azema(filt, tau, space)
+        rec = masked_increment_criterion_all(
+            inst.price, b, filt, enlarge(filt, tau, space), tau, space,
+            extra_deltas=(F(1, 3), F(2)),
+        )
+        expected = {
+            d: masked_increment_criterion(inst.price, b, filt, space, d)
+            for d in rec.per_delta
+        }
+        assert rec.per_delta == expected, seed
+        assert {F(1, 3), F(2)} <= set(rec.per_delta)
+        mixed += len(set(rec.per_delta.values())) == 2
+    assert mixed > 0  # some instance passes at high thresholds and fails at low ones
+
+
+@pytest.mark.parametrize("bad", [F(0), F(-1, 2)])
+def test_masked_criterion_all_rejects_nonpositive_threshold(ex2, bad):
+    with pytest.raises(ValueError):
+        masked_increment_criterion_all(
+            ex2.price, ex2.bundle, ex2.filt, ex2.enlarged, ex2.tau, ex2.space,
+            extra_deltas=(F(1, 4), bad),
+        )
+
+
 def test_masked_criterion_requires_base_nupbr(ex1):
     drift = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t), predictable=True)
     with pytest.raises(PreconditionViolated):
