@@ -13,14 +13,15 @@ Subcommands::
 
 Reports are printed as JSON on stdout; ``--out DIR`` additionally writes
 ``<command>.json`` plus CSV tables.  Exit codes: 0 ok, 1 input error,
-2 equivalence violation, 3 runtime failure.  The only environment knob is
-RANDOMHORIZON_JOBS (campaign worker count).
+2 equivalence violation, 3 runtime failure (internal errors included).  The
+only environment knob is RANDOMHORIZON_JOBS (campaign worker count).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from . import io as rio
@@ -142,9 +143,6 @@ def theorems_report(sc: Scenario, battery: int = 100, seed: int = 0) -> dict:
             }
         )
         consistent &= rec.consistent
-        centered = []
-        for i in range(space.n):
-            centered.append(xi[i])
         projs = [
             condexp([xi[i][k] for i in range(space.n)], filt.parts[T - 1], space)
             for k in range(sc.price.dim)
@@ -428,6 +426,17 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except ValueError as exc:
         sys.stderr.write(rio.dump_json({"error": "runtime", "message": str(exc)}))
+        return EXIT_RUNTIME
+    except Exception as exc:  # an engine bug, never an input error
+        sys.stderr.write(
+            rio.dump_json(
+                {
+                    "error": "internal",
+                    "message": f"{type(exc).__name__}: {exc}",
+                    "traceback": traceback.format_exc(),
+                }
+            )
+        )
         return EXIT_RUNTIME
 
 

@@ -37,6 +37,7 @@ from .space import (
     RandomTime,
     assert_adapted,
     check_stopping_time,
+    is_predictable,
     stop,
 )
 from .projections import assert_martingale
@@ -84,10 +85,6 @@ class AzemaBundle:
 
     def thin_times(self):
         return sorted({t for (_, t) in self.thin_mask})
-
-    def alive(self, tau: RandomTime, atom: int, t: int) -> bool:
-        """Membership of (atom, t) in the stochastic interval ]0, tau]."""
-        return t >= 1 and t <= tau.at(atom)
 
 
 def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
@@ -443,12 +440,6 @@ def jump_time_measures(
     return JumpTimeMeasures(tuple(q), tuple(qt), tuple(ug))
 
 
-def _is_g_predictable(H: AdaptedProcess, enlarged: Filtration) -> bool:
-    from .space import is_predictable
-
-    return is_predictable(H, enlarged)
-
-
 def reduce_g_predictable(
     H: AdaptedProcess,
     filt: Filtration,
@@ -463,7 +454,7 @@ def reduce_g_predictable(
     with 1).  On each F_{t-1}-block the sub-block {tau >= t} is a single
     G_{t-1}-atom, so the copied value is well defined.
     """
-    if not _is_g_predictable(H, enlarged):
+    if not is_predictable(H, enlarged):
         raise NotPredictable("input of reduce_g_predictable is not G-predictable")
     n = space.n
     one = tuple(Fraction(1) for _ in range(H.dim))

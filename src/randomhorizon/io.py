@@ -40,9 +40,14 @@ def format_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _is_int(v) -> bool:
+    """JSON integers only: ``bool`` subclasses ``int`` but is rejected."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_fraction(s, location="") -> Fraction:
     try:
-        if isinstance(s, int):
+        if _is_int(s):
             return Fraction(s)
         if isinstance(s, str):
             return Fraction(s)
@@ -58,7 +63,7 @@ def format_time(v) -> object:
 def parse_time(v, horizon, location=""):
     if v == "inf":
         return INF
-    if isinstance(v, int) and 0 <= v <= horizon:
+    if _is_int(v) and 0 <= v <= horizon:
         return v
     raise InvalidScenario("schema", location, f"not a grid time or 'inf': {v!r}")
 
@@ -84,7 +89,7 @@ def parse_scenario(doc: dict) -> Scenario:
         parse_fraction(p, f"$.probs[{i}]") for i, p in enumerate(doc["probs"])
     ]
     horizon = doc["horizon"]
-    if not isinstance(horizon, int) or horizon < 1:
+    if not _is_int(horizon) or horizon < 1:
         raise InvalidScenario("schema", "$.horizon", "must be an integer >= 1")
     try:
         space = FiniteSpace(tuple(atoms), tuple(probs), horizon)
@@ -128,7 +133,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(s_doc, dict) or "dim" not in s_doc or "values" not in s_doc:
         raise InvalidScenario("schema", "$.S", "need fields 'dim' and 'values'")
     dim = s_doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InvalidScenario("schema", "$.S.dim", "must be an integer >= 1")
     vals = s_doc["values"]
     if not isinstance(vals, dict) or set(vals) != set(atoms):

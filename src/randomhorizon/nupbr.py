@@ -75,21 +75,23 @@ def certify_nupbr(
 ) -> CertResult:
     """Exact node-wise NUPBR certificate, optionally under an absolutely
     continuous reweighting given by nonnegative atom weights (zero-mass
-    nodes and children are ignored)."""
+    nodes and children are ignored).
+
+    The weights are nonnegative (``ValueError`` otherwise), so a node has
+    positive mass iff some weight on it is nonzero."""
     assert_adapted(X, filt, "certify_nupbr input")
     w = None if weights is None else [frac(v) for v in weights]
+    if w is not None and any(x < 0 for x in w):
+        raise ValueError("weights must be nonnegative")
     names = space.atoms
     collected = []
     for t in range(1, space.horizon + 1):
         for parent_idx, parent in enumerate(filt.parts[t - 1]):
-            if w is not None and sum(space.prob[i] * w[i] for i in parent) == 0:
+            if w is not None and not any(w[i] for i in parent):
                 continue
-            kids = []
-            for j in filt.children(t, parent_idx):
-                child = filt.parts[t][j]
-                if w is not None and sum(space.prob[i] * w[i] for i in child) == 0:
-                    continue
-                kids.append(child)
+            kids = [filt.parts[t][j] for j in filt.children(t, parent_idx)]
+            if w is not None:
+                kids = [c for c in kids if any(w[i] for i in c)]
             deltas = [X.delta_at(t, child[0]) for child in kids]
             ok, lam = zero_in_relative_interior(deltas)
             if not ok:

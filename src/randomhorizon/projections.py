@@ -96,25 +96,29 @@ def is_martingale(
     E_Q[dM_t | F_{t-1}] = 0 on every node of positive Q-mass and ignores the
     rest (Q only needs to be absolutely continuous).
     """
-    if weights is None:
-        for t in range(1, space.horizon + 1):
-            for block in filt.parts[t - 1]:
-                for k in range(M.dim):
-                    if sum(space.prob[i] * M.delta_at(t, i)[k] for i in block) != 0:
-                        return False
-        return True
-    w = [frac(x) for x in weights]
-    if any(x < 0 for x in w):
+    w = None if weights is None else [frac(x) for x in weights]
+    if w is not None and any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
-    # density projected on F_t; E_Q[dM_t|F_{t-1}] uses E[w|F_t] since dM_t
-    # is F_t-measurable
-    proj = [condexp(w, filt.parts[t], space) for t in space.times]
     for t in range(1, space.horizon + 1):
+        row = M.increments[t]
+        q = space.prob
+        if w is not None:
+            # Q-weights P * E[w|F_t]: E_Q[dM_t|F_{t-1}] may use the density
+            # projected on F_t since dM_t is F_t-measurable
+            proj = condexp(w, filt.parts[t], space)
+            q = [p * x if x else x for p, x in zip(q, proj)]
         for block in filt.parts[t - 1]:
-            if sum(space.prob[i] * w[i] for i in block) == 0:
+            # the weights are nonnegative, so a node has positive Q-mass
+            # iff some weight on it is nonzero
+            if w is not None and not any(w[i] for i in block):
                 continue
             for k in range(M.dim):
-                if sum(space.prob[i] * proj[t][i] * M.delta_at(t, i)[k] for i in block) != 0:
+                acc = 0
+                for i in block:
+                    d = row[i][k]
+                    if d and q[i]:
+                        acc += q[i] * d
+                if acc:
                     return False
     return True
 

@@ -12,6 +12,13 @@ Discrete-time conventions used throughout the package:
   and ``dX_0 := 0``,
 * ``INF`` is a sentinel ordered strictly above every grid point; random
   times take values in the grid or ``INF``.
+
+Exact quantities are computed once per object that owns it:
+:meth:`AdaptedProcess.delta_at` reads a per-process increment table
+(:attr:`AdaptedProcess.increments`) and :meth:`FiniteSpace.mass` reads a
+per-space cache of block masses.  Both objects are frozen, so neither cache
+can go stale.  :func:`condexp` skips zero values and never divides on an
+all-zero block.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import NotAdapted, NotPredictable
 
@@ -70,9 +77,7 @@ INF = _Infinity()
 
 TimeValue = Union[int, _Infinity]
 
-
-def time_min(a: TimeValue, b: TimeValue) -> TimeValue:
-    return a if a <= b else b
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,16 @@ class FiniteSpace:
     def expectation(self, values: Sequence[Fraction]) -> Fraction:
         return sum(p * v for p, v in zip(self.prob, values))
 
-    def mass(self, block: Iterable[int]) -> Fraction:
-        return sum(self.prob[i] for i in block)
+    @cached_property
+    def _masses(self) -> dict:
+        return {}
+
+    def mass(self, block: tuple) -> Fraction:
+        """P(block) for a tuple of atom indices, summed once per space."""
+        m = self._masses.get(block)
+        if m is None:
+            m = self._masses[block] = sum(self.prob[i] for i in block)
+        return m
 
 
 def _canonical_partition(blocks, n: int):
@@ -211,29 +224,26 @@ class Filtration:
             raise ValueError("filtration length must match the time grid")
         return f
 
-    @staticmethod
-    def trivial_then(blocks_per_time, space: FiniteSpace) -> "Filtration":
-        """Trivial time-0 partition followed by the given partitions."""
-        full = [[list(space.atoms)]] + list(blocks_per_time)
-        return Filtration.from_names(full, space)
-
 
 def condexp(values: Sequence[Fraction], blocks, space: FiniteSpace):
     """Exact conditional expectation of an atom vector given a partition.
 
     Returns a vector over atoms, constant on each block, equal on block B to
-    sum(P(w) values(w) for w in B) / P(B).
+    sum(P(w) values(w) for w in B) / P(B).  Zero values are skipped, and a
+    block whose sum is zero keeps 0 without a division.
     """
-    out = [Fraction(0)] * space.n
+    prob = space.prob
+    out = [_ZERO] * space.n
     for block in blocks:
-        mass = Fraction(0)
-        acc = Fraction(0)
+        acc = 0
         for i in block:
-            mass += space.prob[i]
-            acc += space.prob[i] * values[i]
-        avg = acc / mass
-        for i in block:
-            out[i] = avg
+            v = values[i]
+            if v:
+                acc += prob[i] * v
+        if acc:
+            avg = acc / space.mass(block)
+            for i in block:
+                out[i] = avg
     return tuple(out)
 
 
@@ -273,12 +283,26 @@ class AdaptedProcess:
             raise ValueError("scalar access on a vector process")
         return self.values[t][atom][0]
 
+    @cached_property
+    def increments(self) -> tuple:
+        """``increments[t][atom]`` is dX_t(atom), with dX_0 := 0.
+
+        A cell equal to its predecessor maps to one shared zero tuple
+        without a subtraction."""
+        zero = (_ZERO,) * self.dim
+        rows = [(zero,) * len(self.values[0])]
+        for prev, now in zip(self.values, self.values[1:]):
+            rows.append(
+                tuple(
+                    zero if a == b else tuple(x - y for x, y in zip(a, b))
+                    for a, b in zip(now, prev)
+                )
+            )
+        return tuple(rows)
+
     def delta_at(self, t: int, atom: int) -> tuple:
         """dX_t(atom); dX_0 := 0."""
-        if t == 0:
-            return tuple(Fraction(0) for _ in range(self.dim))
-        now, prev = self.values[t][atom], self.values[t - 1][atom]
-        return tuple(a - b for a, b in zip(now, prev))
+        return self.increments[t][atom]
 
     def component(self, k: int) -> "AdaptedProcess":
         rows = tuple(tuple((cell[k],) for cell in row) for row in self.values)

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction as F
 
 from randomhorizon.campaign import _projection_identities, run_campaign
+from randomhorizon.cli import VALIDATION_POINTS
 from randomhorizon.deflator import build_deflator, is_supermartingale, verify_deflator
 from randomhorizon.enlargement import azema, enlarge
 from randomhorizon.generator import random_instance, random_predictable_fv
@@ -27,7 +28,6 @@ INSTANCES = 1000
 MC_PATHS = 100_000
 MC_DT = 1e-3
 MC_SEED = 0
-VALIDATION_POINTS = ((0.25, 0.25), (0.5, 0.5), (0.5, 1.5), (0.75, 0.5), (0.9, 0.2))
 # sha256 of dump_json(run_campaign(1000, seed=0, battery=100)): the report is
 # byte-identical for a fixed (instances, seed, battery)
 CRITERION_3_SHA256 = "1e8774cd67042d71772784c4cec9ef7398dc1f3f3d84d8c07d07a9bea9bae00c"

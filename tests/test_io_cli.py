@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -204,3 +205,59 @@ def test_cli_theorems_precondition_branch(capsys, tmp_path):
     rc, out, _ = _run(["theorems", str(path), "--battery", "5"], capsys)
     report = json.loads(out)
     assert report["masked_criterion"] == {"precondition_failed": True}
+
+
+@pytest.mark.parametrize(
+    "mutate, location",
+    [
+        (lambda d: d["tau"].__setitem__("a", True), "$.tau.a"),
+        (lambda d: d["probs"].__setitem__(0, True), "$.probs[0]"),
+        (lambda d: d.__setitem__("horizon", True), "$.horizon"),
+    ],
+)
+def test_json_booleans_are_not_integers(mutate, location, capsys, tmp_path):
+    doc = _ex1_doc()
+    mutate(doc)
+    with pytest.raises(InvalidScenario) as err:
+        parse_scenario(doc)
+    assert (err.value.code, err.value.location) == ("schema", location)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err_text = _run(["inspect", str(path)], capsys)
+    assert rc == 1
+    assert json.loads(err_text)["error"] == "schema"
+
+
+def test_cli_internal_error_exits_3(capsys, monkeypatch):
+    def broken(sc):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "inspect_report", broken)
+    rc, out, err = _run(["inspect", _scenario_path("ex1")], capsys)
+    assert rc == 3
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "internal"
+    assert "KeyError" in doc["message"]
+    assert "broken" in doc["traceback"]
+
+
+# sha256 of stdout for each command on the shipped fixtures; the reports
+# are byte-identical across engine rewrites
+CLI_STDOUT_SHA256 = {
+    ("inspect", "ex1"): "a92ea13c6edf34b3178d0727f2e74620fcc866b6dcca59366fb5e3e588a29b5a",
+    ("inspect", "ex2"): "55a77f6d74b9d4b890d29cde4e045115d1fecc07ba2cfc99334a53e032e99213",
+    ("certify", "ex1"): "0b29ad0c035dc5aaa69839d3fb9303ad190cb0d78995b8359070a81bb2f4b121",
+    ("certify", "ex2"): "e93cd8e90b1fedfcd99dd3e44b67e950aab60187760bea8e4157b1f5b39286d5",
+    ("theorems", "ex1"): "cf4f8d7cea6ea35e60014f2372c07208aacc33f199f5a15577decf81372a08ac",
+    ("theorems", "ex2"): "2496d15751d8e4c66b53d1bab5642d502ca0c9e1bc55c4109206841de4933eff",
+    ("witness", "ex1"): "245500ee98d7d021e208d82e9238d640c37a687a2448c4f8585495ce485e399d",
+    ("witness", "ex2"): "e2575a85259fac883571f3b6af420163aca03c1d3f955301986db06168db7d85",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(CLI_STDOUT_SHA256))
+def test_cli_stdout_bytes_pinned(command, name, capsys):
+    rc, out, _ = _run([command, _scenario_path(name)], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_STDOUT_SHA256[(command, name)]

@@ -1,0 +1,146 @@
+"""The cached and zero-skipping kernels against naive references.
+
+The references below are the textbook definitions, computed from scratch
+on every call: increments by subtraction, block masses and weighted sums
+over every atom, and positive-mass tests by summing P-weighted weights.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from randomhorizon.enlargement import enlarge
+from randomhorizon.generator import random_adapted, random_instance
+from randomhorizon.lp import separating_direction, zero_in_relative_interior
+from randomhorizon.nupbr import Arbitrage, CertResult, NodeWeights, certify_nupbr
+from randomhorizon.projections import condexp, is_martingale
+from randomhorizon.space import stop
+
+
+def naive_increments(X):
+    zero = tuple(F(0) for _ in range(X.dim))
+    rows = [tuple(zero for _ in X.values[0])]
+    for t in range(1, X.horizon + 1):
+        rows.append(
+            tuple(
+                tuple(a - b for a, b in zip(now, prev))
+                for now, prev in zip(X.values[t], X.values[t - 1])
+            )
+        )
+    return tuple(rows)
+
+
+def naive_condexp(values, blocks, space):
+    out = [F(0)] * space.n
+    for block in blocks:
+        mass = sum(space.prob[i] for i in block)
+        avg = sum(space.prob[i] * values[i] for i in block) / mass
+        for i in block:
+            out[i] = avg
+    return tuple(out)
+
+
+def naive_is_martingale(M, filt, space, weights=None):
+    inc = naive_increments(M)
+    w = [F(1)] * space.n if weights is None else [F(x) for x in weights]
+    proj = [naive_condexp(w, filt.parts[t], space) for t in space.times]
+    for t in range(1, space.horizon + 1):
+        for block in filt.parts[t - 1]:
+            if sum(space.prob[i] * w[i] for i in block) == 0:
+                continue
+            for k in range(M.dim):
+                if sum(space.prob[i] * proj[t][i] * inc[t][i][k] for i in block) != 0:
+                    return False
+    return True
+
+
+def naive_certify(X, filt, space, weights):
+    inc = naive_increments(X)
+    w = [F(x) for x in weights]
+    names = space.atoms
+    collected = []
+    for t in range(1, space.horizon + 1):
+        for p, parent in enumerate(filt.parts[t - 1]):
+            if sum(space.prob[i] * w[i] for i in parent) == 0:
+                continue
+            kids = [
+                filt.parts[t][j]
+                for j in filt.children(t, p)
+                if sum(space.prob[i] * w[i] for i in filt.parts[t][j]) != 0
+            ]
+            deltas = [inc[t][c[0]] for c in kids]
+            ok, lam = zero_in_relative_interior(deltas)
+            block = tuple(names[i] for i in parent)
+            if not ok:
+                return CertResult(
+                    False, arbitrage=Arbitrage(t, block, separating_direction(deltas))
+                )
+            collected.append(
+                NodeWeights(t, block, tuple(tuple(names[i] for i in c) for c in kids), lam)
+            )
+    return CertResult(True, node_weights=tuple(collected))
+
+
+def _cases(seed):
+    """(process, filtration) pairs on one generator instance: the martingale
+    price, the price stopped at tau (many zero increments) in the
+    enlargement, and an arbitrary adapted process."""
+    inst = random_instance(seed)
+    enlarged = enlarge(inst.filtration, inst.tau, inst.space)
+    rng = random.Random(seed)
+    return inst.space, [
+        (inst.price, inst.filtration),
+        (stop(inst.price, inst.tau), enlarged),
+        (random_adapted(inst.space, inst.filtration, rng, dim=inst.price.dim), inst.filtration),
+    ]
+
+
+SEEDS = st.integers(min_value=0, max_value=5_000)
+# weight vectors that contain zeros: whole nodes and single children drop out
+WEIGHTS = st.lists(st.sampled_from([F(0), F(0), F(1), F(1, 2), F(3)]), min_size=12, max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, WEIGHTS)
+def test_kernels_match_naive_references(seed, weights):
+    space, cases = _cases(seed)
+    w = weights[: space.n]
+    for X, filt in cases:
+        assert X.increments == naive_increments(X)
+        assert all(
+            X.delta_at(t, i) == naive_increments(X)[t][i]
+            for t in space.times
+            for i in range(space.n)
+        )
+        for t in space.times:
+            for values in (w, [X.values[t][i][0] for i in range(space.n)]):
+                assert condexp(values, filt.parts[t], space) == naive_condexp(
+                    values, filt.parts[t], space
+                )
+        assert is_martingale(X, filt, space) == naive_is_martingale(X, filt, space)
+        assert is_martingale(X, filt, space, weights=w) == naive_is_martingale(
+            X, filt, space, w
+        )
+        assert certify_nupbr(X, filt, space, weights=w) == naive_certify(X, filt, space, w)
+
+
+def test_block_mass_is_cached_per_space():
+    space, cases = _cases(3)
+    block = cases[0][1].parts[1][0]
+    first = space.mass(block)
+    assert first == sum(space.prob[i] for i in block)
+    assert space.mass(block) is first
+
+
+@pytest.mark.parametrize("bad", [F(-1), F(-1, 3)])
+def test_weighted_kernels_reject_negative_weights(bad):
+    space, cases = _cases(5)
+    X, filt = cases[0]
+    w = [F(1)] * space.n
+    w[-1] = bad
+    with pytest.raises(ValueError):
+        certify_nupbr(X, filt, space, weights=w)
+    with pytest.raises(ValueError):
+        is_martingale(X, filt, space, weights=w)
