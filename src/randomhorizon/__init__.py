@@ -44,7 +44,6 @@ from .deflator import (
 from .nupbr import (
     CertResult,
     certify_nupbr,
-    decompose_accessible,
     masked_increment_criterion,
     masked_increment_criterion_all,
     preservation_report,

@@ -1,11 +1,13 @@
-"""Randomized equivalence campaign.
+"""Theorem suite and randomized equivalence campaign.
 
-Each instance from the seeded generator is pushed through every identity
-and equivalence the engine certifies exactly: the compensator and
-projection transfer formulas, the deflator construction, the single-jump
-quadruple, the masked-increment contract, the martingale-transfer triple
-and both directions of the universal-preservation dichotomy.  Any
-disagreement is a build-breaking violation (exit code 2 at the CLI).
+:func:`theorem_suite` pushes one model through every identity and
+equivalence the engine certifies exactly: the compensator and projection
+transfer formulas, the deflator construction, the single-jump quadruple,
+the masked-increment contract, the martingale-transfer triple and both
+directions of the universal-preservation dichotomy.  The campaign runs it
+on seeded generator instances and the CLI ``theorems`` command on a
+scenario file.  Any disagreement is a build-breaking violation (exit code 2
+at the CLI).
 
 Reports are deterministic functions of (instances, seed, battery): no
 timestamps, stable key order, rationals as "p/q" strings.
@@ -22,9 +24,10 @@ from .enlargement import (
     compensator_of_rescaled,
     compensator_of_stopped,
     enlarge,
+    g_martingale_part,
     projection_transfer_identities,
 )
-from .errors import EngineError
+from .errors import EngineError, PreconditionViolated
 from .generator import random_instance
 from .io import format_fraction
 from .nupbr import (
@@ -34,26 +37,25 @@ from .nupbr import (
     single_jump_martingale_transfer,
     thin_set_empty,
 )
-from .projections import dual_predictable, quadratic_covariation
+from .projections import condexp, dual_predictable, quadratic_covariation
 from .space import stop
 
 JOBS_ENV = "RANDOMHORIZON_JOBS"
 
 
-def _projection_identities(inst, bundle, enlarged):
-    space, filt, tau = inst.space, inst.filtration, inst.tau
+def _projection_identities(model, bundle, enlarged):
+    space, filt, tau = model.space, model.filtration, model.tau
+    qv = quadratic_covariation(bundle.m, bundle.m)
     out = {}
     ok = True
-    for V in (bundle.default_compensator, quadratic_covariation(bundle.m, bundle.m)):
+    for V in (bundle.default_compensator, qv):
         closed = compensator_of_stopped(V, bundle, filt, enlarged, tau, space)
         direct = dual_predictable(stop(V, tau), enlarged, space)
         ok = ok and closed.values == direct.values
     out["stopped_compensator"] = ok
     try:
-        compensator_of_rescaled(
-            quadratic_covariation(bundle.m, bundle.m), bundle, filt, enlarged, tau, space
-        )
-        compensator_of_rescaled(inst.price, bundle, filt, enlarged, tau, space)
+        compensator_of_rescaled(qv, bundle, filt, enlarged, tau, space)
+        compensator_of_rescaled(model.price, bundle, filt, enlarged, tau, space)
         out["rescaled_compensator"] = True
     except EngineError:
         out["rescaled_compensator"] = False
@@ -64,10 +66,8 @@ def _projection_identities(inst, bundle, enlarged):
     except EngineError:
         out["projection_ratios"] = False
     try:
-        from .enlargement import g_martingale_part
-
         g_martingale_part(bundle.m, bundle, filt, enlarged, tau, space)
-        g_martingale_part(inst.price.component(0), bundle, filt, enlarged, tau, space)
+        g_martingale_part(model.price.component(0), bundle, filt, enlarged, tau, space)
         out["martingale_part"] = True
     except EngineError:
         out["martingale_part"] = False
@@ -80,8 +80,8 @@ def _projection_identities(inst, bundle, enlarged):
     return out
 
 
-def _deflator_suite(inst, bundle, enlarged):
-    space, filt, tau = inst.space, inst.filtration, inst.tau
+def _deflator_suite(model, bundle, enlarged):
+    space, filt, tau = model.space, model.filtration, model.tau
     out = {}
     try:
         deflators = build_deflator(bundle, filt, enlarged, tau, space)
@@ -94,7 +94,7 @@ def _deflator_suite(inst, bundle, enlarged):
     out["supermartingale"] = is_supermartingale(deflators.deflator, enlarged, space)
     if thin_set_empty(bundle):
         verdict = verify_deflator(
-            deflators.deflator, stop(inst.price, tau), enlarged, space
+            deflators.deflator, stop(model.price, tau), enlarged, space
         )
         out["deflates_stopped_price"] = verdict.passed
     else:
@@ -102,19 +102,21 @@ def _deflator_suite(inst, bundle, enlarged):
     return out
 
 
-def instance_report(seed: int, battery: int = 100) -> dict:
-    inst = random_instance(seed)
-    space, filt, tau = inst.space, inst.filtration, inst.tau
+def theorem_suite(model, battery: int = 100, seed: int = 0):
+    """Every identity and equivalence of the engine on one model.
+
+    ``model`` is anything with ``space``, ``filtration``, ``tau`` and
+    ``price`` (a scenario file or a generator instance); ``battery`` and
+    ``seed`` drive the preservation battery.  Returns the Azema bundle, the
+    report sections and the sorted list of violated checks."""
+    space, filt, tau, price = model.space, model.filtration, model.tau, model.price
     bundle = azema(filt, tau, space)
     enlarged = enlarge(filt, tau, space)
-    violations = []
 
-    projections = _projection_identities(inst, bundle, enlarged)
-    for name, good in projections.items():
-        if not good:
-            violations.append(f"projection:{name}")
+    projections = _projection_identities(model, bundle, enlarged)
+    violations = [f"projection:{name}" for name, good in projections.items() if not good]
 
-    deflator = _deflator_suite(inst, bundle, enlarged)
+    deflator = _deflator_suite(model, bundle, enlarged)
     if not deflator["construction"]:
         violations.append("deflator:construction")
     if not deflator["supermartingale"]:
@@ -122,10 +124,18 @@ def instance_report(seed: int, battery: int = 100) -> dict:
     if deflator["deflates_stopped_price"] is False:
         violations.append("deflator:deflates_stopped_price")
 
-    single = []
-    transfer = []
+    single, transfer = [], []
     for T in range(1, space.horizon + 1):
-        xi = [inst.price.delta_at(T, i) for i in range(space.n)]
+        xi = [price.delta_at(T, i) for i in range(space.n)]
+        # the transfer triple takes the martingale part of the jump
+        projs = [
+            condexp([xi[i][k] for i in range(space.n)], filt.parts[T - 1], space)
+            for k in range(price.dim)
+        ]
+        centered = [
+            tuple(xi[i][k] - projs[k][i] for k in range(price.dim))
+            for i in range(space.n)
+        ]
         rec = single_jump_equivalences(xi, T, bundle, filt, enlarged, tau, space)
         single.append(
             {
@@ -140,7 +150,7 @@ def instance_report(seed: int, battery: int = 100) -> dict:
         if not rec.consistent:
             violations.append(f"single_jump:T={T}")
         mrec = single_jump_martingale_transfer(
-            xi, T, bundle, filt, enlarged, tau, space
+            centered, T, bundle, filt, enlarged, tau, space
         )
         transfer.append(
             {
@@ -154,19 +164,21 @@ def instance_report(seed: int, battery: int = 100) -> dict:
         if not mrec.consistent:
             violations.append(f"martingale_transfer:T={T}")
 
-    masked = masked_increment_criterion_all(
-        inst.price, bundle, filt, enlarged, tau, space
-    )
-    masked_doc = {
-        "per_delta": {
-            format_fraction(d): v for d, v in sorted(masked.per_delta.items())
-        },
-        "all_deltas": masked.all_deltas,
-        "stopped_verdict": masked.stopped_verdict,
-        "consistent": masked.consistent,
-    }
-    if not masked.consistent:
-        violations.append("masked_criterion")
+    try:
+        masked = masked_increment_criterion_all(price, bundle, filt, enlarged, tau, space)
+    except PreconditionViolated:
+        masked_doc = {"precondition_failed": True}
+    else:
+        masked_doc = {
+            "per_delta": {
+                format_fraction(d): v for d, v in sorted(masked.per_delta.items())
+            },
+            "all_deltas": masked.all_deltas,
+            "stopped_verdict": masked.stopped_verdict,
+            "consistent": masked.consistent,
+        }
+        if not masked.consistent:
+            violations.append("masked_criterion")
 
     pres = preservation_report(
         space, filt, tau, bundle, enlarged, n_martingales=battery, seed=seed
@@ -182,19 +194,28 @@ def instance_report(seed: int, battery: int = 100) -> dict:
     if not pres.consistent:
         violations.append("preservation")
 
-    return {
-        "seed": seed,
-        "atoms": space.n,
-        "horizon": space.horizon,
-        "price_dim": inst.price.dim,
-        "thin_set_empty": thin_set_empty(bundle),
+    sections = {
         "projection_identities": projections,
         "deflator": deflator,
         "single_jump": single,
         "martingale_transfer": transfer,
         "masked_criterion": masked_doc,
         "preservation": pres_doc,
-        "violations": sorted(violations),
+    }
+    return bundle, sections, sorted(violations)
+
+
+def instance_report(seed: int, battery: int = 100) -> dict:
+    inst = random_instance(seed)
+    bundle, sections, violations = theorem_suite(inst, battery, seed)
+    return {
+        "seed": seed,
+        "atoms": inst.space.n,
+        "horizon": inst.space.horizon,
+        "price_dim": inst.price.dim,
+        "thin_set_empty": thin_set_empty(bundle),
+        **sections,
+        "violations": violations,
     }
 
 

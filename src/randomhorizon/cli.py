@@ -8,13 +8,18 @@ Subcommands::
     witness  SCENARIO     abrupt-collapse counterexample martingale, if any
     campaign --instances N --seed K [--battery B]
                           randomized equivalence campaign
-    mc --model CAT-1 [--paths N --dt DT --seed K --validate-z]
+    mc --model CAT-1 [--paths N --dt DT --seed K --subpaths N --validate-z]
                           Monte Carlo run for a catalog model
 
-Reports are printed as JSON on stdout; ``--out DIR`` additionally writes
-``<command>.json`` plus CSV tables.  Exit codes: 0 ok, 1 input error,
-2 equivalence violation, 3 runtime failure (internal errors included).  The
-only environment knob is RANDOMHORIZON_JOBS (campaign worker count).
+Each report builds only what it prints: ``inspect`` the Azema bundle,
+``certify`` the enlargement, ``witness`` both; ``theorems`` runs
+:func:`randomhorizon.campaign.theorem_suite`, the suite behind ``campaign``,
+and adds the per-time collapse inclusion.  Reports are printed as JSON on
+stdout; ``--out DIR`` additionally writes ``<command>.json`` plus CSV tables
+built from the report alone.  Exit codes: 0 ok, 1 input error (``mc``
+arguments included, checked before any simulation), 2 equivalence
+violation, 3 runtime failure (internal errors included).  The only
+environment knob is RANDOMHORIZON_JOBS (campaign worker count).
 """
 
 from __future__ import annotations
@@ -25,21 +30,11 @@ import traceback
 from pathlib import Path
 
 from . import io as rio
-from .campaign import run_campaign
+from .campaign import run_campaign, theorem_suite
 from .enlargement import azema, enlarge
-from .errors import EngineError, InvalidScenario, PreconditionViolated
+from .errors import EngineError, InvalidScenario
 from .io import Scenario, format_fraction, format_time
-from .nupbr import (
-    certify_nupbr,
-    masked_increment_criterion_all,
-    preservation_report,
-    single_jump_equivalences,
-    single_jump_martingale_transfer,
-    thin_set_empty,
-    thin_set_empty_at,
-    witness_martingale,
-)
-from .projections import condexp
+from .nupbr import certify_nupbr, thin_set_empty, thin_set_empty_at, witness_martingale
 from .space import stop
 
 EXIT_OK = 0
@@ -48,14 +43,8 @@ EXIT_EQUIVALENCE = 2
 EXIT_RUNTIME = 3
 
 
-def _context(sc: Scenario):
-    bundle = azema(sc.filtration, sc.tau, sc.space)
-    enlarged = enlarge(sc.filtration, sc.tau, sc.space)
-    return bundle, enlarged
-
-
 def inspect_report(sc: Scenario) -> dict:
-    bundle, _ = _context(sc)
+    bundle = azema(sc.filtration, sc.tau, sc.space)
     space = sc.space
     def table(X):
         return {
@@ -102,7 +91,7 @@ def _witness_doc(result):
 
 
 def certify_report(sc: Scenario) -> dict:
-    bundle, enlarged = _context(sc)
+    enlarged = enlarge(sc.filtration, sc.tau, sc.space)
     res_f = certify_nupbr(sc.price, sc.filtration, sc.space)
     res_g = certify_nupbr(stop(sc.price, sc.tau), enlarged, sc.space)
     doc = {
@@ -117,109 +106,24 @@ def certify_report(sc: Scenario) -> dict:
 
 
 def theorems_report(sc: Scenario, battery: int = 100, seed: int = 0) -> dict:
-    from .campaign import _deflator_suite, _projection_identities
-    from .generator import Instance
-
-    bundle, enlarged = _context(sc)
-    space, filt, tau = sc.space, sc.filtration, sc.tau
-    inst = Instance(-1, space, filt, tau, sc.price)
-    consistent = True
-
-    projections = _projection_identities(inst, bundle, enlarged)
-    consistent &= all(projections.values())
-
-    single, transfer, inclusion = [], [], {}
-    for T in range(1, space.horizon + 1):
-        xi = [sc.price.delta_at(T, i) for i in range(space.n)]
-        rec = single_jump_equivalences(xi, T, bundle, filt, enlarged, tau, space)
-        single.append(
-            {
-                "T": T,
-                "stopped_in_enlarged": rec.stopped_in_enlarged,
-                "masked_in_base": rec.masked_in_base,
-                "under_jump_measure": rec.under_jump_measure,
-                "under_ratio_measure": rec.under_ratio_measure,
-                "consistent": rec.consistent,
-            }
-        )
-        consistent &= rec.consistent
-        projs = [
-            condexp([xi[i][k] for i in range(space.n)], filt.parts[T - 1], space)
-            for k in range(sc.price.dim)
-        ]
-        centered = [
-            tuple(xi[i][k] - projs[k][i] for k in range(sc.price.dim))
-            for i in range(space.n)
-        ]
-        mrec = single_jump_martingale_transfer(
-            centered, T, bundle, filt, enlarged, tau, space
-        )
-        transfer.append(
-            {
-                "T": T,
-                "under_jump_measure": mrec.under_jump_measure,
-                "thin_mean_zero": mrec.thin_mean_zero,
-                "stopped_under_enlarged_weight": mrec.stopped_under_enlarged_weight,
-                "consistent": mrec.consistent,
-            }
-        )
-        consistent &= mrec.consistent
-        inclusion[str(T)] = thin_set_empty_at(bundle, T)
-
-    try:
-        masked = masked_increment_criterion_all(
-            sc.price, bundle, filt, enlarged, tau, space
-        )
-        masked_doc = {
-            "per_delta": {
-                format_fraction(d): v for d, v in sorted(masked.per_delta.items())
-            },
-            "all_deltas": masked.all_deltas,
-            "stopped_verdict": masked.stopped_verdict,
-            "consistent": masked.consistent,
-        }
-        consistent &= masked.consistent
-    except PreconditionViolated:
-        masked_doc = {"precondition_failed": True}
-
-    deflator = _deflator_suite(inst, bundle, enlarged)
-    consistent &= deflator["construction"] and deflator["supermartingale"]
-    if deflator["deflates_stopped_price"] is False:
-        consistent = False
-
-    pres = preservation_report(
-        space, filt, tau, bundle, enlarged, n_martingales=battery, seed=seed
-    )
-    pres_doc = {
-        "thin_set_empty": pres.thin_set_empty,
-        "martingales_checked": pres.martingales_checked,
-        "preserved": pres.preserved,
-        "witness_time": pres.witness_time,
-        "witness_fails_enlarged": pres.witness_fails_enlarged,
-        "consistent": pres.consistent,
-    }
-    consistent &= pres.consistent
-
+    bundle, sections, violations = theorem_suite(sc, battery, seed)
     return {
-        "projection_identities": projections,
-        "single_jump": single,
-        "martingale_transfer": transfer,
-        "collapse_inclusion_by_time": inclusion,
-        "masked_criterion": masked_doc,
-        "deflator": deflator,
-        "preservation": pres_doc,
-        "consistent": bool(consistent),
+        **sections,
+        "collapse_inclusion_by_time": {
+            str(T): thin_set_empty_at(bundle, T) for T in range(1, sc.space.horizon + 1)
+        },
+        "consistent": not violations,
     }
 
 
 def witness_report(sc: Scenario) -> dict:
-    bundle, enlarged = _context(sc)
+    bundle = azema(sc.filtration, sc.tau, sc.space)
     space = sc.space
     if thin_set_empty(bundle):
         return {"thin_set_empty": True, "witness": None}
     T = min(t for (_, t) in bundle.thin_mask)
     M = witness_martingale(T, bundle, sc.filtration, space)
-    res = certify_nupbr(stop(M, sc.tau), enlarged, space)
+    res = certify_nupbr(stop(M, sc.tau), enlarge(sc.filtration, sc.tau, space), space)
     return {
         "thin_set_empty": False,
         "witness": {
@@ -234,38 +138,47 @@ def witness_report(sc: Scenario) -> dict:
     }
 
 
-def _emit(doc: dict, args, csv_tables=None) -> None:
+def _emit(doc: dict, args, tables=None) -> None:
+    """Print the report; under ``--out`` also write it and ``tables(doc)``."""
     sys.stdout.write(rio.dump_json(doc))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         rio.write_json(doc, out / f"{args.command}.json")
-        for name, (header, rows) in (csv_tables or {}).items():
+        for name, (header, rows) in (tables(doc) if tables else {}).items():
             rio.write_csv(rows, header, out / f"{args.command}_{name}.csv")
 
 
-def _scenario_from_args(args) -> Scenario:
-    return rio.load_scenario(args.scenario)
-
-
-def _inspect_tables(sc, doc):
-    bundle, _ = _context(sc)
+def _inspect_tables(doc):
     header = ["atom", "t", "Z", "Z_tilde", "m", "default_compensator", "thin"]
-    rows = []
-    for i, a in enumerate(sc.space.atoms):
-        for t in sc.space.times:
-            rows.append(
-                [
-                    a,
-                    t,
-                    format_fraction(bundle.Z.scalar_at(t, i)),
-                    format_fraction(bundle.Ztilde.scalar_at(t, i)),
-                    format_fraction(bundle.m.scalar_at(t, i)),
-                    format_fraction(bundle.default_compensator.scalar_at(t, i)),
-                    int((a, t) in bundle.thin_mask),
-                ]
-            )
+    thin = {(a, t) for a, t in doc["thin_set"]}
+    rows = [
+        [a, t, z, zt, m, comp, int((a, t) in thin)]
+        for a in doc["atoms"]
+        for t, (z, zt, m, comp) in enumerate(
+            zip(doc["Z"][a], doc["Z_tilde"][a], doc["m"][a], doc["default_compensator"][a])
+        )
+    ]
     return {"table": (header, rows)}
+
+
+def _certify_tables(doc):
+    header = ["side", "verdict", "witness_time", "witness_block", "theta_or_weights"]
+    rows = []
+    for side in ("F", "G"):
+        w = doc[f"witness_{side}"]
+        if w["verdict"]:
+            rows.append([side, True, "", "", "martingale-measure weights in JSON"])
+        else:
+            node = w["arbitrage_node"]
+            rows.append(
+                [side, False, node["time"], ";".join(node["block"]), ";".join(node["theta"])]
+            )
+    return {"nodes": (header, rows)}
+
+
+def _theorems_tables(doc):
+    return {"summary": (["check", "consistent"], [["overall", doc["consistent"]]])}
 
 
 def _campaign_tables(doc):
@@ -336,50 +249,37 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "inspect":
-            sc = _scenario_from_args(args)
-            doc = inspect_report(sc)
-            _emit(doc, args, _inspect_tables(sc, doc))
+            _emit(inspect_report(rio.load_scenario(args.scenario)), args, _inspect_tables)
             return EXIT_OK
         if args.command == "certify":
-            sc = _scenario_from_args(args)
-            doc = certify_report(sc)
-            header = ["side", "verdict", "witness_time", "witness_block", "theta_or_weights"]
-            rows = []
-            for side in ("F", "G"):
-                w = doc[f"witness_{side}"]
-                if w["verdict"]:
-                    rows.append([side, True, "", "", "martingale-measure weights in JSON"])
-                else:
-                    node = w["arbitrage_node"]
-                    rows.append(
-                        [side, False, node["time"], ";".join(node["block"]), ";".join(node["theta"])]
-                    )
-            _emit(doc, args, {"nodes": (header, rows)})
+            _emit(certify_report(rio.load_scenario(args.scenario)), args, _certify_tables)
             return EXIT_OK
         if args.command == "theorems":
-            sc = _scenario_from_args(args)
-            doc = theorems_report(sc, battery=args.battery, seed=args.seed)
-            header = ["check", "consistent"]
-            rows = [["overall", doc["consistent"]]]
-            _emit(doc, args, {"summary": (header, rows)})
+            doc = theorems_report(
+                rio.load_scenario(args.scenario), battery=args.battery, seed=args.seed
+            )
+            _emit(doc, args, _theorems_tables)
             return EXIT_OK if doc["consistent"] else EXIT_EQUIVALENCE
         if args.command == "witness":
-            sc = _scenario_from_args(args)
-            doc = witness_report(sc)
-            _emit(doc, args)
+            _emit(witness_report(rio.load_scenario(args.scenario)), args)
             return EXIT_OK
         if args.command == "campaign":
             if args.instances < 0:
                 raise InvalidScenario("schema", "--instances", "must be >= 0")
             doc = run_campaign(args.instances, args.seed, battery=args.battery)
-            _emit(doc, args, _campaign_tables(doc))
+            _emit(doc, args, _campaign_tables)
             return EXIT_OK if doc["violations_total"] == 0 else EXIT_EQUIVALENCE
         if args.command == "mc":
-            from . import mc as mcmod
+            from . import mc as mcmod  # numpy and scipy load for this command only
 
-            model = mcmod.McModel(
-                model=args.model, dt=args.dt, paths=args.paths, seed=args.seed
-            )
+            if args.subpaths < 1:
+                raise InvalidScenario("schema", "--subpaths", "need subpaths >= 1")
+            try:
+                model = mcmod.McModel(
+                    model=args.model, dt=args.dt, paths=args.paths, seed=args.seed
+                )
+            except mcmod.McParameterError as exc:
+                raise InvalidScenario("schema", f"--{exc.field}", exc.reason) from None
             result = mcmod.simulate(model)
             doc = {
                 "model": result.model,
@@ -410,7 +310,7 @@ def main(argv=None) -> int:
                         }
                     )
                 doc["validation"] = points
-            _emit(doc, args, _mc_tables(doc))
+            _emit(doc, args, _mc_tables)
             return EXIT_OK
         raise AssertionError("unreachable")
     except InvalidScenario as exc:

@@ -64,6 +64,15 @@ CATALOG = {
 }
 
 
+class McParameterError(ValueError):
+    """A model parameter is out of range; ``field`` names it."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class McModel:
     model: str = "CAT-1"
@@ -75,9 +84,20 @@ class McModel:
 
     def __post_init__(self):
         if self.model not in CATALOG:
-            raise ValueError(f"unknown model {self.model!r}; catalog: {sorted(CATALOG)}")
-        if not (self.dt > 0 and self.paths >= 1):
-            raise ValueError("need dt > 0 and paths >= 1")
+            raise McParameterError(
+                "model", f"unknown model {self.model!r}; catalog: {sorted(CATALOG)}"
+            )
+        if not self.paths >= 1:
+            raise McParameterError("paths", "need paths >= 1")
+        if not self.dt > 0:
+            raise McParameterError("dt", "need dt > 0")
+        # written so that dt = inf (a NaN product) and a subnormal dt (an
+        # infinite step count) fail too
+        if not all(
+            math.isfinite(t / self.dt) and abs(round(t / self.dt) * self.dt - t) <= 1e-12
+            for t in CHECKPOINTS
+        ):
+            raise McParameterError("dt", "dt must divide the checkpoint times")
 
 
 @dataclass(frozen=True)
@@ -151,8 +171,6 @@ def simulate(model: McModel) -> PathEstimate:
     n = model.paths
     dt = model.dt
     cp_steps = [int(round(t / dt)) for t in CHECKPOINTS]
-    if any(abs(k * dt - t) > 1e-12 for k, t in zip(cp_steps, CHECKPOINTS)):
-        raise ValueError("dt must divide the checkpoint times")
     last_step = max(cp_steps)
 
     with_horizon = model.model == "CAT-1"
@@ -250,6 +268,8 @@ def validate_survival_formula(
     closed form."""
     if not 0.0 <= t < 1.0:
         raise ValueError("need t in [0, 1)")
+    if subpaths < 1:
+        raise ValueError("need subpaths >= 1")
     dt = model.dt
     n_steps = int(round((1.0 - t) / dt))
     n = subpaths

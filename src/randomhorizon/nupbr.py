@@ -406,15 +406,6 @@ def single_jump_martingale_transfer(
     )
 
 
-def decompose_accessible(S: AdaptedProcess, space: FiniteSpace):
-    """(accessible part, quasi-left-continuous part).
-
-    Every discrete jump date is predictable, hence accessible: the
-    decomposition is (S, 0) and NUPBR of S reduces to NUPBR of the
-    accessible part alone."""
-    return S, AdaptedProcess.zero(space, dim=S.dim)
-
-
 @dataclass(frozen=True)
 class PreservationReport:
     """Both directions of the universal-preservation dichotomy."""

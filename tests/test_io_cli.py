@@ -207,6 +207,19 @@ def test_cli_theorems_precondition_branch(capsys, tmp_path):
     assert report["masked_criterion"] == {"precondition_failed": True}
 
 
+def test_cli_theorems_violation_exits_2(capsys, monkeypatch):
+    suite = cli.theorem_suite
+
+    def violated(sc, battery, seed):
+        bundle, sections, _ = suite(sc, battery, seed)
+        return bundle, sections, ["preservation"]
+
+    monkeypatch.setattr(cli, "theorem_suite", violated)
+    rc, out, _ = _run(["theorems", _scenario_path("ex2"), "--battery", "5"], capsys)
+    assert rc == 2
+    assert json.loads(out)["consistent"] is False
+
+
 @pytest.mark.parametrize(
     "mutate, location",
     [
@@ -261,3 +274,90 @@ def test_cli_stdout_bytes_pinned(command, name, capsys):
     rc, out, _ = _run([command, _scenario_path(name)], capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_STDOUT_SHA256[(command, name)]
+
+
+# sha256 of every --out file for each command on the shipped fixtures; the
+# CSV tables are built from the printed report alone
+CLI_OUT_FILES_SHA256 = {
+    ("certify", "ex1"): {
+        "certify.json": "0b29ad0c035dc5aaa69839d3fb9303ad190cb0d78995b8359070a81bb2f4b121",
+        "certify_nodes.csv": "d8daf9bf600a015923ce5d0bfa24845158934bbecade61a8da05d33cc178dee7",
+    },
+    ("certify", "ex2"): {
+        "certify.json": "e93cd8e90b1fedfcd99dd3e44b67e950aab60187760bea8e4157b1f5b39286d5",
+        "certify_nodes.csv": "c64de5d0ebda2674171f4718c4ba357aa964ae97158477a7067a56347d61d2b1",
+    },
+    ("inspect", "ex1"): {
+        "inspect.json": "a92ea13c6edf34b3178d0727f2e74620fcc866b6dcca59366fb5e3e588a29b5a",
+        "inspect_table.csv": "a46a6478ac2df0c2ec90f72ad92402edc890f29b36e02b3f25902643c3f649d2",
+    },
+    ("inspect", "ex2"): {
+        "inspect.json": "55a77f6d74b9d4b890d29cde4e045115d1fecc07ba2cfc99334a53e032e99213",
+        "inspect_table.csv": "04cb7f64e5888ab18f04bad4e96e6620f4ae3aae93bbc1f9d5cadf8873e06c21",
+    },
+    ("theorems", "ex1"): {
+        "theorems.json": "cf4f8d7cea6ea35e60014f2372c07208aacc33f199f5a15577decf81372a08ac",
+        "theorems_summary.csv": "2f6c5282b26954eb0c7ae9592f9cbe3fe9dcd63f2e7a7ca5c4354f3a3c0ce6e1",
+    },
+    ("theorems", "ex2"): {
+        "theorems.json": "2496d15751d8e4c66b53d1bab5642d502ca0c9e1bc55c4109206841de4933eff",
+        "theorems_summary.csv": "2f6c5282b26954eb0c7ae9592f9cbe3fe9dcd63f2e7a7ca5c4354f3a3c0ce6e1",
+    },
+    ("witness", "ex1"): {
+        "witness.json": "245500ee98d7d021e208d82e9238d640c37a687a2448c4f8585495ce485e399d",
+    },
+    ("witness", "ex2"): {
+        "witness.json": "e2575a85259fac883571f3b6af420163aca03c1d3f955301986db06168db7d85",
+    },
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(CLI_OUT_FILES_SHA256))
+def test_cli_out_files_pinned(command, name, capsys, tmp_path):
+    rc, _, _ = _run([command, _scenario_path(name), "--out", str(tmp_path)], capsys)
+    assert rc == 0
+    digests = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()
+    }
+    assert digests == CLI_OUT_FILES_SHA256[(command, name)]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--paths", "0"], "--paths"),
+        (["--dt", "0"], "--dt"),
+        (["--dt", "0.3"], "--dt"),
+        (["--model", "CAT-9"], "--model"),
+        (["--subpaths", "0", "--validate-z"], "--subpaths"),
+    ],
+)
+def test_cli_mc_argument_errors_exit_1(args, flag, capsys, monkeypatch):
+    from randomhorizon import mc
+
+    simulated = []
+    monkeypatch.setattr(mc, "simulate", lambda model: simulated.append(model))
+    rc, out, err = _run(["mc", *args], capsys)
+    assert (rc, out, simulated) == (1, "", [])
+    doc = json.loads(err)
+    assert (doc["error"], doc["location"]) == ("schema", flag)
+
+
+def test_theorems_replays_campaign_instances():
+    from randomhorizon.campaign import instance_report
+    from randomhorizon.generator import random_instance
+
+    shared = (
+        "projection_identities",
+        "deflator",
+        "single_jump",
+        "martingale_transfer",
+        "masked_criterion",
+        "preservation",
+    )
+    for seed in range(50):
+        sc = parse_scenario(serialize_scenario(random_instance(seed)))
+        report = cli.theorems_report(sc, battery=10, seed=seed)
+        expected = instance_report(seed, 10)
+        assert {k: report[k] for k in shared} == {k: expected[k] for k in shared}
+        assert report["consistent"] == (expected["violations"] == [])

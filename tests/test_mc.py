@@ -5,6 +5,7 @@ import pytest
 
 from randomhorizon.mc import (
     McModel,
+    McParameterError,
     _zero_in_step,
     simulate,
     survival_closed_form,
@@ -63,6 +64,12 @@ def test_validate_rejects_bad_time():
         validate_survival_formula(model, 1.0, 0.5, 100)
 
 
+def test_validate_rejects_no_subpaths():
+    model = McModel(model="CAT-1", dt=1e-3, paths=1, seed=2)
+    with pytest.raises(ValueError):
+        validate_survival_formula(model, 0.5, 0.5, 0)
+
+
 def test_zero_in_step_bridge():
     w0 = np.array([1.0, 1.0, -0.5])
     w1 = np.array([-1.0, 1.0, -0.5])
@@ -79,6 +86,13 @@ def test_zero_in_step_bridge():
 def test_dt_must_divide_checkpoints():
     with pytest.raises(ValueError):
         simulate(McModel(model="CAT-0", dt=4e-3, paths=10, seed=0))
+
+
+@pytest.mark.parametrize("dt", [0.3, float("inf"), float("nan"), 1e-320])
+def test_model_rejects_dt_off_the_checkpoint_grid(dt):
+    with pytest.raises(McParameterError) as err:
+        McModel(model="CAT-0", dt=dt, paths=10)
+    assert err.value.field == "dt"
 
 
 def test_unknown_model_rejected():

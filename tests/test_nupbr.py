@@ -12,7 +12,6 @@ from randomhorizon.generator import (
 )
 from randomhorizon.nupbr import (
     certify_nupbr,
-    decompose_accessible,
     martingale_measure_from_weights,
     masked_increment_criterion,
     masked_increment_criterion_all,
@@ -217,12 +216,6 @@ def test_martingale_transfer_requires_centered_xi(ex1):
         single_jump_martingale_transfer(
             xi, 2, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space
         )
-
-
-def test_decompose_accessible(ex1):
-    a, qc = decompose_accessible(ex1.price, ex1.space)
-    assert a.values == ex1.price.values
-    assert all(qc.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
 
 
 def test_preservation_fixtures(ex1, ex2):
