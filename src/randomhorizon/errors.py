@@ -21,6 +21,11 @@ class PreconditionViolated(EngineError):
     """A documented theorem precondition does not hold for the given input."""
 
 
+class InvalidProbabilities(EngineError, ValueError):
+    """Atom probabilities that are missing, not strictly positive or do not
+    sum to 1; still a ``ValueError`` like every other bad space argument."""
+
+
 class StructuralViolation(EngineError):
     """An identity that holds on every valid instance failed: engine bug."""
 

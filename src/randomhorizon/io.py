@@ -24,7 +24,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .errors import InvalidScenario
+from .errors import InvalidProbabilities, InvalidScenario
 from .space import (
     INF,
     AdaptedProcess,
@@ -93,9 +93,10 @@ def parse_scenario(doc: dict) -> Scenario:
         raise InvalidScenario("schema", "$.horizon", "must be an integer >= 1")
     try:
         space = FiniteSpace(tuple(atoms), tuple(probs), horizon)
+    except InvalidProbabilities as exc:
+        raise InvalidScenario("probabilities", "$.probs", str(exc)) from exc
     except ValueError as exc:
-        code = "probabilities" if "probab" in str(exc) or "sum" in str(exc) else "schema"
-        raise InvalidScenario(code, "$.probs", str(exc)) from exc
+        raise InvalidScenario("schema", "$.probs", str(exc)) from exc
 
     filt_doc = doc["filtration"]
     if not isinstance(filt_doc, list) or len(filt_doc) != horizon + 1:

@@ -18,10 +18,22 @@ uniform weights; a single nonzero point fails.  In one dimension, with P
 the sum of the positive points and N minus the sum of the negative ones,
 the family passes iff P > 0 and N > 0: weights N on positives, P on
 negatives and 1 on zeros, normalised to sum to 1, are the witness, and a
-failing family is separated by the common sign, (1,) or (-1,).  Every
-other family goes to :func:`solve_min`, a dense two-phase primal simplex
-with Bland's rule.  The relative-interior test is the LP in the
-substitution w_i = eps + v_i,
+failing family is separated by the common sign, (1,) or (-1,).
+
+In the plane the relative-interior test has two more closed forms.  Two
+points a, b pass iff det(a, b) = 0 and a . b < 0 (they point in opposite
+directions); the weights come from one nonzero coordinate.  Three
+affinely independent points a, b, c (det(b, c) + det(c, a) + det(a, b)
+!= 0) pass iff the three cross products share a strict sign; the weights
+are the barycentric coordinates of 0, each cross product divided by their
+sum.  In both cases the weights are the only positive solution, so they
+are exactly what the LP below returns.
+
+Every other family goes to :func:`solve_min`, a dense two-phase primal
+simplex with Bland's rule: repeated or collinear triples, four or more
+points, three or more dimensions, and every separating direction beyond
+one dimension.  The relative-interior test is the LP in the substitution
+w_i = eps + v_i,
 
     max eps  s.t.  eps * sum_i delta_i + sum_i v_i delta_i = 0,
                    k * eps + sum_i v_i = 1,   eps, v >= 0,
@@ -162,6 +174,24 @@ def zero_in_relative_interior(deltas: Sequence[tuple]):
         raw = [neg if x > 0 else pos if x < 0 else 1 for (x,) in deltas]
         total = Fraction(sum(raw))
         return True, tuple(r / total for r in raw)
+    if d == 2 and k == 2:
+        (a0, a1), (b0, b1) = deltas
+        if a0 * b1 != a1 * b0 or a0 * b0 + a1 * b1 >= 0:
+            return False, None
+        # antiparallel: w_a * a_j + w_b * b_j = 0 on a coordinate with a_j != 0
+        aj, bj = (a0, b0) if a0 else (a1, b1)
+        wa = Fraction(bj, bj - aj)
+        return True, (wa, 1 - wa)
+    if d == 2 and k == 3:
+        (a0, a1), (b0, b1), (c0, c1) = deltas
+        wa = b0 * c1 - b1 * c0
+        wb = c0 * a1 - c1 * a0
+        wc = a0 * b1 - a1 * b0
+        total = wa + wb + wc
+        if total:  # affinely independent: barycentric coordinates of 0
+            if (wa > 0 and wb > 0 and wc > 0) or (wa < 0 and wb < 0 and wc < 0):
+                return True, (Fraction(wa, total), Fraction(wb, total), Fraction(wc, total))
+            return False, None
     # variables: eps, v_1..v_k  (w_i = eps + v_i)
     A = [[sum(p[j] for p in deltas)] + [p[j] for p in deltas] for j in range(d)]
     A.append([k] + [1] * k)

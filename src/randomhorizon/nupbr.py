@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .enlargement import AzemaBundle, azema, enlarge, jump_time_measures
@@ -51,7 +52,14 @@ class NodeWeights:
 class Arbitrage:
     time: int
     block: tuple  # atom names of the failing node
-    theta: tuple  # direction with theta . dX >= 0 on the node, > 0 somewhere
+    deltas: tuple  # increments dX over the node's positive-mass children
+
+    @cached_property
+    def theta(self) -> tuple:
+        """Direction with theta . dX >= 0 on the node, > 0 somewhere.
+
+        Solved on first read: most callers need only the verdict."""
+        return separating_direction(self.deltas)
 
 
 @dataclass(frozen=True)
@@ -95,14 +103,9 @@ def certify_nupbr(
             deltas = [X.delta_at(t, child[0]) for child in kids]
             ok, lam = zero_in_relative_interior(deltas)
             if not ok:
-                theta = separating_direction(deltas)
                 return CertResult(
                     False,
-                    arbitrage=Arbitrage(
-                        t,
-                        tuple(names[i] for i in parent),
-                        theta,
-                    ),
+                    arbitrage=Arbitrage(t, tuple(names[i] for i in parent), tuple(deltas)),
                 )
             collected.append(
                 NodeWeights(

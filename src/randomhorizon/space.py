@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
-from .errors import NotAdapted, NotPredictable
+from .errors import InvalidProbabilities, NotAdapted, NotPredictable
 
 
 def frac(x) -> Fraction:
@@ -96,11 +96,11 @@ class FiniteSpace:
         if len(atoms) != len(set(atoms)):
             raise ValueError("atom identifiers must be unique")
         if len(prob) != len(atoms):
-            raise ValueError("one probability per atom required")
+            raise InvalidProbabilities("one probability per atom required")
         if any(p <= 0 for p in prob):
-            raise ValueError("atom probabilities must be strictly positive")
+            raise InvalidProbabilities("atom probabilities must be strictly positive")
         if sum(prob) != 1:
-            raise ValueError("atom probabilities must sum to 1 exactly")
+            raise InvalidProbabilities("atom probabilities must sum to 1 exactly")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from randomhorizon import cli
-from randomhorizon.errors import InvalidScenario
+from randomhorizon.errors import InvalidProbabilities, InvalidScenario
 from randomhorizon.io import (
     dump_json,
     format_fraction,
@@ -60,6 +60,32 @@ def test_scenario_error_codes(mutate, code):
         parse_scenario(doc)
     assert err.value.code == code
     assert err.value.location
+
+
+@pytest.mark.parametrize(
+    "mutate, code",
+    [
+        (lambda d: d["atoms"].__setitem__(1, "a"), "schema"),
+        (lambda d: d["probs"].append("1/4"), "probabilities"),
+        (lambda d: d["probs"].__setitem__(0, "0"), "probabilities"),
+        (lambda d: d["probs"].__setitem__(0, "-1/4"), "probabilities"),
+        (lambda d: d["probs"].__setitem__(0, "1/3"), "probabilities"),
+    ],
+    ids=["duplicate-atom", "probability-count", "zero-probability", "negative-probability", "sum-not-one"],
+)
+def test_space_errors_map_to_codes_by_type(mutate, code, capsys, tmp_path):
+    doc = _ex1_doc()
+    mutate(doc)
+    with pytest.raises(InvalidScenario) as err:
+        parse_scenario(doc)
+    assert (err.value.code, err.value.location) == (code, "$.probs")
+    assert isinstance(err.value.__cause__, ValueError)
+    assert isinstance(err.value.__cause__, InvalidProbabilities) == (code == "probabilities")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err_text = _run(["inspect", str(path)], capsys)
+    assert rc == 1
+    assert json.loads(err_text)["error"] == code
 
 
 def _run(argv, capsys):
@@ -205,6 +231,11 @@ def test_cli_theorems_precondition_branch(capsys, tmp_path):
     rc, out, _ = _run(["theorems", str(path), "--battery", "5"], capsys)
     report = json.loads(out)
     assert report["masked_criterion"] == {"precondition_failed": True}
+    # the G-martingale part needs an F-martingale price: not applicable here,
+    # and an input outside a theorem's hypotheses is no violation
+    assert report["projection_identities"]["martingale_part"] is None
+    assert report["consistent"] is True
+    assert rc == 0
 
 
 def test_cli_theorems_violation_exits_2(capsys, monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from randomhorizon.enlargement import enlarge
 from randomhorizon.generator import random_adapted, random_instance
-from randomhorizon.lp import separating_direction, zero_in_relative_interior
+from randomhorizon.lp import zero_in_relative_interior
 from randomhorizon.nupbr import Arbitrage, CertResult, NodeWeights, certify_nupbr
 from randomhorizon.projections import condexp, is_martingale
 from randomhorizon.space import stop
@@ -74,9 +74,7 @@ def naive_certify(X, filt, space, weights):
             ok, lam = zero_in_relative_interior(deltas)
             block = tuple(names[i] for i in parent)
             if not ok:
-                return CertResult(
-                    False, arbitrage=Arbitrage(t, block, separating_direction(deltas))
-                )
+                return CertResult(False, arbitrage=Arbitrage(t, block, tuple(deltas)))
             collected.append(
                 NodeWeights(t, block, tuple(tuple(names[i] for i in c) for c in kids), lam)
             )

@@ -125,6 +125,56 @@ def test_node_certificates_are_witnessed(family):
         assert all(x >= 0 for x in products) and any(x > 0 for x in products)
 
 
+def reduced_lp(family):
+    """The reduced relative-interior LP (w_i = eps + v_i) solved directly:
+    the reference every closed form must reproduce, weights included."""
+    k, d = len(family), len(family[0])
+    A = [[sum(p[j] for p in family)] + [p[j] for p in family] for j in range(d)]
+    A.append([k] + [1] * k)
+    res = solve_min(A, [0] * d + [1], [-1] + [0] * k)
+    if res.status != "optimal" or res.x[0] <= 0:
+        return False, None
+    return True, tuple(res.x[0] + x for x in res.x[1:])
+
+
+RATIONAL = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+PLANAR = st.tuples(RATIONAL, RATIONAL)
+
+
+def _scaled(point, factors):
+    return [tuple(m * c for c in point) for m in factors]
+
+
+def _planar_families(k):
+    free = st.lists(PLANAR, min_size=k, max_size=k)
+    with_zero = st.lists(PLANAR, min_size=k - 1, max_size=k - 1).map(lambda ps: ps + [(F(0), F(0))])
+    repeated = st.tuples(PLANAR, st.lists(PLANAR, min_size=k - 2, max_size=k - 2)).map(
+        lambda spec: [spec[0], spec[0]] + spec[1]
+    )
+    positive = st.builds(F, st.integers(1, 4), st.integers(1, 3))
+    antiparallel = st.tuples(PLANAR, positive, st.lists(PLANAR, min_size=k - 2, max_size=k - 2)).map(
+        lambda spec: _scaled(spec[0], [1, -spec[1]]) + spec[2]
+    )
+    collinear = st.tuples(PLANAR, st.lists(RATIONAL, min_size=k, max_size=k)).map(
+        lambda spec: _scaled(*spec)
+    )
+    shapes = [free, with_zero, repeated, antiparallel, collinear]
+    if k == 3:
+        # c = -(alpha a + beta b): 0 is interior unless a and b are parallel
+        shapes.append(
+            st.tuples(PLANAR, PLANAR, positive, positive).map(
+                lambda s: [s[0], s[1], tuple(-(s[2] * x + s[3] * y) for x, y in zip(s[0], s[1]))]
+            )
+        )
+    return st.one_of(*shapes).flatmap(st.permutations)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(_planar_families))
+def test_planar_closed_forms_return_the_lps_answer(family):
+    assert zero_in_relative_interior(family) == reduced_lp(family)
+
+
 def test_maximize_over_admissible_bounded():
     status, theta, value = maximize_over_admissible(v(1), [v(1), v(-1)])
     assert status == "optimal"
