@@ -37,8 +37,8 @@ from .nupbr import (
     single_jump_martingale_transfer,
     thin_set_empty,
 )
-from .projections import condexp, dual_predictable, is_martingale, quadratic_covariation
-from .space import stop
+from .projections import dual_predictable, is_martingale, quadratic_covariation
+from .space import condexp_cells, stop
 
 JOBS_ENV = "RANDOMHORIZON_JOBS"
 
@@ -131,13 +131,9 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
     for T in range(1, space.horizon + 1):
         xi = [price.delta_at(T, i) for i in range(space.n)]
         # the transfer triple takes the martingale part of the jump
-        projs = [
-            condexp([xi[i][k] for i in range(space.n)], filt.parts[T - 1], space)
-            for k in range(price.dim)
-        ]
         centered = [
-            tuple(xi[i][k] - projs[k][i] for k in range(price.dim))
-            for i in range(space.n)
+            tuple(a - b for a, b in zip(x, p))
+            for x, p in zip(xi, condexp_cells(xi, filt.parts[T - 1], space))
         ]
         rec = single_jump_equivalences(xi, T, bundle, filt, enlarged, tau, space)
         single.append(

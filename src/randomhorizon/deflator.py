@@ -30,7 +30,7 @@ from typing import Optional
 from .enlargement import AzemaBundle, g_martingale_part
 from .errors import EngineError, InadmissibleStrategy, StructuralViolation
 from .lp import maximize_over_admissible
-from .projections import assert_martingale, condexp, is_martingale
+from .projections import angle_bracket, assert_martingale, condexp, is_martingale, node_drifts
 from .space import (
     AdaptedProcess,
     FiniteSpace,
@@ -38,6 +38,7 @@ from .space import (
     RandomTime,
     assert_adapted,
     assert_predictable,
+    condexp_cells,
     stop,
 )
 
@@ -51,17 +52,16 @@ def optional_integral(
         raise ValueError("optional integrand must be scalar")
     assert_martingale(N, filt, space, "optional-integral driver")
     assert_adapted(H, filt, "optional integrand")
-    n = space.n
-    acc = [[Fraction(0)] * N.dim for _ in range(n)]
-    rows = [tuple(tuple(c) for c in acc)]
+    increments = []
     for t in range(1, space.horizon + 1):
-        for k in range(N.dim):
-            prod = [H.scalar_at(t, i) * N.delta_at(t, i)[k] for i in range(n)]
-            proj = condexp(prod, filt.parts[t - 1], space)
-            for i in range(n):
-                acc[i][k] += prod[i] - proj[i]
-        rows.append(tuple(tuple(c) for c in acc))
-    return AdaptedProcess(N.dim, tuple(rows))
+        prod = [
+            tuple(H.scalar_at(t, i) * c for c in cell) for i, cell in enumerate(N.increments[t])
+        ]
+        proj = condexp_cells(prod, filt.parts[t - 1], space)
+        increments.append(
+            tuple(tuple(a - b for a, b in zip(p, q)) for p, q in zip(prod, proj))
+        )
+    return AdaptedProcess.from_increments(N.dim, space.n, increments)
 
 
 def stoch_exp(N: AdaptedProcess) -> AdaptedProcess:
@@ -102,11 +102,7 @@ def build_deflator(
     n = space.n
     mhat = g_martingale_part(bundle.m, bundle, filt, enlarged, tau, space)
 
-    bracket_rows = [condexp(
-        [bundle.m.delta_at(t, i)[0] ** 2 for i in range(n)],
-        filt.parts[t - 1],
-        space,
-    ) if t >= 1 else None for t in space.times]
+    bracket = angle_bracket(bundle.m, bundle.m, filt, space)
 
     k_rows = [tuple((Fraction(0),) for _ in range(n))]
     for t in range(1, space.horizon + 1):
@@ -115,7 +111,7 @@ def build_deflator(
             if t <= tau.at(i):
                 zprev = bundle.Z.scalar_at(t - 1, i)
                 ztil = bundle.Ztilde.scalar_at(t, i)
-                kappa = zprev * zprev + bracket_rows[t][i]
+                kappa = zprev * zprev + bracket.delta_at(t, i)[0]
                 row.append((zprev * zprev / kappa / ztil,))
             else:
                 row.append((Fraction(0),))
@@ -151,17 +147,17 @@ def build_deflator(
             if 1 + L.delta_at(t, i)[0] <= 0:
                 raise StructuralViolation("driver jump fell to -1 or below")
 
-    acc = [Fraction(0)] * n
-    v_rows = [tuple((Fraction(0),) for _ in range(n))]
+    drawdown_increments = []
     for t in range(1, space.horizon + 1):
+        row = [(Fraction(0),)] * n
         for i in range(n):
             if t <= tau.at(i):
                 inc = collapse_rows[t][i]
                 if not 0 <= inc < 1:
                     raise StructuralViolation("drawdown jump outside [0, 1)")
-                acc[i] += inc
-        v_rows.append(tuple((acc[i],) for i in range(n)))
-    drawdown = AdaptedProcess(1, tuple(v_rows), predictable=True)
+                row[i] = (inc,)
+        drawdown_increments.append(row)
+    drawdown = AdaptedProcess.from_increments(1, n, drawdown_increments, predictable=True)
 
     if not is_martingale(L, enlarged, space):
         raise StructuralViolation("deflator driver is not a G-martingale")
@@ -174,12 +170,7 @@ def build_deflator(
 
 
 def is_supermartingale(Y: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> bool:
-    for t in range(1, space.horizon + 1):
-        for block in filt.parts[t - 1]:
-            for k in range(Y.dim):
-                if sum(space.prob[i] * Y.delta_at(t, i)[k] for i in block) > 0:
-                    return False
-    return True
+    return all(drift <= 0 for drift in node_drifts(Y, filt, space))
 
 
 @dataclass(frozen=True)
@@ -209,9 +200,9 @@ def supermartingale_deflator(
     stopped = stop(S, tau)
     n = space.n
     wealth = [Fraction(0)] * n
-    x_rows = [tuple((Fraction(0),) for _ in range(n))]
-    acc = [Fraction(0)] * n
+    increments = []
     for t in range(1, space.horizon + 1):
+        row = []
         for i in range(n):
             gain = sum(
                 theta.at(t, i)[k] * stopped.delta_at(t, i)[k] for k in range(S.dim)
@@ -222,10 +213,9 @@ def supermartingale_deflator(
                     f"wealth dropped below -1 at (atom {space.atoms[i]}, time {t})"
                 )
             core = deflators.driver.delta_at(t, i)[0] - deflators.drawdown.delta_at(t, i)[0]
-            acc[i] += core + (1 + core) * gain
-        x_rows.append(tuple((acc[i],) for i in range(n)))
-    X = AdaptedProcess(1, tuple(x_rows))
-    E = stoch_exp(X)
+            row.append((core + (1 + core) * gain,))
+        increments.append(row)
+    E = stoch_exp(AdaptedProcess.from_increments(1, n, increments))
     positive = all(
         E.scalar_at(t, i) > 0 for t in space.times for i in range(n)
     )

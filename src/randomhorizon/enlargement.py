@@ -37,6 +37,8 @@ from .space import (
     RandomTime,
     assert_adapted,
     check_stopping_time,
+    condexp_cells,
+    first_nonconstant,
     is_predictable,
     stop,
 )
@@ -91,22 +93,19 @@ def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
     n = space.n
     zero = Fraction(0)
 
-    z_rows, zt_rows, comp_rows = [], [], []
-    acc = [zero] * n
+    z_rows, zt_rows, default_increments = [], [], []
     for t in space.times:
         gt = [Fraction(1) if tau.at(i) > t else zero for i in range(n)]
         ge = [Fraction(1) if tau.at(i) >= t else zero for i in range(n)]
-        eq = [Fraction(1) if tau.at(i) == t else zero for i in range(n)]
         z_rows.append(condexp(gt, filt.parts[t], space))
         zt_rows.append(condexp(ge, filt.parts[t], space))
         if t >= 1:
-            inc = condexp(eq, filt.parts[t], space)
-            acc = [a + b for a, b in zip(acc, inc)]
-        comp_rows.append(tuple(acc))
+            eq = [(Fraction(1) if tau.at(i) == t else zero,) for i in range(n)]
+            default_increments.append(condexp_cells(eq, filt.parts[t], space))
 
     Z = AdaptedProcess.from_scalar_paths(space, z_rows)
     Zt = AdaptedProcess.from_scalar_paths(space, zt_rows)
-    Dof = AdaptedProcess.from_scalar_paths(space, comp_rows)
+    Dof = AdaptedProcess.from_increments(1, n, default_increments)
     m = Z + Dof
 
     # engine self-checks: these identities hold on every valid instance
@@ -174,25 +173,27 @@ def compensator_of_stopped(
     asserted by the test-suite rather than recomputed here.
     """
     assert_adapted(V, filt, "V")
-    n = space.n
-    acc = [[Fraction(0)] * V.dim for _ in range(n)]
-    rows = [tuple(tuple(c) for c in acc)]
+    zero = (Fraction(0),) * V.dim
+    increments = []
     for t in range(1, space.horizon + 1):
-        for k in range(V.dim):
-            weighted = [
-                bundle.Ztilde.scalar_at(t, i) * V.delta_at(t, i)[k] for i in range(n)
-            ]
-            proj = condexp(weighted, filt.parts[t - 1], space)
-            for i in range(n):
-                if t <= tau.at(i):
-                    zprev = bundle.Z.scalar_at(t - 1, i)
-                    if zprev == 0:
-                        raise StructuralViolation(
-                            "Z_- vanished inside ]0, tau]; engine invariant broken"
-                        )
-                    acc[i][k] += proj[i] / zprev
-        rows.append(tuple(tuple(c) for c in acc))
-    return AdaptedProcess(V.dim, tuple(rows), predictable=True)
+        weighted = [
+            tuple(bundle.Ztilde.scalar_at(t, i) * c for c in cell)
+            for i, cell in enumerate(V.increments[t])
+        ]
+        proj = condexp_cells(weighted, filt.parts[t - 1], space)
+        row = []
+        for i in range(space.n):
+            if t <= tau.at(i):
+                zprev = bundle.Z.scalar_at(t - 1, i)
+                if zprev == 0:
+                    raise StructuralViolation(
+                        "Z_- vanished inside ]0, tau]; engine invariant broken"
+                    )
+                row.append(tuple(c / zprev for c in proj[i]))
+            else:
+                row.append(zero)
+        increments.append(row)
+    return AdaptedProcess.from_increments(V.dim, space.n, increments, predictable=True)
 
 
 def compensator_of_rescaled(
@@ -212,52 +213,46 @@ def compensator_of_rescaled(
     """
     assert_adapted(V, filt, "V")
     n = space.n
-
-    def u_delta(t, i, k):
-        if t >= 1 and t <= tau.at(i):
-            return V.delta_at(t, i)[k] / bundle.Ztilde.scalar_at(t, i)
-        return Fraction(0)
-
-    u_rows = []
-    acc = [[Fraction(0)] * V.dim for _ in range(n)]
-    u_rows.append(tuple(tuple(c) for c in acc))
-    for t in range(1, space.horizon + 1):
-        for i in range(n):
-            for k in range(V.dim):
-                acc[i][k] += u_delta(t, i, k)
-        u_rows.append(tuple(tuple(c) for c in acc))
-    U = AdaptedProcess(V.dim, tuple(u_rows))
+    zero = (Fraction(0),) * V.dim
+    U = AdaptedProcess.from_increments(
+        V.dim,
+        n,
+        [
+            tuple(
+                tuple(c / bundle.Ztilde.scalar_at(t, i) for c in cell)
+                if t <= tau.at(i)
+                else zero
+                for i, cell in enumerate(V.increments[t])
+            )
+            for t in range(1, space.horizon + 1)
+        ],
+    )
     direct = dual_predictable(U, enlarged, space)
 
     supported = all(
-        V.delta_at(t, i) == tuple(Fraction(0) for _ in range(V.dim))
+        not any(V.increments[t][i])
         for t in range(1, space.horizon + 1)
         for i in range(n)
         if bundle.Ztilde.scalar_at(t, i) == 0
     )
     for t in range(1, space.horizon + 1):
-        for k in range(V.dim):
-            masked = [
-                V.delta_at(t, i)[k]
-                if bundle.Ztilde.scalar_at(t, i) > 0
-                else Fraction(0)
-                for i in range(n)
-            ]
-            proj = condexp(masked, filt.parts[t - 1], space)
-            plain = condexp([V.delta_at(t, i)[k] for i in range(n)], filt.parts[t - 1], space)
-            for i in range(n):
-                on_interval = t <= tau.at(i)
-                closed = proj[i] / bundle.Z.scalar_at(t - 1, i) if on_interval else Fraction(0)
-                got = direct.delta_at(t, i)[k]
-                if got != closed:
-                    raise StructuralViolation(
-                        "rescaled-compensator transfer identity failed"
-                    )
-                if supported and on_interval:
-                    if plain[i] != bundle.Z.scalar_at(t - 1, i) * got:
-                        raise StructuralViolation(
-                            "converse compensator identity failed on ]0, tau]"
-                        )
+        dv = V.increments[t]
+        masked = [cell if bundle.Ztilde.scalar_at(t, i) > 0 else zero for i, cell in enumerate(dv)]
+        proj = condexp_cells(masked, filt.parts[t - 1], space)
+        plain = condexp_cells(dv, filt.parts[t - 1], space)
+        for i in range(n):
+            on_interval = t <= tau.at(i)
+            zprev = bundle.Z.scalar_at(t - 1, i)
+            got = direct.increments[t][i]
+            closed = tuple(c / zprev for c in proj[i]) if on_interval else zero
+            if got != closed:
+                raise StructuralViolation(
+                    "rescaled-compensator transfer identity failed"
+                )
+            if supported and on_interval and plain[i] != tuple(zprev * g for g in got):
+                raise StructuralViolation(
+                    "converse compensator identity failed on ]0, tau]"
+                )
     return direct
 
 
@@ -276,26 +271,23 @@ def g_martingale_part(
     The output is verified to be an exact G-martingale.
     """
     assert_martingale(M, filt, space, "input of g_martingale_part")
-    stopped = stop(M, tau)
-    n = space.n
-    rows = [stopped.values[0]]
-    acc = [[Fraction(0)] * M.dim for _ in range(n)]
+    zero = (Fraction(0),) * M.dim
+    drift = []
     for t in range(1, space.horizon + 1):
-        for k in range(M.dim):
-            prod = [
-                M.delta_at(t, i)[k] * bundle.m.delta_at(t, i)[0] for i in range(n)
-            ]
-            proj = condexp(prod, filt.parts[t - 1], space)
-            for i in range(n):
-                if t <= tau.at(i):
-                    acc[i][k] += proj[i] / bundle.Z.scalar_at(t - 1, i)
-        rows.append(
+        dm = bundle.m.increments[t]
+        prod = [
+            tuple(c * dm[i][0] for c in cell) for i, cell in enumerate(M.increments[t])
+        ]
+        proj = condexp_cells(prod, filt.parts[t - 1], space)
+        drift.append(
             tuple(
-                tuple(s - c for s, c in zip(stopped.values[t][i], acc[i]))
-                for i in range(n)
+                tuple(c / bundle.Z.scalar_at(t - 1, i) for c in proj[i])
+                if t <= tau.at(i)
+                else zero
+                for i in range(space.n)
             )
         )
-    result = AdaptedProcess(M.dim, tuple(rows))
+    result = stop(M, tau) - AdaptedProcess.from_increments(M.dim, space.n, drift)
     if not is_martingale(result, enlarged, space):
         raise StructuralViolation("drift-corrected stopped process is not a G-martingale")
     return result
@@ -337,24 +329,22 @@ def projection_transfer_identities(
     jl, jr, ul, ur = [list([zero_row]) for _ in range(4)]
 
     for t in range(1, space.horizon + 1):
-        # G-side: average over the alive part of each G_{t-1}-node
-        g_jump = [Fraction(0)] * n
-        g_unit = [Fraction(0)] * n
-        for block in enlarged.parts[t - 1]:
-            alive = [i for i in block if tau.at(i) >= t]
-            if not alive:
-                continue
-            mass = sum(space.prob[i] for i in alive)
-            jacc = sum(
-                space.prob[i] * M.delta_at(t, i)[0] / bundle.Ztilde.scalar_at(t, i)
-                for i in alive
-            )
-            uacc = sum(
-                space.prob[i] / bundle.Ztilde.scalar_at(t, i) for i in alive
-            )
-            for i in alive:
-                g_jump[i] = jacc / mass
-                g_unit[i] = uacc / mass
+        # G-side: every G_{t-1}-node lies wholly in {tau >= t} or outside
+        # it, so averaging over the node is averaging over its alive part
+        alive = [t <= tau.at(i) for i in range(n)]
+        g_jump = condexp(
+            [
+                M.delta_at(t, i)[0] / bundle.Ztilde.scalar_at(t, i) if alive[i] else 0
+                for i in range(n)
+            ],
+            enlarged.parts[t - 1],
+            space,
+        )
+        g_unit = condexp(
+            [1 / bundle.Ztilde.scalar_at(t, i) if alive[i] else 0 for i in range(n)],
+            enlarged.parts[t - 1],
+            space,
+        )
         # F-side closed forms
         masked = [
             M.delta_at(t, i)[0] if bundle.Ztilde.scalar_at(t, i) > 0 else Fraction(0)
@@ -369,7 +359,7 @@ def projection_transfer_identities(
         f_jump = [Fraction(0)] * n
         f_unit = [Fraction(0)] * n
         for i in range(n):
-            if t <= tau.at(i):
+            if alive[i]:
                 zprev = bundle.Z.scalar_at(t - 1, i)
                 f_jump[i] = pj[i] / zprev
                 f_unit[i] = pu[i] / zprev
@@ -456,20 +446,19 @@ def reduce_g_predictable(
     """
     if not is_predictable(H, enlarged):
         raise NotPredictable("input of reduce_g_predictable is not G-predictable")
-    n = space.n
     one = tuple(Fraction(1) for _ in range(H.dim))
     rows = []
     for t in space.times:
-        row = [one] * n
-        for block in filt.parts[max(t - 1, 0)]:
-            survivors = [i for i in block if tau.at(i) >= max(t, 1)]
+        blocks = filt.parts[max(t - 1, 0)]
+        alive = [[i for i in block if tau.at(i) >= max(t, 1)] for block in blocks]
+        if first_nonconstant(H.values[t], [a for a in alive if a]) is not None:
+            raise StructuralViolation(
+                "G-predictable process not constant on an alive sub-block"
+            )
+        row = [one] * space.n
+        for block, survivors in zip(blocks, alive):
             if survivors:
-                v = H.values[t][survivors[0]]
-                if any(H.values[t][i] != v for i in survivors):
-                    raise StructuralViolation(
-                        "G-predictable process not constant on an alive sub-block"
-                    )
                 for i in block:
-                    row[i] = v
+                    row[i] = H.values[t][survivors[0]]
         rows.append(tuple(row))
     return AdaptedProcess(H.dim, tuple(rows), predictable=True)

@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .projections import condexp
-from .space import INF, AdaptedProcess, FiniteSpace, Filtration, RandomTime
+from .space import INF, AdaptedProcess, FiniteSpace, Filtration, RandomTime, condexp_cells
 
 MAX_ATOMS = 12
 MAX_HORIZON = 4
@@ -67,20 +66,14 @@ def random_martingale(
     spread: int = 4,
 ) -> AdaptedProcess:
     """Draw terminal values, then set X_t = E[X_{t+1} | F_t] backwards."""
-    n = space.n
-    current = [
+    current = tuple(
         tuple(Fraction(rng.randint(-spread, spread)) for _ in range(dim))
-        for _ in range(n)
-    ]
+        for _ in range(space.n)
+    )
     rows = [None] * (space.horizon + 1)
-    rows[space.horizon] = tuple(current)
+    rows[space.horizon] = current
     for t in range(space.horizon - 1, -1, -1):
-        comps = [
-            condexp([current[i][k] for i in range(n)], filt.parts[t], space)
-            for k in range(dim)
-        ]
-        current = [tuple(comps[k][i] for k in range(dim)) for i in range(n)]
-        rows[t] = tuple(current)
+        current = rows[t] = condexp_cells(current, filt.parts[t], space)
     return AdaptedProcess(dim, tuple(rows))
 
 
@@ -109,19 +102,16 @@ def random_predictable_fv(
     if not nonconstant:
         return AdaptedProcess.zero(space)
     while True:
-        rows = [tuple((Fraction(0),) for _ in range(space.n))]
-        acc = [Fraction(0)] * space.n
-        some = False
+        increments = []
         for t in range(1, space.horizon + 1):
+            row = [None] * space.n
             for block in filt.parts[t - 1]:
-                inc = Fraction(rng.randint(-2, 2))
-                if inc != 0:
-                    some = True
+                inc = (Fraction(rng.randint(-2, 2)),)
                 for i in block:
-                    acc[i] += inc
-            rows.append(tuple((acc[i],) for i in range(space.n)))
-        if some:
-            return AdaptedProcess(1, tuple(rows), predictable=True)
+                    row[i] = inc
+            increments.append(row)
+        if any(cell[0] for row in increments for cell in row):
+            return AdaptedProcess.from_increments(1, space.n, increments, predictable=True)
 
 
 def random_tau(space: FiniteSpace, rng: random.Random) -> RandomTime:

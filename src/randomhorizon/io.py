@@ -31,7 +31,7 @@ from .space import (
     FiniteSpace,
     Filtration,
     RandomTime,
-    is_adapted,
+    first_nonconstant,
 )
 
 
@@ -85,6 +85,8 @@ def parse_scenario(doc: dict) -> Scenario:
     atoms = doc["atoms"]
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise InvalidScenario("schema", "$.atoms", "must be a list of strings")
+    if not isinstance(doc["probs"], list):
+        raise InvalidScenario("schema", "$.probs", "must be a list of rationals")
     probs = [
         parse_fraction(p, f"$.probs[{i}]") for i, p in enumerate(doc["probs"])
     ]
@@ -95,31 +97,26 @@ def parse_scenario(doc: dict) -> Scenario:
         space = FiniteSpace(tuple(atoms), tuple(probs), horizon)
     except InvalidProbabilities as exc:
         raise InvalidScenario("probabilities", "$.probs", str(exc)) from exc
-    except ValueError as exc:
-        raise InvalidScenario("schema", "$.probs", str(exc)) from exc
+    except ValueError as exc:  # repeated atom identifiers
+        raise InvalidScenario("schema", "$.atoms", str(exc)) from exc
 
     filt_doc = doc["filtration"]
     if not isinstance(filt_doc, list) or len(filt_doc) != horizon + 1:
         raise InvalidScenario(
             "schema", "$.filtration", "need one partition per grid time"
         )
-    index = space.index
-    parts = []
     for t, blocks in enumerate(filt_doc):
         if not isinstance(blocks, list):
             raise InvalidScenario("schema", f"$.filtration[{t}]", "must be a list of blocks")
-        level = []
         for b, block in enumerate(blocks):
             loc = f"$.filtration[{t}][{b}]"
             if not isinstance(block, list) or not block:
                 raise InvalidScenario("schema", loc, "block must be a non-empty list")
-            try:
-                level.append(tuple(index[a] for a in block))
-            except KeyError as exc:
-                raise InvalidScenario("schema", loc, f"unknown atom {exc}") from exc
-        parts.append(tuple(level))
+            for a in block:
+                if not isinstance(a, str) or a not in space.index:
+                    raise InvalidScenario("schema", loc, f"unknown atom {a!r}")
     try:
-        filtration = Filtration(tuple(parts))
+        filtration = Filtration.from_names(filt_doc, space)
     except ValueError as exc:
         raise InvalidScenario("filtration", "$.filtration", str(exc)) from exc
 
@@ -152,23 +149,14 @@ def parse_scenario(doc: dict) -> Scenario:
                 raise InvalidScenario("schema", loc, "need one rational per component")
             row.append(tuple(parse_fraction(c, loc) for c in cell))
         rows.append(tuple(row))
-    price = AdaptedProcess(dim, tuple(rows))
-    if not is_adapted(price, filtration):
-        where = _first_non_adapted(price, filtration, space)
-        raise InvalidScenario(
-            "adaptedness", where, "price is not constant on a filtration block"
-        )
-    return Scenario(space, filtration, tau, price)
-
-
-def _first_non_adapted(X: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> str:
-    for t in space.times:
-        for block in filt.parts[t]:
-            ref = X.values[t][block[0]]
-            for i in block:
-                if X.values[t][i] != ref:
-                    return f"$.S.values.{space.atoms[i]}[{t}]"
-    return "$.S"
+    for t, (row, blocks) in enumerate(zip(rows, filtration.parts)):
+        i = first_nonconstant(row, blocks)
+        if i is not None:
+            raise InvalidScenario(
+                "adaptedness", f"$.S.values.{atoms[i]}[{t}]",
+                "price is not constant on a filtration block",
+            )
+    return Scenario(space, filtration, tau, AdaptedProcess(dim, tuple(rows)))
 
 
 def serialize_scenario(sc: Scenario) -> dict:

@@ -39,7 +39,10 @@ w_i = eps + v_i,
                    k * eps + sum_i v_i = 1,   eps, v >= 0,
 
 with k + 1 variables and d + 1 rows; 0 is relatively interior iff the LP
-is feasible with eps* > 0.
+is feasible with eps* > 0.  The two theta LPs (the separating direction
+beyond one dimension and the admissible maximization) are one formulation,
+max g . theta s.t. rhs + theta . delta_i >= 0 with theta = u - v, built by
+:func:`_theta_lp`; the separating direction adds the unit box.
 """
 
 from __future__ import annotations
@@ -215,46 +218,48 @@ def separating_direction(deltas: Sequence[tuple]) -> tuple:
     family raises :class:`StructuralViolation`."""
     if not deltas or all(c == 0 for point in deltas for c in point):
         raise StructuralViolation("no separation: not a failing node")
-    k = len(deltas)
     d = len(deltas[0])
     if d == 1:
         signs = {x > 0 for (x,) in deltas if x != 0}
         if len(signs) != 1:
             raise StructuralViolation("no separation: not a failing node")
         return (Fraction(1),) if signs.pop() else (Fraction(-1),)
-    # variables: u_1..u_d, v_1..v_d (theta = u - v), slack s_i for
-    # theta.delta_i >= 0, box slacks p_j, q_j for u_j, v_j <= 1
-    nvars = 2 * d + k + 2 * d
-    A, b = [], []
-    for i in range(k):
-        row = [Fraction(0)] * nvars
-        for j in range(d):
-            row[j] = -deltas[i][j]
-            row[d + j] = deltas[i][j]
-        row[2 * d + i] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(0))
-    for j in range(d):
-        row = [Fraction(0)] * nvars
-        row[j] = Fraction(1)
-        row[2 * d + k + j] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(1))
-        row = [Fraction(0)] * nvars
-        row[d + j] = Fraction(1)
-        row[2 * d + k + d + j] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(1))
-    c = [Fraction(0)] * nvars
-    for i in range(k):
-        for j in range(d):
-            c[j] -= deltas[i][j]
-            c[d + j] += deltas[i][j]
-    res = solve_min(A, b, c)
+    res = _theta_lp(tuple(sum(p[j] for p in deltas) for j in range(d)), deltas, 0, box=True)
     if res.status != "optimal" or res.objective >= 0:
         raise StructuralViolation("no separation: not a failing node")
-    theta = tuple(res.x[j] - res.x[d + j] for j in range(d))
-    return theta
+    return tuple(res.x[j] - res.x[d + j] for j in range(d))
+
+
+def _theta_lp(g: tuple, deltas: Sequence[tuple], rhs, box: bool) -> LPResult:
+    """min -g . theta  s.t.  rhs + theta . delta_i >= 0 for every i, with
+    theta = u - v and, when ``box``, u_j, v_j <= 1.
+
+    Variables: u_1..u_d, v_1..v_d, a slack s_i per point, then (box only)
+    slacks p_j, q_j of u_j, v_j <= 1; rows: one per point, then (box only)
+    the u_j and v_j bounds for each j in turn."""
+    k, d = len(deltas), len(g)
+    nvars = 2 * d + k + (2 * d if box else 0)
+    A, b = [], []
+    for i, delta in enumerate(deltas):
+        row = [Fraction(0)] * nvars
+        for j in range(d):
+            row[j] = -delta[j]
+            row[d + j] = delta[j]
+        row[2 * d + i] = Fraction(1)
+        A.append(row)
+        b.append(rhs)
+    if box:
+        for col in (c for j in range(d) for c in (j, d + j)):
+            row = [Fraction(0)] * nvars
+            row[col] = Fraction(1)
+            row[2 * d + k + col] = Fraction(1)
+            A.append(row)
+            b.append(1)
+    c = [Fraction(0)] * nvars
+    for j in range(d):
+        c[j] = -g[j]
+        c[d + j] = g[j]
+    return solve_min(A, b, c)
 
 
 def maximize_over_admissible(objective: tuple, deltas: Sequence[tuple]):
@@ -263,26 +268,10 @@ def maximize_over_admissible(objective: tuple, deltas: Sequence[tuple]):
     Returns ("optimal", theta, value) or ("unbounded", ray, None); theta is
     free (split internally), and theta = 0 is always feasible.
     """
-    k = len(deltas)
     d = len(objective)
     if all(g == 0 for g in objective):
         return "optimal", tuple(Fraction(0) for _ in range(d)), Fraction(0)
-    # variables: u, v (theta = u - v), slacks s_i
-    nvars = 2 * d + k
-    A, b = [], []
-    for i in range(k):
-        row = [Fraction(0)] * nvars
-        for j in range(d):
-            row[j] = -deltas[i][j]
-            row[d + j] = deltas[i][j]
-        row[2 * d + i] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(1))
-    c = [Fraction(0)] * nvars
-    for j in range(d):
-        c[j] = -objective[j]
-        c[d + j] = objective[j]
-    res = solve_min(A, b, c)
+    res = _theta_lp(objective, deltas, 1, box=False)
     if res.status == "unbounded":
         ray = tuple(res.ray[j] - res.ray[d + j] for j in range(d))
         return "unbounded", ray, None

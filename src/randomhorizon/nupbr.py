@@ -35,6 +35,8 @@ from .space import (
     Filtration,
     RandomTime,
     assert_adapted,
+    condexp_cells,
+    first_nonconstant,
     frac,
     stop,
 )
@@ -161,22 +163,11 @@ def single_jump_process(
         row = []
         for i in range(space.n):
             if t >= T and (mask is None or mask[i]):
-                row.append(tuple(frac(c) for c in xi_values[i]))
+                row.append(tuple(xi_values[i]))
             else:
                 row.append(zero)
         rows.append(tuple(row))
     return AdaptedProcess(dim, tuple(rows))
-
-
-def _xi_from_process(X: AdaptedProcess, T: int, space: FiniteSpace):
-    return [X.delta_at(T, i) for i in range(space.n)]
-
-
-def _check_f_measurable(xi_values, T, filt, space, what="xi"):
-    for block in filt.parts[T]:
-        ref = tuple(xi_values[block[0]])
-        if any(tuple(xi_values[i]) != ref for i in block):
-            raise EngineError(f"{what} must be measurable at the jump date")
 
 
 @dataclass(frozen=True)
@@ -210,7 +201,8 @@ def single_jump_equivalences(
 ) -> SingleJumpRecord:
     """Certify xi I_{Z_{T-}>0} I_{[T,inf)} four ways: stopped in G, masked by
     {Zt_T > 0} in F, and in F under the two jump-date reweightings."""
-    _check_f_measurable(xi_values, T, filt, space)
+    if first_nonconstant(xi_values, filt.parts[T]) is not None:
+        raise EngineError("xi must be measurable at the jump date")
     alive_prev = [bundle.Z.scalar_at(T - 1, i) > 0 for i in range(space.n)]
     S = single_jump_process(xi_values, T, space, mask=alive_prev)
     masked = [
@@ -379,25 +371,19 @@ def single_jump_martingale_transfer(
     tau: RandomTime,
     space: FiniteSpace,
 ) -> MartingaleTransferRecord:
-    _check_f_measurable(xi_values, T, filt, space)
-    dim = len(xi_values[0])
-    for k in range(dim):
-        proj = condexp([xi_values[i][k] for i in range(space.n)], filt.parts[T - 1], space)
-        if any(v != 0 for v in proj):
-            raise EngineError("xi must have zero conditional mean at T-")
+    if first_nonconstant(xi_values, filt.parts[T]) is not None:
+        raise EngineError("xi must be measurable at the jump date")
+    if any(any(c) for c in condexp_cells(xi_values, filt.parts[T - 1], space)):
+        raise EngineError("xi must have zero conditional mean at T-")
     M = single_jump_process(xi_values, T, space)
     measures = jump_time_measures(T, bundle, filt, tau, space)
 
-    thin_rows = []
-    for k in range(dim):
-        masked = [
-            xi_values[i][k]
-            if (space.atoms[i], T) in bundle.thin_mask
-            else Fraction(0)
-            for i in range(space.n)
-        ]
-        thin_rows.append(condexp(masked, filt.parts[T - 1], space))
-    thin_zero = all(v == 0 for row in thin_rows for v in row)
+    zero = (Fraction(0),) * len(xi_values[0])
+    thin = [
+        cell if (space.atoms[i], T) in bundle.thin_mask else zero
+        for i, cell in enumerate(xi_values)
+    ]
+    thin_zero = not any(any(c) for c in condexp_cells(thin, filt.parts[T - 1], space))
 
     return MartingaleTransferRecord(
         T=T,

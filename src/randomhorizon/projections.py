@@ -13,33 +13,23 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import NotMartingale
-from .space import AdaptedProcess, FiniteSpace, Filtration, condexp, frac
+from .space import AdaptedProcess, FiniteSpace, Filtration, condexp, condexp_cells, frac
 
 
 def predictable_projection(X: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> AdaptedProcess:
     """(pX)_t = E[X_t | F_{t-1}] for t >= 1, E[X_0 | F_0] at t = 0."""
-    rows = []
-    for t in space.times:
-        blocks = filt.parts[max(t - 1, 0)]
-        comps = [
-            condexp([X.values[t][i][k] for i in range(space.n)], blocks, space)
-            for k in range(X.dim)
-        ]
-        rows.append(tuple(tuple(c[i] for c in comps) for i in range(space.n)))
-    return AdaptedProcess(X.dim, tuple(rows), predictable=True)
+    rows = tuple(
+        condexp_cells(X.values[t], filt.parts[max(t - 1, 0)], space) for t in space.times
+    )
+    return AdaptedProcess(X.dim, rows, predictable=True)
 
 
 def _dual(V: AdaptedProcess, filt: Filtration, space: FiniteSpace, lag: int) -> AdaptedProcess:
-    acc = [[Fraction(0)] * V.dim for _ in range(space.n)]
-    rows = [tuple(tuple(c) for c in acc)]
-    for t in range(1, space.horizon + 1):
-        blocks = filt.parts[t - lag]
-        for k in range(V.dim):
-            inc = condexp([V.delta_at(t, i)[k] for i in range(space.n)], blocks, space)
-            for i in range(space.n):
-                acc[i][k] += inc[i]
-        rows.append(tuple(tuple(c) for c in acc))
-    return AdaptedProcess(V.dim, tuple(rows), predictable=(lag == 1))
+    increments = [
+        condexp_cells(V.increments[t], filt.parts[t - lag], space)
+        for t in range(1, space.horizon + 1)
+    ]
+    return AdaptedProcess.from_increments(V.dim, space.n, increments, predictable=(lag == 1))
 
 
 def dual_optional(V: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> AdaptedProcess:
@@ -60,21 +50,14 @@ def quadratic_covariation(M: AdaptedProcess, N: AdaptedProcess) -> AdaptedProces
     """
     if M.horizon != N.horizon:
         raise ValueError("grids differ")
-    dim = M.dim * N.dim
-    n = len(M.values[0])
-    acc = [[Fraction(0)] * dim for _ in range(n)]
-    rows = [tuple(tuple(c) for c in acc)]
-    for t in range(1, M.horizon + 1):
-        for i in range(n):
-            dm = M.delta_at(t, i)
-            dn = N.delta_at(t, i)
-            k = 0
-            for a in dm:
-                for b in dn:
-                    acc[i][k] += a * b
-                    k += 1
-        rows.append(tuple(tuple(c) for c in acc))
-    return AdaptedProcess(dim, tuple(rows))
+    increments = [
+        tuple(
+            tuple(a * b for a in dm for b in dn)
+            for dm, dn in zip(M.increments[t], N.increments[t])
+        )
+        for t in range(1, M.horizon + 1)
+    ]
+    return AdaptedProcess.from_increments(M.dim * N.dim, len(M.values[0]), increments)
 
 
 def angle_bracket(M: AdaptedProcess, N: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> AdaptedProcess:
@@ -99,18 +82,31 @@ def is_martingale(
     w = None if weights is None else [frac(x) for x in weights]
     if w is not None and any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
+    return not any(node_drifts(M, filt, space, w))
+
+
+def node_drifts(
+    M: AdaptedProcess,
+    filt: Filtration,
+    space: FiniteSpace,
+    weights: Optional[Sequence[Fraction]] = None,
+):
+    """Yield, per one-period node and component, sum q(w) dM_t(w) over the
+    node, with q = P, or P * E[weights | F_t] under a reweighting whose
+    nonnegative ``weights`` are already validated; nodes of zero Q-mass are
+    skipped.  Zero increments and zero Q-weights add nothing."""
     for t in range(1, space.horizon + 1):
         row = M.increments[t]
         q = space.prob
-        if w is not None:
+        if weights is not None:
             # Q-weights P * E[w|F_t]: E_Q[dM_t|F_{t-1}] may use the density
             # projected on F_t since dM_t is F_t-measurable
-            proj = condexp(w, filt.parts[t], space)
+            proj = condexp(weights, filt.parts[t], space)
             q = [p * x if x else x for p, x in zip(q, proj)]
         for block in filt.parts[t - 1]:
             # the weights are nonnegative, so a node has positive Q-mass
             # iff some weight on it is nonzero
-            if w is not None and not any(w[i] for i in block):
+            if weights is not None and not any(weights[i] for i in block):
                 continue
             for k in range(M.dim):
                 acc = 0
@@ -118,9 +114,7 @@ def is_martingale(
                     d = row[i][k]
                     if d and q[i]:
                         acc += q[i] * d
-                if acc:
-                    return False
-    return True
+                yield acc
 
 
 def assert_martingale(M, filt, space, name="process"):

@@ -19,6 +19,19 @@ Exact quantities are computed once per object that owns it:
 per-space cache of block masses.  Both objects are frozen, so neither cache
 can go stale.  :func:`condexp` skips zero values and never divides on an
 all-zero block.
+
+Three kernels carry every process computation of the package:
+
+* :meth:`AdaptedProcess.from_increments` -- the running sum from 0 of a
+  table of increments (compensators, dual projections, brackets, optional
+  integrals); a zero increment keeps the previous cell without an addition,
+* :func:`condexp_cells` -- :func:`condexp` of each component of a row of
+  cells,
+* :func:`first_nonconstant` -- the first atom whose cell differs from the
+  cell of its block's first atom; the body of :func:`is_adapted`,
+  :func:`is_predictable` and every measurability check.
+
+A filtration built from atom names must cover every atom of the space.
 """
 
 from __future__ import annotations
@@ -222,6 +235,8 @@ class Filtration:
         f = Filtration(parts)
         if f.horizon != space.horizon:
             raise ValueError("filtration length must match the time grid")
+        if sum(len(b) for b in f.parts[0]) != space.n:
+            raise ValueError("filtration must cover every atom of the space")
         return f
 
 
@@ -245,6 +260,25 @@ def condexp(values: Sequence[Fraction], blocks, space: FiniteSpace):
             for i in block:
                 out[i] = avg
     return tuple(out)
+
+
+def condexp_cells(cells: Sequence[tuple], blocks, space: FiniteSpace) -> tuple:
+    """:func:`condexp` of each component of an atom vector of cells; returns
+    the conditional expectation as a tuple of cells."""
+    comps = [condexp([c[k] for c in cells], blocks, space) for k in range(len(cells[0]))]
+    return tuple(zip(*comps))
+
+
+def first_nonconstant(row: Sequence, blocks):
+    """The first atom (blocks in order) whose cell differs from the cell of
+    its block's first atom, or ``None`` when the row is constant on every
+    block."""
+    for block in blocks:
+        ref = row[block[0]]
+        for i in block:
+            if row[i] != ref:
+                return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -311,6 +345,24 @@ class AdaptedProcess:
     # -- construction helpers -------------------------------------------
 
     @staticmethod
+    def from_increments(
+        dim: int, n: int, increments, predictable: bool = False
+    ) -> "AdaptedProcess":
+        """Running sum from 0: ``values[0]`` is zero and ``values[t]`` adds
+        ``increments[t - 1][atom]`` (a ``dim``-tuple) to ``values[t - 1]``.
+
+        An all-zero increment keeps the previous cell without an addition."""
+        cells = [(_ZERO,) * dim] * n
+        rows = [tuple(cells)]
+        for inc in increments:
+            cells = [
+                tuple(a + b for a, b in zip(cell, d)) if any(d) else cell
+                for cell, d in zip(cells, inc)
+            ]
+            rows.append(tuple(cells))
+        return AdaptedProcess(dim, tuple(rows), predictable)
+
+    @staticmethod
     def from_function(
         space: FiniteSpace,
         fn: Callable[[int, int], object],
@@ -323,7 +375,7 @@ class AdaptedProcess:
             row = []
             for i in range(space.n):
                 v = fn(t, i)
-                cell = (frac(v),) if dim == 1 and not isinstance(v, tuple) else tuple(frac(c) for c in v)
+                cell = (v,) if dim == 1 and not isinstance(v, tuple) else tuple(v)
                 row.append(cell)
             rows.append(tuple(row))
         return AdaptedProcess(dim, tuple(rows), predictable)
@@ -331,14 +383,12 @@ class AdaptedProcess:
     @staticmethod
     def from_scalar_paths(space: FiniteSpace, paths) -> "AdaptedProcess":
         """``paths[t][atom]`` is a scalar."""
-        rows = tuple(
-            tuple((frac(v),) for v in row) for row in paths
-        )
+        rows = tuple(tuple((v,) for v in row) for row in paths)
         return AdaptedProcess(1, rows)
 
     @staticmethod
     def constant(space: FiniteSpace, value, dim: int = 1) -> "AdaptedProcess":
-        cell = (frac(value),) * dim if not isinstance(value, tuple) else tuple(frac(c) for c in value)
+        cell = (value,) * dim if not isinstance(value, tuple) else value
         rows = tuple(tuple(cell for _ in range(space.n)) for _ in space.times)
         return AdaptedProcess(len(cell), rows, predictable=True)
 
@@ -394,14 +444,10 @@ class AdaptedProcess:
 
 
 def is_adapted(X: AdaptedProcess, filt: Filtration) -> bool:
-    if X.horizon != filt.horizon:
-        return False
-    for t, blocks in enumerate(filt.parts):
-        for block in blocks:
-            ref = X.values[t][block[0]]
-            if any(X.values[t][i] != ref for i in block):
-                return False
-    return True
+    return X.horizon == filt.horizon and all(
+        first_nonconstant(row, blocks) is None
+        for row, blocks in zip(X.values, filt.parts)
+    )
 
 
 def assert_adapted(X: AdaptedProcess, filt: Filtration, name: str = "process"):
@@ -411,18 +457,10 @@ def assert_adapted(X: AdaptedProcess, filt: Filtration, name: str = "process"):
 
 def is_predictable(X: AdaptedProcess, filt: Filtration) -> bool:
     """Constant on parts[t-1]-blocks for t >= 1 (and adapted at 0)."""
-    if X.horizon != filt.horizon:
-        return False
-    for block in filt.parts[0]:
-        ref = X.values[0][block[0]]
-        if any(X.values[0][i] != ref for i in block):
-            return False
-    for t in range(1, filt.horizon + 1):
-        for block in filt.parts[t - 1]:
-            ref = X.values[t][block[0]]
-            if any(X.values[t][i] != ref for i in block):
-                return False
-    return True
+    return X.horizon == filt.horizon and all(
+        first_nonconstant(row, blocks) is None
+        for row, blocks in zip(X.values, filt.parts[:1] + filt.parts[:-1])
+    )
 
 
 def assert_predictable(X: AdaptedProcess, filt: Filtration, name: str = "process"):

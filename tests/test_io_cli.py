@@ -63,22 +63,22 @@ def test_scenario_error_codes(mutate, code):
 
 
 @pytest.mark.parametrize(
-    "mutate, code",
+    "mutate, code, location",
     [
-        (lambda d: d["atoms"].__setitem__(1, "a"), "schema"),
-        (lambda d: d["probs"].append("1/4"), "probabilities"),
-        (lambda d: d["probs"].__setitem__(0, "0"), "probabilities"),
-        (lambda d: d["probs"].__setitem__(0, "-1/4"), "probabilities"),
-        (lambda d: d["probs"].__setitem__(0, "1/3"), "probabilities"),
+        (lambda d: d["atoms"].__setitem__(1, "a"), "schema", "$.atoms"),
+        (lambda d: d["probs"].append("1/4"), "probabilities", "$.probs"),
+        (lambda d: d["probs"].__setitem__(0, "0"), "probabilities", "$.probs"),
+        (lambda d: d["probs"].__setitem__(0, "-1/4"), "probabilities", "$.probs"),
+        (lambda d: d["probs"].__setitem__(0, "1/3"), "probabilities", "$.probs"),
     ],
     ids=["duplicate-atom", "probability-count", "zero-probability", "negative-probability", "sum-not-one"],
 )
-def test_space_errors_map_to_codes_by_type(mutate, code, capsys, tmp_path):
+def test_space_errors_map_to_codes_by_type(mutate, code, location, capsys, tmp_path):
     doc = _ex1_doc()
     mutate(doc)
     with pytest.raises(InvalidScenario) as err:
         parse_scenario(doc)
-    assert (err.value.code, err.value.location) == (code, "$.probs")
+    assert (err.value.code, err.value.location) == (code, location)
     assert isinstance(err.value.__cause__, ValueError)
     assert isinstance(err.value.__cause__, InvalidProbabilities) == (code == "probabilities")
     path = tmp_path / "bad.json"
@@ -86,6 +86,46 @@ def test_space_errors_map_to_codes_by_type(mutate, code, capsys, tmp_path):
     rc, _, err_text = _run(["inspect", str(path)], capsys)
     assert rc == 1
     assert json.loads(err_text)["error"] == code
+
+
+@pytest.mark.parametrize(
+    "mutate, location",
+    [
+        (lambda d: d.__setitem__("probs", 5), "$.probs"),
+        (lambda d: d.__setitem__("probs", None), "$.probs"),
+        (lambda d: d["filtration"][1][0].__setitem__(0, ["a"]), "$.filtration[1][0]"),
+        (lambda d: d["filtration"][2][3].__setitem__(0, {"d": 1}), "$.filtration[2][3]"),
+    ],
+    ids=["probs-int", "probs-null", "nested-list-in-block", "object-in-block"],
+)
+def test_malformed_containers_are_schema_errors(mutate, location, capsys, tmp_path):
+    doc = _ex1_doc()
+    mutate(doc)
+    with pytest.raises(InvalidScenario) as err:
+        parse_scenario(doc)
+    assert (err.value.code, err.value.location) == ("schema", location)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err_text = _run(["inspect", str(path)], capsys)
+    assert rc == 1
+    assert json.loads(err_text)["error"] == "schema"
+
+
+@pytest.mark.parametrize("command", ["inspect", "certify"])
+def test_filtration_must_cover_every_atom(command, capsys, tmp_path):
+    doc = _ex1_doc()
+    doc["filtration"] = [
+        [[a for a in block if a != "d"] for block in blocks if block != ["d"]]
+        for blocks in doc["filtration"]
+    ]
+    with pytest.raises(InvalidScenario) as err:
+        parse_scenario(doc)
+    assert (err.value.code, err.value.location) == ("filtration", "$.filtration")
+    path = tmp_path / "missing_d.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err_text = _run([command, str(path)], capsys)
+    assert (rc, out) == (1, "")
+    assert json.loads(err_text)["error"] == "filtration"
 
 
 def _run(argv, capsys):

@@ -1,8 +1,10 @@
 """The cached and zero-skipping kernels against naive references.
 
 The references below are the textbook definitions, computed from scratch
-on every call: increments by subtraction, block masses and weighted sums
-over every atom, and positive-mass tests by summing P-weighted weights.
+on every call: increments by subtraction, running sums by adding every
+increment, block masses and weighted sums over every atom, positive-mass
+tests by summing P-weighted weights, and block constancy by comparing
+each block's set of cells.
 """
 
 import random
@@ -16,7 +18,14 @@ from randomhorizon.generator import random_adapted, random_instance
 from randomhorizon.lp import zero_in_relative_interior
 from randomhorizon.nupbr import Arbitrage, CertResult, NodeWeights, certify_nupbr
 from randomhorizon.projections import condexp, is_martingale
-from randomhorizon.space import stop
+from randomhorizon.space import (
+    AdaptedProcess,
+    condexp_cells,
+    first_nonconstant,
+    is_adapted,
+    is_predictable,
+    stop,
+)
 
 
 def naive_increments(X):
@@ -40,6 +49,28 @@ def naive_condexp(values, blocks, space):
         for i in block:
             out[i] = avg
     return tuple(out)
+
+
+def naive_condexp_cells(cells, blocks, space):
+    dim = len(cells[0])
+    comps = [naive_condexp([c[k] for c in cells], blocks, space) for k in range(dim)]
+    return tuple(tuple(comps[k][i] for k in range(dim)) for i in range(space.n))
+
+
+def naive_running_sum(dim, n, increments):
+    rows = [tuple(tuple(F(0) for _ in range(dim)) for _ in range(n))]
+    for inc in increments:
+        rows.append(
+            tuple(tuple(a + b for a, b in zip(rows[-1][i], inc[i])) for i in range(n))
+        )
+    return tuple(rows)
+
+
+def naive_first_nonconstant(row, blocks):
+    for block in blocks:
+        if len({row[i] for i in block}) > 1:
+            return next(i for i in block if row[i] != row[block[0]])
+    return None
 
 
 def naive_is_martingale(M, filt, space, weights=None):
@@ -84,7 +115,9 @@ def naive_certify(X, filt, space, weights):
 def _cases(seed):
     """(process, filtration) pairs on one generator instance: the martingale
     price, the price stopped at tau (many zero increments) in the
-    enlargement, and an arbitrary adapted process."""
+    enlargement, an arbitrary adapted process, and a two-dimensional
+    process adapted to the enlargement only, paired with the base
+    filtration."""
     inst = random_instance(seed)
     enlarged = enlarge(inst.filtration, inst.tau, inst.space)
     rng = random.Random(seed)
@@ -92,6 +125,7 @@ def _cases(seed):
         (inst.price, inst.filtration),
         (stop(inst.price, inst.tau), enlarged),
         (random_adapted(inst.space, inst.filtration, rng, dim=inst.price.dim), inst.filtration),
+        (random_adapted(inst.space, enlarged, rng, dim=2), inst.filtration),
     ]
 
 
@@ -117,11 +151,57 @@ def test_kernels_match_naive_references(seed, weights):
                 assert condexp(values, filt.parts[t], space) == naive_condexp(
                     values, filt.parts[t], space
                 )
+        for t in space.times:
+            for cells in (X.values[t], X.increments[t]):
+                assert condexp_cells(cells, filt.parts[t], space) == naive_condexp_cells(
+                    cells, filt.parts[t], space
+                )
+        if not is_adapted(X, filt):
+            continue  # the martingale and NUPBR kernels take adapted inputs
         assert is_martingale(X, filt, space) == naive_is_martingale(X, filt, space)
         assert is_martingale(X, filt, space, weights=w) == naive_is_martingale(
             X, filt, space, w
         )
         assert certify_nupbr(X, filt, space, weights=w) == naive_certify(X, filt, space, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS)
+def test_block_constancy_matches_naive_reference(seed):
+    space, cases = _cases(seed)
+    for X, filt in cases:
+        for t in space.times:
+            for blocks in (filt.parts[t], filt.parts[max(t - 1, 0)], filt.parts[0]):
+                assert first_nonconstant(X.values[t], blocks) == naive_first_nonconstant(
+                    X.values[t], blocks
+                )
+        assert is_adapted(X, filt) == all(
+            naive_first_nonconstant(X.values[t], filt.parts[t]) is None for t in space.times
+        )
+        assert is_predictable(X, filt) == all(
+            naive_first_nonconstant(X.values[t], filt.parts[max(t - 1, 0)]) is None
+            for t in space.times
+        )
+
+
+CELLS = st.lists(st.sampled_from([F(0), F(0), F(1), F(-1, 2), F(3)]), min_size=2, max_size=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+def test_running_sum_matches_naive_reference(dim, n, horizon, data):
+    increments = [
+        [tuple(data.draw(CELLS)[:dim]) for _ in range(n)] for _ in range(horizon)
+    ]
+    X = AdaptedProcess.from_increments(dim, n, increments, predictable=True)
+    assert X.values == naive_running_sum(dim, n, increments)
+    assert X.predictable and X.horizon == horizon
+    assert X.increments == naive_increments(X)
 
 
 def test_block_mass_is_cached_per_space():

@@ -128,6 +128,12 @@ def test_non_trivial_time_zero_block():
     assert condexp(x, filt.parts[0], space) == (F(2), F(2), F(2), F(2))
 
 
+def test_filtration_from_names_must_cover_every_atom():
+    space = FiniteSpace(("u", "v", "x"), (F(1, 3),) * 3, 1)
+    with pytest.raises(ValueError, match="cover every atom"):
+        Filtration.from_names([[("u", "v")], [("u",), ("v",)]], space)
+
+
 def test_predictable_flag_vs_check(ex1):
     assert is_predictable(AdaptedProcess.constant(ex1.space, F(5)), ex1.filt)
     assert not is_predictable(ex1.price, ex1.filt)
