@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -45,12 +47,26 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# the exponent of a rational in exponent notation, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _max_digits() -> int:
+    """The digit count ``int()`` accepts in a decimal string, or its default
+    when that limit is switched off.  A rational in exponent notation must
+    keep ``10**abs(exponent)`` within it, so one short string cannot make
+    the parser build a huge integer."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def parse_fraction(s, location="") -> Fraction:
     try:
         if _is_int(s):
             return Fraction(s)
         if isinstance(s, str):
-            return Fraction(s)
+            m = _EXPONENT.search(s)
+            if m is None or abs(int(m.group(1))) < _max_digits():
+                return Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass
     raise InvalidScenario("schema", location, f"not a rational: {s!r}")

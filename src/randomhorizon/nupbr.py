@@ -155,19 +155,18 @@ def single_jump_process(
     space: FiniteSpace,
     mask: Optional[Sequence[bool]] = None,
 ) -> AdaptedProcess:
-    """xi I_{[T, inf)} with an optional atom mask applied to xi."""
+    """xi I_{[T, inf)} with an optional atom mask applied to xi; its only
+    nonzero increments are at T."""
     dim = len(xi_values[0])
-    zero = tuple(Fraction(0) for _ in range(dim))
-    rows = []
-    for t in space.times:
-        row = []
-        for i in range(space.n):
-            if t >= T and (mask is None or mask[i]):
-                row.append(tuple(xi_values[i]))
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return AdaptedProcess(dim, tuple(rows))
+    zero = (Fraction(0),) * dim
+    jump = tuple(
+        tuple(frac(c) for c in xi) if mask is None or mask[i] else zero
+        for i, xi in enumerate(xi_values)
+    )
+    flat = (zero,) * space.n
+    rows = tuple(jump if t >= T else flat for t in space.times)
+    table = tuple(jump if 0 < t == T else flat for t in space.times)
+    return AdaptedProcess._trusted(dim, rows, False, table)
 
 
 @dataclass(frozen=True)

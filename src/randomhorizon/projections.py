@@ -10,10 +10,19 @@ integrability caveats apply on a finite space.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import NotMartingale
-from .space import AdaptedProcess, FiniteSpace, Filtration, condexp, condexp_cells, frac
+from .space import (
+    AdaptedProcess,
+    FiniteSpace,
+    Filtration,
+    condexp,
+    condexp_cells,
+    frac,
+    weighted_sum,
+)
 
 
 def predictable_projection(X: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> AdaptedProcess:
@@ -94,27 +103,30 @@ def node_drifts(
     """Yield, per one-period node and component, sum q(w) dM_t(w) over the
     node, with q = P, or P * E[weights | F_t] under a reweighting whose
     nonnegative ``weights`` are already validated; nodes of zero Q-mass are
-    skipped.  Zero increments and zero Q-weights add nothing."""
+    skipped.  Zero increments and zero Q-weights add nothing.
+
+    Each sum runs on integers (:func:`weighted_sum` with q scaled to ints)
+    and only a nonzero one becomes a Fraction; a zero node yields 0."""
+    D, P = space.scaled
     for t in range(1, space.horizon + 1):
-        row = M.increments[t]
-        q = space.prob
+        cols = tuple(zip(*M.increments[t]))
+        q, qden = P, D
         if weights is not None:
             # Q-weights P * E[w|F_t]: E_Q[dM_t|F_{t-1}] may use the density
-            # projected on F_t since dM_t is F_t-measurable
+            # projected on F_t since dM_t is F_t-measurable; scaled to ints
+            # over D * L, L the common denominator of the projection
             proj = condexp(weights, filt.parts[t], space)
-            q = [p * x if x else x for p, x in zip(q, proj)]
+            L = lcm(*(x.denominator for x in proj))
+            q = [p * x.numerator * (L // x.denominator) for p, x in zip(P, proj)]
+            qden = D * L
         for block in filt.parts[t - 1]:
             # the weights are nonnegative, so a node has positive Q-mass
             # iff some weight on it is nonzero
             if weights is not None and not any(weights[i] for i in block):
                 continue
-            for k in range(M.dim):
-                acc = 0
-                for i in block:
-                    d = row[i][k]
-                    if d and q[i]:
-                        acc += q[i] * d
-                yield acc
+            for col in cols:
+                num, den = weighted_sum(q, col, block)
+                yield Fraction(num, den * qden) if num else 0
 
 
 def assert_martingale(M, filt, space, name="process"):

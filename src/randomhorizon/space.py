@@ -3,7 +3,16 @@ adapted processes.
 
 Probabilities and process values are :class:`fractions.Fraction`; every
 operator here (conditional expectation, stopping, ...) is closed-form
-rational arithmetic, so equality of processes is decidable and exact.
+rational arithmetic, so equality of processes is decidable and exact.  The
+hot kernels run on integer numerators: :attr:`FiniteSpace.scaled` holds
+the probabilities as ints ``P`` over one common denominator ``D``, and
+:func:`weighted_sum` adds ``P[i] * v_i`` as one int numerator over a
+running common denominator, so :func:`condexp`,
+:meth:`FiniteSpace.expectation` and the node drifts of
+:mod:`projections` build a single Fraction per block or node.  Python
+ints have arbitrary precision, so every result is the exact value a
+Fraction computation gives, and every value a kernel returns is a
+Fraction.
 
 Discrete-time conventions used throughout the package:
 
@@ -16,9 +25,12 @@ Discrete-time conventions used throughout the package:
 Exact quantities are computed once per object that owns it:
 :meth:`AdaptedProcess.delta_at` reads a per-process increment table
 (:attr:`AdaptedProcess.increments`) and :meth:`FiniteSpace.mass` reads a
-per-space cache of block masses.  Both objects are frozen, so neither cache
-can go stale.  :func:`condexp` skips zero values and never divides on an
-all-zero block.
+per-space cache of block masses (int and Fraction together).  Both objects
+are frozen, so neither cache can go stale.  :func:`condexp` skips zero
+values and never divides on an all-zero block.  Processes built from
+increments (:meth:`AdaptedProcess.from_increments`, :func:`stop`, sums and
+differences) receive their increment table with their values, so it is
+never rebuilt by subtraction.
 
 Three kernels carry every process computation of the package:
 
@@ -36,10 +48,12 @@ A filtration built from atom names must cover every atom of the space.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Sequence, Union
+from math import gcd, lcm
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidProbabilities, NotAdapted, NotPredictable
 
@@ -130,18 +144,35 @@ class FiniteSpace:
         return {a: i for i, a in enumerate(self.atoms)}
 
     def expectation(self, values: Sequence[Fraction]) -> Fraction:
-        return sum(p * v for p, v in zip(self.prob, values))
+        D, P = self.scaled
+        num, den = weighted_sum(P, values, range(self.n))
+        return Fraction(num, den * D)
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """``(D, P)``: ``D`` the least common denominator of the atom
+        probabilities and ``P`` the tuple of ints with ``prob[i] == P[i] / D``."""
+        d = lcm(*(p.denominator for p in self.prob))
+        return d, tuple(p.numerator * (d // p.denominator) for p in self.prob)
 
     @cached_property
     def _masses(self) -> dict:
         return {}
 
-    def mass(self, block: tuple) -> Fraction:
-        """P(block) for a tuple of atom indices, summed once per space."""
+    def block_mass(self, block: tuple) -> tuple:
+        """``(P_B, P(B))`` for a tuple of atom indices: the int
+        ``sum(P[i] for i in block)`` over ``D`` (see :attr:`scaled`) and the
+        Fraction ``P_B / D``, computed once per space."""
         m = self._masses.get(block)
         if m is None:
-            m = self._masses[block] = sum(self.prob[i] for i in block)
+            d, P = self.scaled
+            pb = sum(P[i] for i in block)
+            m = self._masses[block] = (pb, Fraction(pb, d))
         return m
+
+    def mass(self, block: tuple) -> Fraction:
+        """P(block) for a tuple of atom indices, summed once per space."""
+        return self.block_mass(block)[1]
 
 
 def _canonical_partition(blocks, n: int):
@@ -240,23 +271,45 @@ class Filtration:
         return f
 
 
+def weighted_sum(weights: Sequence[int], values: Sequence, block) -> tuple:
+    """``(num, den)`` with ``num / den == sum(weights[i] * values[i] for i in
+    block)`` for int ``weights`` and int or Fraction ``values``.
+
+    The sum runs on one integer numerator over a running common denominator
+    (the least common multiple of the denominators met), so no Fraction is
+    built; atoms with a zero value or a zero weight are skipped."""
+    num, den = 0, 1
+    for i in block:
+        v = values[i]
+        n = v.numerator
+        if n and weights[i]:
+            d = v.denominator
+            if d == den:
+                num += weights[i] * n
+            elif den % d == 0:
+                num += weights[i] * n * (den // d)
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + weights[i] * n * (den // g)
+                den *= d // g
+    return num, den
+
+
 def condexp(values: Sequence[Fraction], blocks, space: FiniteSpace):
     """Exact conditional expectation of an atom vector given a partition.
 
     Returns a vector over atoms, constant on each block, equal on block B to
-    sum(P(w) values(w) for w in B) / P(B).  Zero values are skipped, and a
-    block whose sum is zero keeps 0 without a division.
+    sum(P(w) values(w) for w in B) / P(B).  Values may be ints or Fractions;
+    each block sums ``P[i] * values[i]`` as :func:`weighted_sum` and builds
+    a single Fraction ``num / (den * P_B)`` (the common denominator D of
+    ``prob`` cancels).  A block whose sum is zero keeps 0 without a division.
     """
-    prob = space.prob
+    P = space.scaled[1]
     out = [_ZERO] * space.n
     for block in blocks:
-        acc = 0
-        for i in block:
-            v = values[i]
-            if v:
-                acc += prob[i] * v
-        if acc:
-            avg = acc / space.mass(block)
+        num, den = weighted_sum(P, values, block)
+        if num:
+            avg = Fraction(num, den * space.block_mass(block)[0])
             for i in block:
                 out[i] = avg
     return tuple(out)
@@ -264,9 +317,15 @@ def condexp(values: Sequence[Fraction], blocks, space: FiniteSpace):
 
 def condexp_cells(cells: Sequence[tuple], blocks, space: FiniteSpace) -> tuple:
     """:func:`condexp` of each component of an atom vector of cells; returns
-    the conditional expectation as a tuple of cells."""
-    comps = [condexp([c[k] for c in cells], blocks, space) for k in range(len(cells[0]))]
-    return tuple(zip(*comps))
+    the conditional expectation as a tuple of cells, one cell object shared
+    by the atoms of each block."""
+    comps = [condexp(col, blocks, space) for col in zip(*cells)]
+    out = [None] * len(cells)
+    for block in blocks:
+        cell = tuple(c[block[0]] for c in comps)
+        for i in block:
+            out[i] = cell
+    return tuple(out)
 
 
 def first_nonconstant(row: Sequence, blocks):
@@ -305,6 +364,27 @@ class AdaptedProcess:
                 if len(cell) != self.dim:
                     raise ValueError("cell dimension mismatch")
 
+    @classmethod
+    def _trusted(
+        cls,
+        dim: int,
+        rows: tuple,
+        predictable: bool = False,
+        increments: Optional[tuple] = None,
+    ) -> "AdaptedProcess":
+        """Internal constructor for rows that are already tuples of
+        ``dim``-tuples of Fractions (results of Fraction arithmetic or cells
+        of existing processes): skips the coercion of ``__post_init__``.
+        ``increments``, when given, is the exact :attr:`increments` table of
+        ``rows`` and fills that cache."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "values", rows)
+        object.__setattr__(self, "predictable", predictable)
+        if increments is not None:
+            self.__dict__["increments"] = increments
+        return self
+
     @property
     def horizon(self) -> int:
         return len(self.values) - 1
@@ -321,14 +401,14 @@ class AdaptedProcess:
     def increments(self) -> tuple:
         """``increments[t][atom]`` is dX_t(atom), with dX_0 := 0.
 
-        A cell equal to its predecessor maps to one shared zero tuple
-        without a subtraction."""
+        A cell equal to (or the same object as) its predecessor maps to one
+        shared zero tuple without a subtraction."""
         zero = (_ZERO,) * self.dim
         rows = [(zero,) * len(self.values[0])]
         for prev, now in zip(self.values, self.values[1:]):
             rows.append(
                 tuple(
-                    zero if a == b else tuple(x - y for x, y in zip(a, b))
+                    zero if a is b or a == b else tuple(x - y for x, y in zip(a, b))
                     for a, b in zip(now, prev)
                 )
             )
@@ -340,7 +420,7 @@ class AdaptedProcess:
 
     def component(self, k: int) -> "AdaptedProcess":
         rows = tuple(tuple((cell[k],) for cell in row) for row in self.values)
-        return AdaptedProcess(1, rows, self.predictable)
+        return AdaptedProcess._trusted(1, rows, self.predictable)
 
     # -- construction helpers -------------------------------------------
 
@@ -349,18 +429,35 @@ class AdaptedProcess:
         dim: int, n: int, increments, predictable: bool = False
     ) -> "AdaptedProcess":
         """Running sum from 0: ``values[0]`` is zero and ``values[t]`` adds
-        ``increments[t - 1][atom]`` (a ``dim``-tuple) to ``values[t - 1]``.
+        ``increments[t - 1][atom]`` (a ``dim``-tuple of Fractions) to
+        ``values[t - 1]``.
 
-        An all-zero increment keeps the previous cell without an addition."""
-        cells = [(_ZERO,) * dim] * n
-        rows = [tuple(cells)]
+        An all-zero increment keeps the previous cell without an addition.
+        The increments also fill the :attr:`increments` table of the result,
+        so it is never rebuilt by subtraction."""
+        zero = (_ZERO,) * dim
+        cells = (zero,) * n
+        rows, table = [cells], [cells]
         for inc in increments:
-            cells = [
-                tuple(a + b for a, b in zip(cell, d)) if any(d) else cell
-                for cell, d in zip(cells, inc)
-            ]
-            rows.append(tuple(cells))
-        return AdaptedProcess(dim, tuple(rows), predictable)
+            # atoms that share both their cell and their increment object
+            # (a block of a conditional expectation) share one sum
+            sums = {}
+            row, dx = [], []
+            for cell, d in zip(cells, inc):
+                if not any(d):
+                    row.append(cell)
+                    dx.append(zero)
+                    continue
+                key = (id(cell), id(d))
+                total = sums.get(key)
+                if total is None:
+                    total = sums[key] = tuple(map(operator.add, cell, d))
+                row.append(total)
+                dx.append(tuple(d))
+            cells = tuple(row)
+            rows.append(cells)
+            table.append(tuple(dx))
+        return AdaptedProcess._trusted(dim, tuple(rows), predictable, tuple(table))
 
     @staticmethod
     def from_function(
@@ -383,8 +480,8 @@ class AdaptedProcess:
     @staticmethod
     def from_scalar_paths(space: FiniteSpace, paths) -> "AdaptedProcess":
         """``paths[t][atom]`` is a scalar."""
-        rows = tuple(tuple((v,) for v in row) for row in paths)
-        return AdaptedProcess(1, rows)
+        rows = tuple(tuple((frac(v),) for v in row) for row in paths)
+        return AdaptedProcess._trusted(1, rows)
 
     @staticmethod
     def constant(space: FiniteSpace, value, dim: int = 1) -> "AdaptedProcess":
@@ -399,35 +496,46 @@ class AdaptedProcess:
     # -- pointwise arithmetic -------------------------------------------
 
     def _zip(self, other: "AdaptedProcess", op) -> "AdaptedProcess":
+        """``op`` (``operator.add`` or ``operator.sub``) cell by cell.  A zero
+        cell of ``other`` keeps this process's cell without arithmetic, and,
+        ``op`` being linear, the increment tables map to the result's."""
         if self.dim != other.dim or self.horizon != other.horizon:
             raise ValueError("shape mismatch")
-        rows = tuple(
-            tuple(
-                tuple(op(a, b) for a, b in zip(ca, cb))
-                for ca, cb in zip(ra, rb)
+
+        def apply(rows_a, rows_b):
+            return tuple(
+                tuple(
+                    tuple(map(op, ca, cb)) if any(cb) else ca
+                    for ca, cb in zip(ra, rb)
+                )
+                for ra, rb in zip(rows_a, rows_b)
             )
-            for ra, rb in zip(self.values, other.values)
+
+        return AdaptedProcess._trusted(
+            self.dim,
+            apply(self.values, other.values),
+            False,
+            apply(self.increments, other.increments),
         )
-        return AdaptedProcess(self.dim, rows)
 
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, operator.sub)
 
     def __neg__(self):
         rows = tuple(
             tuple(tuple(-c for c in cell) for cell in row) for row in self.values
         )
-        return AdaptedProcess(self.dim, rows, self.predictable)
+        return AdaptedProcess._trusted(self.dim, rows, self.predictable)
 
     def scale(self, q) -> "AdaptedProcess":
         q = frac(q)
         rows = tuple(
             tuple(tuple(q * c for c in cell) for cell in row) for row in self.values
         )
-        return AdaptedProcess(self.dim, rows, self.predictable)
+        return AdaptedProcess._trusted(self.dim, rows, self.predictable)
 
     def mul_scalar_process(self, scalar: "AdaptedProcess") -> "AdaptedProcess":
         """Pointwise product with a dim-1 process (broadcast over components)."""
@@ -440,7 +548,7 @@ class AdaptedProcess:
             )
             for row, srow in zip(self.values, scalar.values)
         )
-        return AdaptedProcess(self.dim, rows)
+        return AdaptedProcess._trusted(self.dim, rows)
 
 
 def is_adapted(X: AdaptedProcess, filt: Filtration) -> bool:
@@ -504,13 +612,22 @@ def check_stopping_time(time: RandomTime, filt: Filtration, space: FiniteSpace) 
 
 
 def stop(X: AdaptedProcess, sigma: RandomTime) -> AdaptedProcess:
-    """Stopped process X^sigma(w, t) = X(w, min(t, sigma(w)))."""
-    rows = []
-    for t in range(X.horizon + 1):
-        row = []
-        for i in range(len(X.values[0])):
+    """Stopped process X^sigma(w, t) = X(w, min(t, sigma(w))).
+
+    Its increment table is read off X's: dX^sigma_t = dX_t up to sigma, 0
+    after."""
+    zero = X.increments[0][0]
+    rows, table = [], []
+    for t, inc in enumerate(X.increments):
+        row, dx = [], []
+        for i, d in enumerate(inc):
             s = sigma.at(i)
-            u = t if t <= s else s
-            row.append(X.values[u][i])
+            if t <= s:
+                row.append(X.values[t][i])
+                dx.append(d)
+            else:
+                row.append(X.values[s][i])
+                dx.append(zero)
         rows.append(tuple(row))
-    return AdaptedProcess(X.dim, tuple(rows))
+        table.append(tuple(dx))
+    return AdaptedProcess._trusted(X.dim, tuple(rows), False, tuple(table))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -126,6 +127,31 @@ def test_filtration_must_cover_every_atom(command, capsys, tmp_path):
     rc, out, err_text = _run([command, str(path)], capsys)
     assert (rc, out) == (1, "")
     assert json.loads(err_text)["error"] == "filtration"
+
+
+@pytest.mark.parametrize("cell", ["1e99999999", "-3e-4000000", "1e4000000", "2E+4300"])
+def test_huge_exponents_are_rejected_quickly(cell, capsys, tmp_path):
+    # Fraction("1e4000000") builds a 4-million-digit integer (seconds of
+    # work for a 9-byte cell); an exponent whose power of ten exceeds the
+    # digit limit int() applies to decimal strings is a schema error
+    doc = _ex1_doc()
+    doc["S"]["values"]["a"][2] = [cell]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    with pytest.raises(InvalidScenario) as err:
+        parse_scenario(doc)
+    rc, out, err_text = _run(["inspect", str(path)], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert (err.value.code, err.value.location) == ("schema", "$.S.values.a[2]")
+    assert (rc, out) == (1, "")
+    assert json.loads(err_text)["error"] == "schema"
+
+
+def test_exponents_within_the_digit_limit_still_parse():
+    assert parse_fraction("1.5e3") == F(1500)
+    assert parse_fraction("-3e-2") == F(-3, 100)
+    assert parse_fraction("1e4299") == F(10**4299)
 
 
 def _run(argv, capsys):

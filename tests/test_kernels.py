@@ -13,11 +13,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from randomhorizon.deflator import is_supermartingale
 from randomhorizon.enlargement import enlarge
 from randomhorizon.generator import random_adapted, random_instance
 from randomhorizon.lp import zero_in_relative_interior
 from randomhorizon.nupbr import Arbitrage, CertResult, NodeWeights, certify_nupbr
-from randomhorizon.projections import condexp, is_martingale
+from randomhorizon.projections import condexp, is_martingale, node_drifts
 from randomhorizon.space import (
     AdaptedProcess,
     condexp_cells,
@@ -85,6 +86,22 @@ def naive_is_martingale(M, filt, space, weights=None):
                 if sum(space.prob[i] * proj[t][i] * inc[t][i][k] for i in block) != 0:
                     return False
     return True
+
+
+def naive_node_drifts(M, filt, space, weights=None):
+    """Per node of positive Q-mass and component, sum P * E[w | F_t] * dM_t
+    over the node, in the order of :func:`node_drifts`."""
+    inc = naive_increments(M)
+    w = [F(1)] * space.n if weights is None else [F(x) for x in weights]
+    out = []
+    for t in range(1, space.horizon + 1):
+        proj = naive_condexp(w, filt.parts[t], space)
+        for block in filt.parts[t - 1]:
+            if sum(space.prob[i] * w[i] for i in block) == 0:
+                continue
+            for k in range(M.dim):
+                out.append(sum(space.prob[i] * proj[i] * inc[t][i][k] for i in block))
+    return out
 
 
 def naive_certify(X, filt, space, weights):
@@ -163,6 +180,72 @@ def test_kernels_match_naive_references(seed, weights):
             X, filt, space, w
         )
         assert certify_nupbr(X, filt, space, weights=w) == naive_certify(X, filt, space, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, WEIGHTS)
+def test_node_drifts_match_a_from_scratch_sum(seed, weights):
+    space, cases = _cases(seed)
+    w = weights[: space.n]
+    for X, filt in cases:
+        assert list(node_drifts(X, filt, space)) == naive_node_drifts(X, filt, space)
+        assert list(node_drifts(X, filt, space, w)) == naive_node_drifts(X, filt, space, w)
+        assert is_supermartingale(X, filt, space) == all(
+            d <= 0 for d in naive_node_drifts(X, filt, space)
+        )
+
+
+# plain ints (the engine passes literal 0 and 1) mixed with Fractions
+MIXED = st.lists(
+    st.sampled_from([0, 1, 0, F(0), F(1), F(-2, 3), F(5, 7), 3]), min_size=12, max_size=12
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, MIXED)
+def test_condexp_on_mixed_ints_and_fractions(seed, values):
+    space, cases = _cases(seed)
+    v = values[: space.n]
+    for _, filt in cases:
+        for t in space.times:
+            got = condexp(v, filt.parts[t], space)
+            assert got == naive_condexp(v, filt.parts[t], space)
+            assert all(type(c) is F for c in got)
+
+
+def _cells(rows):
+    return [c for row in rows for cell in row for c in cell]
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_kernels_return_fractions_only(seed):
+    # Fraction(1, 2) == 0.5, so equality with a reference cannot tell a
+    # leaked float (or int) from a Fraction; the type can
+    space, cases = _cases(seed)
+    tau = random_instance(seed).tau
+    for X, filt in cases:
+        built = AdaptedProcess.from_increments(X.dim, space.n, X.increments[1:])
+        derived = [X, built, stop(X, tau), X + built, X - stop(X, tau)]
+        for Y in derived:
+            assert all(type(c) is F for c in _cells(Y.values) + _cells(Y.increments))
+        for t in space.times:
+            first = [cell[0] for cell in X.values[t]]
+            assert all(type(c) is F for c in condexp(first, filt.parts[t], space))
+            for cells in (X.values[t], X.increments[t]):
+                assert all(
+                    type(c) is F
+                    for cell in condexp_cells(cells, filt.parts[t], space)
+                    for c in cell
+                )
+
+
+def test_public_constructor_still_coerces_and_bans_floats():
+    X = AdaptedProcess(1, ((("3/4",),), ((1,),)))
+    assert X.values == (((F(3, 4),),), ((F(1),),))
+    assert all(type(c) is F for c in _cells(X.values))
+    with pytest.raises(TypeError):
+        AdaptedProcess(1, (((F(1),),), ((0.5,),)))
 
 
 @settings(max_examples=80, deadline=None)

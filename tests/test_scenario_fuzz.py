@@ -3,7 +3,8 @@
 Each example applies one to three mutations to the ex1 or ex2 document:
 dropping a key or list entry, duplicating one, retyping a value (booleans,
 floats, null, numbers, strings, containers), wrapping it in a list or an
-object, or replacing it with a huge, negative or infinite rational.
+object, or replacing it with a huge, negative or infinite rational, including
+exponent notation far past the digit limit of ``int()``.
 """
 
 import contextlib
@@ -28,7 +29,8 @@ BASES = {
 }
 ODD = [
     None, True, False, 0, 1, -1, 7, 2.5, "inf", "-inf", "nan", "", "a", "z",
-    "1/0", "-3/4", "1e400", str(10**60 + 1) + "/3", "-" + str(10**60), [], {},
+    "1/0", "-3/4", "1e400", "1e99999999", "-3e-4000000", str(10**60 + 1) + "/3",
+    "-" + str(10**60), [], {},
     [[]], [["a"]], {"a": "inf"},
 ]
 OPS = ["drop", "duplicate", "retype", "wrap_list", "wrap_object", "negate", "huge"]
