@@ -318,7 +318,7 @@ def main(argv=None) -> int:
             rio.dump_json({"error": exc.code, "location": exc.location, "message": exc.reason})
         )
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(rio.dump_json({"error": "io", "message": str(exc)}))
         return EXIT_INPUT
     except EngineError as exc:

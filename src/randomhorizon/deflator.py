@@ -257,22 +257,18 @@ def verify_deflator(
     worst: Optional[DeflatorFailure] = None
     names = space.atoms
     for t in range(1, space.horizon + 1):
-        for parent_idx, parent in enumerate(filt.parts[t - 1]):
-            mass = space.mass(parent)
+        blocks = filt.parts[t - 1]
+        y = [cell[0] for cell in Y.values[t]]
+        base_row = condexp(y, blocks, space)
+        g_row = condexp_cells(
+            [tuple(v * c for c in cell) for v, cell in zip(y, S_stopped.increments[t])],
+            blocks,
+            space,
+        )
+        for parent_idx, parent in enumerate(blocks):
             kids = [filt.parts[t][j] for j in filt.children(t, parent_idx)]
             deltas = [S_stopped.delta_at(t, c[0]) for c in kids]
-            base = sum(
-                space.prob[i] * Y.scalar_at(t, i) for c in kids for i in c
-            ) / mass
-            g = tuple(
-                sum(
-                    space.prob[i] * Y.scalar_at(t, i) * S_stopped.delta_at(t, i)[k]
-                    for c in kids
-                    for i in c
-                )
-                / mass
-                for k in range(S_stopped.dim)
-            )
+            base, g = base_row[parent[0]], g_row[parent[0]]
             status, direction, value = maximize_over_admissible(g, deltas)
             bound = Y.scalar_at(t - 1, parent[0])
             if status == "unbounded":

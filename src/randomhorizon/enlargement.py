@@ -17,6 +17,15 @@ and projections on the stochastic interval ``]0, tau]``, the two
 change-of-measure weight families attached to a predictable jump date, and
 the reduction of G-predictable processes to F-predictable ones.
 
+Every transfer formula is an F-predictable projection divided by Z_- on
+``]0, tau]``, written once in ``_over_zprev``: the G-compensator of V^tau
+projects Zt dV, the G-martingale part of M^tau subtracts the projection of
+dM dm, and the rescaled identity pG(dV/Zt) = pF(I_{Zt>0} dV)/Z_- projects
+I_{Zt>0} dV.  ``_rescaled_sides`` builds both sides of that identity;
+``compensator_of_rescaled`` sums its G-side, and
+``projection_transfer_identities`` evaluates it for M and for the clock
+V_t = t, whose jump identity is the unit identity pG(1/Zt) = pF(I_{Zt>0})/Z_-.
+
 Key structural facts the engine relies on (and re-checks at build time):
 ``Zt_t = Z_{t-1} + dm_t`` for t >= 1, and ``{Zt = 0}``, ``{Z_- = 0}`` never
 meet ``]0, tau]``.
@@ -26,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotPredictable, StructuralViolation
-from .projections import condexp, dual_predictable, is_martingale
+from .projections import condexp, is_martingale
 from .space import (
     INF,
     AdaptedProcess,
@@ -43,6 +53,8 @@ from .space import (
     stop,
 )
 from .projections import assert_martingale
+
+_ZERO = Fraction(0)
 
 
 def enlarge(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> Filtration:
@@ -87,6 +99,11 @@ class AzemaBundle:
 
     def thin_times(self):
         return sorted({t for (_, t) in self.thin_mask})
+
+    @cached_property
+    def _jump_measures(self) -> dict:
+        # jump_time_measures results, keyed by every argument besides the bundle
+        return {}
 
 
 def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
@@ -158,6 +175,61 @@ def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
     )
 
 
+def _times(scalars, cells) -> list:
+    """The row of cells scaled atom by atom by the cells of a scalar row."""
+    return [tuple(s[0] * c for c in cell) for s, cell in zip(scalars, cells)]
+
+
+def _over_zprev(
+    cells, t: int, bundle: AzemaBundle, filt: Filtration, tau: RandomTime, space: FiniteSpace
+) -> tuple:
+    """The row (1/Z_{t-1}) I_{t <= tau} E[cells | F_{t-1}], zero off ]0, tau].
+
+    The projection and Z_{t-1} are both constant on an F_{t-1}-block, so
+    each block divides once and its alive atoms share the resulting cell."""
+    blocks = filt.parts[t - 1]
+    proj = condexp_cells(cells, blocks, space)
+    row = [(_ZERO,) * len(cells[0])] * space.n
+    for block in blocks:
+        alive = [i for i in block if t <= tau.at(i)]
+        if not alive:
+            continue
+        zprev = bundle.Z.scalar_at(t - 1, block[0])
+        if zprev == 0:
+            raise StructuralViolation("Z_- vanished inside ]0, tau]; engine invariant broken")
+        cell = tuple(c / zprev for c in proj[block[0]])
+        for i in alive:
+            row[i] = cell
+    return tuple(row)
+
+
+def _rescaled_sides(
+    V: AdaptedProcess,
+    bundle: AzemaBundle,
+    filt: Filtration,
+    enlarged: Filtration,
+    tau: RandomTime,
+    space: FiniteSpace,
+) -> list:
+    """Per date t = 1..horizon, the pair of rows (pG(dV_t / Zt_t), pF(I_{Zt_t > 0}
+    dV_t) / Z_{t-1}), both restricted to ]0, tau].
+
+    On the G-side every G_{t-1}-node lies wholly in {tau >= t} or outside
+    it, so averaging over the node is averaging over its alive part."""
+    zero = (_ZERO,) * V.dim
+    sides = []
+    for t in range(1, space.horizon + 1):
+        zt, dv = bundle.Ztilde.values[t], V.increments[t]
+        rescaled = [
+            tuple(c / z[0] for c in cell) if t <= tau.at(i) and any(cell) else zero
+            for i, (z, cell) in enumerate(zip(zt, dv))
+        ]
+        masked = [cell if z[0] > 0 else zero for z, cell in zip(zt, dv)]
+        g_side = condexp_cells(rescaled, enlarged.parts[t - 1], space)
+        sides.append((g_side, _over_zprev(masked, t, bundle, filt, tau, space)))
+    return sides
+
+
 def compensator_of_stopped(
     V: AdaptedProcess,
     bundle: AzemaBundle,
@@ -173,26 +245,10 @@ def compensator_of_stopped(
     asserted by the test-suite rather than recomputed here.
     """
     assert_adapted(V, filt, "V")
-    zero = (Fraction(0),) * V.dim
-    increments = []
-    for t in range(1, space.horizon + 1):
-        weighted = [
-            tuple(bundle.Ztilde.scalar_at(t, i) * c for c in cell)
-            for i, cell in enumerate(V.increments[t])
-        ]
-        proj = condexp_cells(weighted, filt.parts[t - 1], space)
-        row = []
-        for i in range(space.n):
-            if t <= tau.at(i):
-                zprev = bundle.Z.scalar_at(t - 1, i)
-                if zprev == 0:
-                    raise StructuralViolation(
-                        "Z_- vanished inside ]0, tau]; engine invariant broken"
-                    )
-                row.append(tuple(c / zprev for c in proj[i]))
-            else:
-                row.append(zero)
-        increments.append(row)
+    increments = [
+        _over_zprev(_times(bundle.Ztilde.values[t], V.increments[t]), t, bundle, filt, tau, space)
+        for t in range(1, space.horizon + 1)
+    ]
     return AdaptedProcess.from_increments(V.dim, space.n, increments, predictable=True)
 
 
@@ -207,53 +263,30 @@ def compensator_of_rescaled(
     """G-compensator of U := (1/Zt) I_{]0,tau]} . V, with its F-closed form.
 
     Asserts the closed form (1/Z_-) I_{]0,tau]} . (I_{Zt>0} . V)^{p,F}
-    against the directly computed compensator, and, when the increments of V
-    are supported on {Zt > 0}, the converse identity
-    dV^{p,F} = Z_- dU^{p,G} on ]0, tau].
+    against the G-compensator, and, when the increments of V are supported
+    on {Zt > 0}, the converse identity dV^{p,F} = Z_- dU^{p,G} on ]0, tau].
     """
     assert_adapted(V, filt, "V")
-    n = space.n
-    zero = (Fraction(0),) * V.dim
-    U = AdaptedProcess.from_increments(
-        V.dim,
-        n,
-        [
-            tuple(
-                tuple(c / bundle.Ztilde.scalar_at(t, i) for c in cell)
-                if t <= tau.at(i)
-                else zero
-                for i, cell in enumerate(V.increments[t])
-            )
-            for t in range(1, space.horizon + 1)
-        ],
-    )
-    direct = dual_predictable(U, enlarged, space)
-
+    sides = _rescaled_sides(V, bundle, filt, enlarged, tau, space)
     supported = all(
         not any(V.increments[t][i])
         for t in range(1, space.horizon + 1)
-        for i in range(n)
+        for i in range(space.n)
         if bundle.Ztilde.scalar_at(t, i) == 0
     )
-    for t in range(1, space.horizon + 1):
-        dv = V.increments[t]
-        masked = [cell if bundle.Ztilde.scalar_at(t, i) > 0 else zero for i, cell in enumerate(dv)]
-        proj = condexp_cells(masked, filt.parts[t - 1], space)
-        plain = condexp_cells(dv, filt.parts[t - 1], space)
-        for i in range(n):
-            on_interval = t <= tau.at(i)
+    for t, (got, closed) in enumerate(sides, 1):
+        if got != closed:
+            raise StructuralViolation("rescaled-compensator transfer identity failed")
+        if not supported:
+            continue
+        plain = condexp_cells(V.increments[t], filt.parts[t - 1], space)
+        for i in range(space.n):
             zprev = bundle.Z.scalar_at(t - 1, i)
-            got = direct.increments[t][i]
-            closed = tuple(c / zprev for c in proj[i]) if on_interval else zero
-            if got != closed:
-                raise StructuralViolation(
-                    "rescaled-compensator transfer identity failed"
-                )
-            if supported and on_interval and plain[i] != tuple(zprev * g for g in got):
-                raise StructuralViolation(
-                    "converse compensator identity failed on ]0, tau]"
-                )
-    return direct
+            if t <= tau.at(i) and plain[i] != tuple(zprev * g for g in got[i]):
+                raise StructuralViolation("converse compensator identity failed on ]0, tau]")
+    return AdaptedProcess.from_increments(
+        V.dim, space.n, [got for got, _ in sides], predictable=True
+    )
 
 
 def g_martingale_part(
@@ -271,22 +304,10 @@ def g_martingale_part(
     The output is verified to be an exact G-martingale.
     """
     assert_martingale(M, filt, space, "input of g_martingale_part")
-    zero = (Fraction(0),) * M.dim
-    drift = []
-    for t in range(1, space.horizon + 1):
-        dm = bundle.m.increments[t]
-        prod = [
-            tuple(c * dm[i][0] for c in cell) for i, cell in enumerate(M.increments[t])
-        ]
-        proj = condexp_cells(prod, filt.parts[t - 1], space)
-        drift.append(
-            tuple(
-                tuple(c / bundle.Z.scalar_at(t - 1, i) for c in proj[i])
-                if t <= tau.at(i)
-                else zero
-                for i in range(space.n)
-            )
-        )
+    drift = [
+        _over_zprev(_times(bundle.m.increments[t], M.increments[t]), t, bundle, filt, tau, space)
+        for t in range(1, space.horizon + 1)
+    ]
     result = stop(M, tau) - AdaptedProcess.from_increments(M.dim, space.n, drift)
     if not is_martingale(result, enlarged, space):
         raise StructuralViolation("drift-corrected stopped process is not a G-martingale")
@@ -295,8 +316,8 @@ def g_martingale_part(
 
 @dataclass(frozen=True)
 class TransferIdentities:
-    """Both sides of the two projection-ratio identities on ]0, tau],
-    stored as processes that vanish off the interval."""
+    """Both sides of the two projection-ratio identities on ]0, tau], per
+    date (not summed), stored as processes that vanish off the interval."""
 
     jump_lhs: AdaptedProcess   # pG(dM / Zt)
     jump_rhs: AdaptedProcess   # pF(dM I_{Zt>0}) / Z_-
@@ -320,60 +341,21 @@ def projection_transfer_identities(
     space: FiniteSpace,
 ) -> TransferIdentities:
     """Evaluate pG(dM/Zt) = pF(dM I_{Zt>0})/Z_- and pG(1/Zt) = pF(I_{Zt>0})/Z_-
-    on ]0, tau] for an F-martingale M; equality is asserted."""
+    on ]0, tau] for an F-martingale M; equality is asserted.
+
+    The unit identity is the jump identity of the clock V_t = t."""
     assert_martingale(M, filt, space, "input of projection_transfer_identities")
     if M.dim != 1:
         raise ValueError("transfer identities are per scalar component")
     n = space.n
-    zero_row = tuple((Fraction(0),) for _ in range(n))
-    jl, jr, ul, ur = [list([zero_row]) for _ in range(4)]
-
-    for t in range(1, space.horizon + 1):
-        # G-side: every G_{t-1}-node lies wholly in {tau >= t} or outside
-        # it, so averaging over the node is averaging over its alive part
-        alive = [t <= tau.at(i) for i in range(n)]
-        g_jump = condexp(
-            [
-                M.delta_at(t, i)[0] / bundle.Ztilde.scalar_at(t, i) if alive[i] else 0
-                for i in range(n)
-            ],
-            enlarged.parts[t - 1],
-            space,
-        )
-        g_unit = condexp(
-            [1 / bundle.Ztilde.scalar_at(t, i) if alive[i] else 0 for i in range(n)],
-            enlarged.parts[t - 1],
-            space,
-        )
-        # F-side closed forms
-        masked = [
-            M.delta_at(t, i)[0] if bundle.Ztilde.scalar_at(t, i) > 0 else Fraction(0)
-            for i in range(n)
-        ]
-        pos = [
-            Fraction(1) if bundle.Ztilde.scalar_at(t, i) > 0 else Fraction(0)
-            for i in range(n)
-        ]
-        pj = condexp(masked, filt.parts[t - 1], space)
-        pu = condexp(pos, filt.parts[t - 1], space)
-        f_jump = [Fraction(0)] * n
-        f_unit = [Fraction(0)] * n
-        for i in range(n):
-            if alive[i]:
-                zprev = bundle.Z.scalar_at(t - 1, i)
-                f_jump[i] = pj[i] / zprev
-                f_unit[i] = pu[i] / zprev
-        jl.append(tuple((v,) for v in g_jump))
-        jr.append(tuple((v,) for v in f_jump))
-        ul.append(tuple((v,) for v in g_unit))
-        ur.append(tuple((v,) for v in f_unit))
-
-    out = TransferIdentities(
-        AdaptedProcess(1, tuple(jl)),
-        AdaptedProcess(1, tuple(jr)),
-        AdaptedProcess(1, tuple(ul)),
-        AdaptedProcess(1, tuple(ur)),
-    )
+    clock = AdaptedProcess.from_increments(1, n, [((Fraction(1),),) * n] * space.horizon)
+    first = ((_ZERO,),) * n
+    rows = []
+    for V in (M, clock):
+        sides = _rescaled_sides(V, bundle, filt, enlarged, tau, space)
+        for k in (0, 1):
+            rows.append(AdaptedProcess._trusted(1, (first,) + tuple(s[k] for s in sides)))
+    out = TransferIdentities(*rows)
     if not out.consistent:
         raise StructuralViolation("projection-ratio transfer identity failed")
     return out
@@ -397,37 +379,28 @@ class JumpTimeMeasures:
 def jump_time_measures(
     T: int, bundle: AzemaBundle, filt: Filtration, tau: RandomTime, space: FiniteSpace
 ) -> JumpTimeMeasures:
+    """The weights of the jump date T, computed once per bundle and
+    ``(T, filt, tau, space)``."""
     if not 1 <= T <= space.horizon:
         raise ValueError("jump date must lie in {1, ..., horizon}")
-    n = space.n
-    pos = [Fraction(1) if bundle.Ztilde.scalar_at(T, i) > 0 else Fraction(0) for i in range(n)]
+    key = (T, filt, tau, space)
+    cached = bundle._jump_measures.get(key)
+    if cached is not None:
+        return cached
+    one = Fraction(1)
+    zprev = [c[0] for c in bundle.Z.values[T - 1]]
+    zt = [c[0] for c in bundle.Ztilde.values[T]]
+    pos = [one if z > 0 else _ZERO for z in zt]
     p_pos = condexp(pos, filt.parts[T - 1], space)
-
-    q = []
-    for i in range(n):
-        if p_pos[i] > 0:
-            q.append(pos[i] / p_pos[i])
-        else:
-            q.append(Fraction(1))
-    qt = []
-    for i in range(n):
-        zprev = bundle.Z.scalar_at(T - 1, i)
-        if zprev > 0:
-            qt.append(bundle.Ztilde.scalar_at(T, i) / zprev)
-        else:
-            qt.append(Fraction(1))
-    ug = []
-    for i in range(n):
-        if T > tau.at(i):
-            ug.append(Fraction(1))
-        else:
-            ug.append(bundle.Z.scalar_at(T - 1, i) / bundle.Ztilde.scalar_at(T, i))
-
+    q = tuple(p / pp if pp > 0 else one for p, pp in zip(pos, p_pos))
+    qt = tuple(z / zp if zp > 0 else one for zp, z in zip(zprev, zt))
+    ug = tuple(one if T > tau.at(i) else zprev[i] / zt[i] for i in range(space.n))
     if space.expectation(q) != 1 or space.expectation(qt) != 1:
         raise StructuralViolation("jump-date measures must have expectation 1")
     if any(u <= 0 for u in ug):
         raise StructuralViolation("enlarged jump-date weight must be positive")
-    return JumpTimeMeasures(tuple(q), tuple(qt), tuple(ug))
+    out = bundle._jump_measures[key] = JumpTimeMeasures(q, qt, ug)
+    return out
 
 
 def reduce_g_predictable(

@@ -55,8 +55,18 @@ def _max_digits() -> int:
     """The digit count ``int()`` accepts in a decimal string, or its default
     when that limit is switched off.  A rational in exponent notation must
     keep ``10**abs(exponent)`` within it, so one short string cannot make
-    the parser build a huge integer."""
+    the parser build a huge integer, and its numerator and denominator must
+    keep within it, so the value can be printed back."""
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _printable(x: Fraction, limit: int) -> bool:
+    """True iff numerator and denominator have at most ``limit`` decimal
+    digits; below ``2**(3 * limit)`` no power of ten is needed."""
+    bits = 3 * limit
+    if x.numerator.bit_length() <= bits >= x.denominator.bit_length():
+        return True
+    return max(abs(x.numerator), x.denominator) < 10**limit
 
 
 def parse_fraction(s, location="") -> Fraction:
@@ -64,9 +74,12 @@ def parse_fraction(s, location="") -> Fraction:
         if _is_int(s):
             return Fraction(s)
         if isinstance(s, str):
+            limit = _max_digits()
             m = _EXPONENT.search(s)
-            if m is None or abs(int(m.group(1))) < _max_digits():
-                return Fraction(s)
+            if m is None or abs(int(m.group(1))) < limit:
+                x = Fraction(s)
+                if _printable(x, limit):
+                    return x
     except (ValueError, ZeroDivisionError):
         pass
     raise InvalidScenario("schema", location, f"not a rational: {s!r}")
@@ -203,7 +216,9 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # malformed JSON, bytes that are not UTF-8, or an integer literal
+            # past the digit limit of int(); all three subclass ValueError
             raise InvalidScenario("schema", str(path), f"invalid JSON: {exc}") from exc
     return parse_scenario(doc)
 

@@ -13,7 +13,7 @@ from randomhorizon.enlargement import (
     projection_transfer_identities,
     reduce_g_predictable,
 )
-from randomhorizon.errors import NotMartingale, NotPredictable
+from randomhorizon.errors import NotMartingale, NotPredictable, StructuralViolation
 from randomhorizon.generator import random_adapted, random_instance
 from randomhorizon.projections import dual_predictable, is_martingale, quadratic_covariation
 from randomhorizon.space import (
@@ -214,6 +214,21 @@ def test_jump_time_measures_trivial(ex1):
     assert out.u_enlarged == (F(1),) * 4
 
 
+def test_jump_time_measures_are_cached_per_argument_tuple(ex1):
+    first = jump_time_measures(2, ex1.bundle, ex1.filt, ex1.tau, ex1.space)
+    assert jump_time_measures(2, ex1.bundle, ex1.filt, ex1.tau, ex1.space) is first
+    # every argument is part of the key: another time, filtration or
+    # random time never reads the entry of the first call
+    dead = RandomTime.constant(ex1.space, 0)
+    fresh = jump_time_measures(2, ex1.bundle, ex1.filt, dead, ex1.space)
+    assert fresh is not first and fresh.u_enlarged == (F(1),) * 4
+    assert jump_time_measures(2, ex1.bundle, ex1.filt, dead, ex1.space) is fresh
+    assert jump_time_measures(1, ex1.bundle, ex1.filt, ex1.tau, ex1.space) is not first
+    other = jump_time_measures(2, ex1.bundle, ex1.enlarged, ex1.tau, ex1.space)
+    assert other is not first
+    assert jump_time_measures(2, ex1.bundle, ex1.filt, ex1.tau, ex1.space) is first
+
+
 def test_reduce_g_predictable_survival_reciprocal(ex1):
     def hg(t, i):
         if 1 <= t <= ex1.tau.at(i):
@@ -315,6 +330,22 @@ def test_enlargement_minimality_on_random_instances():
                     except ValueError:
                         continue
                     assert not check_stopping_time(inst.tau, candidate, inst.space)
+
+
+@pytest.mark.parametrize(
+    "formula", [compensator_of_stopped, compensator_of_rescaled, g_martingale_part]
+)
+def test_transfer_formulas_reject_a_dead_survival_inside_the_interval(formula):
+    # a bundle whose Z_- vanishes on ]0, tau] (here: a random time that
+    # never comes, paired with the bundle of the instance's own time) breaks
+    # the engine invariant; every formula dividing by Z_- reports it
+    inst = random_instance(1)
+    b = azema(inst.filtration, inst.tau, inst.space)
+    never = RandomTime.constant(inst.space, INF)
+    enlarged = enlarge(inst.filtration, never, inst.space)
+    M = b.m if formula is g_martingale_part else AdaptedProcess.zero(inst.space)
+    with pytest.raises(StructuralViolation, match="Z_- vanished"):
+        formula(M, b, inst.filtration, enlarged, never, inst.space)
 
 
 def test_transfer_identities_on_random_instances():

@@ -152,6 +152,33 @@ def test_exponents_within_the_digit_limit_still_parse():
     assert parse_fraction("1.5e3") == F(1500)
     assert parse_fraction("-3e-2") == F(-3, 100)
     assert parse_fraction("1e4299") == F(10**4299)
+    assert parse_fraction("9e4298") == F(9 * 10**4298)
+
+
+@pytest.mark.parametrize(
+    "cell", ["99e4299", "-99e4299", "0." + "0" * 4299 + "1"], ids=["exponent", "negative", "decimal"]
+)
+def test_unprintable_rationals_are_schema_errors(cell, capsys, tmp_path):
+    # within the exponent limit, but a numerator or denominator of 4301
+    # digits cannot be printed back by str(), so it never reaches a report
+    doc = _ex1_doc()
+    doc["S"]["values"]["a"][2] = [cell]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err_text = _run(["certify", str(path)], capsys)
+    assert (rc, out) == (1, "")
+    err = json.loads(err_text)
+    assert (err["error"], err["location"]) == ("schema", "$.S.values.a[2]")
+
+
+def test_longest_printable_rational_is_certified(capsys, tmp_path):
+    doc = _ex1_doc()
+    doc["S"]["values"]["a"][2] = ["9e4298"]
+    doc["S"]["values"]["b"][2] = ["9e4298"]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    rc, out, _ = _run(["certify", str(path)], capsys)
+    assert rc == 0 and json.loads(out)
 
 
 def _run(argv, capsys):
@@ -256,6 +283,29 @@ def test_cli_input_error(capsys, tmp_path):
     assert doc["error"] == "schema"
     rc, _, err = _run(["certify", str(tmp_path / "missing.json")], capsys)
     assert rc == 1
+
+
+def _unreadable(tmp_path, kind):
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "scenario.json"
+    if kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+    else:  # an integer literal past the digit limit of int()
+        path.write_text('{"horizon": ' + "1" * 5000 + "}")
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, code", [("directory", "io"), ("not-utf8", "schema"), ("huge-integer", "schema")]
+)
+@pytest.mark.parametrize("command", ["inspect", "certify"])
+def test_unreadable_scenario_files_exit_1(kind, code, command, capsys, tmp_path):
+    rc, out, err = _run([command, str(_unreadable(tmp_path, kind))], capsys)
+    assert (rc, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == code
+    assert "traceback" not in doc
 
 
 def test_cli_mc_smoke(capsys, tmp_path):

@@ -4,17 +4,27 @@ The references below are the textbook definitions, computed from scratch
 on every call: increments by subtraction, running sums by adding every
 increment, block masses and weighted sums over every atom, positive-mass
 tests by summing P-weighted weights, and block constancy by comparing
-each block's set of cells.
+each block's set of cells.  The enlargement references divide by Z_-
+atom by atom and build every ]0, tau] formula from its own loop.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from randomhorizon.deflator import is_supermartingale
-from randomhorizon.enlargement import enlarge
+from randomhorizon.enlargement import (
+    azema,
+    compensator_of_rescaled,
+    compensator_of_stopped,
+    enlarge,
+    g_martingale_part,
+    projection_transfer_identities,
+)
 from randomhorizon.generator import random_adapted, random_instance
 from randomhorizon.lp import zero_in_relative_interior
 from randomhorizon.nupbr import Arbitrage, CertResult, NodeWeights, certify_nupbr
@@ -305,3 +315,144 @@ def test_weighted_kernels_reject_negative_weights(bad):
         certify_nupbr(X, filt, space, weights=w)
     with pytest.raises(ValueError):
         is_martingale(X, filt, space, weights=w)
+
+
+# -- the ]0, tau] transfer formulas of the enlargement ----------------------
+
+
+def naive_compensator_of_stopped(V, b, filt, tau, space):
+    """Running sum of (1/Z_{t-1}) I_{t <= tau} E[Zt_t dV_t | F_{t-1}]."""
+    inc = naive_increments(V)
+    zero = (F(0),) * V.dim
+    increments = []
+    for t in range(1, space.horizon + 1):
+        weighted = [
+            tuple(b.Ztilde.scalar_at(t, i) * c for c in inc[t][i]) for i in range(space.n)
+        ]
+        proj = naive_condexp_cells(weighted, filt.parts[t - 1], space)
+        increments.append(
+            [
+                tuple(c / b.Z.scalar_at(t - 1, i) for c in proj[i]) if t <= tau.at(i) else zero
+                for i in range(space.n)
+            ]
+        )
+    return naive_running_sum(V.dim, space.n, increments)
+
+
+def naive_compensator_of_rescaled(V, b, enlarged, tau, space):
+    """G-compensator of U = sum I_{t <= tau} dV_t / Zt_t, projected on G."""
+    inc = naive_increments(V)
+    zero = (F(0),) * V.dim
+    increments = []
+    for t in range(1, space.horizon + 1):
+        du = [
+            tuple(c / b.Ztilde.scalar_at(t, i) for c in inc[t][i]) if t <= tau.at(i) else zero
+            for i in range(space.n)
+        ]
+        increments.append(naive_condexp_cells(du, enlarged.parts[t - 1], space))
+    return naive_running_sum(V.dim, space.n, increments)
+
+
+def naive_g_martingale_part(M, b, filt, tau, space):
+    """M_{t & tau} minus the running sum of I_{s <= tau} E[dM_s dm_s | F_{s-1}] / Z_{s-1}."""
+    inc, dm = naive_increments(M), naive_increments(b.m)
+    zero = (F(0),) * M.dim
+    drift = []
+    for t in range(1, space.horizon + 1):
+        prod = [tuple(c * dm[t][i][0] for c in inc[t][i]) for i in range(space.n)]
+        proj = naive_condexp_cells(prod, filt.parts[t - 1], space)
+        drift.append(
+            [
+                tuple(c / b.Z.scalar_at(t - 1, i) for c in proj[i]) if t <= tau.at(i) else zero
+                for i in range(space.n)
+            ]
+        )
+    sums = naive_running_sum(M.dim, space.n, drift)
+    return tuple(
+        tuple(
+            tuple(
+                a - d
+                for a, d in zip(M.values[min(t, tau.at(i))][i], sums[t][i])
+            )
+            for i in range(space.n)
+        )
+        for t in space.times
+    )
+
+
+def naive_transfer_rows(M, b, filt, enlarged, tau, space):
+    """Per-date rows (jump_lhs, jump_rhs, unit_lhs, unit_rhs) of the
+    projection-ratio identities, zero at t = 0 and off ]0, tau]."""
+    n = space.n
+    inc = naive_increments(M)
+    rows = [[tuple((F(0),) for _ in range(n))] for _ in range(4)]
+    for t in range(1, space.horizon + 1):
+        alive = [t <= tau.at(i) for i in range(n)]
+        zt = [b.Ztilde.scalar_at(t, i) for i in range(n)]
+        g_jump = naive_condexp(
+            [inc[t][i][0] / zt[i] if alive[i] else F(0) for i in range(n)],
+            enlarged.parts[t - 1],
+            space,
+        )
+        g_unit = naive_condexp(
+            [1 / zt[i] if alive[i] else F(0) for i in range(n)], enlarged.parts[t - 1], space
+        )
+        pj = naive_condexp(
+            [inc[t][i][0] if zt[i] > 0 else F(0) for i in range(n)], filt.parts[t - 1], space
+        )
+        pu = naive_condexp([F(int(zt[i] > 0)) for i in range(n)], filt.parts[t - 1], space)
+        f_jump = [pj[i] / b.Z.scalar_at(t - 1, i) if alive[i] else F(0) for i in range(n)]
+        f_unit = [pu[i] / b.Z.scalar_at(t - 1, i) if alive[i] else F(0) for i in range(n)]
+        for out, row in zip(rows, (g_jump, f_jump, g_unit, f_unit)):
+            out.append(tuple((v,) for v in row))
+    return tuple(tuple(r) for r in rows)
+
+
+def _scenario_gen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenario_gen.py"
+    spec = importlib.util.spec_from_file_location("bench_scenario_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _enlargement_cases():
+    """(space, filtration, tau, price, adapted V's) on generator instances
+    (1-D and 2-D prices) and on one 40-atom benchmark scenario file."""
+    for seed in range(40):
+        inst = random_instance(seed)
+        rng = random.Random(seed)
+        V = [random_adapted(inst.space, inst.filtration, rng, dim=d) for d in (1, 2)]
+        yield inst.space, inst.filtration, inst.tau, inst.price, V
+    sc = _scenario_gen().random_scenario(7000, 5)
+    rng = random.Random(7000)
+    V = [random_adapted(sc.space, sc.filtration, rng, dim=d) for d in (1, 2)]
+    yield sc.space, sc.filtration, sc.tau, sc.price, V
+
+
+def test_enlargement_identities_match_naive_references():
+    atoms, thin, dims = 0, 0, set()
+    for space, filt, tau, price, adapted in _enlargement_cases():
+        b = azema(filt, tau, space)
+        G = enlarge(filt, tau, space)
+        atoms, thin = max(atoms, space.n), thin + len(b.thin_mask)
+        dims.add(price.dim)
+        for V in [b.default_compensator, b.m, price] + adapted:
+            assert compensator_of_stopped(V, b, filt, G, tau, space).values == (
+                naive_compensator_of_stopped(V, b, filt, tau, space)
+            )
+            assert compensator_of_rescaled(V, b, filt, G, tau, space).values == (
+                naive_compensator_of_rescaled(V, b, G, tau, space)
+            )
+        for M in (b.m, price):
+            assert g_martingale_part(M, b, filt, G, tau, space).values == (
+                naive_g_martingale_part(M, b, filt, tau, space)
+            )
+        for M in [b.m] + [price.component(k) for k in range(price.dim)]:
+            out = projection_transfer_identities(M, b, filt, G, tau, space)
+            got = tuple(
+                X.values for X in (out.jump_lhs, out.jump_rhs, out.unit_lhs, out.unit_rhs)
+            )
+            assert got == naive_transfer_rows(M, b, filt, G, tau, space)
+    # the cases reach the 40-atom file, 2-D prices and the thin set {Zt = 0 < Z_-}
+    assert atoms == 40 and dims == {1, 2} and thin > 0
