@@ -23,11 +23,10 @@ from .enlargement import (
     azema,
     compensator_of_rescaled,
     compensator_of_stopped,
-    enlarge,
     g_martingale_part,
     projection_transfer_identities,
 )
-from .errors import EngineError, PreconditionViolated
+from .errors import EngineError, InvalidScenario, PreconditionViolated
 from .generator import random_instance
 from .io import format_fraction
 from .nupbr import (
@@ -43,32 +42,30 @@ from .space import condexp_cells, stop
 JOBS_ENV = "RANDOMHORIZON_JOBS"
 
 
-def _projection_identities(model, bundle, enlarged):
-    space, filt, tau = model.space, model.filtration, model.tau
+def _projection_identities(price, bundle):
+    space = bundle.space
     qv = quadratic_covariation(bundle.m, bundle.m)
     out = {}
     ok = True
     for V in (bundle.default_compensator, qv):
-        closed = compensator_of_stopped(V, bundle, filt, enlarged, tau, space)
-        direct = dual_predictable(stop(V, tau), enlarged, space)
+        closed = compensator_of_stopped(V, bundle)
+        direct = dual_predictable(stop(V, bundle.tau), bundle.enlarged, space)
         ok = ok and closed.values == direct.values
     out["stopped_compensator"] = ok
     try:
-        compensator_of_rescaled(qv, bundle, filt, enlarged, tau, space)
-        compensator_of_rescaled(model.price, bundle, filt, enlarged, tau, space)
+        compensator_of_rescaled(qv, bundle)
+        compensator_of_rescaled(price, bundle)
         out["rescaled_compensator"] = True
     except EngineError:
         out["rescaled_compensator"] = False
     try:
-        out["projection_ratios"] = projection_transfer_identities(
-            bundle.m, bundle, filt, enlarged, tau, space
-        ).consistent
+        out["projection_ratios"] = projection_transfer_identities(bundle.m, bundle).consistent
     except EngineError:
         out["projection_ratios"] = False
     try:
-        g_martingale_part(bundle.m, bundle, filt, enlarged, tau, space)
-        if is_martingale(model.price, filt, space):
-            g_martingale_part(model.price.component(0), bundle, filt, enlarged, tau, space)
+        g_martingale_part(bundle.m, bundle)
+        if is_martingale(price, bundle.filt, space):
+            g_martingale_part(price.component(0), bundle)
             out["martingale_part"] = True
         else:
             out["martingale_part"] = None  # not applicable: no F-martingale price
@@ -83,11 +80,11 @@ def _projection_identities(model, bundle, enlarged):
     return out
 
 
-def _deflator_suite(model, bundle, enlarged):
-    space, filt, tau = model.space, model.filtration, model.tau
+def _deflator_suite(price, bundle):
+    space, enlarged = bundle.space, bundle.enlarged
     out = {}
     try:
-        deflators = build_deflator(bundle, filt, enlarged, tau, space)
+        deflators = build_deflator(bundle)
         out["construction"] = True
     except EngineError:
         out["construction"] = False
@@ -97,7 +94,7 @@ def _deflator_suite(model, bundle, enlarged):
     out["supermartingale"] = is_supermartingale(deflators.deflator, enlarged, space)
     if thin_set_empty(bundle):
         verdict = verify_deflator(
-            deflators.deflator, stop(model.price, tau), enlarged, space
+            deflators.deflator, stop(price, bundle.tau), enlarged, space
         )
         out["deflates_stopped_price"] = verdict.passed
     else:
@@ -112,14 +109,13 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
     ``price`` (a scenario file or a generator instance); ``battery`` and
     ``seed`` drive the preservation battery.  Returns the Azema bundle, the
     report sections and the sorted list of violated checks."""
-    space, filt, tau, price = model.space, model.filtration, model.tau, model.price
-    bundle = azema(filt, tau, space)
-    enlarged = enlarge(filt, tau, space)
+    space, filt, price = model.space, model.filtration, model.price
+    bundle = azema(filt, model.tau, space)
 
-    projections = _projection_identities(model, bundle, enlarged)
+    projections = _projection_identities(price, bundle)
     violations = [f"projection:{name}" for name, good in projections.items() if good is False]
 
-    deflator = _deflator_suite(model, bundle, enlarged)
+    deflator = _deflator_suite(price, bundle)
     if not deflator["construction"]:
         violations.append("deflator:construction")
     if not deflator["supermartingale"]:
@@ -135,7 +131,7 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
             tuple(a - b for a, b in zip(x, p))
             for x, p in zip(xi, condexp_cells(xi, filt.parts[T - 1], space))
         ]
-        rec = single_jump_equivalences(xi, T, bundle, filt, enlarged, tau, space)
+        rec = single_jump_equivalences(xi, T, bundle)
         single.append(
             {
                 "T": T,
@@ -148,9 +144,7 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
         )
         if not rec.consistent:
             violations.append(f"single_jump:T={T}")
-        mrec = single_jump_martingale_transfer(
-            centered, T, bundle, filt, enlarged, tau, space
-        )
+        mrec = single_jump_martingale_transfer(centered, T, bundle)
         transfer.append(
             {
                 "T": T,
@@ -164,7 +158,7 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
             violations.append(f"martingale_transfer:T={T}")
 
     try:
-        masked = masked_increment_criterion_all(price, bundle, filt, enlarged, tau, space)
+        masked = masked_increment_criterion_all(price, bundle)
     except PreconditionViolated:
         masked_doc = {"precondition_failed": True}
     else:
@@ -179,9 +173,7 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
         if not masked.consistent:
             violations.append("masked_criterion")
 
-    pres = preservation_report(
-        space, filt, tau, bundle, enlarged, n_martingales=battery, seed=seed
-    )
+    pres = preservation_report(bundle, n_martingales=battery, seed=seed)
     pres_doc = {
         "thin_set_empty": pres.thin_set_empty,
         "martingales_checked": pres.martingales_checked,
@@ -223,18 +215,33 @@ def _worker(args):
     return instance_report(seed, battery)
 
 
+def _jobs_from_env() -> int:
+    raw = os.environ.get(JOBS_ENV, "").strip() or "1"
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = -1
+    if jobs < 0:
+        raise InvalidScenario("schema", JOBS_ENV, f"must be an integer >= 0, got {raw[:40]!r}")
+    return jobs
+
+
 def run_campaign(instances: int, seed: int, battery: int = 100, jobs: int = 0) -> dict:
     """Run the equivalence suite on `instances` seeded instances.
 
-    ``jobs`` = 0 reads the RANDOMHORIZON_JOBS environment override (default
-    sequential); results are assembled in instance order, so the report is
-    byte-identical for a given (instances, seed, battery) regardless of the
-    parallelism degree."""
+    ``jobs`` = 0 reads the RANDOMHORIZON_JOBS environment override (an
+    integer >= 0, unset, empty or 0 meaning sequential; anything else is an
+    ``InvalidScenario`` ``schema`` error).  At most
+    ``min(jobs, instances, os.cpu_count())`` worker processes start.
+    Results are assembled in instance order, so the report is byte-identical
+    for a given (instances, seed, battery) regardless of the parallelism
+    degree."""
     if jobs == 0:
-        jobs = int(os.environ.get(JOBS_ENV, "1") or "1")
+        jobs = _jobs_from_env()
     seeds = [seed + k for k in range(instances)]
-    if jobs > 1 and instances > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, instances, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_worker, [(s, battery) for s in seeds]))
     else:
         reports = [instance_report(s, battery) for s in seeds]

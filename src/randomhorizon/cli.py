@@ -18,8 +18,11 @@ and adds the per-time collapse inclusion.  Reports are printed as JSON on
 stdout; ``--out DIR`` additionally writes ``<command>.json`` plus CSV tables
 built from the report alone.  Exit codes: 0 ok, 1 input error (``mc``
 arguments included, checked before any simulation), 2 equivalence
-violation, 3 runtime failure (internal errors included).  The only
-environment knob is RANDOMHORIZON_JOBS (campaign worker count).
+violation, 3 runtime failure (internal errors included); a negative
+``--battery`` is an input error found before any work.  The only
+environment knob is RANDOMHORIZON_JOBS, the campaign worker count: an
+integer >= 0 (unset, empty or 0 run sequentially, anything else exits 1
+``schema``), capped at the instance count and the CPU count.
 """
 
 from __future__ import annotations
@@ -121,9 +124,9 @@ def witness_report(sc: Scenario) -> dict:
     space = sc.space
     if thin_set_empty(bundle):
         return {"thin_set_empty": True, "witness": None}
-    T = min(t for (_, t) in bundle.thin_mask)
-    M = witness_martingale(T, bundle, sc.filtration, space)
-    res = certify_nupbr(stop(M, sc.tau), enlarge(sc.filtration, sc.tau, space), space)
+    T = min(bundle.thin_times())
+    M = witness_martingale(T, bundle)
+    res = certify_nupbr(stop(M, sc.tau), bundle.enlarged, space)
     return {
         "thin_set_empty": False,
         "witness": {
@@ -254,6 +257,8 @@ def main(argv=None) -> int:
         if args.command == "certify":
             _emit(certify_report(rio.load_scenario(args.scenario)), args, _certify_tables)
             return EXIT_OK
+        if args.command in ("theorems", "campaign") and args.battery < 0:
+            raise InvalidScenario("schema", "--battery", "must be >= 0")
         if args.command == "theorems":
             doc = theorems_report(
                 rio.load_scenario(args.scenario), battery=args.battery, seed=args.seed

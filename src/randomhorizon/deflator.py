@@ -92,15 +92,10 @@ class DeflatorBundle:
     mhat: AdaptedProcess        # G-martingale part of m, kept for tests
 
 
-def build_deflator(
-    bundle: AzemaBundle,
-    filt: Filtration,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
-) -> DeflatorBundle:
+def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
+    space, filt, enlarged, tau = bundle.space, bundle.filt, bundle.enlarged, bundle.tau
     n = space.n
-    mhat = g_martingale_part(bundle.m, bundle, filt, enlarged, tau, space)
+    mhat = g_martingale_part(bundle.m, bundle)
 
     bracket = angle_bracket(bundle.m, bundle.m, filt, space)
 

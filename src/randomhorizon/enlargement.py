@@ -12,16 +12,22 @@ attached to the pair:
 * the thin set ``{Zt = 0 & Z_- > 0}`` where survival collapses abruptly,
 * the death times derived from the first zero of Z.
 
-It then provides the exact transfer formulas between F- and G-compensators
-and projections on the stochastic interval ``]0, tau]``, the two
-change-of-measure weight families attached to a predictable jump date, and
-the reduction of G-predictable processes to F-predictable ones.
+``azema(filt, tau, space)`` returns an ``AzemaBundle`` that owns its model:
+it carries (F, tau, P) as ``filt``, ``tau`` and ``space`` and builds the
+enlargement G on first read of ``bundle.enlarged`` (so a caller that only
+reads Z never pays for G).  Every function below that takes a bundle takes
+nothing else of the model: the exact transfer formulas between F- and
+G-compensators and projections on the stochastic interval ``]0, tau]`` and
+the two change-of-measure weight families attached to a predictable jump
+date.  The reduction of G-predictable processes to F-predictable ones works
+on any pair of filtrations and keeps its explicit arguments.
 
 Every transfer formula is an F-predictable projection divided by Z_- on
 ``]0, tau]``, written once in ``_over_zprev``: the G-compensator of V^tau
 projects Zt dV, the G-martingale part of M^tau subtracts the projection of
 dM dm, and the rescaled identity pG(dV/Zt) = pF(I_{Zt>0} dV)/Z_- projects
-I_{Zt>0} dV.  ``_rescaled_sides`` builds both sides of that identity;
+I_{Zt>0} dV.  ``_rescaled_sides`` builds both sides of that identity and
+raises ``StructuralViolation`` where Zt would be divided by 0 on ]0, tau];
 ``compensator_of_rescaled`` sums its G-side, and
 ``projection_transfer_identities`` evaluates it for M and for the clock
 V_t = t, whose jump identity is the unit identity pG(1/Zt) = pF(I_{Zt>0})/Z_-.
@@ -79,7 +85,9 @@ def enlarge(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> Filtration
 
 @dataclass(frozen=True)
 class AzemaBundle:
-    """Survival data of (F, tau).
+    """Survival data of the model (F, tau, P), which the bundle carries as
+    ``filt``, ``tau`` and ``space``; the enlargement G is built on first
+    read of ``enlarged``.
 
     ``death`` is the first grid time t >= 1 with Z_{t-1} = 0 (0 when Z_0 = 0,
     INF when Z never dies); ``announced_death`` restricts it to
@@ -96,13 +104,20 @@ class AzemaBundle:
     death: RandomTime
     announced_death: RandomTime
     sudden_death: RandomTime
+    filt: Filtration
+    tau: RandomTime
+    space: FiniteSpace
 
     def thin_times(self):
         return sorted({t for (_, t) in self.thin_mask})
 
     @cached_property
+    def enlarged(self) -> Filtration:
+        return enlarge(self.filt, self.tau, self.space)
+
+    @cached_property
     def _jump_measures(self) -> dict:
-        # jump_time_measures results, keyed by every argument besides the bundle
+        # jump_time_measures results, keyed by the jump date
         return {}
 
 
@@ -172,6 +187,9 @@ def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
         death=RandomTime(tuple(death_vals)),
         announced_death=RandomTime(tuple(announced_vals)),
         sudden_death=RandomTime(tuple(sudden_vals)),
+        filt=filt,
+        tau=tau,
+        space=space,
     )
 
 
@@ -180,14 +198,13 @@ def _times(scalars, cells) -> list:
     return [tuple(s[0] * c for c in cell) for s, cell in zip(scalars, cells)]
 
 
-def _over_zprev(
-    cells, t: int, bundle: AzemaBundle, filt: Filtration, tau: RandomTime, space: FiniteSpace
-) -> tuple:
+def _over_zprev(cells, t: int, bundle: AzemaBundle) -> tuple:
     """The row (1/Z_{t-1}) I_{t <= tau} E[cells | F_{t-1}], zero off ]0, tau].
 
     The projection and Z_{t-1} are both constant on an F_{t-1}-block, so
     each block divides once and its alive atoms share the resulting cell."""
-    blocks = filt.parts[t - 1]
+    space, tau = bundle.space, bundle.tau
+    blocks = bundle.filt.parts[t - 1]
     proj = condexp_cells(cells, blocks, space)
     row = [(_ZERO,) * len(cells[0])] * space.n
     for block in blocks:
@@ -203,71 +220,56 @@ def _over_zprev(
     return tuple(row)
 
 
-def _rescaled_sides(
-    V: AdaptedProcess,
-    bundle: AzemaBundle,
-    filt: Filtration,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
-) -> list:
+def _rescaled_sides(V: AdaptedProcess, bundle: AzemaBundle) -> list:
     """Per date t = 1..horizon, the pair of rows (pG(dV_t / Zt_t), pF(I_{Zt_t > 0}
     dV_t) / Z_{t-1}), both restricted to ]0, tau].
 
     On the G-side every G_{t-1}-node lies wholly in {tau >= t} or outside
     it, so averaging over the node is averaging over its alive part."""
+    space, tau = bundle.space, bundle.tau
     zero = (_ZERO,) * V.dim
     sides = []
     for t in range(1, space.horizon + 1):
         zt, dv = bundle.Ztilde.values[t], V.increments[t]
-        rescaled = [
-            tuple(c / z[0] for c in cell) if t <= tau.at(i) and any(cell) else zero
-            for i, (z, cell) in enumerate(zip(zt, dv))
-        ]
+        rescaled = [zero] * space.n
+        for i, (z, cell) in enumerate(zip(zt, dv)):
+            if t <= tau.at(i) and any(cell):
+                if z[0] == 0:
+                    raise StructuralViolation(
+                        "Zt vanished inside ]0, tau]; engine invariant broken"
+                    )
+                rescaled[i] = tuple(c / z[0] for c in cell)
         masked = [cell if z[0] > 0 else zero for z, cell in zip(zt, dv)]
-        g_side = condexp_cells(rescaled, enlarged.parts[t - 1], space)
-        sides.append((g_side, _over_zprev(masked, t, bundle, filt, tau, space)))
+        g_side = condexp_cells(rescaled, bundle.enlarged.parts[t - 1], space)
+        sides.append((g_side, _over_zprev(masked, t, bundle)))
     return sides
 
 
-def compensator_of_stopped(
-    V: AdaptedProcess,
-    bundle: AzemaBundle,
-    filt: Filtration,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
-) -> AdaptedProcess:
+def compensator_of_stopped(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
     """G-compensator of the stopped process V^tau, in F-closed form.
 
     Increments: (1/Z_{t-1}) I_{t <= tau} E[Zt_t dV_t | F_{t-1}].  Equals
-    ``dual_predictable(stop(V, tau), enlarged)`` exactly; that equality is
-    asserted by the test-suite rather than recomputed here.
+    ``dual_predictable(stop(V, tau), bundle.enlarged)`` exactly; that
+    equality is asserted by the test-suite rather than recomputed here.
     """
-    assert_adapted(V, filt, "V")
+    assert_adapted(V, bundle.filt, "V")
     increments = [
-        _over_zprev(_times(bundle.Ztilde.values[t], V.increments[t]), t, bundle, filt, tau, space)
-        for t in range(1, space.horizon + 1)
+        _over_zprev(_times(bundle.Ztilde.values[t], V.increments[t]), t, bundle)
+        for t in range(1, bundle.space.horizon + 1)
     ]
-    return AdaptedProcess.from_increments(V.dim, space.n, increments, predictable=True)
+    return AdaptedProcess.from_increments(V.dim, bundle.space.n, increments, predictable=True)
 
 
-def compensator_of_rescaled(
-    V: AdaptedProcess,
-    bundle: AzemaBundle,
-    filt: Filtration,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
-) -> AdaptedProcess:
+def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
     """G-compensator of U := (1/Zt) I_{]0,tau]} . V, with its F-closed form.
 
     Asserts the closed form (1/Z_-) I_{]0,tau]} . (I_{Zt>0} . V)^{p,F}
     against the G-compensator, and, when the increments of V are supported
     on {Zt > 0}, the converse identity dV^{p,F} = Z_- dU^{p,G} on ]0, tau].
     """
+    space, filt, tau = bundle.space, bundle.filt, bundle.tau
     assert_adapted(V, filt, "V")
-    sides = _rescaled_sides(V, bundle, filt, enlarged, tau, space)
+    sides = _rescaled_sides(V, bundle)
     supported = all(
         not any(V.increments[t][i])
         for t in range(1, space.horizon + 1)
@@ -289,27 +291,21 @@ def compensator_of_rescaled(
     )
 
 
-def g_martingale_part(
-    M: AdaptedProcess,
-    bundle: AzemaBundle,
-    filt: Filtration,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
-) -> AdaptedProcess:
+def g_martingale_part(M: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
     """G-martingale part of the stopped F-martingale M:
 
         Mhat_t = M^tau_t - sum_{s <= t & tau} E[dM_s dm_s | F_{s-1}] / Z_{s-1}.
 
     The output is verified to be an exact G-martingale.
     """
-    assert_martingale(M, filt, space, "input of g_martingale_part")
+    space = bundle.space
+    assert_martingale(M, bundle.filt, space, "input of g_martingale_part")
     drift = [
-        _over_zprev(_times(bundle.m.increments[t], M.increments[t]), t, bundle, filt, tau, space)
+        _over_zprev(_times(bundle.m.increments[t], M.increments[t]), t, bundle)
         for t in range(1, space.horizon + 1)
     ]
-    result = stop(M, tau) - AdaptedProcess.from_increments(M.dim, space.n, drift)
-    if not is_martingale(result, enlarged, space):
+    result = stop(M, bundle.tau) - AdaptedProcess.from_increments(M.dim, space.n, drift)
+    if not is_martingale(result, bundle.enlarged, space):
         raise StructuralViolation("drift-corrected stopped process is not a G-martingale")
     return result
 
@@ -333,18 +329,14 @@ class TransferIdentities:
 
 
 def projection_transfer_identities(
-    M: AdaptedProcess,
-    bundle: AzemaBundle,
-    filt: Filtration,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
+    M: AdaptedProcess, bundle: AzemaBundle
 ) -> TransferIdentities:
     """Evaluate pG(dM/Zt) = pF(dM I_{Zt>0})/Z_- and pG(1/Zt) = pF(I_{Zt>0})/Z_-
     on ]0, tau] for an F-martingale M; equality is asserted.
 
     The unit identity is the jump identity of the clock V_t = t."""
-    assert_martingale(M, filt, space, "input of projection_transfer_identities")
+    space = bundle.space
+    assert_martingale(M, bundle.filt, space, "input of projection_transfer_identities")
     if M.dim != 1:
         raise ValueError("transfer identities are per scalar component")
     n = space.n
@@ -352,7 +344,7 @@ def projection_transfer_identities(
     first = ((_ZERO,),) * n
     rows = []
     for V in (M, clock):
-        sides = _rescaled_sides(V, bundle, filt, enlarged, tau, space)
+        sides = _rescaled_sides(V, bundle)
         for k in (0, 1):
             rows.append(AdaptedProcess._trusted(1, (first,) + tuple(s[k] for s in sides)))
     out = TransferIdentities(*rows)
@@ -376,30 +368,27 @@ class JumpTimeMeasures:
     u_enlarged: tuple
 
 
-def jump_time_measures(
-    T: int, bundle: AzemaBundle, filt: Filtration, tau: RandomTime, space: FiniteSpace
-) -> JumpTimeMeasures:
-    """The weights of the jump date T, computed once per bundle and
-    ``(T, filt, tau, space)``."""
+def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
+    """The weights of the jump date T, computed once per bundle and date."""
+    space = bundle.space
     if not 1 <= T <= space.horizon:
         raise ValueError("jump date must lie in {1, ..., horizon}")
-    key = (T, filt, tau, space)
-    cached = bundle._jump_measures.get(key)
+    cached = bundle._jump_measures.get(T)
     if cached is not None:
         return cached
     one = Fraction(1)
     zprev = [c[0] for c in bundle.Z.values[T - 1]]
     zt = [c[0] for c in bundle.Ztilde.values[T]]
     pos = [one if z > 0 else _ZERO for z in zt]
-    p_pos = condexp(pos, filt.parts[T - 1], space)
+    p_pos = condexp(pos, bundle.filt.parts[T - 1], space)
     q = tuple(p / pp if pp > 0 else one for p, pp in zip(pos, p_pos))
     qt = tuple(z / zp if zp > 0 else one for zp, z in zip(zprev, zt))
-    ug = tuple(one if T > tau.at(i) else zprev[i] / zt[i] for i in range(space.n))
+    ug = tuple(one if T > bundle.tau.at(i) else zprev[i] / zt[i] for i in range(space.n))
     if space.expectation(q) != 1 or space.expectation(qt) != 1:
         raise StructuralViolation("jump-date measures must have expectation 1")
     if any(u <= 0 for u in ug):
         raise StructuralViolation("enlarged jump-date weight must be positive")
-    out = bundle._jump_measures[key] = JumpTimeMeasures(q, qt, ug)
+    out = bundle._jump_measures[T] = JumpTimeMeasures(q, qt, ug)
     return out
 
 

@@ -242,12 +242,3 @@ def write_csv(rows, header, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def process_table(X: AdaptedProcess, space: FiniteSpace):
-    """Rows (atom, t, c0, c1, ...) with rationals formatted."""
-    rows = []
-    for i, a in enumerate(space.atoms):
-        for t in space.times:
-            rows.append([a, t] + [format_fraction(c) for c in X.at(t, i)])
-    return rows

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .enlargement import AzemaBundle, azema, enlarge, jump_time_measures
+from .enlargement import AzemaBundle, jump_time_measures
 from .errors import EngineError, PreconditionViolated
 from .generator import random_martingale
 from .lp import separating_direction, zero_in_relative_interior
@@ -33,7 +33,6 @@ from .space import (
     AdaptedProcess,
     FiniteSpace,
     Filtration,
-    RandomTime,
     assert_adapted,
     condexp_cells,
     first_nonconstant,
@@ -190,16 +189,11 @@ class SingleJumpRecord:
 
 
 def single_jump_equivalences(
-    xi_values: Sequence[tuple],
-    T: int,
-    bundle: AzemaBundle,
-    filt: Filtration,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
+    xi_values: Sequence[tuple], T: int, bundle: AzemaBundle
 ) -> SingleJumpRecord:
     """Certify xi I_{Z_{T-}>0} I_{[T,inf)} four ways: stopped in G, masked by
     {Zt_T > 0} in F, and in F under the two jump-date reweightings."""
+    space, filt = bundle.space, bundle.filt
     if first_nonconstant(xi_values, filt.parts[T]) is not None:
         raise EngineError("xi must be measurable at the jump date")
     alive_prev = [bundle.Z.scalar_at(T - 1, i) > 0 for i in range(space.n)]
@@ -208,10 +202,10 @@ def single_jump_equivalences(
         alive_prev[i] and bundle.Ztilde.scalar_at(T, i) > 0 for i in range(space.n)
     ]
     S_masked = single_jump_process(xi_values, T, space, mask=masked)
-    measures = jump_time_measures(T, bundle, filt, tau, space)
+    measures = jump_time_measures(T, bundle)
     return SingleJumpRecord(
         T=T,
-        stopped_in_enlarged=certify_nupbr(stop(S, tau), enlarged, space).verdict,
+        stopped_in_enlarged=certify_nupbr(stop(S, bundle.tau), bundle.enlarged, space).verdict,
         masked_in_base=certify_nupbr(S_masked, filt, space).verdict,
         under_jump_measure=certify_nupbr(S, filt, space, weights=measures.q).verdict,
         under_ratio_measure=certify_nupbr(S, filt, space, weights=measures.q_tilde).verdict,
@@ -228,17 +222,16 @@ def thin_set_empty(bundle: AzemaBundle) -> bool:
     return not bundle.thin_mask
 
 
-def witness_martingale(
-    T: int, bundle: AzemaBundle, filt: Filtration, space: FiniteSpace
-) -> AdaptedProcess:
+def witness_martingale(T: int, bundle: AzemaBundle) -> AdaptedProcess:
     """Bounded single-jump martingale xi I_{[T,inf)} with
     xi = I_{Zt_T = 0} - P(Zt_T = 0 | F_{T-}); stopping it at tau fails NUPBR
     in the enlargement exactly when the thin set meets date T."""
+    space = bundle.space
     ind = [
         Fraction(1) if bundle.Ztilde.scalar_at(T, i) == 0 else Fraction(0)
         for i in range(space.n)
     ]
-    proj = condexp(ind, filt.parts[T - 1], space)
+    proj = condexp(ind, bundle.filt.parts[T - 1], space)
     xi = [(ind[i] - proj[i],) for i in range(space.n)]
     return single_jump_process(xi, T, space)
 
@@ -254,54 +247,40 @@ class MaskedCriterionRecord:
         return self.all_deltas == self.stopped_verdict
 
 
-def _masked_family(
-    S: AdaptedProcess, bundle: AzemaBundle, filt: Filtration, t: int, parent_idx: int
-):
+def _masked_family(S: AdaptedProcess, bundle: AzemaBundle, t: int, parent_idx: int):
     """Increments of S over the children of a node that keep Zt_t > 0."""
     family = []
-    for j in filt.children(t, parent_idx):
-        child = filt.parts[t][j]
+    for j in bundle.filt.children(t, parent_idx):
+        child = bundle.filt.parts[t][j]
         if bundle.Ztilde.scalar_at(t, child[0]) > 0:
             family.append(S.delta_at(t, child[0]))
     return family
 
 
-def _nodes_with_survival(bundle: AzemaBundle, filt: Filtration, space: FiniteSpace):
+def _nodes_with_survival(bundle: AzemaBundle):
     """(Z_{t-1}, t, parent index) for every one-period node."""
     return [
         (bundle.Z.scalar_at(t - 1, parent[0]), t, parent_idx)
-        for t in range(1, space.horizon + 1)
-        for parent_idx, parent in enumerate(filt.parts[t - 1])
+        for t in range(1, bundle.space.horizon + 1)
+        for parent_idx, parent in enumerate(bundle.filt.parts[t - 1])
     ]
 
 
-def masked_increment_criterion(
-    S: AdaptedProcess,
-    bundle: AzemaBundle,
-    filt: Filtration,
-    space: FiniteSpace,
-    delta: Fraction,
-) -> bool:
+def masked_increment_criterion(S: AdaptedProcess, bundle: AzemaBundle, delta: Fraction) -> bool:
     """On every node with Z_{t-1} >= delta, zero must lie in the relative
     interior of the convex hull of the increments over children that keep
     Zt_t > 0 (an empty family passes)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     return all(
-        zero_in_relative_interior(_masked_family(S, bundle, filt, t, j))[0]
-        for z, t, j in _nodes_with_survival(bundle, filt, space)
+        zero_in_relative_interior(_masked_family(S, bundle, t, j))[0]
+        for z, t, j in _nodes_with_survival(bundle)
         if z >= delta
     )
 
 
 def masked_increment_criterion_all(
-    S: AdaptedProcess,
-    bundle: AzemaBundle,
-    filt: Filtration,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
-    extra_deltas: Sequence[Fraction] = (),
+    S: AdaptedProcess, bundle: AzemaBundle, extra_deltas: Sequence[Fraction] = ()
 ) -> MaskedCriterionRecord:
     """Quantify the criterion over the finite set of positive values taken by
     Z_-, plus any user-supplied thresholds; the conjunction must match the
@@ -313,7 +292,8 @@ def masked_increment_criterion_all(
 
     Requires S to satisfy NUPBR in the base filtration (theorem
     precondition; violations raise :class:`PreconditionViolated`)."""
-    if not certify_nupbr(S, filt, space).verdict:
+    space = bundle.space
+    if not certify_nupbr(S, bundle.filt, space).verdict:
         raise PreconditionViolated(
             "masked-increment criterion requires the base process to satisfy NUPBR"
         )
@@ -330,14 +310,14 @@ def masked_increment_criterion_all(
         | extra
     )
     worst = Fraction(0)  # largest Z_{t-1} over the failing nodes seen
-    for z, t, j in _nodes_with_survival(bundle, filt, space):
+    for z, t, j in _nodes_with_survival(bundle):
         if z <= worst:
             continue  # cannot raise the bound, so the node need not be decided
-        if not zero_in_relative_interior(_masked_family(S, bundle, filt, t, j))[0]:
+        if not zero_in_relative_interior(_masked_family(S, bundle, t, j))[0]:
             worst = z
     per = {d: d > worst for d in values}
     combined = all(per.values())
-    stopped = certify_nupbr(stop(S, tau), enlarged, space).verdict
+    stopped = certify_nupbr(stop(S, bundle.tau), bundle.enlarged, space).verdict
     return MaskedCriterionRecord(per, combined, stopped)
 
 
@@ -362,20 +342,15 @@ class MartingaleTransferRecord:
 
 
 def single_jump_martingale_transfer(
-    xi_values: Sequence[tuple],
-    T: int,
-    bundle: AzemaBundle,
-    filt: Filtration,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
+    xi_values: Sequence[tuple], T: int, bundle: AzemaBundle
 ) -> MartingaleTransferRecord:
+    space, filt = bundle.space, bundle.filt
     if first_nonconstant(xi_values, filt.parts[T]) is not None:
         raise EngineError("xi must be measurable at the jump date")
     if any(any(c) for c in condexp_cells(xi_values, filt.parts[T - 1], space)):
         raise EngineError("xi must have zero conditional mean at T-")
     M = single_jump_process(xi_values, T, space)
-    measures = jump_time_measures(T, bundle, filt, tau, space)
+    measures = jump_time_measures(T, bundle)
 
     zero = (Fraction(0),) * len(xi_values[0])
     thin = [
@@ -389,7 +364,7 @@ def single_jump_martingale_transfer(
         under_jump_measure=is_martingale(M, filt, space, weights=measures.q),
         thin_mean_zero=thin_zero,
         stopped_under_enlarged_weight=is_martingale(
-            stop(M, tau), enlarged, space, weights=measures.u_enlarged
+            stop(M, bundle.tau), bundle.enlarged, space, weights=measures.u_enlarged
         ),
     )
 
@@ -413,20 +388,15 @@ class PreservationReport:
 
 
 def preservation_report(
-    space: FiniteSpace,
-    filt: Filtration,
-    tau: RandomTime,
-    bundle: Optional[AzemaBundle] = None,
-    enlarged: Optional[Filtration] = None,
-    n_martingales: int = 100,
-    seed: int = 0,
+    bundle: AzemaBundle, n_martingales: int = 100, seed: int = 0
 ) -> PreservationReport:
     """If the thin set is empty, stopping preserves NUPBR for a battery of
-    random bounded martingales (each certified exactly); otherwise the
-    explicit witness martingale at a violating date fails in the
-    enlargement."""
-    bundle = bundle if bundle is not None else azema(filt, tau, space)
-    enlarged = enlarged if enlarged is not None else enlarge(filt, tau, space)
+    ``n_martingales`` >= 0 random bounded martingales (each certified
+    exactly); otherwise the explicit witness martingale at a violating date
+    fails in the enlargement."""
+    if n_martingales < 0:
+        raise ValueError("the preservation battery size must be >= 0")
+    space, filt, tau, enlarged = bundle.space, bundle.filt, bundle.tau, bundle.enlarged
     if thin_set_empty(bundle):
         rng = random.Random(seed)
         preserved, failing = 0, []
@@ -440,6 +410,6 @@ def preservation_report(
             True, n_martingales, preserved, tuple(failing), None, None
         )
     T = min(bundle.thin_times())
-    M = witness_martingale(T, bundle, filt, space)
+    M = witness_martingale(T, bundle)
     fails = not certify_nupbr(stop(M, tau), enlarged, space).verdict
     return PreservationReport(False, 0, 0, (), T, fails)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import InvalidProbabilities, NotAdapted, NotPredictable
 
@@ -233,9 +233,6 @@ class Filtration:
                     row[i] = k
             table.append(tuple(row))
         return tuple(table)
-
-    def block_index(self, t: int, atom: int) -> int:
-        return self._block_of[t][atom]
 
     def block_of(self, t: int, atom: int) -> tuple:
         return self.parts[t][self._block_of[t][atom]]
@@ -591,10 +588,6 @@ class RandomTime:
 
     def at(self, atom: int) -> TimeValue:
         return self.values[atom]
-
-    @staticmethod
-    def from_mapping(mapping: Mapping[str, TimeValue], space: FiniteSpace) -> "RandomTime":
-        return RandomTime(tuple(mapping[a] for a in space.atoms))
 
     @staticmethod
     def constant(space: FiniteSpace, value: TimeValue) -> "RandomTime":

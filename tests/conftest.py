@@ -3,17 +3,19 @@ from dataclasses import dataclass
 import pytest
 
 from randomhorizon.deflator import DeflatorBundle, build_deflator
-from randomhorizon.enlargement import AzemaBundle, azema, enlarge
+from randomhorizon.enlargement import AzemaBundle, azema
 from randomhorizon.io import Scenario, load_builtin
-from randomhorizon.space import Filtration
 
 
 @dataclass(frozen=True)
 class Ctx:
     sc: Scenario
     bundle: AzemaBundle
-    enlarged: Filtration
     deflators: DeflatorBundle
+
+    @property
+    def enlarged(self):
+        return self.bundle.enlarged
 
     @property
     def space(self):
@@ -35,9 +37,7 @@ class Ctx:
 def _ctx(name):
     sc = load_builtin(name)
     bundle = azema(sc.filtration, sc.tau, sc.space)
-    enlarged = enlarge(sc.filtration, sc.tau, sc.space)
-    deflators = build_deflator(bundle, sc.filtration, enlarged, sc.tau, sc.space)
-    return Ctx(sc, bundle, enlarged, deflators)
+    return Ctx(sc, bundle, build_deflator(bundle))
 
 
 @pytest.fixture(scope="session")

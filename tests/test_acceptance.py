@@ -17,7 +17,7 @@ from fractions import Fraction as F
 from randomhorizon.campaign import _projection_identities, run_campaign
 from randomhorizon.cli import VALIDATION_POINTS
 from randomhorizon.deflator import build_deflator, is_supermartingale, verify_deflator
-from randomhorizon.enlargement import azema, enlarge
+from randomhorizon.enlargement import azema
 from randomhorizon.generator import random_instance, random_predictable_fv
 from randomhorizon.io import dump_json
 from randomhorizon.mc import McModel, simulate, validate_survival_formula
@@ -44,8 +44,7 @@ def test_criterion_1_projection_identities():
     for seed in range(INSTANCES):
         inst = random_instance(seed)
         bundle = azema(inst.filtration, inst.tau, inst.space)
-        enlarged = enlarge(inst.filtration, inst.tau, inst.space)
-        flags = _projection_identities(inst, bundle, enlarged)
+        flags = _projection_identities(inst.price, bundle)
         if not all(flags.values()):
             failures.append((seed, flags))
     elapsed = time.monotonic() - start
@@ -61,12 +60,12 @@ def test_criterion_2_deflator_suite():
     for seed in range(INSTANCES):
         inst = random_instance(seed)
         bundle = azema(inst.filtration, inst.tau, inst.space)
-        enlarged = enlarge(inst.filtration, inst.tau, inst.space)
+        enlarged = bundle.enlarged
         try:
             # the builder itself re-derives the closed form of the jumps and
             # asserts 1 + dL > 0, the driver martingale property and
             # positivity of the exponential
-            deflators = build_deflator(bundle, inst.filtration, enlarged, inst.tau, inst.space)
+            deflators = build_deflator(bundle)
         except Exception as exc:  # noqa: BLE001 - any failure breaks the criterion
             failures.append((seed, repr(exc)))
             continue
@@ -113,7 +112,7 @@ def test_criterion_4_fixture_regression(ex1, ex2):
     )
     from randomhorizon.enlargement import jump_time_measures
 
-    measures = jump_time_measures(2, b, ex1.filt, ex1.tau, ex1.space)
+    measures = jump_time_measures(2, b)
     checks.append(("dQ_2/dP", measures.q == (F(0), F(2), F(0), F(2))))
     checks.append(("U_G(2)", measures.u_enlarged == (F(1), F(1, 2), F(1), F(1, 2))))
     checks.append(

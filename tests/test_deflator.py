@@ -11,7 +11,7 @@ from randomhorizon.deflator import (
     supermartingale_deflator,
     verify_deflator,
 )
-from randomhorizon.enlargement import azema, enlarge, g_martingale_part
+from randomhorizon.enlargement import azema, g_martingale_part
 from randomhorizon.errors import EngineError, InadmissibleStrategy
 from randomhorizon.generator import random_instance, random_martingale
 from randomhorizon.projections import is_martingale, quadratic_covariation
@@ -86,10 +86,7 @@ def test_deflator_bundle_ex2(ex2):
 
 
 def test_deflator_bundle_no_horizon(ex1):
-    tau = RandomTime.constant(ex1.space, INF)
-    b = azema(ex1.filt, tau, ex1.space)
-    G = enlarge(ex1.filt, tau, ex1.space)
-    d = build_deflator(b, ex1.filt, G, tau, ex1.space)
+    d = build_deflator(azema(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space))
     for t in ex1.space.times:
         for i in range(4):
             assert d.driver.scalar_at(t, i) == 0
@@ -193,8 +190,8 @@ def test_deflator_invariants_on_random_instances():
     for seed in range(120):
         inst = random_instance(seed)
         b = azema(inst.filtration, inst.tau, inst.space)
-        G = enlarge(inst.filtration, inst.tau, inst.space)
-        d = build_deflator(b, inst.filtration, G, inst.tau, inst.space)  # self-checking
+        G = b.enlarged
+        d = build_deflator(b)  # self-checking
         assert is_supermartingale(d.deflator, G, inst.space)
         assert all(
             d.deflator.scalar_at(t, i) > 0
@@ -212,11 +209,10 @@ def test_adjoint_identity_on_random_instances():
     for seed in range(60):
         inst = random_instance(seed)
         b = azema(inst.filtration, inst.tau, inst.space)
-        G = enlarge(inst.filtration, inst.tau, inst.space)
-        d = build_deflator(b, inst.filtration, G, inst.tau, inst.space)
+        d = build_deflator(b)
         rng = random.Random(seed + 99)
         M = random_martingale(inst.space, inst.filtration, rng)
-        Mhat = g_martingale_part(M, b, inst.filtration, G, inst.tau, inst.space)
+        Mhat = g_martingale_part(M, b)
         lhs = quadratic_covariation(d.driver, Mhat)
         T = inst.space.horizon
         e_lhs = inst.space.expectation([lhs.scalar_at(T, i) for i in range(inst.space.n)])

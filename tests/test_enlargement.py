@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -57,6 +58,23 @@ def test_azema_values_ex2(ex2):
     assert [ex2.bundle.Z.scalar_at(1, i) for i in range(4)] == [F(1), F(1), F(0), F(0)]
 
 
+def test_bundle_owns_its_model_and_builds_g_once_on_read(ex1, monkeypatch):
+    from randomhorizon import enlargement
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enlarge(*args)
+
+    monkeypatch.setattr(enlargement, "enlarge", counted)
+    b = azema(ex1.filt, ex1.tau, ex1.space)
+    assert (b.filt, b.tau, b.space) == (ex1.filt, ex1.tau, ex1.space)
+    assert calls == []
+    assert b.enlarged.parts == enlarge(ex1.filt, ex1.tau, ex1.space).parts
+    assert b.enlarged is b.enlarged and calls == [(ex1.filt, ex1.tau, ex1.space)]
+
+
 def test_azema_infinite_horizon_time(ex1):
     space, filt = ex1.space, ex1.filt
     b = azema(filt, RandomTime.constant(space, INF), space)
@@ -105,16 +123,14 @@ def test_compensator_of_stopped_matches_direct(ex1, ex2):
             ctx.bundle.m,
             quadratic_covariation(ctx.bundle.m, ctx.bundle.m),
         ):
-            closed = compensator_of_stopped(
-                V, ctx.bundle, ctx.filt, ctx.enlarged, ctx.tau, ctx.space
-            )
+            closed = compensator_of_stopped(V, ctx.bundle)
             direct = dual_predictable(stop(V, ctx.tau), ctx.enlarged, ctx.space)
             assert closed.values == direct.values
 
 
 def test_compensator_of_stopped_constant_is_zero(ex1):
     V = AdaptedProcess.constant(ex1.space, F(4))
-    out = compensator_of_stopped(V, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
+    out = compensator_of_stopped(V, ex1.bundle)
     assert all(out.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
 
 
@@ -125,9 +141,7 @@ def test_compensator_of_rescaled(ex1, ex2):
             AdaptedProcess.zero(ctx.space),
             ctx.price,
         ):
-            out = compensator_of_rescaled(
-                V, ctx.bundle, ctx.filt, ctx.enlarged, ctx.tau, ctx.space
-            )
+            out = compensator_of_rescaled(V, ctx.bundle)
             if all(
                 V.delta_at(t, i) == (F(0),) * V.dim
                 for t in ctx.space.times
@@ -141,7 +155,7 @@ def test_compensator_of_rescaled(ex1, ex2):
 
 
 def test_g_martingale_part_of_m(ex1):
-    mhat = g_martingale_part(ex1.bundle.m, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
+    mhat = g_martingale_part(ex1.bundle.m, ex1.bundle)
     assert is_martingale(mhat, ex1.enlarged, ex1.space)
     # EX1: the bracket correction cancels the jump exactly, mhat stays at 1
     assert all(mhat.scalar_at(t, i) == 1 for t in ex1.space.times for i in range(4))
@@ -153,25 +167,23 @@ def test_g_martingale_part_zero_bracket_is_stopped_input(ex1):
         ex1.space,
         [[0, 0, 0, 0], [1, 1, -1, -1], [1, 1, -1, -1]],
     )
-    out = g_martingale_part(M, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
+    out = g_martingale_part(M, ex1.bundle)
     assert out.values == stop(M, ex1.tau).values
 
 
 def test_g_martingale_part_constant(ex1):
     M = AdaptedProcess.constant(ex1.space, F(2))
-    out = g_martingale_part(M, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
+    out = g_martingale_part(M, ex1.bundle)
     assert all(out.scalar_at(t, i) == 2 for t in ex1.space.times for i in range(4))
 
 
 def test_g_martingale_part_rejects_non_martingale(ex1):
     with pytest.raises(NotMartingale):
-        g_martingale_part(ex1.bundle.Z, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
+        g_martingale_part(ex1.bundle.Z, ex1.bundle)
 
 
 def test_projection_transfer_identities_ex1(ex1):
-    out = projection_transfer_identities(
-        ex1.bundle.m, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space
-    )
+    out = projection_transfer_identities(ex1.bundle.m, ex1.bundle)
     assert out.consistent
     # at t=2 the unit identity evaluates to 1 on the alive atoms b, d
     assert out.unit_rhs.scalar_at(2, 1) == 1
@@ -181,18 +193,13 @@ def test_projection_transfer_identities_ex1(ex1):
 
 def test_projection_transfer_identities_trivial_time(ex1):
     b = azema(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space)
-    G = enlarge(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space)
-    out = projection_transfer_identities(
-        b.m, b, ex1.filt, G, RandomTime.constant(ex1.space, INF), ex1.space
-    )
+    out = projection_transfer_identities(b.m, b)
     assert out.consistent
     assert all(out.jump_lhs.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
 
 
 def test_projection_transfer_identities_ex2(ex2):
-    out = projection_transfer_identities(
-        ex2.bundle.m, ex2.bundle, ex2.filt, ex2.enlarged, ex2.tau, ex2.space
-    )
+    out = projection_transfer_identities(ex2.bundle.m, ex2.bundle)
     assert out.consistent
     # block {a, b} at t=2: survivors have Ztilde = 1 and Z_- = 1
     assert out.unit_rhs.scalar_at(2, 0) == 1
@@ -200,33 +207,33 @@ def test_projection_transfer_identities_ex2(ex2):
 
 
 def test_jump_time_measures_ex1(ex1):
-    out = jump_time_measures(2, ex1.bundle, ex1.filt, ex1.tau, ex1.space)
+    out = jump_time_measures(2, ex1.bundle)
     assert out.q == (F(0), F(2), F(0), F(2))
     assert out.q_tilde == (F(0), F(2), F(0), F(2))
     assert out.u_enlarged == (F(1), F(1, 2), F(1), F(1, 2))
 
 
 def test_jump_time_measures_trivial(ex1):
-    tau = RandomTime.constant(ex1.space, INF)
-    b = azema(ex1.filt, tau, ex1.space)
-    out = jump_time_measures(2, b, ex1.filt, tau, ex1.space)
+    b = azema(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space)
+    out = jump_time_measures(2, b)
     assert out.q == (F(1),) * 4
     assert out.u_enlarged == (F(1),) * 4
 
 
 def test_jump_time_measures_are_cached_per_argument_tuple(ex1):
-    first = jump_time_measures(2, ex1.bundle, ex1.filt, ex1.tau, ex1.space)
-    assert jump_time_measures(2, ex1.bundle, ex1.filt, ex1.tau, ex1.space) is first
-    # every argument is part of the key: another time, filtration or
-    # random time never reads the entry of the first call
-    dead = RandomTime.constant(ex1.space, 0)
-    fresh = jump_time_measures(2, ex1.bundle, ex1.filt, dead, ex1.space)
+    first = jump_time_measures(2, ex1.bundle)
+    assert jump_time_measures(2, ex1.bundle) is first
+    # the cache is keyed by the date and lives on the bundle: another date,
+    # or the bundle paired with another random time or filtration, never
+    # reads the entry of the first call
+    dead = replace(ex1.bundle, tau=RandomTime.constant(ex1.space, 0))
+    fresh = jump_time_measures(2, dead)
     assert fresh is not first and fresh.u_enlarged == (F(1),) * 4
-    assert jump_time_measures(2, ex1.bundle, ex1.filt, dead, ex1.space) is fresh
-    assert jump_time_measures(1, ex1.bundle, ex1.filt, ex1.tau, ex1.space) is not first
-    other = jump_time_measures(2, ex1.bundle, ex1.enlarged, ex1.tau, ex1.space)
+    assert jump_time_measures(2, dead) is fresh
+    assert jump_time_measures(1, ex1.bundle) is not first
+    other = jump_time_measures(2, replace(ex1.bundle, filt=ex1.enlarged))
     assert other is not first
-    assert jump_time_measures(2, ex1.bundle, ex1.filt, ex1.tau, ex1.space) is first
+    assert jump_time_measures(2, ex1.bundle) is first
 
 
 def test_reduce_g_predictable_survival_reciprocal(ex1):
@@ -333,32 +340,40 @@ def test_enlargement_minimality_on_random_instances():
 
 
 @pytest.mark.parametrize(
-    "formula", [compensator_of_stopped, compensator_of_rescaled, g_martingale_part]
+    "formula",
+    [
+        compensator_of_stopped,
+        compensator_of_rescaled,
+        g_martingale_part,
+        projection_transfer_identities,
+    ],
 )
-def test_transfer_formulas_reject_a_dead_survival_inside_the_interval(formula):
-    # a bundle whose Z_- vanishes on ]0, tau] (here: a random time that
-    # never comes, paired with the bundle of the instance's own time) breaks
-    # the engine invariant; every formula dividing by Z_- reports it
+def test_transfer_formulas_reject_a_dead_survival_inside_the_interval(formula, ex1):
+    # a bundle whose Z_- or Zt vanishes on ]0, tau] (here: the bundle of the
+    # model's own time, paired by ``replace`` with a random time that never
+    # comes) breaks the engine invariant; every formula dividing by Z_- or
+    # by Zt reports it
     inst = random_instance(1)
-    b = azema(inst.filtration, inst.tau, inst.space)
     never = RandomTime.constant(inst.space, INF)
-    enlarged = enlarge(inst.filtration, never, inst.space)
+    b = replace(azema(inst.filtration, inst.tau, inst.space), tau=never)
     M = b.m if formula is g_martingale_part else AdaptedProcess.zero(inst.space)
     with pytest.raises(StructuralViolation, match="Z_- vanished"):
-        formula(M, b, inst.filtration, enlarged, never, inst.space)
+        formula(M, b)
+    if formula in (compensator_of_rescaled, projection_transfer_identities):
+        # ex1: Zt_2 = 0 on {a, c} while Z_1 = 1/2, and dm_2 is nonzero there
+        b1 = replace(ex1.bundle, tau=RandomTime.constant(ex1.space, INF))
+        with pytest.raises(StructuralViolation, match="Zt vanished"):
+            formula(b1.m, b1)
 
 
 def test_transfer_identities_on_random_instances():
     for seed in range(120):
         inst = random_instance(seed)
         b = azema(inst.filtration, inst.tau, inst.space)
-        enlarged = enlarge(inst.filtration, inst.tau, inst.space)
         rng = random.Random(seed + 1)
         V = random_adapted(inst.space, inst.filtration, rng)
-        closed = compensator_of_stopped(V, b, inst.filtration, enlarged, inst.tau, inst.space)
-        direct = dual_predictable(stop(V, inst.tau), enlarged, inst.space)
+        closed = compensator_of_stopped(V, b)
+        direct = dual_predictable(stop(V, inst.tau), b.enlarged, inst.space)
         assert closed.values == direct.values
-        compensator_of_rescaled(V, b, inst.filtration, enlarged, inst.tau, inst.space)
-        assert projection_transfer_identities(
-            b.m, b, inst.filtration, enlarged, inst.tau, inst.space
-        ).consistent
+        compensator_of_rescaled(V, b)
+        assert projection_transfer_identities(b.m, b).consistent

@@ -1,6 +1,8 @@
 """Source rules that keep the engine's guards alive under ``python -O``."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import randomhorizon
@@ -43,3 +45,30 @@ def test_no_floats_in_the_exact_engine():
             if (literal or name) and id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_tracer_targets_are_module_level_functions():
+    # the benchmark tracer rebinds each (module, name) of its TARGETS by
+    # name, so a renamed, moved or nested target would only surface as a
+    # crash of a benchmark run; read the table without importing bench/
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    targets = ast.literal_eval(table)
+    assert len(targets) > 20
+    broken = []
+    for module_name, func_name, _ in targets:
+        module = importlib.import_module(f"randomhorizon.{module_name}")
+        fn = getattr(module, func_name, None)
+        if not (
+            inspect.isfunction(fn)
+            and fn.__module__ == module.__name__
+            and fn.__qualname__ == func_name
+        ):
+            broken.append(f"{module_name}.{func_name}")
+    assert broken == []

@@ -274,6 +274,44 @@ def test_cli_campaign_deterministic(capsys, tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorems", "ex2", "--battery", "-3"],
+        ["campaign", "--instances", "2", "--battery", "-2"],
+    ],
+)
+def test_negative_battery_exits_1_before_any_work(argv, capsys, monkeypatch):
+    called = []
+    monkeypatch.setattr(cli, "theorem_suite", lambda *a, **k: called.append(a))
+    monkeypatch.setattr(cli, "run_campaign", lambda *a, **k: called.append(a))
+    argv = [_scenario_path(a) if a == "ex2" else a for a in argv]
+    rc, out, err = _run(argv, capsys)
+    assert (rc, out, called) == (1, "", [])
+    doc = json.loads(err)
+    assert (doc["error"], doc["location"]) == ("schema", "--battery")
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "9" * 5000])
+def test_bad_jobs_variable_exits_1(value, capsys, monkeypatch):
+    monkeypatch.setenv("RANDOMHORIZON_JOBS", value)
+    rc, out, err = _run(["campaign", "--instances", "2", "--battery", "1"], capsys)
+    assert (rc, out) == (1, "")
+    doc = json.loads(err)
+    assert (doc["error"], doc["location"]) == ("schema", "RANDOMHORIZON_JOBS")
+
+
+def test_inspect_builds_no_enlargement(monkeypatch):
+    from randomhorizon import enlargement
+
+    def refuse(*args):
+        raise RuntimeError("inspect must not build the enlargement")
+
+    monkeypatch.setattr(enlargement, "enlarge", refuse)
+    doc = cli.inspect_report(load_builtin("ex1"))
+    assert doc["thin_set"] == [["a", 2], ["c", 2]]
+
+
 def test_cli_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"atoms": ["a"]}')

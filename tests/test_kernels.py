@@ -438,18 +438,18 @@ def test_enlargement_identities_match_naive_references():
         atoms, thin = max(atoms, space.n), thin + len(b.thin_mask)
         dims.add(price.dim)
         for V in [b.default_compensator, b.m, price] + adapted:
-            assert compensator_of_stopped(V, b, filt, G, tau, space).values == (
+            assert compensator_of_stopped(V, b).values == (
                 naive_compensator_of_stopped(V, b, filt, tau, space)
             )
-            assert compensator_of_rescaled(V, b, filt, G, tau, space).values == (
+            assert compensator_of_rescaled(V, b).values == (
                 naive_compensator_of_rescaled(V, b, G, tau, space)
             )
         for M in (b.m, price):
-            assert g_martingale_part(M, b, filt, G, tau, space).values == (
+            assert g_martingale_part(M, b).values == (
                 naive_g_martingale_part(M, b, filt, tau, space)
             )
         for M in [b.m] + [price.component(k) for k in range(price.dim)]:
-            out = projection_transfer_identities(M, b, filt, G, tau, space)
+            out = projection_transfer_identities(M, b)
             got = tuple(
                 X.values for X in (out.jump_lhs, out.jump_rhs, out.unit_lhs, out.unit_rhs)
             )

@@ -66,9 +66,7 @@ def test_certify_scale_invariance(ex1):
 def test_single_jump_equivalences_fixtures(ex1, ex2):
     for ctx, expected in ((ex1, False), (ex2, True)):
         xi = [ctx.price.delta_at(2, i) for i in range(4)]
-        rec = single_jump_equivalences(
-            xi, 2, ctx.bundle, ctx.filt, ctx.enlarged, ctx.tau, ctx.space
-        )
+        rec = single_jump_equivalences(xi, 2, ctx.bundle)
         assert rec.consistent
         assert rec.stopped_in_enlarged is expected
         assert rec.masked_in_base is expected
@@ -78,20 +76,15 @@ def test_single_jump_equivalences_fixtures(ex1, ex2):
 
 def test_single_jump_zero_passes(ex1):
     xi = [(F(0),) for _ in range(4)]
-    rec = single_jump_equivalences(
-        xi, 2, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space
-    )
+    rec = single_jump_equivalences(xi, 2, ex1.bundle)
     assert rec.consistent and rec.stopped_in_enlarged
 
 
 def test_single_jump_requires_measurable_xi(ex1):
-    space = ex1.space
     # not constant on the time-1 partition used as jump date T=1
     xi = [(F(1),), (F(-1),), (F(0),), (F(0),)]
     with pytest.raises(EngineError):
-        single_jump_equivalences(
-            xi, 1, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, space
-        )
+        single_jump_equivalences(xi, 1, ex1.bundle)
 
 
 def test_thin_set_empty_at(ex1, ex2):
@@ -103,42 +96,38 @@ def test_thin_set_empty_at(ex1, ex2):
 
 
 def test_witness_martingale_values(ex1):
-    M = witness_martingale(2, ex1.bundle, ex1.filt, ex1.space)
+    M = witness_martingale(2, ex1.bundle)
     assert [M.scalar_at(2, i) for i in range(4)] == [F(1, 2), F(-1, 2), F(1, 2), F(-1, 2)]
     assert is_martingale(M, ex1.filt, ex1.space)
     assert not certify_nupbr(stop(M, ex1.tau), ex1.enlarged, ex1.space).verdict
 
 
 def test_witness_martingale_trivial_when_no_collapse(ex1, ex2):
-    M = witness_martingale(2, ex2.bundle, ex2.filt, ex2.space)
+    M = witness_martingale(2, ex2.bundle)
     assert certify_nupbr(stop(M, ex2.tau), ex2.enlarged, ex2.space).verdict
-    tau = RandomTime.constant(ex1.space, INF)
-    b = azema(ex1.filt, tau, ex1.space)
-    M = witness_martingale(2, b, ex1.filt, ex1.space)
+    b = azema(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space)
+    M = witness_martingale(2, b)
     assert all(M.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
 
 
 def test_witness_contract_per_date(ex1, ex2):
     for ctx in (ex1, ex2):
         for T in (1, 2):
-            M = witness_martingale(T, ctx.bundle, ctx.filt, ctx.space)
+            M = witness_martingale(T, ctx.bundle)
             fails = not certify_nupbr(stop(M, ctx.tau), ctx.enlarged, ctx.space).verdict
             assert fails == (not thin_set_empty_at(ctx.bundle, T))
 
 
 def test_masked_increment_criterion_fixtures(ex1, ex2):
-    assert not masked_increment_criterion(ex1.price, ex1.bundle, ex1.filt, ex1.space, F(1, 4))
-    assert masked_increment_criterion(ex2.price, ex2.bundle, ex2.filt, ex2.space, F(1, 4))
+    assert not masked_increment_criterion(ex1.price, ex1.bundle, F(1, 4))
+    assert masked_increment_criterion(ex2.price, ex2.bundle, F(1, 4))
     const = AdaptedProcess.constant(ex1.space, F(3))
-    assert masked_increment_criterion(const, ex1.bundle, ex1.filt, ex1.space, F(1, 4))
+    assert masked_increment_criterion(const, ex1.bundle, F(1, 4))
 
 
 def test_masked_criterion_contract(ex1, ex2):
     for ctx in (ex1, ex2):
-        rec = masked_increment_criterion_all(
-            ctx.price, ctx.bundle, ctx.filt, ctx.enlarged, ctx.tau, ctx.space,
-            extra_deltas=(F(1, 4),),
-        )
+        rec = masked_increment_criterion_all(ctx.price, ctx.bundle, extra_deltas=(F(1, 4),))
         assert rec.consistent
         assert F(1, 4) in rec.per_delta
 
@@ -147,16 +136,9 @@ def test_masked_criterion_all_matches_each_threshold():
     mixed = 0
     for seed in range(50):
         inst = random_instance(seed)
-        space, filt, tau = inst.space, inst.filtration, inst.tau
-        b = azema(filt, tau, space)
-        rec = masked_increment_criterion_all(
-            inst.price, b, filt, enlarge(filt, tau, space), tau, space,
-            extra_deltas=(F(1, 3), F(2)),
-        )
-        expected = {
-            d: masked_increment_criterion(inst.price, b, filt, space, d)
-            for d in rec.per_delta
-        }
+        b = azema(inst.filtration, inst.tau, inst.space)
+        rec = masked_increment_criterion_all(inst.price, b, extra_deltas=(F(1, 3), F(2)))
+        expected = {d: masked_increment_criterion(inst.price, b, d) for d in rec.per_delta}
         assert rec.per_delta == expected, seed
         assert {F(1, 3), F(2)} <= set(rec.per_delta)
         mixed += len(set(rec.per_delta.values())) == 2
@@ -166,66 +148,55 @@ def test_masked_criterion_all_matches_each_threshold():
 @pytest.mark.parametrize("bad", [F(0), F(-1, 2)])
 def test_masked_criterion_all_rejects_nonpositive_threshold(ex2, bad):
     with pytest.raises(ValueError):
-        masked_increment_criterion_all(
-            ex2.price, ex2.bundle, ex2.filt, ex2.enlarged, ex2.tau, ex2.space,
-            extra_deltas=(F(1, 4), bad),
-        )
+        masked_increment_criterion_all(ex2.price, ex2.bundle, extra_deltas=(F(1, 4), bad))
 
 
 def test_masked_criterion_requires_base_nupbr(ex1):
     drift = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t), predictable=True)
     with pytest.raises(PreconditionViolated):
-        masked_increment_criterion_all(
-            drift, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space
-        )
+        masked_increment_criterion_all(drift, ex1.bundle)
 
 
 def test_martingale_transfer_fixtures(ex1, ex2):
     xi1 = [ex1.price.delta_at(2, i) for i in range(4)]
-    rec = single_jump_martingale_transfer(
-        xi1, 2, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space
-    )
+    rec = single_jump_martingale_transfer(xi1, 2, ex1.bundle)
     assert rec.consistent and not rec.thin_mean_zero
     xi2 = [ex2.price.delta_at(2, i) for i in range(4)]
-    rec2 = single_jump_martingale_transfer(
-        xi2, 2, ex2.bundle, ex2.filt, ex2.enlarged, ex2.tau, ex2.space
-    )
+    rec2 = single_jump_martingale_transfer(xi2, 2, ex2.bundle)
     assert rec2.consistent and rec2.thin_mean_zero and rec2.under_jump_measure
 
 
 def test_martingale_transfer_zero_xi(ex1):
     xi = [(F(0),)] * 4
-    rec = single_jump_martingale_transfer(
-        xi, 2, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space
-    )
+    rec = single_jump_martingale_transfer(xi, 2, ex1.bundle)
     assert rec.consistent and rec.thin_mean_zero
 
 
 def test_martingale_transfer_no_horizon(ex1):
-    tau = RandomTime.constant(ex1.space, INF)
-    b = azema(ex1.filt, tau, ex1.space)
-    G = enlarge(ex1.filt, tau, ex1.space)
+    b = azema(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space)
     xi = [ex1.price.delta_at(2, i) for i in range(4)]
-    rec = single_jump_martingale_transfer(xi, 2, b, ex1.filt, G, tau, ex1.space)
+    rec = single_jump_martingale_transfer(xi, 2, b)
     assert rec.consistent and rec.thin_mean_zero and rec.under_jump_measure
 
 
 def test_martingale_transfer_requires_centered_xi(ex1):
     xi = [(F(1),)] * 4
     with pytest.raises(EngineError):
-        single_jump_martingale_transfer(
-            xi, 2, ex1.bundle, ex1.filt, ex1.enlarged, ex1.tau, ex1.space
-        )
+        single_jump_martingale_transfer(xi, 2, ex1.bundle)
 
 
 def test_preservation_fixtures(ex1, ex2):
-    rep1 = preservation_report(ex1.space, ex1.filt, ex1.tau, ex1.bundle, ex1.enlarged)
+    rep1 = preservation_report(ex1.bundle)
     assert not rep1.thin_set_empty and rep1.witness_time == 2
     assert rep1.witness_fails_enlarged and rep1.consistent
-    rep2 = preservation_report(
-        ex2.space, ex2.filt, ex2.tau, ex2.bundle, ex2.enlarged, n_martingales=100
-    )
+    rep2 = preservation_report(ex2.bundle, n_martingales=100)
     assert rep2.thin_set_empty and rep2.preserved == 100 and rep2.consistent
+
+
+@pytest.mark.parametrize("bad", [-1, -3])
+def test_preservation_rejects_a_negative_battery(ex2, bad):
+    with pytest.raises(ValueError, match=">= 0"):
+        preservation_report(ex2.bundle, n_martingales=bad)
 
 
 def test_predictable_fv_nupbr_iff_constant(ex1):
