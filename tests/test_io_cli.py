@@ -515,6 +515,8 @@ def test_cli_out_files_pinned(command, name, capsys, tmp_path):
         (["--dt", "0.3"], "--dt"),
         (["--model", "CAT-9"], "--model"),
         (["--subpaths", "0", "--validate-z"], "--subpaths"),
+        (["--seed", "-1"], "--seed"),
+        (["--seed", str(2**64)], "--seed"),
     ],
 )
 def test_cli_mc_argument_errors_exit_1(args, flag, capsys, monkeypatch):

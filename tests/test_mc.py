@@ -1,11 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from randomhorizon.cli import VALIDATION_POINTS
 from randomhorizon.mc import (
+    _STREAM_NESTED,
     McModel,
     McParameterError,
+    _uniforms,
     _zero_in_step,
     simulate,
     survival_closed_form,
@@ -98,3 +103,157 @@ def test_model_rejects_dt_off_the_checkpoint_grid(dt):
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         McModel(model="CAT-9")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_model_rejects_seed_outside_the_philox_key(seed):
+    with pytest.raises(McParameterError) as err:
+        McModel(model="CAT-0", dt=0.25, paths=10, seed=seed)
+    assert err.value.field == "seed"
+
+
+def test_model_accepts_the_largest_seed():
+    r = simulate(McModel(model="CAT-1", dt=0.25, paths=10, seed=2**64 - 1))
+    assert all(math.isfinite(v) for v in r.estimates)
+
+
+# Naive references: the textbook definitions, computed from scratch, with
+# every path advanced on every step.
+
+
+def _uniforms_reference(seed, stream, step, n):
+    key = np.array([np.uint64(seed), np.uint64((stream << 40) + step)], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(n)
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _zero_in_step_reference(w0, w1, dt, u):
+    crossed = w0 * w1 <= 0.0
+    prod = np.where(crossed, 1.0, w0 * w1)
+    return crossed | (u < np.exp(-2.0 * prod / dt))
+
+
+def _hit_probability_reference(model, t, x, n, point_id):
+    sqdt = math.sqrt(model.dt)
+    w = np.full(n, float(x))
+    hit = np.zeros(n, dtype=bool)
+    base = (point_id + 1) * 10_000_000
+    for step in range(int(round((1.0 - t) / model.dt))):
+        w1 = w + ndtri(_uniforms_reference(model.seed, _STREAM_NESTED, base + 2 * step, n)) * sqdt
+        u = _uniforms_reference(model.seed, _STREAM_NESTED, base + 2 * step + 1, n)
+        hit |= _zero_in_step_reference(w, w1, model.dt, u)
+        w = w1
+    return float(hit.mean())
+
+
+@pytest.mark.parametrize(
+    "seed, stream, step, n",
+    [(0, 0, 0, 1), (0, 1, 7, 1000), (3, 2, 74, 4097), (2**64 - 1, 3, 10_000_123, 333)],
+)
+def test_uniforms_match_the_midpoint_reference(seed, stream, step, n):
+    u = _uniforms(seed, stream, step, n)
+    want = _uniforms_reference(seed, stream, step, n)
+    assert u.tobytes() == want.tobytes()
+    assert u.min() > 0.0 and u.max() < 1.0
+    # into a caller's buffer, the same draws
+    out = np.full(n, np.nan)
+    assert _uniforms(seed, stream, step, n, out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+def test_uniforms_grid_ends_round_like_the_reference():
+    # k = 0 and k = 2^53 - 1, the ends of the 53-bit grid; the top one
+    # rounds (to even) up to 1.0 both ways
+    raw = np.array([0, 2**64 - 1], dtype=np.uint64)
+    want = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    got = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    assert got.tobytes() == want.tobytes()
+    assert got.tolist() == [2.0**-54, 1.0]
+
+
+def test_zero_in_step_matches_the_reference():
+    rng = np.random.default_rng(4)
+    n = 20_000
+    w0 = rng.normal(scale=0.3, size=n)
+    w1 = w0 + rng.normal(scale=0.1, size=n)
+    # sign changes, among them exact zeros of both signs and huge steps
+    crossings = np.array(
+        [[0.0, 0.3], [-0.0, -0.3], [0.0, 0.0], [0.5, -0.5], [-0.5, 0.5], [1e200, -1e200], [3.0, -3.0]]
+    )
+    # same-sign steps whose bridge probability underflows
+    far = np.array([[2.0, 2.5], [-40.0, -40.0], [1e200, 1e200]])
+    k, m = len(crossings), len(far)
+    w0[: k + m], w1[: k + m] = np.vstack([crossings, far]).T
+    u = _uniforms(11, 2, 5, n)
+    # the extremes of _uniforms, 1.0 on an exact zero included
+    u[:4] = [1.0, 2.0**-54, 1.0, 1.0 - 2.0**-53]
+    u[k] = 2.0**-54
+    for dt in (1e-2, 1e-3, 0.25):
+        with np.errstate(over="ignore"):  # 1e200 * 1e200
+            got = _zero_in_step(w0, w1, dt, u)
+            assert np.array_equal(got, _zero_in_step_reference(w0, w1, dt, u))
+        assert got[:k].all() and not got[k : k + m].any()
+        assert 0 < got.sum() < n
+
+
+@pytest.mark.parametrize("t, x", [(0.25, 0.25), (0.5, 1.5), (0.9, -0.2), (0.5, 0.0)])
+def test_validation_matches_the_every_path_reference(t, x):
+    model = McModel(model="CAT-1", dt=5e-2, paths=1, seed=6)
+    v = validate_survival_formula(model, t, x, 3000, point_id=4)
+    assert v.estimate.hex() == _hit_probability_reference(model, t, x, 3000, 4).hex()
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _simulate_digest(r):
+    return hashlib.sha256(
+        ",".join(
+            _hexes(
+                r.estimates + r.standard_errors + r.control_estimates + r.control_standard_errors
+            )
+            + [str(r.frozen_paths), str(r.positivity_violations)]
+        ).encode()
+    ).hexdigest()
+
+
+def _point_digest(v):
+    return hashlib.sha256(
+        ",".join(_hexes((v.estimate, v.standard_error, v.closed_form))).encode()
+    ).hexdigest()
+
+
+# sha256 of the float.hex of every output, as computed by the unfused
+# kernel (a fresh array per operation, Z evaluated twice per step, every
+# validation path advanced to the end); dt 1e-2 puts 13 of 75 steps where
+# step * dt + dt != (step + 1) * dt, so Z must be recomputed there
+PINNED_SIMULATE = {
+    "CAT-1": "f277c85717ee86d6060c9411c368f3b4feab7a42e54960aea80ad91380c665b8",
+    "CAT-0": "d9ba7f7a766549c7cf6030330c72e872c960e06c4ac9798a8d8d0978e7c08d25",
+}
+PINNED_POINTS = (
+    "efa9637ead00fcbf81e9c0da104bd16db65dac8fffb7c1ebac973f77806dd24a",
+    "68a7426c7b7b34322518f2da222f718cb46682bbbdde0c6e297842099855abc0",
+    "d50978284912141251711b0de9e0d22c8c52fa8c8d5679ad2009a11c862d3293",
+    "9e602ff8ffb005d43d3c4feb1819e09268ad02b5737885a8f3384e8b64bcb354",
+    "d73061d8a97ecbb4b8018054d6c28544a50802ff1f3a1f707eeeb282e2d3bec0",
+    # (0.5, 0.0): every path is absorbed on the first step
+    "b320dc7da6064a4ca6a98b8d34bf2a833630139a0d45de5a212830e6a6b8711d",
+)
+
+
+def test_mc_outputs_bitwise_pinned():
+    cat1 = McModel(model="CAT-1", dt=1e-2, paths=20_000, seed=3)
+    r = simulate(cat1)
+    assert (r.frozen_paths, r.positivity_violations) == (71, 2600)
+    assert _simulate_digest(r) == PINNED_SIMULATE["CAT-1"]
+    r0 = simulate(McModel(model="CAT-0", dt=1e-2, paths=20_000, seed=3))
+    assert _simulate_digest(r0) == PINNED_SIMULATE["CAT-0"]
+    points = list(VALIDATION_POINTS) + [(0.5, 0.0)]
+    got = [
+        validate_survival_formula(cat1, t, x, 20_000, point_id=k)
+        for k, (t, x) in enumerate(points)
+    ]
+    assert got[-1].estimate == 1.0
+    assert tuple(_point_digest(v) for v in got) == PINNED_POINTS
