@@ -36,7 +36,7 @@ from .nupbr import (
     single_jump_martingale_transfer,
     thin_set_empty,
 )
-from .projections import dual_predictable, is_martingale, quadratic_covariation
+from .projections import dual_predictable, is_martingale
 from .space import condexp_cells, stop
 
 JOBS_ENV = "RANDOMHORIZON_JOBS"
@@ -44,7 +44,7 @@ JOBS_ENV = "RANDOMHORIZON_JOBS"
 
 def _projection_identities(price, bundle):
     space = bundle.space
-    qv = quadratic_covariation(bundle.m, bundle.m)
+    qv = bundle.m_bracket  # [m, m]
     out = {}
     ok = True
     for V in (bundle.default_compensator, qv):
@@ -63,7 +63,7 @@ def _projection_identities(price, bundle):
     except EngineError:
         out["projection_ratios"] = False
     try:
-        g_martingale_part(bundle.m, bundle)
+        bundle.mhat  # built and checked to be a G-martingale on first read
         if is_martingale(price, bundle.filt, space):
             g_martingale_part(price.component(0), bundle)
             out["martingale_part"] = True

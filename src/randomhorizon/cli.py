@@ -279,10 +279,13 @@ def main(argv=None) -> int:
 
             if args.subpaths < 1:
                 raise InvalidScenario("schema", "--subpaths", "need subpaths >= 1")
+            validate = args.validate_z and args.model == "CAT-1"
             try:
                 model = mcmod.McModel(
                     model=args.model, dt=args.dt, paths=args.paths, seed=args.seed
                 )
+                if validate:
+                    model.check_validation_times([t for t, _ in VALIDATION_POINTS])
             except mcmod.McParameterError as exc:
                 raise InvalidScenario("schema", f"--{exc.field}", exc.reason) from None
             result = mcmod.simulate(model)
@@ -299,7 +302,7 @@ def main(argv=None) -> int:
                 "frozen_paths": result.frozen_paths,
                 "positivity_violations": result.positivity_violations,
             }
-            if args.validate_z and args.model == "CAT-1":
+            if validate:
                 points = []
                 for k, (t, x) in enumerate(VALIDATION_POINTS):
                     v = mcmod.validate_survival_formula(

@@ -27,10 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .enlargement import AzemaBundle, g_martingale_part
+from .enlargement import AzemaBundle
 from .errors import EngineError, InadmissibleStrategy, StructuralViolation
 from .lp import maximize_over_admissible
-from .projections import angle_bracket, assert_martingale, condexp, is_martingale, node_drifts
+from .projections import (
+    assert_martingale,
+    condexp,
+    dual_predictable,
+    is_martingale,
+    node_drifts,
+)
 from .space import (
     AdaptedProcess,
     FiniteSpace,
@@ -95,9 +101,8 @@ class DeflatorBundle:
 def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
     space, filt, enlarged, tau = bundle.space, bundle.filt, bundle.enlarged, bundle.tau
     n = space.n
-    mhat = g_martingale_part(bundle.m, bundle)
-
-    bracket = angle_bracket(bundle.m, bundle.m, filt, space)
+    mhat = bundle.mhat
+    bracket = dual_predictable(bundle.m_bracket, filt, space)  # <m, m>
 
     k_rows = [tuple((Fraction(0),) for _ in range(n))]
     for t in range(1, space.horizon + 1):

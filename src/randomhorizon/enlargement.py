@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotPredictable, StructuralViolation
-from .projections import condexp, is_martingale
+from .projections import condexp, is_martingale, quadratic_covariation
 from .space import (
     INF,
     AdaptedProcess,
@@ -94,6 +94,11 @@ class AzemaBundle:
     {Z_{death-} = 0} and ``sudden_death`` to {Zt_death = 0}, both INF
     elsewhere.  ``thin_mask`` collects the (atom, t) pairs where Zt_t = 0
     while Z_{t-1} > 0.
+
+    The bundle also owns the two processes of m that more than one check
+    reads: ``mhat``, the G-martingale part ``g_martingale_part(m)``, and
+    ``m_bracket``, the quadratic variation [m, m]; each is built once per
+    bundle, on first read.
     """
 
     Z: AdaptedProcess
@@ -114,6 +119,14 @@ class AzemaBundle:
     @cached_property
     def enlarged(self) -> Filtration:
         return enlarge(self.filt, self.tau, self.space)
+
+    @cached_property
+    def mhat(self) -> AdaptedProcess:
+        return g_martingale_part(self.m, self)
+
+    @cached_property
+    def m_bracket(self) -> AdaptedProcess:
+        return quadratic_covariation(self.m, self.m)
 
     @cached_property
     def _jump_measures(self) -> dict:

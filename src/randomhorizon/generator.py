@@ -3,8 +3,9 @@
 Bounds: at most 12 atoms, horizon at most 4, price dimension at most 2,
 branching at most 3, atom probabilities with denominators at most 64; the
 random time is drawn uniformly per atom from the grid plus infinity.
-Martingale inputs draw terminal values and backward-induct conditional
-means, so they are exact martingales by construction.
+Martingale inputs draw one terminal value per terminal block and
+backward-induct conditional means, so they are exact martingales by
+construction.
 """
 
 from __future__ import annotations
@@ -65,11 +66,17 @@ def random_martingale(
     dim: int = 1,
     spread: int = 4,
 ) -> AdaptedProcess:
-    """Draw terminal values, then set X_t = E[X_{t+1} | F_t] backwards."""
-    current = tuple(
-        tuple(Fraction(rng.randint(-spread, spread)) for _ in range(dim))
-        for _ in range(space.n)
-    )
+    """Draw one terminal value per F_H-block (blocks in first-atom order),
+    then set X_t = E[X_{t+1} | F_t] backwards.
+
+    When the terminal partition is the atoms this is one draw per atom, in
+    atom order."""
+    terminal = [None] * space.n
+    for block in filt.parts[space.horizon]:
+        cell = tuple(Fraction(rng.randint(-spread, spread)) for _ in range(dim))
+        for i in block:
+            terminal[i] = cell
+    current = tuple(terminal)
     rows = [None] * (space.horizon + 1)
     rows[space.horizon] = current
     for t in range(space.horizon - 1, -1, -1):

@@ -63,6 +63,7 @@ bitwise equal to the formulas as written:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,17 +108,31 @@ class McModel:
             )
         if not self.paths >= 1:
             raise McParameterError("paths", "need paths >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise McParameterError("seed", f"need an integer seed, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise McParameterError("seed", "need 0 <= seed < 2**64 (a Philox key word)")
         if not self.dt > 0:
             raise McParameterError("dt", "need dt > 0")
-        # written so that dt = inf (a NaN product) and a subnormal dt (an
-        # infinite step count) fail too
-        if not all(
-            math.isfinite(t / self.dt) and abs(round(t / self.dt) * self.dt - t) <= 1e-12
-            for t in CHECKPOINTS
-        ):
+        if not _divides(self.dt, CHECKPOINTS):
             raise McParameterError("dt", "dt must divide the checkpoint times")
+
+    def check_validation_times(self, times) -> None:
+        """Raise ``McParameterError('dt', ...)`` unless dt divides the
+        horizon 1 - t of every validation time t, so that
+        :func:`validate_survival_formula` simulates exactly up to time 1."""
+        if not _divides(self.dt, [1.0 - t for t in times]):
+            raise McParameterError("dt", "dt must divide the validation horizons 1 - t")
+
+
+def _divides(dt: float, spans) -> bool:
+    """Whether every span is a whole number of steps dt, within 1e-12.
+
+    Written so that dt = inf (a NaN product) and a subnormal dt (an
+    infinite step count) fail too."""
+    return all(
+        math.isfinite(s / dt) and abs(round(s / dt) * dt - s) <= 1e-12 for s in spans
+    )
 
 
 @dataclass(frozen=True)
@@ -348,7 +363,8 @@ def validate_survival_formula(
 ) -> ValidationPoint:
     """Nested-simulation check of the catalog survival formula: estimate the
     zero-hitting probability on (t, 1] from (t, x) and compare with the
-    closed form.
+    closed form.  dt must divide the horizon 1 - t (``McParameterError``
+    otherwise), so the simulation ends exactly at time 1.
 
     A path that has hit zero is done, so each step advances only the paths
     not yet hit; every step still draws both full-length Philox arrays, so
@@ -357,6 +373,7 @@ def validate_survival_formula(
         raise ValueError("need t in [0, 1)")
     if subpaths < 1:
         raise ValueError("need subpaths >= 1")
+    model.check_validation_times((t,))
     dt = model.dt
     n_steps = int(round((1.0 - t) / dt))
     n = subpaths

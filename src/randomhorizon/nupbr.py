@@ -9,6 +9,12 @@ builds an unbounded-profit sequence; the node-wise reduction is itself a
 tested invariant (weights reassemble into an equivalent martingale
 measure, and failing nodes yield an explicit arbitrage direction).
 
+Only the dates where the process moves are decided: every node of a date
+whose increments are all zero passes with uniform weights.  Both witnesses
+are built on first read, since most callers read only the verdict: the
+arbitrage direction by one LP, the node weights from the weights found
+while deciding, so no LP runs twice.
+
 The remaining entry points package the equivalence statements that relate
 a base-filtration model to its enlargement: single predictable-jump
 processes and their reweighted counterparts, the masked-increment
@@ -21,11 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 from .enlargement import AzemaBundle, jump_time_measures
-from .errors import EngineError, PreconditionViolated
+from .errors import EngineError, PreconditionViolated, StructuralViolation
 from .generator import random_martingale
 from .lp import separating_direction, zero_in_relative_interior
 from .projections import condexp, is_martingale
@@ -63,17 +69,86 @@ class Arbitrage:
         return separating_direction(self.deltas)
 
 
-@dataclass(frozen=True)
 class CertResult:
-    verdict: bool
-    node_weights: Optional[tuple] = None
-    arbitrage: Optional[Arbitrage] = None
+    """The verdict of :func:`certify_nupbr` with exactly one witness: the
+    node weights of a true verdict, the arbitrage of a false one.
 
-    def __post_init__(self):
-        if self.verdict and (self.node_weights is None or self.arbitrage is not None):
+    ``node_weights`` is a tuple of :class:`NodeWeights`, one per node of
+    positive mass in (date, block) order, or a zero-argument callable that
+    builds that tuple.  It is built on first read, like
+    :attr:`Arbitrage.theta`: most callers read only the verdict.  Results
+    compare by verdict, weights and arbitrage."""
+
+    def __init__(
+        self,
+        verdict: bool,
+        node_weights=None,
+        arbitrage: Optional[Arbitrage] = None,
+    ):
+        if verdict and (node_weights is None or arbitrage is not None):
             raise ValueError("a true verdict carries exactly the weight witness")
-        if not self.verdict and (self.arbitrage is None or self.node_weights is not None):
+        if not verdict and (arbitrage is None or node_weights is not None):
             raise ValueError("a false verdict carries exactly the arbitrage witness")
+        self.verdict = verdict
+        self.arbitrage = arbitrage
+        self._weights = node_weights
+
+    @cached_property
+    def node_weights(self) -> Optional[tuple]:
+        w = self._weights
+        return w() if callable(w) else w
+
+    def __eq__(self, other):
+        if not isinstance(other, CertResult):
+            return NotImplemented
+        return (self.verdict, self.node_weights, self.arbitrage) == (
+            other.verdict,
+            other.node_weights,
+            other.arbitrage,
+        )
+
+    def __repr__(self):
+        return (
+            f"CertResult(verdict={self.verdict!r}, node_weights={self.node_weights!r}, "
+            f"arbitrage={self.arbitrage!r})"
+        )
+
+
+def _families(filt: Filtration, w, t: int):
+    """(parent, children) per node of positive mass at date t, with only the
+    positive-mass children; every node when ``w`` is None."""
+    for parent_idx, parent in enumerate(filt.parts[t - 1]):
+        if w is not None and not any(w[i] for i in parent):
+            continue
+        kids = [filt.parts[t][j] for j in filt.children(t, parent_idx)]
+        if w is not None:
+            kids = [c for c in kids if any(w[i] for i in c)]
+        yield parent, kids
+
+
+def _node_weights(filt: Filtration, space: FiniteSpace, w, decided: dict) -> tuple:
+    """The weight witness of a true verdict: ``decided[t]`` lists the
+    (parent, children, weights) found on a date where the process moves;
+    every node of any other date has zero increments and uniform weights."""
+    names = space.atoms
+    out = []
+    for t in range(1, space.horizon + 1):
+        nodes = decided.get(t)
+        if nodes is None:
+            nodes = [
+                (parent, kids, (Fraction(1, len(kids)),) * len(kids))
+                for parent, kids in _families(filt, w, t)
+            ]
+        for parent, kids, lam in nodes:
+            out.append(
+                NodeWeights(
+                    t,
+                    tuple(names[i] for i in parent),
+                    tuple(tuple(names[i] for i in c) for c in kids),
+                    lam,
+                )
+            )
+    return tuple(out)
 
 
 def certify_nupbr(
@@ -87,36 +162,31 @@ def certify_nupbr(
     nodes and children are ignored).
 
     The weights are nonnegative (``ValueError`` otherwise), so a node has
-    positive mass iff some weight on it is nonzero."""
+    positive mass iff some weight on it is nonzero.
+
+    Only the dates where X moves are decided: on a date whose increment
+    row is all zero every node passes, with the uniform weights of an
+    all-zero family.  The weights found on the moving nodes are kept, and
+    the witness of a true verdict is built from them on first read of
+    ``node_weights``."""
     assert_adapted(X, filt, "certify_nupbr input")
     w = None if weights is None else [frac(v) for v in weights]
     if w is not None and any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
-    names = space.atoms
-    collected = []
+    decided = {}
     for t in range(1, space.horizon + 1):
-        for parent_idx, parent in enumerate(filt.parts[t - 1]):
-            if w is not None and not any(w[i] for i in parent):
-                continue
-            kids = [filt.parts[t][j] for j in filt.children(t, parent_idx)]
-            if w is not None:
-                kids = [c for c in kids if any(w[i] for i in c)]
-            deltas = [X.delta_at(t, child[0]) for child in kids]
+        row = X.increments[t]
+        if not any(map(any, row)):
+            continue
+        nodes = decided[t] = []
+        for parent, kids in _families(filt, w, t):
+            deltas = [row[child[0]] for child in kids]
             ok, lam = zero_in_relative_interior(deltas)
             if not ok:
-                return CertResult(
-                    False,
-                    arbitrage=Arbitrage(t, tuple(names[i] for i in parent), tuple(deltas)),
-                )
-            collected.append(
-                NodeWeights(
-                    t,
-                    tuple(names[i] for i in parent),
-                    tuple(tuple(names[i] for i in c) for c in kids),
-                    lam,
-                )
-            )
-    return CertResult(True, node_weights=tuple(collected))
+                block = tuple(space.atoms[i] for i in parent)
+                return CertResult(False, arbitrage=Arbitrage(t, block, tuple(deltas)))
+            nodes.append((parent, kids, lam))
+    return CertResult(True, node_weights=partial(_node_weights, filt, space, w, decided))
 
 
 def martingale_measure_from_weights(
@@ -393,15 +463,22 @@ def preservation_report(
     """If the thin set is empty, stopping preserves NUPBR for a battery of
     ``n_martingales`` >= 0 random bounded martingales (each certified
     exactly); otherwise the explicit witness martingale at a violating date
-    fails in the enlargement."""
+    fails in the enlargement.
+
+    A draw whose terminal row is not F_H-measurable raises
+    :class:`StructuralViolation`: the backward-induced draw is an
+    F-martingale exactly when its terminal row is."""
     if n_martingales < 0:
         raise ValueError("the preservation battery size must be >= 0")
     space, filt, tau, enlarged = bundle.space, bundle.filt, bundle.tau, bundle.enlarged
     if thin_set_empty(bundle):
         rng = random.Random(seed)
         preserved, failing = 0, []
+        terminal = filt.parts[space.horizon]
         for k in range(n_martingales):
             M = random_martingale(space, filt, rng, dim=1, spread=3)
+            if first_nonconstant(M.values[space.horizon], terminal) is not None:
+                raise StructuralViolation("battery draw is not F-adapted at the horizon")
             if certify_nupbr(stop(M, tau), enlarged, space).verdict:
                 preserved += 1
             else:

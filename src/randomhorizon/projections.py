@@ -106,10 +106,19 @@ def node_drifts(
     skipped.  Zero increments and zero Q-weights add nothing.
 
     Each sum runs on integers (:func:`weighted_sum` with q scaled to ints)
-    and only a nonzero one becomes a Fraction; a zero node yields 0."""
+    and only a nonzero one becomes a Fraction; a zero node yields 0.  On a
+    date whose increment row is all zero every node yields its zeros
+    without projecting the weights or summing."""
     D, P = space.scaled
+    zeros = (0,) * M.dim
     for t in range(1, space.horizon + 1):
-        cols = tuple(zip(*M.increments[t]))
+        row = M.increments[t]
+        if not any(map(any, row)):
+            for block in filt.parts[t - 1]:
+                if weights is None or any(weights[i] for i in block):
+                    yield from zeros
+            continue
+        cols = tuple(zip(*row))
         q, qden = P, D
         if weights is not None:
             # Q-weights P * E[w|F_t]: E_Q[dM_t|F_{t-1}] may use the density

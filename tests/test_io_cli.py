@@ -517,6 +517,7 @@ def test_cli_out_files_pinned(command, name, capsys, tmp_path):
         (["--subpaths", "0", "--validate-z"], "--subpaths"),
         (["--seed", "-1"], "--seed"),
         (["--seed", str(2**64)], "--seed"),
+        (["--dt", "0.25", "--validate-z"], "--dt"),
     ],
 )
 def test_cli_mc_argument_errors_exit_1(args, flag, capsys, monkeypatch):

@@ -27,7 +27,13 @@ from randomhorizon.enlargement import (
 )
 from randomhorizon.generator import random_adapted, random_instance
 from randomhorizon.lp import zero_in_relative_interior
-from randomhorizon.nupbr import Arbitrage, CertResult, NodeWeights, certify_nupbr
+from randomhorizon.nupbr import (
+    Arbitrage,
+    CertResult,
+    NodeWeights,
+    certify_nupbr,
+    single_jump_process,
+)
 from randomhorizon.projections import condexp, is_martingale, node_drifts
 from randomhorizon.space import (
     AdaptedProcess,
@@ -142,18 +148,28 @@ def naive_certify(X, filt, space, weights):
 def _cases(seed):
     """(process, filtration) pairs on one generator instance: the martingale
     price, the price stopped at tau (many zero increments) in the
-    enlargement, an arbitrary adapted process, and a two-dimensional
-    process adapted to the enlargement only, paired with the base
-    filtration."""
+    enlargement, an arbitrary adapted process, a two-dimensional process
+    adapted to the enlargement only, paired with the base filtration, and
+    the price's last jump alone (all-zero increments before the horizon)."""
     inst = random_instance(seed)
     enlarged = enlarge(inst.filtration, inst.tau, inst.space)
     rng = random.Random(seed)
+    H = inst.space.horizon
+    jump = [inst.price.delta_at(H, i) for i in range(inst.space.n)]
     return inst.space, [
         (inst.price, inst.filtration),
         (stop(inst.price, inst.tau), enlarged),
         (random_adapted(inst.space, inst.filtration, rng, dim=inst.price.dim), inst.filtration),
         (random_adapted(inst.space, enlarged, rng, dim=2), inst.filtration),
+        (single_jump_process(jump, H, inst.space), inst.filtration),
     ]
+
+
+def _drop_first_node(w, filt, t):
+    """``w`` with every weight on the first parts[t-1]-block set to 0, so
+    that node drops out at date t."""
+    block = set(filt.parts[t - 1][0])
+    return [F(0) if i in block else x for i, x in enumerate(w)]
 
 
 SEEDS = st.integers(min_value=0, max_value=5_000)
@@ -189,7 +205,13 @@ def test_kernels_match_naive_references(seed, weights):
         assert is_martingale(X, filt, space, weights=w) == naive_is_martingale(
             X, filt, space, w
         )
+        for t in space.times[1:]:
+            dropped = _drop_first_node(w, filt, t)
+            assert certify_nupbr(X, filt, space, weights=dropped) == naive_certify(
+                X, filt, space, dropped
+            )
         assert certify_nupbr(X, filt, space, weights=w) == naive_certify(X, filt, space, w)
+        assert certify_nupbr(X, filt, space) == naive_certify(X, filt, space, [F(1)] * space.n)
 
 
 @settings(max_examples=80, deadline=None)

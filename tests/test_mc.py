@@ -112,6 +112,24 @@ def test_model_rejects_seed_outside_the_philox_key(seed):
     assert err.value.field == "seed"
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "1"])
+def test_model_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(McParameterError) as err:
+        McModel(model="CAT-0", dt=0.25, paths=10, seed=seed)
+    assert err.value.field == "seed"
+
+
+def test_validation_rejects_a_dt_that_does_not_divide_the_horizon():
+    model = McModel(model="CAT-1", dt=0.25, paths=10, seed=0)  # divides the checkpoints
+    with pytest.raises(McParameterError) as err:
+        validate_survival_formula(model, 0.9, 0.2, 1000)
+    assert err.value.field == "dt"
+    with pytest.raises(McParameterError):
+        model.check_validation_times([t for t, _ in VALIDATION_POINTS])
+    assert validate_survival_formula(model, 0.5, 0.2, 1000).estimate > 0
+    McModel(model="CAT-1", dt=1e-3).check_validation_times([t for t, _ in VALIDATION_POINTS])
+
+
 def test_model_accepts_the_largest_seed():
     r = simulate(McModel(model="CAT-1", dt=0.25, paths=10, seed=2**64 - 1))
     assert all(math.isfinite(v) for v in r.estimates)

@@ -259,3 +259,81 @@ def test_stopping_before_trouble_on_random_instances():
                 if not ok:
                     rhs = False
         assert lhs == rhs, seed
+
+
+
+def test_single_jump_certificate_decides_only_the_jump_date(monkeypatch):
+    from randomhorizon import nupbr
+    from randomhorizon.nupbr import single_jump_process
+
+    calls = []
+    original = nupbr.zero_in_relative_interior
+    monkeypatch.setattr(
+        nupbr, "zero_in_relative_interior", lambda deltas: calls.append(deltas) or original(deltas)
+    )
+    moving = 0
+    for seed in range(40):
+        inst = random_instance(seed)
+        space, filt = inst.space, inst.filtration
+        for T in range(1, space.horizon + 1):
+            xi = [inst.price.delta_at(T, i) for i in range(space.n)]
+            calls.clear()
+            res = certify_nupbr(single_jump_process(xi, T, space), filt, space)
+            # every date-T node when the jump moves, no node of another date
+            decided = len(filt.parts[T - 1]) if any(map(any, xi)) else 0
+            assert res.verdict and len(calls) == decided
+            assert [nw.time for nw in res.node_weights] == [
+                t for t in range(1, space.horizon + 1) for _ in filt.parts[t - 1]
+            ]
+            assert len(calls) == decided  # the witness is built without an LP
+            moving += decided > 0
+    assert moving > 50
+
+
+def test_cert_result_carries_exactly_one_witness():
+    from randomhorizon.nupbr import Arbitrage, CertResult
+
+    arb = Arbitrage(1, ("a",), ((F(1),),))
+    with pytest.raises(ValueError):
+        CertResult(True)
+    with pytest.raises(ValueError):
+        CertResult(True, node_weights=(), arbitrage=arb)
+    with pytest.raises(ValueError):
+        CertResult(True, node_weights=lambda: (), arbitrage=arb)
+    with pytest.raises(ValueError):
+        CertResult(False)
+    with pytest.raises(ValueError):
+        CertResult(False, node_weights=(), arbitrage=arb)
+    assert CertResult(True, node_weights=lambda: ()) == CertResult(True, node_weights=())
+    assert CertResult(False, arbitrage=arb).node_weights is None
+
+
+def test_theorem_suite_builds_mhat_and_the_bracket_of_m_once(monkeypatch):
+    import sys
+
+    from randomhorizon import enlargement, projections
+    from randomhorizon.campaign import theorem_suite
+
+    seen = {}
+    for module, name in ((enlargement, "g_martingale_part"), (projections, "quadratic_covariation")):
+        original = getattr(module, name)
+        calls = seen[name] = []
+
+        def wrapper(*args, _original=original, _calls=calls):
+            _calls.append(args)
+            return _original(*args)
+
+        # every module that imported the function by name
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("randomhorizon"):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    for seed in (0, 3, 7):
+        for calls in seen.values():
+            calls.clear()
+        bundle, _, _ = theorem_suite(random_instance(seed), battery=5, seed=seed)
+        assert sum(args[0] is bundle.m for args in seen["g_martingale_part"]) == 1
+        assert [a for a in seen["quadratic_covariation"] if a[0] is bundle.m] == [
+            (bundle.m, bundle.m)
+        ]
