@@ -6,8 +6,10 @@ transfer formulas, the deflator construction, the single-jump quadruple,
 the masked-increment contract, the martingale-transfer triple and both
 directions of the universal-preservation dichotomy.  The campaign runs it
 on seeded generator instances and the CLI ``theorems`` command on a
-scenario file.  Any disagreement is a build-breaking violation (exit code 2
-at the CLI).
+scenario file.  Each report section is the record its checker returns
+(its fields plus ``consistent``), and the violations are read off the
+sections.  Any disagreement is a build-breaking violation (exit code 2 at
+the CLI).
 
 Reports are deterministic functions of (instances, seed, battery): no
 timestamps, stable key order, rationals as "p/q" strings.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 from .deflator import build_deflator, is_supermartingale, verify_deflator
 from .enlargement import (
@@ -102,26 +105,37 @@ def _deflator_suite(price, bundle):
     return out
 
 
+def _section(record) -> dict:
+    """A report section: the record's fields, copied shallowly, plus its
+    ``consistent`` verdict."""
+    doc = {f.name: getattr(record, f.name) for f in fields(record)}
+    doc["consistent"] = record.consistent
+    return doc
+
+
 def theorem_suite(model, battery: int = 100, seed: int = 0):
     """Every identity and equivalence of the engine on one model.
 
     ``model`` is anything with ``space``, ``filtration``, ``tau`` and
     ``price`` (a scenario file or a generator instance); ``battery`` and
     ``seed`` drive the preservation battery.  Returns the Azema bundle, the
-    report sections and the sorted list of violated checks."""
+    report sections and the sorted list of violated checks.
+
+    The projection and deflator sections are flag dicts (``None`` where a
+    check does not apply) and every flag that is ``False`` is a violation;
+    every other section is the record its checker returns, and it is a
+    violation when that record is not ``consistent``."""
     space, filt, price = model.space, model.filtration, model.price
     bundle = azema(filt, model.tau, space)
 
     projections = _projection_identities(price, bundle)
-    violations = [f"projection:{name}" for name, good in projections.items() if good is False]
-
     deflator = _deflator_suite(price, bundle)
-    if not deflator["construction"]:
-        violations.append("deflator:construction")
-    if not deflator["supermartingale"]:
-        violations.append("deflator:supermartingale")
-    if deflator["deflates_stopped_price"] is False:
-        violations.append("deflator:deflates_stopped_price")
+    violations = [
+        f"{prefix}:{name}"
+        for prefix, flags in (("projection", projections), ("deflator", deflator))
+        for name, good in flags.items()
+        if good is False
+    ]
 
     single, transfer = [], []
     for T in range(1, space.horizon + 1):
@@ -131,58 +145,24 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
             tuple(a - b for a, b in zip(x, p))
             for x, p in zip(xi, condexp_cells(xi, filt.parts[T - 1], space))
         ]
-        rec = single_jump_equivalences(xi, T, bundle)
-        single.append(
-            {
-                "T": T,
-                "stopped_in_enlarged": rec.stopped_in_enlarged,
-                "masked_in_base": rec.masked_in_base,
-                "under_jump_measure": rec.under_jump_measure,
-                "under_ratio_measure": rec.under_ratio_measure,
-                "consistent": rec.consistent,
-            }
-        )
-        if not rec.consistent:
-            violations.append(f"single_jump:T={T}")
-        mrec = single_jump_martingale_transfer(centered, T, bundle)
-        transfer.append(
-            {
-                "T": T,
-                "under_jump_measure": mrec.under_jump_measure,
-                "thin_mean_zero": mrec.thin_mean_zero,
-                "stopped_under_enlarged_weight": mrec.stopped_under_enlarged_weight,
-                "consistent": mrec.consistent,
-            }
-        )
-        if not mrec.consistent:
-            violations.append(f"martingale_transfer:T={T}")
+        single.append(_section(single_jump_equivalences(xi, T, bundle)))
+        transfer.append(_section(single_jump_martingale_transfer(centered, T, bundle)))
+    violations += [f"single_jump:T={d['T']}" for d in single if not d["consistent"]]
+    violations += [f"martingale_transfer:T={d['T']}" for d in transfer if not d["consistent"]]
 
     try:
-        masked = masked_increment_criterion_all(price, bundle)
+        masked = _section(masked_increment_criterion_all(price, bundle))
     except PreconditionViolated:
-        masked_doc = {"precondition_failed": True}
+        masked = {"precondition_failed": True}
     else:
-        masked_doc = {
-            "per_delta": {
-                format_fraction(d): v for d, v in sorted(masked.per_delta.items())
-            },
-            "all_deltas": masked.all_deltas,
-            "stopped_verdict": masked.stopped_verdict,
-            "consistent": masked.consistent,
+        masked["per_delta"] = {
+            format_fraction(d): v for d, v in sorted(masked["per_delta"].items())
         }
-        if not masked.consistent:
+        if not masked["consistent"]:
             violations.append("masked_criterion")
 
-    pres = preservation_report(bundle, n_martingales=battery, seed=seed)
-    pres_doc = {
-        "thin_set_empty": pres.thin_set_empty,
-        "martingales_checked": pres.martingales_checked,
-        "preserved": pres.preserved,
-        "witness_time": pres.witness_time,
-        "witness_fails_enlarged": pres.witness_fails_enlarged,
-        "consistent": pres.consistent,
-    }
-    if not pres.consistent:
+    pres = _section(preservation_report(bundle, n_martingales=battery, seed=seed))
+    if not pres["consistent"]:
         violations.append("preservation")
 
     sections = {
@@ -190,8 +170,8 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
         "deflator": deflator,
         "single_jump": single,
         "martingale_transfer": transfer,
-        "masked_criterion": masked_doc,
-        "preservation": pres_doc,
+        "masked_criterion": masked,
+        "preservation": pres,
     }
     return bundle, sections, sorted(violations)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 from . import io as rio
@@ -46,21 +47,24 @@ EXIT_EQUIVALENCE = 2
 EXIT_RUNTIME = 3
 
 
+def _paths(X, space) -> dict:
+    """Per atom name, the formatted path of the scalar process X."""
+    return {
+        a: [format_fraction(X.scalar_at(t, i)) for t in space.times]
+        for i, a in enumerate(space.atoms)
+    }
+
+
 def inspect_report(sc: Scenario) -> dict:
     bundle = azema(sc.filtration, sc.tau, sc.space)
     space = sc.space
-    def table(X):
-        return {
-            a: [format_fraction(X.scalar_at(t, i)) for t in space.times]
-            for i, a in enumerate(space.atoms)
-        }
     return {
         "atoms": list(space.atoms),
         "horizon": space.horizon,
-        "Z": table(bundle.Z),
-        "Z_tilde": table(bundle.Ztilde),
-        "m": table(bundle.m),
-        "default_compensator": table(bundle.default_compensator),
+        "Z": _paths(bundle.Z, space),
+        "Z_tilde": _paths(bundle.Ztilde, space),
+        "m": _paths(bundle.m, space),
+        "default_compensator": _paths(bundle.default_compensator, space),
         "thin_set": sorted([[a, t] for (a, t) in bundle.thin_mask]),
         "death": {a: format_time(bundle.death.at(i)) for i, a in enumerate(space.atoms)},
         "sudden_death": {
@@ -104,7 +108,7 @@ def certify_report(sc: Scenario) -> dict:
         "witness_G": _witness_doc(res_g),
     }
     if not res_g.verdict:
-        doc["arbitrage_node"] = _witness_doc(res_g)["arbitrage_node"]
+        doc["arbitrage_node"] = doc["witness_G"]["arbitrage_node"]
     return doc
 
 
@@ -131,10 +135,7 @@ def witness_report(sc: Scenario) -> dict:
         "thin_set_empty": False,
         "witness": {
             "time": T,
-            "values": {
-                a: [format_fraction(M.scalar_at(t, i)) for t in space.times]
-                for i, a in enumerate(space.atoms)
-            },
+            "values": _paths(M, space),
             "stopped_satisfies_nupbr": res.verdict,
             "certificate": _witness_doc(res),
         },
@@ -288,36 +289,12 @@ def main(argv=None) -> int:
                     model.check_validation_times([t for t, _ in VALIDATION_POINTS])
             except mcmod.McParameterError as exc:
                 raise InvalidScenario("schema", f"--{exc.field}", exc.reason) from None
-            result = mcmod.simulate(model)
-            doc = {
-                "model": result.model,
-                "paths": result.paths,
-                "dt": result.dt,
-                "seed": result.seed,
-                "checkpoints": list(result.checkpoints),
-                "estimates": list(result.estimates),
-                "standard_errors": list(result.standard_errors),
-                "control_estimates": list(result.control_estimates),
-                "control_standard_errors": list(result.control_standard_errors),
-                "frozen_paths": result.frozen_paths,
-                "positivity_violations": result.positivity_violations,
-            }
+            doc = asdict(mcmod.simulate(model))
             if validate:
-                points = []
-                for k, (t, x) in enumerate(VALIDATION_POINTS):
-                    v = mcmod.validate_survival_formula(
-                        model, t, x, args.subpaths, point_id=k
-                    )
-                    points.append(
-                        {
-                            "t": v.t,
-                            "x": v.x,
-                            "closed_form": v.closed_form,
-                            "estimate": v.estimate,
-                            "standard_error": v.standard_error,
-                        }
-                    )
-                doc["validation"] = points
+                doc["validation"] = [
+                    asdict(mcmod.validate_survival_formula(model, t, x, args.subpaths, k))
+                    for k, (t, x) in enumerate(VALIDATION_POINTS)
+                ]
             _emit(doc, args, _mc_tables)
             return EXIT_OK
         raise AssertionError("unreachable")

@@ -11,7 +11,8 @@ The construction runs entirely in the enlarged filtration G:
   which the builder re-derives and checks cell by cell,
 * the nondecreasing predictable ``drawdown`` accumulates
   ``pF(I_{Zt=0}) I_{]0,tau]}`` -- the mass lost to abrupt survival
-  collapse -- and the candidate deflator is the stochastic exponential of
+  collapse, read from the survival bundle's ``collapse`` on its ``alive``
+  interval -- and the candidate deflator is the stochastic exponential of
   ``L - drawdown``, strictly positive since ``1 + dL - d(drawdown)`` equals
   ``Z_-/Zt`` on ``]0, tau]`` and 1 elsewhere.
 
@@ -41,7 +42,6 @@ from .space import (
     AdaptedProcess,
     FiniteSpace,
     Filtration,
-    RandomTime,
     assert_adapted,
     assert_predictable,
     condexp_cells,
@@ -89,73 +89,53 @@ def stoch_exp(N: AdaptedProcess) -> AdaptedProcess:
 
 @dataclass(frozen=True)
 class DeflatorBundle:
-    """Kernel, driver, drawdown and the resulting candidate deflator."""
+    """Kernel, driver, drawdown and the resulting candidate deflator, with
+    the survival bundle they were built from (it owns mhat, G and tau)."""
 
     kernel: AdaptedProcess      # K, supported on ]0, tau]
     driver: AdaptedProcess      # L = -(K (.) mhat), a G-martingale, L_0 = 0
     drawdown: AdaptedProcess    # nondecreasing G-predictable, jumps in [0, 1)
     deflator: AdaptedProcess    # stochastic exponential of (driver - drawdown)
-    mhat: AdaptedProcess        # G-martingale part of m, kept for tests
+    bundle: AzemaBundle
 
 
 def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
-    space, filt, enlarged, tau = bundle.space, bundle.filt, bundle.enlarged, bundle.tau
+    space, enlarged, alive = bundle.space, bundle.enlarged, bundle.alive
     n = space.n
-    mhat = bundle.mhat
-    bracket = dual_predictable(bundle.m_bracket, filt, space)  # <m, m>
+    bracket = dual_predictable(bundle.m_bracket, bundle.filt, space)  # <m, m>
+    zero = (Fraction(0),)
 
-    k_rows = [tuple((Fraction(0),) for _ in range(n))]
+    k_rows = [(zero,) * n]
     for t in range(1, space.horizon + 1):
-        row = []
+        row = [zero] * n
         for i in range(n):
-            if t <= tau.at(i):
+            if alive[t][i]:
                 zprev = bundle.Z.scalar_at(t - 1, i)
-                ztil = bundle.Ztilde.scalar_at(t, i)
                 kappa = zprev * zprev + bracket.delta_at(t, i)[0]
-                row.append((zprev * zprev / kappa / ztil,))
-            else:
-                row.append((Fraction(0),))
+                row[i] = (zprev * zprev / kappa / bundle.Ztilde.scalar_at(t, i),)
         k_rows.append(tuple(row))
     K = AdaptedProcess(1, tuple(k_rows))
 
-    L = -optional_integral(K, mhat, enlarged, space)
+    L = -optional_integral(K, bundle.mhat, enlarged, space)
 
-    collapse_rows = [None] + [
-        condexp(
-            [
-                Fraction(1) if bundle.Ztilde.scalar_at(t, i) == 0 else Fraction(0)
-                for i in range(n)
-            ],
-            filt.parts[t - 1],
-            space,
-        )
-        for t in range(1, space.horizon + 1)
-    ]
-
-    # closed form of the jumps, re-derived independently of the integral
-    for t in range(1, space.horizon + 1):
-        for i in range(n):
-            if t <= tau.at(i):
-                expected = (
-                    -bundle.m.delta_at(t, i)[0] / bundle.Ztilde.scalar_at(t, i)
-                    + collapse_rows[t][i]
-                )
-            else:
-                expected = Fraction(0)
-            if L.delta_at(t, i)[0] != expected:
-                raise StructuralViolation("driver jumps disagree with the closed form")
-            if 1 + L.delta_at(t, i)[0] <= 0:
-                raise StructuralViolation("driver jump fell to -1 or below")
-
+    # the drawdown, and the closed form of the jumps re-derived
+    # independently of the integral; both vanish off ]0, tau]
     drawdown_increments = []
     for t in range(1, space.horizon + 1):
-        row = [(Fraction(0),)] * n
+        row = [zero] * n
         for i in range(n):
-            if t <= tau.at(i):
-                inc = collapse_rows[t][i]
+            expected = 0
+            if alive[t][i]:
+                inc = bundle.collapse[t][i]
                 if not 0 <= inc < 1:
                     raise StructuralViolation("drawdown jump outside [0, 1)")
                 row[i] = (inc,)
+                expected = -bundle.m.delta_at(t, i)[0] / bundle.Ztilde.scalar_at(t, i) + inc
+            jump = L.delta_at(t, i)[0]
+            if jump != expected:
+                raise StructuralViolation("driver jumps disagree with the closed form")
+            if 1 + jump <= 0:
+                raise StructuralViolation("driver jump fell to -1 or below")
         drawdown_increments.append(row)
     drawdown = AdaptedProcess.from_increments(1, n, drawdown_increments, predictable=True)
 
@@ -166,7 +146,7 @@ def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
         for i in range(n):
             if deflator.scalar_at(t, i) <= 0:
                 raise StructuralViolation("candidate deflator is not positive")
-    return DeflatorBundle(K, L, drawdown, deflator, mhat)
+    return DeflatorBundle(K, L, drawdown, deflator, bundle)
 
 
 def is_supermartingale(Y: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> bool:
@@ -183,21 +163,18 @@ class WealthDeflation:
 
 
 def supermartingale_deflator(
-    S: AdaptedProcess,
-    theta: AdaptedProcess,
-    deflators: DeflatorBundle,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
+    S: AdaptedProcess, theta: AdaptedProcess, deflators: DeflatorBundle
 ) -> WealthDeflation:
     """Stochastic exponential of
     dX = dL - dD + theta (1 + dL - dD) dS^tau  (D the drawdown),
     the deflated wealth of the one-period strategy theta on the stopped
     price.  theta must be G-predictable and keep theta . S^tau >= -1."""
+    bundle = deflators.bundle
+    space, enlarged = bundle.space, bundle.enlarged
     assert_predictable(theta, enlarged, "strategy")
     if theta.dim != S.dim:
         raise ValueError("strategy dimension must match the price")
-    stopped = stop(S, tau)
+    stopped = stop(S, bundle.tau)
     n = space.n
     wealth = [Fraction(0)] * n
     increments = []

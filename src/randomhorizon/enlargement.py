@@ -15,12 +15,16 @@ attached to the pair:
 ``azema(filt, tau, space)`` returns an ``AzemaBundle`` that owns its model:
 it carries (F, tau, P) as ``filt``, ``tau`` and ``space`` and builds the
 enlargement G on first read of ``bundle.enlarged`` (so a caller that only
-reads Z never pays for G).  Every function below that takes a bundle takes
-nothing else of the model: the exact transfer formulas between F- and
-G-compensators and projections on the stochastic interval ``]0, tau]`` and
-the two change-of-measure weight families attached to a predictable jump
-date.  The reduction of G-predictable processes to F-predictable ones works
-on any pair of filtrations and keeps its explicit arguments.
+reads Z never pays for G).  It also owns the two survival views every
+reader shares, each built once on first read: the stochastic interval
+``]0, tau]`` as ``bundle.alive`` and the abrupt-collapse mass
+P(Zt_t = 0 | F_{t-1}) as ``bundle.collapse``.  Every function below that
+takes a bundle takes nothing else of the model and decides neither view
+itself: the exact transfer formulas between F- and G-compensators and
+projections on ``]0, tau]`` and the two change-of-measure weight families
+attached to a predictable jump date.  The reduction of G-predictable
+processes to F-predictable ones works on any pair of filtrations and keeps
+its explicit arguments.
 
 Every transfer formula is an F-predictable projection divided by Z_- on
 ``]0, tau]``, written once in ``_over_zprev``: the G-compensator of V^tau
@@ -95,10 +99,13 @@ class AzemaBundle:
     elsewhere.  ``thin_mask`` collects the (atom, t) pairs where Zt_t = 0
     while Z_{t-1} > 0.
 
-    The bundle also owns the two processes of m that more than one check
-    reads: ``mhat``, the G-martingale part ``g_martingale_part(m)``, and
-    ``m_bracket``, the quadratic variation [m, m]; each is built once per
-    bundle, on first read.
+    The bundle also owns what more than one check reads, each built once
+    per bundle, on first read: ``alive``, the stochastic interval
+    ``]0, tau]``; ``collapse``, the F-predictable projection of the abrupt
+    collapse {Zt = 0}; and the two processes of m, ``mhat``, the
+    G-martingale part ``g_martingale_part(m)``, and ``m_bracket``, the
+    quadratic variation [m, m].  ``dataclasses.replace`` gives a new bundle
+    that builds all of them afresh.
     """
 
     Z: AdaptedProcess
@@ -119,6 +126,29 @@ class AzemaBundle:
     @cached_property
     def enlarged(self) -> Filtration:
         return enlarge(self.filt, self.tau, self.space)
+
+    @cached_property
+    def alive(self) -> tuple:
+        """``alive[t][i]`` is true iff 0 < t <= tau(i), i.e. (atom i, t) lies
+        in ]0, tau]."""
+        tau = self.tau.values
+        return tuple(tuple(0 < t <= v for v in tau) for t in self.space.times)
+
+    @cached_property
+    def collapse(self) -> tuple:
+        """``collapse[t]`` is the atom vector P(Zt_t = 0 | F_{t-1}) for
+        t >= 1 (None at t = 0).  It is 1 on {Z_{t-1} = 0}, where Zt_t
+        vanishes too, and elsewhere the mass of the thin set {Zt = 0 < Z_-}
+        seen from F."""
+        one, space = Fraction(1), self.space
+        return (None,) + tuple(
+            condexp(
+                [one if c[0] == 0 else _ZERO for c in self.Ztilde.values[t]],
+                self.filt.parts[t - 1],
+                space,
+            )
+            for t in range(1, space.horizon + 1)
+        )
 
     @cached_property
     def mhat(self) -> AdaptedProcess:
@@ -216,19 +246,19 @@ def _over_zprev(cells, t: int, bundle: AzemaBundle) -> tuple:
 
     The projection and Z_{t-1} are both constant on an F_{t-1}-block, so
     each block divides once and its alive atoms share the resulting cell."""
-    space, tau = bundle.space, bundle.tau
+    space, alive = bundle.space, bundle.alive[t]
     blocks = bundle.filt.parts[t - 1]
     proj = condexp_cells(cells, blocks, space)
     row = [(_ZERO,) * len(cells[0])] * space.n
     for block in blocks:
-        alive = [i for i in block if t <= tau.at(i)]
-        if not alive:
+        inside = [i for i in block if alive[i]]
+        if not inside:
             continue
         zprev = bundle.Z.scalar_at(t - 1, block[0])
         if zprev == 0:
             raise StructuralViolation("Z_- vanished inside ]0, tau]; engine invariant broken")
         cell = tuple(c / zprev for c in proj[block[0]])
-        for i in alive:
+        for i in inside:
             row[i] = cell
     return tuple(row)
 
@@ -239,14 +269,14 @@ def _rescaled_sides(V: AdaptedProcess, bundle: AzemaBundle) -> list:
 
     On the G-side every G_{t-1}-node lies wholly in {tau >= t} or outside
     it, so averaging over the node is averaging over its alive part."""
-    space, tau = bundle.space, bundle.tau
+    space = bundle.space
     zero = (_ZERO,) * V.dim
     sides = []
     for t in range(1, space.horizon + 1):
-        zt, dv = bundle.Ztilde.values[t], V.increments[t]
+        zt, dv, alive = bundle.Ztilde.values[t], V.increments[t], bundle.alive[t]
         rescaled = [zero] * space.n
         for i, (z, cell) in enumerate(zip(zt, dv)):
-            if t <= tau.at(i) and any(cell):
+            if alive[i] and any(cell):
                 if z[0] == 0:
                     raise StructuralViolation(
                         "Zt vanished inside ]0, tau]; engine invariant broken"
@@ -280,7 +310,7 @@ def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPr
     against the G-compensator, and, when the increments of V are supported
     on {Zt > 0}, the converse identity dV^{p,F} = Z_- dU^{p,G} on ]0, tau].
     """
-    space, filt, tau = bundle.space, bundle.filt, bundle.tau
+    space, filt = bundle.space, bundle.filt
     assert_adapted(V, filt, "V")
     sides = _rescaled_sides(V, bundle)
     supported = all(
@@ -297,7 +327,7 @@ def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPr
         plain = condexp_cells(V.increments[t], filt.parts[t - 1], space)
         for i in range(space.n):
             zprev = bundle.Z.scalar_at(t - 1, i)
-            if t <= tau.at(i) and plain[i] != tuple(zprev * g for g in got[i]):
+            if bundle.alive[t][i] and plain[i] != tuple(zprev * g for g in got[i]):
                 raise StructuralViolation("converse compensator identity failed on ]0, tau]")
     return AdaptedProcess.from_increments(
         V.dim, space.n, [got for got, _ in sides], predictable=True
@@ -382,7 +412,10 @@ class JumpTimeMeasures:
 
 
 def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
-    """The weights of the jump date T, computed once per bundle and date."""
+    """The weights of the jump date T, computed once per bundle and date.
+
+    ``q`` is I_{Zt_T > 0} / P(Zt_T > 0 | F_{T-1}), where that mass is
+    1 - ``bundle.collapse[T]`` > 0, and 1 elsewhere."""
     space = bundle.space
     if not 1 <= T <= space.horizon:
         raise ValueError("jump date must lie in {1, ..., horizon}")
@@ -392,11 +425,12 @@ def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
     one = Fraction(1)
     zprev = [c[0] for c in bundle.Z.values[T - 1]]
     zt = [c[0] for c in bundle.Ztilde.values[T]]
-    pos = [one if z > 0 else _ZERO for z in zt]
-    p_pos = condexp(pos, bundle.filt.parts[T - 1], space)
-    q = tuple(p / pp if pp > 0 else one for p, pp in zip(pos, p_pos))
+    q = tuple(
+        (one / (one - c) if z > 0 else _ZERO) if c < 1 else one
+        for z, c in zip(zt, bundle.collapse[T])
+    )
     qt = tuple(z / zp if zp > 0 else one for zp, z in zip(zprev, zt))
-    ug = tuple(one if T > bundle.tau.at(i) else zprev[i] / zt[i] for i in range(space.n))
+    ug = tuple(zp / z if a else one for zp, z, a in zip(zprev, zt, bundle.alive[T]))
     if space.expectation(q) != 1 or space.expectation(qt) != 1:
         raise StructuralViolation("jump-date measures must have expectation 1")
     if any(u <= 0 for u in ug):

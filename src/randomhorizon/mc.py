@@ -162,14 +162,16 @@ class ValidationPoint:
 def _uniforms(seed: int, stream: int, step: int, n: int, out=None) -> np.ndarray:
     """Draws 0..n-1 of the Philox stream keyed by (seed, stream, step) as the
     midpoints (k + 1/2) 2^-53 of the 53-bit grid, k the top 53 bits of a
-    draw: values in (0, 1], where only k = 2^53 - 1 rounds up to 1.0.
+    draw: values in (0, 1).  Only k = 2^53 - 1 would round up to 1.0, where
+    ``ndtri`` is infinite; it is clamped to 1 - 2^-53, the largest double
+    below 1.
 
     ``Generator.random`` returns k 2^-53; adding 2^-54 rounds exactly as
     (k + 0.5) 2^-53 does, because the scale is a power of two."""
     key = np.array([np.uint64(seed), np.uint64((stream << 40) + step)], dtype=np.uint64)
     u = np.random.Generator(np.random.Philox(key=key)).random(n, out=out)
     u += 2.0**-54
-    return u
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
 def _normals(seed: int, stream: int, step: int, n: int, out=None) -> np.ndarray:

@@ -34,7 +34,7 @@ from .enlargement import AzemaBundle, jump_time_measures
 from .errors import EngineError, PreconditionViolated, StructuralViolation
 from .generator import random_martingale
 from .lp import separating_direction, zero_in_relative_interior
-from .projections import condexp, is_martingale
+from .projections import is_martingale
 from .space import (
     AdaptedProcess,
     FiniteSpace,
@@ -294,16 +294,14 @@ def thin_set_empty(bundle: AzemaBundle) -> bool:
 
 def witness_martingale(T: int, bundle: AzemaBundle) -> AdaptedProcess:
     """Bounded single-jump martingale xi I_{[T,inf)} with
-    xi = I_{Zt_T = 0} - P(Zt_T = 0 | F_{T-}); stopping it at tau fails NUPBR
-    in the enlargement exactly when the thin set meets date T."""
-    space = bundle.space
-    ind = [
-        Fraction(1) if bundle.Ztilde.scalar_at(T, i) == 0 else Fraction(0)
-        for i in range(space.n)
+    xi = I_{Zt_T = 0} - P(Zt_T = 0 | F_{T-}), the projection read from
+    ``bundle.collapse``; stopping it at tau fails NUPBR in the enlargement
+    exactly when the thin set meets date T."""
+    xi = [
+        ((1 if z[0] == 0 else 0) - c,)
+        for z, c in zip(bundle.Ztilde.values[T], bundle.collapse[T])
     ]
-    proj = condexp(ind, bundle.filt.parts[T - 1], space)
-    xi = [(ind[i] - proj[i],) for i in range(space.n)]
-    return single_jump_process(xi, T, space)
+    return single_jump_process(xi, T, bundle.space)
 
 
 @dataclass(frozen=True)
@@ -370,17 +368,10 @@ def masked_increment_criterion_all(
     extra = {frac(d) for d in extra_deltas}
     if any(d <= 0 for d in extra):
         raise ValueError("delta must be positive")
-    values = sorted(
-        {
-            bundle.Z.scalar_at(t - 1, i)
-            for t in range(1, space.horizon + 1)
-            for i in range(space.n)
-            if bundle.Z.scalar_at(t - 1, i) > 0
-        }
-        | extra
-    )
+    nodes = _nodes_with_survival(bundle)
+    values = sorted({z for z, _, _ in nodes if z > 0} | extra)
     worst = Fraction(0)  # largest Z_{t-1} over the failing nodes seen
-    for z, t, j in _nodes_with_survival(bundle):
+    for z, t, j in nodes:
         if z <= worst:
             continue  # cannot raise the bound, so the node need not be decided
         if not zero_in_relative_interior(_masked_family(S, bundle, t, j))[0]:
@@ -446,7 +437,6 @@ class PreservationReport:
     thin_set_empty: bool
     martingales_checked: int
     preserved: int
-    failing_seeds: tuple
     witness_time: Optional[int]
     witness_fails_enlarged: Optional[bool]
 
@@ -473,20 +463,15 @@ def preservation_report(
     space, filt, tau, enlarged = bundle.space, bundle.filt, bundle.tau, bundle.enlarged
     if thin_set_empty(bundle):
         rng = random.Random(seed)
-        preserved, failing = 0, []
+        preserved = 0
         terminal = filt.parts[space.horizon]
-        for k in range(n_martingales):
+        for _ in range(n_martingales):
             M = random_martingale(space, filt, rng, dim=1, spread=3)
             if first_nonconstant(M.values[space.horizon], terminal) is not None:
                 raise StructuralViolation("battery draw is not F-adapted at the horizon")
-            if certify_nupbr(stop(M, tau), enlarged, space).verdict:
-                preserved += 1
-            else:
-                failing.append(k)
-        return PreservationReport(
-            True, n_martingales, preserved, tuple(failing), None, None
-        )
+            preserved += certify_nupbr(stop(M, tau), enlarged, space).verdict
+        return PreservationReport(True, n_martingales, preserved, None, None)
     T = min(bundle.thin_times())
     M = witness_martingale(T, bundle)
     fails = not certify_nupbr(stop(M, tau), enlarged, space).verdict
-    return PreservationReport(False, 0, 0, (), T, fails)
+    return PreservationReport(False, 0, 0, T, fails)

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import pytest
 
 from randomhorizon.deflator import DeflatorBundle, build_deflator
-from randomhorizon.enlargement import AzemaBundle, azema
+from randomhorizon.enlargement import AzemaBundle, azema, jump_time_measures
 from randomhorizon.io import Scenario, load_builtin
 
 
@@ -48,3 +48,32 @@ def ex1():
 @pytest.fixture(scope="session")
 def ex2():
     return _ctx("ex2")
+
+
+def _check_survival_views(bundle):
+    """Compare the bundle's ]0, tau] and collapse projection, and the weight q
+    of every jump date, with a per-atom recomputation from tau, Zt and P."""
+    space, filt, tau = bundle.space, bundle.filt, bundle.tau
+    for t in space.times:
+        assert bundle.alive[t] == tuple(0 < t and t <= tau.at(i) for i in range(space.n))
+    assert bundle.collapse[0] is None
+    for t in range(1, space.horizon + 1):
+        zt = [bundle.Ztilde.scalar_at(t, i) for i in range(space.n)]
+        q = []
+        for i in range(space.n):
+            block = filt.block_of(t - 1, i)
+            mass = sum(space.prob[j] for j in block)
+            dead = sum(space.prob[j] for j in block if zt[j] == 0) / mass
+            assert bundle.collapse[t][i] == dead
+            if bundle.Z.scalar_at(t - 1, i) == 0:
+                assert dead == 1
+            # the weight as written before the bundle owned the projection:
+            # I_{Zt > 0} over its F_{t-1}-mass, 1 where that mass is 0
+            p_pos = sum(space.prob[j] for j in block if zt[j] > 0) / mass
+            q.append((1 if zt[i] > 0 else 0) / p_pos if p_pos > 0 else 1)
+        assert jump_time_measures(t, bundle).q == tuple(q)
+
+
+@pytest.fixture(scope="session")
+def survival_views_oracle():
+    return _check_survival_views

@@ -22,7 +22,7 @@ def test_optional_integral_with_predictable_integrand(ex1):
     # for predictable H the compensated integral collapses to the ordinary one
     G, space = ex1.enlarged, ex1.space
     H = AdaptedProcess.from_function(space, lambda t, i: F(t + 1), predictable=True)
-    N = ex1.deflators.mhat
+    N = ex1.deflators.bundle.mhat
     out = optional_integral(H, N, G, space)
     acc = [F(0)] * 4
     for t in range(1, space.horizon + 1):
@@ -34,7 +34,7 @@ def test_optional_integral_with_predictable_integrand(ex1):
 def test_optional_integral_with_unit_integrand(ex1):
     G, space = ex1.enlarged, ex1.space
     one = AdaptedProcess.constant(space, F(1))
-    N = ex1.deflators.mhat
+    N = ex1.deflators.bundle.mhat
     out = optional_integral(one, N, G, space)
     for t in space.times:
         for i in range(4):
@@ -45,7 +45,7 @@ def test_optional_integral_bracket_identity(ex1):
     # [H (.) N, Y] - H . [N, Y] is a martingale (checked for H = kernel,
     # N = Y = drift-corrected survival martingale)
     G, space = ex1.enlarged, ex1.space
-    K, mhat = ex1.deflators.kernel, ex1.deflators.mhat
+    K, mhat = ex1.deflators.kernel, ex1.deflators.bundle.mhat
     M = optional_integral(K, mhat, G, space)
     lhs = quadratic_covariation(M, mhat)
     hn = quadratic_covariation(mhat, mhat)
@@ -125,12 +125,7 @@ def test_stoch_exp_multiplicativity(ex1):
 def test_supermartingale_deflator_zero_strategy(ex1, ex2):
     for ctx in (ex1, ex2):
         out = supermartingale_deflator(
-            ctx.price,
-            AdaptedProcess.zero(ctx.space),
-            ctx.deflators,
-            ctx.enlarged,
-            ctx.tau,
-            ctx.space,
+            ctx.price, AdaptedProcess.zero(ctx.space), ctx.deflators
         )
         assert out.positive and out.supermartingale
         assert out.process.values == ctx.deflators.deflator.values
@@ -138,12 +133,7 @@ def test_supermartingale_deflator_zero_strategy(ex1, ex2):
 
 def test_supermartingale_deflator_ex2_half(ex2):
     out = supermartingale_deflator(
-        ex2.price,
-        AdaptedProcess.constant(ex2.space, F(1, 2)),
-        ex2.deflators,
-        ex2.enlarged,
-        ex2.tau,
-        ex2.space,
+        ex2.price, AdaptedProcess.constant(ex2.space, F(1, 2)), ex2.deflators
     )
     assert out.positive and out.supermartingale
 
@@ -154,9 +144,7 @@ def test_supermartingale_deflator_fails_on_arbitrage_node(ex1):
     theta = AdaptedProcess.from_function(
         ex1.space, lambda t, i: F(-2) if (t, i) == (2, 1) else F(0), predictable=True
     )
-    out = supermartingale_deflator(
-        ex1.price, theta, ex1.deflators, ex1.enlarged, ex1.tau, ex1.space
-    )
+    out = supermartingale_deflator(ex1.price, theta, ex1.deflators)
     assert out.positive
     assert not out.supermartingale
 
@@ -164,9 +152,7 @@ def test_supermartingale_deflator_fails_on_arbitrage_node(ex1):
 def test_supermartingale_deflator_rejects_inadmissible(ex1):
     theta = AdaptedProcess.constant(ex1.space, F(5))
     with pytest.raises(InadmissibleStrategy):
-        supermartingale_deflator(
-            ex1.price, theta, ex1.deflators, ex1.enlarged, ex1.tau, ex1.space
-        )
+        supermartingale_deflator(ex1.price, theta, ex1.deflators)
 
 
 def test_verify_deflator_examples(ex1, ex2):
@@ -216,7 +202,7 @@ def test_adjoint_identity_on_random_instances():
         lhs = quadratic_covariation(d.driver, Mhat)
         T = inst.space.horizon
         e_lhs = inst.space.expectation([lhs.scalar_at(T, i) for i in range(inst.space.n)])
-        cross = quadratic_covariation(d.mhat, Mhat)
+        cross = quadratic_covariation(d.bundle.mhat, Mhat)
         acc = [F(0)] * inst.space.n
         for t in range(1, T + 1):
             for i in range(inst.space.n):

@@ -206,6 +206,26 @@ def test_projection_transfer_identities_ex2(ex2):
     assert out.unit_rhs.scalar_at(2, 1) == 1
 
 
+def test_survival_views_match_a_per_atom_recomputation(ex1, ex2, survival_views_oracle):
+    survival_views_oracle(ex1.bundle)
+    survival_views_oracle(ex2.bundle)
+    for seed in range(120):
+        inst = random_instance(seed)
+        survival_views_oracle(azema(inst.filtration, inst.tau, inst.space))
+
+
+def test_survival_views_follow_a_replaced_random_time(ex1):
+    # the views are cached per bundle, so ``replace`` must build them afresh
+    b = azema(ex1.filt, ex1.tau, ex1.space)
+    before = b.alive
+    assert before[2] == (False, True, False, True)
+    never = replace(b, tau=RandomTime.constant(ex1.space, INF))
+    assert never.alive == ((False,) * 4,) + ((True,) * 4,) * ex1.space.horizon
+    dead = replace(b, tau=RandomTime.constant(ex1.space, 0))
+    assert dead.alive == ((False,) * 4,) * (ex1.space.horizon + 1)
+    assert b.alive is before
+
+
 def test_jump_time_measures_ex1(ex1):
     out = jump_time_measures(2, ex1.bundle)
     assert out.q == (F(0), F(2), F(0), F(2))

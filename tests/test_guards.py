@@ -72,3 +72,44 @@ def test_tracer_targets_are_module_level_functions():
         ):
             broken.append(f"{module_name}.{func_name}")
     assert broken == []
+
+
+def _decides_a_survival_view(call) -> bool:
+    """``tau.at(...)``, ``<obj>.tau.at(...)`` or ``condexp(...)``."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id == "condexp"
+    if not (isinstance(f, ast.Attribute) and f.attr == "at"):
+        return False
+    owner = f.value
+    return (isinstance(owner, ast.Name) and owner.id == "tau") or (
+        isinstance(owner, ast.Attribute) and owner.attr == "tau"
+    )
+
+
+def test_survival_views_are_read_from_the_bundle():
+    # ]0, tau] is ``AzemaBundle.alive`` and P(Zt_t = 0 | F_{t-1}) is
+    # ``AzemaBundle.collapse``: a function that takes a survival bundle (or
+    # a deflator bundle) reads them instead of deciding t <= tau(i) per atom
+    # or projecting an indicator with the scalar ``condexp`` itself
+    readers = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                params = {a.arg for a in node.args.args + node.args.kwonlyargs}
+                if params & {"bundle", "deflators"}:
+                    readers[f"{path.stem}.{node.name}"] = node
+    assert {
+        "enlargement._over_zprev",
+        "enlargement.jump_time_measures",
+        "deflator.build_deflator",
+        "deflator.supermartingale_deflator",
+        "nupbr.witness_martingale",
+    } <= set(readers)
+    found = [
+        f"{name}:{call.lineno}"
+        for name, fn in readers.items()
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and _decides_a_survival_view(call)
+    ]
+    assert found == []

@@ -8,8 +8,10 @@ from scipy.special import ndtri
 from randomhorizon.cli import VALIDATION_POINTS
 from randomhorizon.mc import (
     _STREAM_NESTED,
+    _STREAM_PRICE,
     McModel,
     McParameterError,
+    _normals,
     _uniforms,
     _zero_in_step,
     simulate,
@@ -181,12 +183,66 @@ def test_uniforms_match_the_midpoint_reference(seed, stream, step, n):
 
 def test_uniforms_grid_ends_round_like_the_reference():
     # k = 0 and k = 2^53 - 1, the ends of the 53-bit grid; the top one
-    # rounds (to even) up to 1.0 both ways
+    # rounds (to even) up to 1.0 both ways, so ``_uniforms`` clamps it
     raw = np.array([0, 2**64 - 1], dtype=np.uint64)
     want = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     got = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
     assert got.tobytes() == want.tobytes()
     assert got.tolist() == [2.0**-54, 1.0]
+
+
+# the top of the 53-bit grid, k = 2^53 - 1, as ``Generator.random`` returns it
+_TOP = (2**53 - 1) * 2.0**-53
+
+
+def _generator_with_top_draw(hit):
+    """A stand-in for ``np.random.Generator`` whose draw 0 is the top grid
+    point on every stream key (seed, stream << 40 + step) with ``hit(key)``;
+    every other draw is the real one."""
+    real = np.random.Generator
+
+    class Generator:
+        def __init__(self, bitgen):
+            self._gen = real(bitgen)
+            self._hit = hit(tuple(int(k) for k in bitgen.state["state"]["key"]))
+
+        def random(self, n, out=None):
+            u = self._gen.random(n, out=out)
+            if self._hit:
+                u[0] = _TOP
+            return u
+
+    return Generator
+
+
+def test_uniforms_clamp_the_top_grid_point_below_one(monkeypatch):
+    # unclamped, the top point rounds up to 1.0 (see above) and ndtri(1.0)
+    # is +inf; the clamp moves that one draw to the largest double below 1
+    want = _uniforms(3, 1, 7, 1000)
+    monkeypatch.setattr(np.random, "Generator", _generator_with_top_draw(lambda key: True))
+    got = _uniforms(3, 1, 7, 1000)
+    assert got[0] == 1.0 - 2.0**-53
+    assert got[1:].tobytes() == want[1:].tobytes()
+    assert np.isfinite(_normals(3, 1, 7, 1000)).all()
+
+
+def test_simulate_runs_through_a_top_grid_draw(monkeypatch):
+    # the top point as the first price draw of path 0: before the clamp the
+    # path's price became +inf and the checkpoint raised FloatingPointError
+    model = McModel(model="CAT-1", dt=0.01, paths=64, seed=2)
+    base = simulate(model)
+    target = (model.seed, (_STREAM_PRICE << 40) + 0)
+    monkeypatch.setattr(np.random, "Generator", _generator_with_top_draw(target.__eq__))
+    got = simulate(model)
+    for row in (got.estimates, got.standard_errors, got.control_estimates):
+        assert all(math.isfinite(v) for v in row)
+    assert got.estimates != base.estimates
+    # the draw feeds the price only: the survival side of the run is unchanged
+    assert got.checkpoints == base.checkpoints
+    assert (got.frozen_paths, got.positivity_violations) == (
+        base.frozen_paths,
+        base.positivity_violations,
+    )
 
 
 def test_zero_in_step_matches_the_reference():

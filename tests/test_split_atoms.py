@@ -110,14 +110,16 @@ def test_tau_independent_of_the_base_filtration(seed):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_randomly_split_instances_report_no_violation(seed):
+def test_randomly_split_instances_report_no_violation(seed, survival_views_oracle):
     inst = random_instance(seed)
     rng = random.Random(seed)
     shares = [F(rng.randint(1, 4), 5) for _ in range(inst.space.n)]
     grid = _grid(inst.space.horizon)
     taus = [rng.choice(grid) for _ in range(2 * inst.space.n)]
     sc = split_instance(inst, shares, lambda i, c: taus[2 * i + c])
-    assert theorem_suite(sc, battery=10, seed=seed)[2] == []
+    bundle, _, violations = theorem_suite(sc, battery=10, seed=seed)
+    assert violations == []
+    survival_views_oracle(bundle)
 
 
 def _immortal_copy_scenario(seed, horizon, branching_dates):
