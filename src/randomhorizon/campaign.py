@@ -9,7 +9,9 @@ on seeded generator instances and the CLI ``theorems`` command on a
 scenario file.  Each report section is the record its checker returns
 (its fields plus ``consistent``), and the violations are read off the
 sections.  Any disagreement is a build-breaking violation (exit code 2 at
-the CLI).
+the CLI).  A flag whose hypotheses fail is ``null``: ``martingale_part``
+and ``deflates_stopped_price`` off F-martingale prices, the latter also
+off an empty thin set.
 
 Reports are deterministic functions of (instances, seed, battery): no
 timestamps, stable key order, rationals as "p/q" strings.
@@ -95,7 +97,7 @@ def _deflator_suite(price, bundle):
         out["deflates_stopped_price"] = None
         return out
     out["supermartingale"] = is_supermartingale(deflators.deflator, enlarged, space)
-    if thin_set_empty(bundle):
+    if thin_set_empty(bundle) and is_martingale(price, bundle.filt, space):
         verdict = verify_deflator(
             deflators.deflator, stop(price, bundle.tau), enlarged, space
         )

@@ -306,10 +306,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(rio.dump_json({"error": "io", "message": str(exc)}))
         return EXIT_INPUT
-    except EngineError as exc:
-        sys.stderr.write(rio.dump_json({"error": "runtime", "message": str(exc)}))
-        return EXIT_RUNTIME
-    except ValueError as exc:
+    except (EngineError, ValueError) as exc:
         sys.stderr.write(rio.dump_json({"error": "runtime", "message": str(exc)}))
         return EXIT_RUNTIME
     except Exception as exc:  # an engine bug, never an input error

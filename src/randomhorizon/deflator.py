@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .enlargement import AzemaBundle
+from .enlargement import AzemaBundle, survival_divisor
 from .errors import EngineError, InadmissibleStrategy, StructuralViolation
 from .lp import maximize_over_admissible
 from .projections import (
@@ -110,9 +110,10 @@ def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
         row = [zero] * n
         for i in range(n):
             if alive[t][i]:
-                zprev = bundle.Z.scalar_at(t - 1, i)
-                kappa = zprev * zprev + bracket.delta_at(t, i)[0]
-                row[i] = (zprev * zprev / kappa / bundle.Ztilde.scalar_at(t, i),)
+                zprev = survival_divisor(bundle.Z.scalar_at(t - 1, i), "Z_-")
+                zt = survival_divisor(bundle.Ztilde.scalar_at(t, i), "Zt")
+                kappa = zprev * zprev + bracket.delta_at(t, i)[0]  # > 0: d<m> >= 0
+                row[i] = (zprev * zprev / kappa / zt,)
         k_rows.append(tuple(row))
     K = AdaptedProcess(1, tuple(k_rows))
 
@@ -137,7 +138,7 @@ def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
             if 1 + jump <= 0:
                 raise StructuralViolation("driver jump fell to -1 or below")
         drawdown_increments.append(row)
-    drawdown = AdaptedProcess.from_increments(1, n, drawdown_increments, predictable=True)
+    drawdown = AdaptedProcess.from_increments(1, n, drawdown_increments)
 
     if not is_martingale(L, enlarged, space):
         raise StructuralViolation("deflator driver is not a G-martingale")
@@ -242,8 +243,7 @@ def verify_deflator(
             blocks,
             space,
         )
-        for parent_idx, parent in enumerate(blocks):
-            kids = [filt.parts[t][j] for j in filt.children(t, parent_idx)]
+        for parent, kids in filt.nodes(t):
             deltas = [S_stopped.delta_at(t, c[0]) for c in kids]
             base, g = base_row[parent[0]], g_row[parent[0]]
             status, direction, value = maximize_over_admissible(g, deltas)

@@ -10,7 +10,8 @@ attached to the pair:
 * ``m = Z + D^o`` where ``D^o`` is the dual optional projection of the
   default indicator ``I_{[tau, inf)}`` -- an F-martingale,
 * the thin set ``{Zt = 0 & Z_- > 0}`` where survival collapses abruptly,
-* the death times derived from the first zero of Z.
+* the death time, the first t with Z_{t-1} = 0, and its sudden part on
+  {Zt = 0}.
 
 ``azema(filt, tau, space)`` returns an ``AzemaBundle`` that owns its model:
 it carries (F, tau, P) as ``filt``, ``tau`` and ``space`` and builds the
@@ -30,15 +31,15 @@ Every transfer formula is an F-predictable projection divided by Z_- on
 ``]0, tau]``, written once in ``_over_zprev``: the G-compensator of V^tau
 projects Zt dV, the G-martingale part of M^tau subtracts the projection of
 dM dm, and the rescaled identity pG(dV/Zt) = pF(I_{Zt>0} dV)/Z_- projects
-I_{Zt>0} dV.  ``_rescaled_sides`` builds both sides of that identity and
-raises ``StructuralViolation`` where Zt would be divided by 0 on ]0, tau];
+I_{Zt>0} dV.  ``_rescaled_sides`` builds both sides of that identity;
 ``compensator_of_rescaled`` sums its G-side, and
 ``projection_transfer_identities`` evaluates it for M and for the clock
 V_t = t, whose jump identity is the unit identity pG(1/Zt) = pF(I_{Zt>0})/Z_-.
 
 Key structural facts the engine relies on (and re-checks at build time):
 ``Zt_t = Z_{t-1} + dm_t`` for t >= 1, and ``{Zt = 0}``, ``{Z_- = 0}`` never
-meet ``]0, tau]``.
+meet ``]0, tau]``.  Every division by Z_- or Zt there reads its divisor
+through ``survival_divisor``, which raises ``StructuralViolation`` if not.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ class AzemaBundle:
     read of ``enlarged``.
 
     ``death`` is the first grid time t >= 1 with Z_{t-1} = 0 (0 when Z_0 = 0,
-    INF when Z never dies); ``announced_death`` restricts it to
-    {Z_{death-} = 0} and ``sudden_death`` to {Zt_death = 0}, both INF
-    elsewhere.  ``thin_mask`` collects the (atom, t) pairs where Zt_t = 0
+    INF when Z never dies), so Z_{death-} = 0 wherever it is finite: every
+    death is announced.  ``sudden_death`` restricts it to {Zt_death = 0},
+    INF elsewhere.  ``thin_mask`` collects the (atom, t) pairs where Zt_t = 0
     while Z_{t-1} > 0.
 
     The bundle also owns what more than one check reads, each built once
@@ -114,7 +115,6 @@ class AzemaBundle:
     m: AdaptedProcess
     thin_mask: frozenset
     death: RandomTime
-    announced_death: RandomTime
     sudden_death: RandomTime
     filt: Filtration
     tau: RandomTime
@@ -202,24 +202,12 @@ def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
         if Zt.scalar_at(t, i) == 0 and Z.scalar_at(t - 1, i) > 0
     )
 
-    death_vals, announced_vals, sudden_vals = [], [], []
-    for i in range(n):
-        if Z.scalar_at(0, i) == 0:
-            d = 0
-        else:
-            d = INF
-            for t in range(1, space.horizon + 1):
-                if Z.scalar_at(t - 1, i) == 0:
-                    d = t
-                    break
-        death_vals.append(d)
-        if d is INF:
-            announced_vals.append(INF)
-            sudden_vals.append(INF)
-        else:
-            prev = Z.scalar_at(d - 1 if d >= 1 else 0, i)
-            announced_vals.append(d if prev == 0 else INF)
-            sudden_vals.append(d if Zt.scalar_at(d, i) == 0 else INF)
+    # 0 when Z_0 = 0, else the first t >= 1 with Z_{t-1} = 0
+    death = [
+        next((t for t in space.times if Z.scalar_at(max(t - 1, 0), i) == 0), INF)
+        for i in range(n)
+    ]
+    sudden = [d if d is not INF and Zt.scalar_at(d, i) == 0 else INF for i, d in enumerate(death)]
 
     return AzemaBundle(
         Z=Z,
@@ -227,13 +215,20 @@ def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
         default_compensator=Dof,
         m=m,
         thin_mask=mask,
-        death=RandomTime(tuple(death_vals)),
-        announced_death=RandomTime(tuple(announced_vals)),
-        sudden_death=RandomTime(tuple(sudden_vals)),
+        death=RandomTime(tuple(death)),
+        sudden_death=RandomTime(tuple(sudden)),
         filt=filt,
         tau=tau,
         space=space,
     )
+
+
+def survival_divisor(x: Fraction, name: str) -> Fraction:
+    """``x``, a value of ``name`` ("Z_-" or "Zt") divided by on ]0, tau];
+    :class:`StructuralViolation` if it vanished there."""
+    if x == 0:
+        raise StructuralViolation(f"{name} vanished inside ]0, tau]; engine invariant broken")
+    return x
 
 
 def _times(scalars, cells) -> list:
@@ -254,9 +249,7 @@ def _over_zprev(cells, t: int, bundle: AzemaBundle) -> tuple:
         inside = [i for i in block if alive[i]]
         if not inside:
             continue
-        zprev = bundle.Z.scalar_at(t - 1, block[0])
-        if zprev == 0:
-            raise StructuralViolation("Z_- vanished inside ]0, tau]; engine invariant broken")
+        zprev = survival_divisor(bundle.Z.scalar_at(t - 1, block[0]), "Z_-")
         cell = tuple(c / zprev for c in proj[block[0]])
         for i in inside:
             row[i] = cell
@@ -277,11 +270,8 @@ def _rescaled_sides(V: AdaptedProcess, bundle: AzemaBundle) -> list:
         rescaled = [zero] * space.n
         for i, (z, cell) in enumerate(zip(zt, dv)):
             if alive[i] and any(cell):
-                if z[0] == 0:
-                    raise StructuralViolation(
-                        "Zt vanished inside ]0, tau]; engine invariant broken"
-                    )
-                rescaled[i] = tuple(c / z[0] for c in cell)
+                z_i = survival_divisor(z[0], "Zt")
+                rescaled[i] = tuple(c / z_i for c in cell)
         masked = [cell if z[0] > 0 else zero for z, cell in zip(zt, dv)]
         g_side = condexp_cells(rescaled, bundle.enlarged.parts[t - 1], space)
         sides.append((g_side, _over_zprev(masked, t, bundle)))
@@ -300,7 +290,7 @@ def compensator_of_stopped(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPro
         _over_zprev(_times(bundle.Ztilde.values[t], V.increments[t]), t, bundle)
         for t in range(1, bundle.space.horizon + 1)
     ]
-    return AdaptedProcess.from_increments(V.dim, bundle.space.n, increments, predictable=True)
+    return AdaptedProcess.from_increments(V.dim, bundle.space.n, increments)
 
 
 def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
@@ -329,9 +319,7 @@ def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPr
             zprev = bundle.Z.scalar_at(t - 1, i)
             if bundle.alive[t][i] and plain[i] != tuple(zprev * g for g in got[i]):
                 raise StructuralViolation("converse compensator identity failed on ]0, tau]")
-    return AdaptedProcess.from_increments(
-        V.dim, space.n, [got for got, _ in sides], predictable=True
-    )
+    return AdaptedProcess.from_increments(V.dim, space.n, [got for got, _ in sides])
 
 
 def g_martingale_part(M: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
@@ -430,7 +418,10 @@ def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
         for z, c in zip(zt, bundle.collapse[T])
     )
     qt = tuple(z / zp if zp > 0 else one for zp, z in zip(zprev, zt))
-    ug = tuple(zp / z if a else one for zp, z, a in zip(zprev, zt, bundle.alive[T]))
+    ug = tuple(
+        zp / survival_divisor(z, "Zt") if a else one
+        for zp, z, a in zip(zprev, zt, bundle.alive[T])
+    )
     if space.expectation(q) != 1 or space.expectation(qt) != 1:
         raise StructuralViolation("jump-date measures must have expectation 1")
     if any(u <= 0 for u in ug):
@@ -470,4 +461,4 @@ def reduce_g_predictable(
                 for i in block:
                     row[i] = H.values[t][survivors[0]]
         rows.append(tuple(row))
-    return AdaptedProcess(H.dim, tuple(rows), predictable=True)
+    return AdaptedProcess(H.dim, tuple(rows))

@@ -118,7 +118,7 @@ def random_predictable_fv(
                     row[i] = inc
             increments.append(row)
         if any(cell[0] for row in increments for cell in row):
-            return AdaptedProcess.from_increments(1, space.n, increments, predictable=True)
+            return AdaptedProcess.from_increments(1, space.n, increments)
 
 
 def random_tau(space: FiniteSpace, rng: random.Random) -> RandomTime:

@@ -37,9 +37,22 @@ from .space import (
 )
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size: past the digit limit of ``int()``
+    it is split at a power of ten into halves, each printed the same way."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    k = abs(n).bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    hi, lo = divmod(abs(n), 10**k)
+    return ("-" if n < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def format_fraction(x: Fraction) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = _decimal(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
 
 
 def _is_int(v) -> bool:

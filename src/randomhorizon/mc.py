@@ -71,6 +71,9 @@ from scipy.special import erfc, ndtri
 
 CHECKPOINTS = (0.25, 0.5, 0.75)
 
+# a path whose survival Z falls below this floor freezes its deflator
+Z_FLOOR = 1e-6
+
 # stream identifiers for the Philox keys
 _STREAM_PRICE = 0
 _STREAM_HORIZON = 1
@@ -99,7 +102,6 @@ class McModel:
     dt: float = 1e-3
     paths: int = 100_000
     seed: int = 0
-    z_floor: float = 1e-6
 
     def __post_init__(self):
         if self.model not in CATALOG:
@@ -278,7 +280,7 @@ def simulate(model: McModel) -> PathEstimate:
         t = step * dt
         if with_horizon:
             z = survival_at(t)
-            np.less(z, model.z_floor, out=newly)
+            np.less(z, Z_FLOOR, out=newly)
             newly &= alive
             np.multiply(defl, z, out=ea_frozen, where=newly)
             alive ^= newly

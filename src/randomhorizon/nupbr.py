@@ -20,6 +20,9 @@ a base-filtration model to its enlargement: single predictable-jump
 processes and their reweighted counterparts, the masked-increment
 criterion for thin processes, abrupt-collapse witnesses, and the universal
 preservation dichotomy driven by the thin set {Zt = 0 & Z_- > 0}.
+
+Every node walk is :meth:`Filtration.nodes`; the masked criterion's family
+is the Zt_t-positive family, the walk under the weights Zt_t.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .enlargement import AzemaBundle, jump_time_measures
 from .errors import EngineError, PreconditionViolated, StructuralViolation
 from .generator import random_martingale
 from .lp import separating_direction, zero_in_relative_interior
-from .projections import is_martingale
+from .projections import is_martingale, nonnegative
 from .space import (
     AdaptedProcess,
     FiniteSpace,
@@ -114,18 +117,6 @@ class CertResult:
         )
 
 
-def _families(filt: Filtration, w, t: int):
-    """(parent, children) per node of positive mass at date t, with only the
-    positive-mass children; every node when ``w`` is None."""
-    for parent_idx, parent in enumerate(filt.parts[t - 1]):
-        if w is not None and not any(w[i] for i in parent):
-            continue
-        kids = [filt.parts[t][j] for j in filt.children(t, parent_idx)]
-        if w is not None:
-            kids = [c for c in kids if any(w[i] for i in c)]
-        yield parent, kids
-
-
 def _node_weights(filt: Filtration, space: FiniteSpace, w, decided: dict) -> tuple:
     """The weight witness of a true verdict: ``decided[t]`` lists the
     (parent, children, weights) found on a date where the process moves;
@@ -137,7 +128,7 @@ def _node_weights(filt: Filtration, space: FiniteSpace, w, decided: dict) -> tup
         if nodes is None:
             nodes = [
                 (parent, kids, (Fraction(1, len(kids)),) * len(kids))
-                for parent, kids in _families(filt, w, t)
+                for parent, kids in filt.nodes(t, w)
             ]
         for parent, kids, lam in nodes:
             out.append(
@@ -170,16 +161,14 @@ def certify_nupbr(
     the witness of a true verdict is built from them on first read of
     ``node_weights``."""
     assert_adapted(X, filt, "certify_nupbr input")
-    w = None if weights is None else [frac(v) for v in weights]
-    if w is not None and any(x < 0 for x in w):
-        raise ValueError("weights must be nonnegative")
+    w = nonnegative(weights)
     decided = {}
     for t in range(1, space.horizon + 1):
         row = X.increments[t]
         if not any(map(any, row)):
             continue
         nodes = decided[t] = []
-        for parent, kids in _families(filt, w, t):
+        for parent, kids in filt.nodes(t, w):
             deltas = [row[child[0]] for child in kids]
             ok, lam = zero_in_relative_interior(deltas)
             if not ok:
@@ -235,7 +224,7 @@ def single_jump_process(
     flat = (zero,) * space.n
     rows = tuple(jump if t >= T else flat for t in space.times)
     table = tuple(jump if 0 < t == T else flat for t in space.times)
-    return AdaptedProcess._trusted(dim, rows, False, table)
+    return AdaptedProcess._trusted(dim, rows, table)
 
 
 @dataclass(frozen=True)
@@ -315,34 +304,26 @@ class MaskedCriterionRecord:
         return self.all_deltas == self.stopped_verdict
 
 
-def _masked_family(S: AdaptedProcess, bundle: AzemaBundle, t: int, parent_idx: int):
-    """Increments of S over the children of a node that keep Zt_t > 0."""
-    family = []
-    for j in bundle.filt.children(t, parent_idx):
-        child = bundle.filt.parts[t][j]
-        if bundle.Ztilde.scalar_at(t, child[0]) > 0:
-            family.append(S.delta_at(t, child[0]))
-    return family
-
-
-def _nodes_with_survival(bundle: AzemaBundle):
-    """(Z_{t-1}, t, parent index) for every one-period node."""
-    return [
-        (bundle.Z.scalar_at(t - 1, parent[0]), t, parent_idx)
-        for t in range(1, bundle.space.horizon + 1)
-        for parent_idx, parent in enumerate(bundle.filt.parts[t - 1])
-    ]
+def _masked_families(S: AdaptedProcess, bundle: AzemaBundle):
+    """(Z_{t-1}, increments of S over the children that keep Zt_t > 0) per
+    node with Z_{t-1} > 0, in (date, block) order: as Z_{t-1} = E[Zt_t |
+    F_{t-1}], the nodes and children of positive mass under the weights Zt_t."""
+    for t in range(1, bundle.space.horizon + 1):
+        row = S.increments[t]
+        zt = [c[0] for c in bundle.Ztilde.values[t]]
+        for parent, kids in bundle.filt.nodes(t, zt):
+            yield bundle.Z.scalar_at(t - 1, parent[0]), [row[c[0]] for c in kids]
 
 
 def masked_increment_criterion(S: AdaptedProcess, bundle: AzemaBundle, delta: Fraction) -> bool:
     """On every node with Z_{t-1} >= delta, zero must lie in the relative
     interior of the convex hull of the increments over children that keep
-    Zt_t > 0 (an empty family passes)."""
+    Zt_t > 0 (such a node has at least one)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     return all(
-        zero_in_relative_interior(_masked_family(S, bundle, t, j))[0]
-        for z, t, j in _nodes_with_survival(bundle)
+        zero_in_relative_interior(family)[0]
+        for z, family in _masked_families(S, bundle)
         if z >= delta
     )
 
@@ -368,13 +349,13 @@ def masked_increment_criterion_all(
     extra = {frac(d) for d in extra_deltas}
     if any(d <= 0 for d in extra):
         raise ValueError("delta must be positive")
-    nodes = _nodes_with_survival(bundle)
-    values = sorted({z for z, _, _ in nodes if z > 0} | extra)
+    nodes = list(_masked_families(S, bundle))
+    values = sorted({z for z, _ in nodes} | extra)
     worst = Fraction(0)  # largest Z_{t-1} over the failing nodes seen
-    for z, t, j in nodes:
+    for z, family in nodes:
         if z <= worst:
             continue  # cannot raise the bound, so the node need not be decided
-        if not zero_in_relative_interior(_masked_family(S, bundle, t, j))[0]:
+        if not zero_in_relative_interior(family)[0]:
             worst = z
     per = {d: d > worst for d in values}
     combined = all(per.values())

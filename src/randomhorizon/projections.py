@@ -30,7 +30,7 @@ def predictable_projection(X: AdaptedProcess, filt: Filtration, space: FiniteSpa
     rows = tuple(
         condexp_cells(X.values[t], filt.parts[max(t - 1, 0)], space) for t in space.times
     )
-    return AdaptedProcess(X.dim, rows, predictable=True)
+    return AdaptedProcess(X.dim, rows)
 
 
 def _dual(V: AdaptedProcess, filt: Filtration, space: FiniteSpace, lag: int) -> AdaptedProcess:
@@ -38,7 +38,7 @@ def _dual(V: AdaptedProcess, filt: Filtration, space: FiniteSpace, lag: int) -> 
         condexp_cells(V.increments[t], filt.parts[t - lag], space)
         for t in range(1, space.horizon + 1)
     ]
-    return AdaptedProcess.from_increments(V.dim, space.n, increments, predictable=(lag == 1))
+    return AdaptedProcess.from_increments(V.dim, space.n, increments)
 
 
 def dual_optional(V: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> AdaptedProcess:
@@ -88,10 +88,18 @@ def is_martingale(
     E_Q[dM_t | F_{t-1}] = 0 on every node of positive Q-mass and ignores the
     rest (Q only needs to be absolutely continuous).
     """
-    w = None if weights is None else [frac(x) for x in weights]
-    if w is not None and any(x < 0 for x in w):
+    return not any(node_drifts(M, filt, space, nonnegative(weights)))
+
+
+def nonnegative(weights: Optional[Sequence]) -> Optional[list]:
+    """Atom weights as Fractions (None stays None); ``ValueError`` on a
+    negative weight."""
+    if weights is None:
+        return None
+    w = [frac(x) for x in weights]
+    if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
-    return not any(node_drifts(M, filt, space, w))
+    return w
 
 
 def node_drifts(

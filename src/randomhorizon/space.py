@@ -32,7 +32,8 @@ increments (:meth:`AdaptedProcess.from_increments`, :func:`stop`, sums and
 differences) receive their increment table with their values, so it is
 never rebuilt by subtraction.
 
-Three kernels carry every process computation of the package:
+Three kernels carry every process computation of the package, and one
+walk visits every one-period node:
 
 * :meth:`AdaptedProcess.from_increments` -- the running sum from 0 of a
   table of increments (compensators, dual projections, brackets, optional
@@ -41,7 +42,9 @@ Three kernels carry every process computation of the package:
   cells,
 * :func:`first_nonconstant` -- the first atom whose cell differs from the
   cell of its block's first atom; the body of :func:`is_adapted`,
-  :func:`is_predictable` and every measurability check.
+  :func:`is_predictable` and every measurability check,
+* :meth:`Filtration.nodes` -- each ``parts[t-1]`` block with its children,
+  or only those of positive mass under atom weights; every node-wise test.
 
 A filtration built from atom names must cover every atom of the space.
 """
@@ -253,6 +256,19 @@ class Filtration:
         """Indices in parts[t] of the sub-blocks of parts[t-1][parent_index]."""
         return self._children[t][parent_index]
 
+    def nodes(self, t: int, w=None):
+        """``(parent, children)`` per block of ``parts[t-1]``, in order; under
+        nonnegative atom weights ``w`` only the blocks of positive mass, i.e.
+        with some nonzero weight."""
+        blocks = self.parts[t]
+        for parent, kids in zip(self.parts[t - 1], self._children[t]):
+            if w is not None and not any(w[i] for i in parent):
+                continue
+            children = [blocks[j] for j in kids]
+            if w is not None:
+                children = [c for c in children if any(w[i] for i in c)]
+            yield parent, children
+
     @staticmethod
     def from_names(blocks_per_time, space: FiniteSpace) -> "Filtration":
         idx = space.index
@@ -341,14 +357,13 @@ def first_nonconstant(row: Sequence, blocks):
 class AdaptedProcess:
     """Per-atom, per-time vector of exact rationals.
 
-    ``values[t][atom]`` is a tuple of ``dim`` Fractions.  The ``predictable``
-    flag records a claim of one-step-earlier measurability; it is verified by
-    :func:`assert_predictable`, not by construction.
+    ``values[t][atom]`` is a tuple of ``dim`` Fractions.  A process carries
+    no measurability claim: :func:`is_adapted` and :func:`is_predictable`
+    decide it against a filtration.
     """
 
     dim: int
     values: tuple
-    predictable: bool = False
 
     def __post_init__(self):
         rows = tuple(
@@ -363,11 +378,7 @@ class AdaptedProcess:
 
     @classmethod
     def _trusted(
-        cls,
-        dim: int,
-        rows: tuple,
-        predictable: bool = False,
-        increments: Optional[tuple] = None,
+        cls, dim: int, rows: tuple, increments: Optional[tuple] = None
     ) -> "AdaptedProcess":
         """Internal constructor for rows that are already tuples of
         ``dim``-tuples of Fractions (results of Fraction arithmetic or cells
@@ -377,7 +388,6 @@ class AdaptedProcess:
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "values", rows)
-        object.__setattr__(self, "predictable", predictable)
         if increments is not None:
             self.__dict__["increments"] = increments
         return self
@@ -417,14 +427,12 @@ class AdaptedProcess:
 
     def component(self, k: int) -> "AdaptedProcess":
         rows = tuple(tuple((cell[k],) for cell in row) for row in self.values)
-        return AdaptedProcess._trusted(1, rows, self.predictable)
+        return AdaptedProcess._trusted(1, rows)
 
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def from_increments(
-        dim: int, n: int, increments, predictable: bool = False
-    ) -> "AdaptedProcess":
+    def from_increments(dim: int, n: int, increments) -> "AdaptedProcess":
         """Running sum from 0: ``values[0]`` is zero and ``values[t]`` adds
         ``increments[t - 1][atom]`` (a ``dim``-tuple of Fractions) to
         ``values[t - 1]``.
@@ -454,14 +462,11 @@ class AdaptedProcess:
             cells = tuple(row)
             rows.append(cells)
             table.append(tuple(dx))
-        return AdaptedProcess._trusted(dim, tuple(rows), predictable, tuple(table))
+        return AdaptedProcess._trusted(dim, tuple(rows), tuple(table))
 
     @staticmethod
     def from_function(
-        space: FiniteSpace,
-        fn: Callable[[int, int], object],
-        dim: int = 1,
-        predictable: bool = False,
+        space: FiniteSpace, fn: Callable[[int, int], object], dim: int = 1
     ) -> "AdaptedProcess":
         """Build from fn(t, atom) returning a scalar (dim 1) or a tuple."""
         rows = []
@@ -472,7 +477,7 @@ class AdaptedProcess:
                 cell = (v,) if dim == 1 and not isinstance(v, tuple) else tuple(v)
                 row.append(cell)
             rows.append(tuple(row))
-        return AdaptedProcess(dim, tuple(rows), predictable)
+        return AdaptedProcess(dim, tuple(rows))
 
     @staticmethod
     def from_scalar_paths(space: FiniteSpace, paths) -> "AdaptedProcess":
@@ -484,7 +489,7 @@ class AdaptedProcess:
     def constant(space: FiniteSpace, value, dim: int = 1) -> "AdaptedProcess":
         cell = (value,) * dim if not isinstance(value, tuple) else value
         rows = tuple(tuple(cell for _ in range(space.n)) for _ in space.times)
-        return AdaptedProcess(len(cell), rows, predictable=True)
+        return AdaptedProcess(len(cell), rows)
 
     @staticmethod
     def zero(space: FiniteSpace, dim: int = 1) -> "AdaptedProcess":
@@ -511,7 +516,6 @@ class AdaptedProcess:
         return AdaptedProcess._trusted(
             self.dim,
             apply(self.values, other.values),
-            False,
             apply(self.increments, other.increments),
         )
 
@@ -525,14 +529,14 @@ class AdaptedProcess:
         rows = tuple(
             tuple(tuple(-c for c in cell) for cell in row) for row in self.values
         )
-        return AdaptedProcess._trusted(self.dim, rows, self.predictable)
+        return AdaptedProcess._trusted(self.dim, rows)
 
     def scale(self, q) -> "AdaptedProcess":
         q = frac(q)
         rows = tuple(
             tuple(tuple(q * c for c in cell) for cell in row) for row in self.values
         )
-        return AdaptedProcess._trusted(self.dim, rows, self.predictable)
+        return AdaptedProcess._trusted(self.dim, rows)
 
     def mul_scalar_process(self, scalar: "AdaptedProcess") -> "AdaptedProcess":
         """Pointwise product with a dim-1 process (broadcast over components)."""
@@ -623,4 +627,4 @@ def stop(X: AdaptedProcess, sigma: RandomTime) -> AdaptedProcess:
                 dx.append(zero)
         rows.append(tuple(row))
         table.append(tuple(dx))
-    return AdaptedProcess._trusted(X.dim, tuple(rows), False, tuple(table))
+    return AdaptedProcess._trusted(X.dim, tuple(rows), tuple(table))

@@ -21,7 +21,7 @@ from randomhorizon.space import INF, AdaptedProcess, RandomTime, stop
 def test_optional_integral_with_predictable_integrand(ex1):
     # for predictable H the compensated integral collapses to the ordinary one
     G, space = ex1.enlarged, ex1.space
-    H = AdaptedProcess.from_function(space, lambda t, i: F(t + 1), predictable=True)
+    H = AdaptedProcess.from_function(space, lambda t, i: F(t + 1))
     N = ex1.deflators.bundle.mhat
     out = optional_integral(H, N, G, space)
     acc = [F(0)] * 4
@@ -142,7 +142,7 @@ def test_supermartingale_deflator_fails_on_arbitrage_node(ex1):
     # exploit the one-child node {b} at t=2: any scale beyond the unit
     # direction beats the deflator's halving exactly
     theta = AdaptedProcess.from_function(
-        ex1.space, lambda t, i: F(-2) if (t, i) == (2, 1) else F(0), predictable=True
+        ex1.space, lambda t, i: F(-2) if (t, i) == (2, 1) else F(0)
     )
     out = supermartingale_deflator(ex1.price, theta, ex1.deflators)
     assert out.positive

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from randomhorizon.deflator import build_deflator
 from randomhorizon.enlargement import (
     azema,
     compensator_of_rescaled,
@@ -93,7 +94,7 @@ def test_death_time_invariants(ex1, ex2):
             assert ctx.tau.at(i) <= b.death.at(i)
             if ctx.tau.at(i) is not INF:
                 assert ctx.tau.at(i) < b.sudden_death.at(i)
-        for rt in (b.death, b.announced_death, b.sudden_death):
+        for rt in (b.death, b.sudden_death):
             assert check_stopping_time(rt, ctx.filt, space)
 
 
@@ -275,7 +276,7 @@ def test_reduce_g_predictable_survival_reciprocal(ex1):
 
 
 def test_reduce_g_predictable_keeps_f_predictable(ex1):
-    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t + 1), predictable=True)
+    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t + 1))
     out = reduce_g_predictable(V, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
     for t in range(1, 3):
         for i in range(4):
@@ -384,6 +385,12 @@ def test_transfer_formulas_reject_a_dead_survival_inside_the_interval(formula, e
         b1 = replace(ex1.bundle, tau=RandomTime.constant(ex1.space, INF))
         with pytest.raises(StructuralViolation, match="Zt vanished"):
             formula(b1.m, b1)
+        # the jump-date weight u = Z_-/Zt and the deflator kernel divide by
+        # Zt on ]0, tau] too
+        with pytest.raises(StructuralViolation, match="Zt vanished"):
+            jump_time_measures(2, b1)
+        with pytest.raises(StructuralViolation, match="Zt vanished"):
+            build_deflator(b1)
 
 
 def test_transfer_identities_on_random_instances():

@@ -113,3 +113,18 @@ def test_survival_views_are_read_from_the_bundle():
         if isinstance(call, ast.Call) and _decides_a_survival_view(call)
     ]
     assert found == []
+
+
+def test_node_walks_go_through_filtration_nodes():
+    # every one-period node walk of the engine is ``Filtration.nodes``; a
+    # module that lists children itself writes a second copy of that walk
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "space.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "children"
+    ]
+    assert found == []

@@ -181,6 +181,62 @@ def test_longest_printable_rational_is_certified(capsys, tmp_path):
     assert rc == 0 and json.loads(out)
 
 
+def _digits_value(text):
+    # the int a decimal string names, read in chunks that int() accepts
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for k in range(0, len(digits), 1000):
+        chunk = digits[k : k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def test_fractions_past_the_digit_limit_print_exactly():
+    # str() refuses an int of more than 4300 digits; format_fraction prints
+    # every digit, so a value grown by arithmetic past the limit still prints
+    big = 10**9000 + 123456789 * 10**4500 + 7
+    cases = [F(big), F(-big), F(big, 10**4400 + 3), F(1, big), F(-(10**4300), 1)]
+    for x in cases:
+        text = format_fraction(x)
+        num, _, den = text.partition("/")
+        assert F(_digits_value(num), _digits_value(den or "1")) == x
+        assert not num.lstrip("-").startswith("0") and not den.startswith("0")
+    assert len(format_fraction(F(big))) == 9001
+
+
+def test_certificate_weights_past_the_digit_limit_are_printed(capsys, tmp_path):
+    # every input rational is within the parser's limit, but the node
+    # weights of the certificate grow past it
+    A, B = 10**4000 + 7, 10**4000 + 13
+    doc = {
+        "atoms": ["a", "b", "c"],
+        "probs": ["1/3", "1/3", "1/3"],
+        "horizon": 1,
+        "filtration": [[["a", "b", "c"]], [["a"], ["b"], ["c"]]],
+        "tau": {"a": "inf", "b": "inf", "c": "inf"},
+        "S": {
+            "dim": 2,
+            "values": {
+                "a": [["0", "0"], [str(A), "1"]],
+                "b": [["0", "0"], ["-1", str(B)]],
+                "c": [["0", "0"], [str(-B), str(-A)]],
+            },
+        },
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = _run(["certify", str(path)], capsys)
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert report["nupbr_F"] is True
+    (node,) = report["witness_F"]["deflator_weights"]
+    weights = [
+        F(_digits_value(w.partition("/")[0]), _digits_value(w.partition("/")[2] or "1"))
+        for w in node["weights"]
+    ]
+    assert sum(weights) == 1 and max(len(w) for w in node["weights"]) > 4300
+
+
 def _run(argv, capsys):
     rc = cli.main(argv)
     out = capsys.readouterr()
@@ -388,6 +444,24 @@ def test_cli_theorems_precondition_branch(capsys, tmp_path):
     # the G-martingale part needs an F-martingale price: not applicable here,
     # and an input outside a theorem's hypotheses is no violation
     assert report["projection_identities"]["martingale_part"] is None
+    assert report["consistent"] is True
+    assert rc == 0
+
+
+def test_cli_theorems_deflator_check_needs_a_martingale_price(capsys, tmp_path):
+    # ex2 with a's last price raised to 3: NUPBR holds in F and stopped in G,
+    # but the price drifts, and the deflator is built for F-martingales, so
+    # its check on the stopped price is not applicable
+    doc = json.loads(dump_json(serialize_scenario(load_builtin("ex2"))))
+    doc["S"]["values"]["a"] = [["0"], ["1"], ["3"]]
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(doc))
+    rc, out, _ = _run(["certify", str(path)], capsys)
+    assert rc == 0 and json.loads(out)["nupbr_G_stopped"] is True
+    rc, out, _ = _run(["theorems", str(path), "--battery", "5"], capsys)
+    report = json.loads(out)
+    assert report["preservation"]["thin_set_empty"] is True
+    assert report["deflator"]["deflates_stopped_price"] is None
     assert report["consistent"] is True
     assert rc == 0
 

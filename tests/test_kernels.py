@@ -37,6 +37,7 @@ from randomhorizon.nupbr import (
 from randomhorizon.projections import condexp, is_martingale, node_drifts
 from randomhorizon.space import (
     AdaptedProcess,
+    Filtration,
     condexp_cells,
     first_nonconstant,
     is_adapted,
@@ -313,9 +314,21 @@ def test_running_sum_matches_naive_reference(dim, n, horizon, data):
     increments = [
         [tuple(data.draw(CELLS)[:dim]) for _ in range(n)] for _ in range(horizon)
     ]
-    X = AdaptedProcess.from_increments(dim, n, increments, predictable=True)
+    X = AdaptedProcess.from_increments(dim, n, increments)
     assert X.values == naive_running_sum(dim, n, increments)
-    assert X.predictable and X.horizon == horizon
+    assert X.horizon == horizon
+
+    def natural(s):
+        # atoms grouped by their increments up to row s
+        groups = {}
+        for i in range(n):
+            key = tuple(increments[r][i] for r in range(min(s, horizon - 1) + 1))
+            groups.setdefault(key, []).append(i)
+        return tuple(groups.values())
+
+    # X_t sums the increment rows before t: it is predictable for the
+    # filtration its increments generate
+    assert is_predictable(X, Filtration(tuple(natural(s) for s in range(horizon + 1))))
     assert X.increments == naive_increments(X)
 
 

@@ -152,7 +152,7 @@ def test_masked_criterion_all_rejects_nonpositive_threshold(ex2, bad):
 
 
 def test_masked_criterion_requires_base_nupbr(ex1):
-    drift = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t), predictable=True)
+    drift = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t))
     with pytest.raises(PreconditionViolated):
         masked_increment_criterion_all(drift, ex1.bundle)
 
@@ -337,3 +337,17 @@ def test_theorem_suite_builds_mhat_and_the_bracket_of_m_once(monkeypatch):
         assert [a for a in seen["quadratic_covariation"] if a[0] is bundle.m] == [
             (bundle.m, bundle.m)
         ]
+
+
+def test_survival_weights_keep_exactly_the_nodes_where_z_is_positive(ex1, ex2):
+    # Z_{t-1} = E[Zt_t | F_{t-1}]: the masked criterion's nodes (Z_{t-1} > 0)
+    # are the positive-mass parents of Filtration.nodes under the weights Zt_t
+    bundles = [ex1.bundle, ex2.bundle] + [
+        azema(inst.filtration, inst.tau, inst.space)
+        for inst in map(random_instance, range(120))
+    ]
+    for b in bundles:
+        for t in range(1, b.space.horizon + 1):
+            zt = [c[0] for c in b.Ztilde.values[t]]
+            kept = [parent for parent, _ in b.filt.nodes(t, zt)]
+            assert kept == [p for p in b.filt.parts[t - 1] if b.Z.scalar_at(t - 1, p[0]) > 0]

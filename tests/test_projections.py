@@ -11,7 +11,7 @@ from randomhorizon.projections import (
     predictable_projection,
     quadratic_covariation,
 )
-from randomhorizon.space import AdaptedProcess
+from randomhorizon.space import AdaptedProcess, is_predictable
 
 
 def _collapse_indicator(ex1, t):
@@ -26,7 +26,7 @@ def test_predictable_projection_of_collapse_indicator(ex1):
     )
     proj = predictable_projection(X, ex1.filt, ex1.space)
     assert [proj.scalar_at(2, i) for i in range(4)] == [F(1, 2)] * 4
-    assert proj.predictable
+    assert is_predictable(proj, ex1.filt)
 
 
 def test_predictable_projection_of_martingale_increments_vanishes(ex1):
@@ -39,7 +39,7 @@ def test_predictable_projection_of_martingale_increments_vanishes(ex1):
 def test_predictable_projection_fixes_predictable(ex1):
     X = ex1.deflators.drawdown  # G-predictable, but also F-predictable? no:
     # use an F-predictable process instead
-    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t * t), predictable=True)
+    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t * t))
     proj = predictable_projection(V, ex1.filt, ex1.space)
     assert proj.values == V.values
 
@@ -55,7 +55,7 @@ def test_dual_optional_of_default_indicator(ex1):
 
 
 def test_dual_predictable_of_predictable_recovers_increments(ex1):
-    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(2 * t + 1), predictable=True)
+    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(2 * t + 1))
     proj = dual_predictable(V, ex1.filt, ex1.space)
     assert all(
         proj.scalar_at(t, i) == V.scalar_at(t, i) - V.scalar_at(0, i)
@@ -95,7 +95,7 @@ def test_doob_of_Z(ex1):
     M, A = doob(ex1.bundle.Z, ex1.filt, ex1.space)
     assert all(A.delta_at(1, i)[0] == F(-1, 2) for i in range(4))
     assert is_martingale(M, ex1.filt, ex1.space)
-    assert A.predictable
+    assert is_predictable(A, ex1.filt)
     # reconstruction is exact
     for t in ex1.space.times:
         for i in range(4):
@@ -109,7 +109,7 @@ def test_doob_of_martingale_and_predictable(ex1):
     m = ex1.bundle.m
     M, A = doob(m, ex1.filt, ex1.space)
     assert all(A.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
-    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(5 - t), predictable=True)
+    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(5 - t))
     M2, A2 = doob(V, ex1.filt, ex1.space)
     assert all(M2.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
 

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from randomhorizon.errors import NotAdapted
+from randomhorizon.generator import random_instance
 from randomhorizon.space import (
     INF,
     AdaptedProcess,
@@ -144,3 +146,31 @@ def test_assert_adapted_raises(ex1):
     bad = AdaptedProcess(1, tuple(tuple(r) for r in rows))
     with pytest.raises(NotAdapted):
         assert_adapted(bad, ex1.filt)
+
+
+def _naive_nodes(filt, t, w):
+    """The node walk written out with ``children``: every parent and child,
+    or only those whose weights sum to a positive mass."""
+    out = []
+    for p, parent in enumerate(filt.parts[t - 1]):
+        kids = [filt.parts[t][j] for j in filt.children(t, p)]
+        assert sorted(i for c in kids for i in c) == sorted(parent)
+        if w is not None:
+            if sum(w[i] for i in parent) == 0:
+                continue
+            kids = [c for c in kids if sum(w[i] for i in c) > 0]
+        out.append((parent, kids))
+    return out
+
+
+def test_nodes_match_the_naive_children_walk(ex1, ex2):
+    rng = random.Random(13)
+    models = [(ex1.filt, ex1.space), (ex2.filt, ex2.space)] + [
+        (inst.filtration, inst.space) for inst in map(random_instance, range(120))
+    ]
+    for filt, space in models:
+        for t in range(1, space.horizon + 1):
+            assert list(filt.nodes(t)) == _naive_nodes(filt, t, None)
+            for _ in range(3):
+                w = [F(rng.choice((0, 0, 1, 3)), rng.randint(1, 4)) for _ in range(space.n)]
+                assert list(filt.nodes(t, w)) == _naive_nodes(filt, t, w)
