@@ -44,6 +44,7 @@ from .deflator import (
 from .nupbr import (
     CertResult,
     certify_nupbr,
+    collapse_witness,
     masked_increment_criterion,
     masked_increment_criterion_all,
     preservation_report,

@@ -38,7 +38,7 @@ from .campaign import run_campaign, theorem_suite
 from .enlargement import azema, enlarge
 from .errors import EngineError, InvalidScenario
 from .io import Scenario, format_fraction, format_time
-from .nupbr import certify_nupbr, thin_set_empty, thin_set_empty_at, witness_martingale
+from .nupbr import certify_nupbr, collapse_witness, thin_set_empty_at
 from .space import stop
 
 EXIT_OK = 0
@@ -124,18 +124,15 @@ def theorems_report(sc: Scenario, battery: int = 100, seed: int = 0) -> dict:
 
 
 def witness_report(sc: Scenario) -> dict:
-    bundle = azema(sc.filtration, sc.tau, sc.space)
-    space = sc.space
-    if thin_set_empty(bundle):
+    witness = collapse_witness(azema(sc.filtration, sc.tau, sc.space))
+    if witness is None:
         return {"thin_set_empty": True, "witness": None}
-    T = min(bundle.thin_times())
-    M = witness_martingale(T, bundle)
-    res = certify_nupbr(stop(M, sc.tau), bundle.enlarged, space)
+    T, M, res = witness
     return {
         "thin_set_empty": False,
         "witness": {
             "time": T,
-            "values": _paths(M, space),
+            "values": _paths(M, sc.space),
             "stopped_satisfies_nupbr": res.verdict,
             "certificate": _witness_doc(res),
         },
@@ -280,17 +277,18 @@ def main(argv=None) -> int:
 
             if args.subpaths < 1:
                 raise InvalidScenario("schema", "--subpaths", "need subpaths >= 1")
-            validate = args.validate_z and args.model == "CAT-1"
             try:
                 model = mcmod.McModel(
                     model=args.model, dt=args.dt, paths=args.paths, seed=args.seed
                 )
-                if validate:
+                if args.validate_z:
                     model.check_validation_times([t for t, _ in VALIDATION_POINTS])
             except mcmod.McParameterError as exc:
                 raise InvalidScenario("schema", f"--{exc.field}", exc.reason) from None
+            if args.validate_z and args.model != "CAT-1":
+                raise InvalidScenario("schema", "--validate-z", "only CAT-1 has a survival formula")
             doc = asdict(mcmod.simulate(model))
-            if validate:
+            if args.validate_z:
                 doc["validation"] = [
                     asdict(mcmod.validate_survival_formula(model, t, x, args.subpaths, k))
                     for k, (t, x) in enumerate(VALIDATION_POINTS)

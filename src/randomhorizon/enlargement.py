@@ -178,8 +178,8 @@ def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
             eq = [(Fraction(1) if tau.at(i) == t else zero,) for i in range(n)]
             default_increments.append(condexp_cells(eq, filt.parts[t], space))
 
-    Z = AdaptedProcess.from_scalar_paths(space, z_rows)
-    Zt = AdaptedProcess.from_scalar_paths(space, zt_rows)
+    Z = AdaptedProcess.from_scalar_paths(z_rows)
+    Zt = AdaptedProcess.from_scalar_paths(zt_rows)
     Dof = AdaptedProcess.from_increments(1, n, default_increments)
     m = Z + Dof
 

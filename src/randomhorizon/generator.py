@@ -1,4 +1,7 @@
-"""Seeded random instances for the property and campaign suites.
+"""Seeded random models for the property and campaign suites.
+
+A model is an :class:`io.Scenario`, the type a scenario file parses to, so
+a drawn model serializes to a scenario file and reads back unchanged.
 
 Bounds: at most 12 atoms, horizon at most 4, price dimension at most 2,
 branching at most 3, atom probabilities with denominators at most 64; the
@@ -11,23 +14,14 @@ construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .io import Scenario
 from .space import INF, AdaptedProcess, FiniteSpace, Filtration, RandomTime, condexp_cells
 
 MAX_ATOMS = 12
 MAX_HORIZON = 4
 MAX_BRANCHING = 3
-
-
-@dataclass(frozen=True)
-class Instance:
-    seed: int
-    space: FiniteSpace
-    filtration: Filtration
-    tau: RandomTime
-    price: AdaptedProcess  # exact martingale, dim 1 or 2
 
 
 def _random_tree(rng: random.Random, horizon: int):
@@ -126,7 +120,8 @@ def random_tau(space: FiniteSpace, rng: random.Random) -> RandomTime:
     return RandomTime(tuple(rng.choice(choices) for _ in range(space.n)))
 
 
-def random_instance(seed: int) -> Instance:
+def random_instance(seed: int) -> Scenario:
+    """The seeded model; its price is an exact martingale of dim 1 or 2."""
     rng = random.Random(seed)
     horizon = rng.randint(1, MAX_HORIZON)
     n, parts = _random_tree(rng, horizon)
@@ -138,4 +133,4 @@ def random_instance(seed: int) -> Instance:
     tau = random_tau(space, rng)
     dim = rng.choice((1, 1, 2))
     price = random_martingale(space, filt, rng, dim=dim)
-    return Instance(seed, space, filt, tau, price)
+    return Scenario(space, filt, tau, price)

@@ -243,7 +243,8 @@ def load_builtin(name: str) -> Scenario:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Report JSON; a non-finite float raises ``ValueError`` (JSON has none)."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(obj, path) -> None:

@@ -12,13 +12,13 @@ in the package:
 * :func:`maximize_over_admissible` -- maximizes a linear objective over the
   one-period admissibility polytope {theta : 1 + theta . delta >= 0}.
 
-The first two choose their method from the shape of the family (k points
-in dimension d).  The empty family passes; an all-zero family passes with
-uniform weights; a single nonzero point fails.  In one dimension, with P
-the sum of the positive points and N minus the sum of the negative ones,
-the family passes iff P > 0 and N > 0: weights N on positives, P on
-negatives and 1 on zeros, normalised to sum to 1, are the witness, and a
-failing family is separated by the common sign, (1,) or (-1,).
+The relative-interior test chooses its method from the shape of the
+family (k points in dimension d).  The empty family passes; an all-zero
+family passes with uniform weights; a single nonzero point fails.  In one
+dimension, with P the sum of the positive points and N minus the sum of
+the negative ones, the family passes iff P > 0 and N > 0: weights N on
+positives, P on negatives and 1 on zeros, normalised to sum to 1, are the
+witness.
 
 In the plane the relative-interior test has two more closed forms.  Two
 points a, b pass iff det(a, b) = 0 and a . b < 0 (they point in opposite
@@ -31,18 +31,19 @@ are exactly what the LP below returns.
 
 Every other family goes to :func:`solve_min`, a dense two-phase primal
 simplex with Bland's rule: repeated or collinear triples, four or more
-points, three or more dimensions, and every separating direction beyond
-one dimension.  The relative-interior test is the LP in the substitution
-w_i = eps + v_i,
+points and three or more dimensions.  The relative-interior test is the LP
+in the substitution w_i = eps + v_i,
 
     max eps  s.t.  eps * sum_i delta_i + sum_i v_i delta_i = 0,
                    k * eps + sum_i v_i = 1,   eps, v >= 0,
 
 with k + 1 variables and d + 1 rows; 0 is relatively interior iff the LP
 is feasible with eps* > 0.  The two theta LPs (the separating direction
-beyond one dimension and the admissible maximization) are one formulation,
-max g . theta s.t. rhs + theta . delta_i >= 0 with theta = u - v, built by
-:func:`_theta_lp`; the separating direction adds the unit box.
+and the admissible maximization) are one formulation, max g . theta s.t.
+rhs + theta . delta_i >= 0 with theta = u - v, built by :func:`_theta_lp`.
+The separating direction adds the unit box and is this LP in every
+dimension; in one dimension its optimum is the common sign of a failing
+family, (1,) or (-1,).
 """
 
 from __future__ import annotations
@@ -219,11 +220,6 @@ def separating_direction(deltas: Sequence[tuple]) -> tuple:
     if not deltas or all(c == 0 for point in deltas for c in point):
         raise StructuralViolation("no separation: not a failing node")
     d = len(deltas[0])
-    if d == 1:
-        signs = {x > 0 for (x,) in deltas if x != 0}
-        if len(signs) != 1:
-            raise StructuralViolation("no separation: not a failing node")
-        return (Fraction(1),) if signs.pop() else (Fraction(-1),)
     res = _theta_lp(tuple(sum(p[j] for p in deltas) for j in range(d)), deltas, 0, box=True)
     if res.status != "optimal" or res.objective >= 0:
         raise StructuralViolation("no separation: not a failing node")

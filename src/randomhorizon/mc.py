@@ -108,8 +108,8 @@ class McModel:
             raise McParameterError(
                 "model", f"unknown model {self.model!r}; catalog: {sorted(CATALOG)}"
             )
-        if not self.paths >= 1:
-            raise McParameterError("paths", "need paths >= 1")
+        if not self.paths >= 2:
+            raise McParameterError("paths", "need paths >= 2 for a standard error")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise McParameterError("seed", f"need an integer seed, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:

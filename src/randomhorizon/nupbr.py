@@ -293,6 +293,19 @@ def witness_martingale(T: int, bundle: AzemaBundle) -> AdaptedProcess:
     return single_jump_process(xi, T, bundle.space)
 
 
+def collapse_witness(bundle: AzemaBundle) -> Optional[tuple]:
+    """The abrupt-collapse counterexample: None when the thin set is empty,
+    else (T, M, certificate) with T the first thin date, M its
+    :func:`witness_martingale` and the NUPBR certificate of M stopped at
+    tau in the enlargement (false, by the preservation theorem).  Read by
+    :func:`preservation_report` and the CLI ``witness`` report."""
+    if thin_set_empty(bundle):
+        return None
+    T = min(bundle.thin_times())
+    M = witness_martingale(T, bundle)
+    return T, M, certify_nupbr(stop(M, bundle.tau), bundle.enlarged, bundle.space)
+
+
 @dataclass(frozen=True)
 class MaskedCriterionRecord:
     per_delta: dict  # Fraction -> bool
@@ -328,12 +341,11 @@ def masked_increment_criterion(S: AdaptedProcess, bundle: AzemaBundle, delta: Fr
     )
 
 
-def masked_increment_criterion_all(
-    S: AdaptedProcess, bundle: AzemaBundle, extra_deltas: Sequence[Fraction] = ()
-) -> MaskedCriterionRecord:
+def masked_increment_criterion_all(S: AdaptedProcess, bundle: AzemaBundle) -> MaskedCriterionRecord:
     """Quantify the criterion over the finite set of positive values taken by
-    Z_-, plus any user-supplied thresholds; the conjunction must match the
-    NUPBR certificate of the stopped process in the enlargement.
+    Z_-; the conjunction must match the NUPBR certificate of the stopped
+    process in the enlargement.  The verdict at any other threshold is
+    :func:`masked_increment_criterion`.
 
     A node's verdict does not depend on delta, so each node is decided at
     most once: the criterion at delta fails iff some failing node has
@@ -346,18 +358,14 @@ def masked_increment_criterion_all(
         raise PreconditionViolated(
             "masked-increment criterion requires the base process to satisfy NUPBR"
         )
-    extra = {frac(d) for d in extra_deltas}
-    if any(d <= 0 for d in extra):
-        raise ValueError("delta must be positive")
     nodes = list(_masked_families(S, bundle))
-    values = sorted({z for z, _ in nodes} | extra)
     worst = Fraction(0)  # largest Z_{t-1} over the failing nodes seen
     for z, family in nodes:
         if z <= worst:
             continue  # cannot raise the bound, so the node need not be decided
         if not zero_in_relative_interior(family)[0]:
             worst = z
-    per = {d: d > worst for d in values}
+    per = {d: d > worst for d in sorted({z for z, _ in nodes})}
     combined = all(per.values())
     stopped = certify_nupbr(stop(S, bundle.tau), bundle.enlarged, space).verdict
     return MaskedCriterionRecord(per, combined, stopped)
@@ -442,7 +450,8 @@ def preservation_report(
     if n_martingales < 0:
         raise ValueError("the preservation battery size must be >= 0")
     space, filt, tau, enlarged = bundle.space, bundle.filt, bundle.tau, bundle.enlarged
-    if thin_set_empty(bundle):
+    witness = collapse_witness(bundle)
+    if witness is None:
         rng = random.Random(seed)
         preserved = 0
         terminal = filt.parts[space.horizon]
@@ -452,7 +461,5 @@ def preservation_report(
                 raise StructuralViolation("battery draw is not F-adapted at the horizon")
             preserved += certify_nupbr(stop(M, tau), enlarged, space).verdict
         return PreservationReport(True, n_martingales, preserved, None, None)
-    T = min(bundle.thin_times())
-    M = witness_martingale(T, bundle)
-    fails = not certify_nupbr(stop(M, tau), enlarged, space).verdict
-    return PreservationReport(False, 0, 0, T, fails)
+    T, _, stopped = witness
+    return PreservationReport(False, 0, 0, T, not stopped.verdict)

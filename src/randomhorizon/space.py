@@ -480,7 +480,7 @@ class AdaptedProcess:
         return AdaptedProcess(dim, tuple(rows))
 
     @staticmethod
-    def from_scalar_paths(space: FiniteSpace, paths) -> "AdaptedProcess":
+    def from_scalar_paths(paths) -> "AdaptedProcess":
         """``paths[t][atom]`` is a scalar."""
         rows = tuple(tuple((frac(v),) for v in row) for row in paths)
         return AdaptedProcess._trusted(1, rows)

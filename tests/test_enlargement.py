@@ -164,10 +164,7 @@ def test_g_martingale_part_of_m(ex1):
 
 def test_g_martingale_part_zero_bracket_is_stopped_input(ex1):
     # orthogonal to m: jump at time 1 only (m is flat there)
-    M = AdaptedProcess.from_scalar_paths(
-        ex1.space,
-        [[0, 0, 0, 0], [1, 1, -1, -1], [1, 1, -1, -1]],
-    )
+    M = AdaptedProcess.from_scalar_paths([[0, 0, 0, 0], [1, 1, -1, -1], [1, 1, -1, -1]])
     out = g_martingale_part(M, ex1.bundle)
     assert out.values == stop(M, ex1.tau).values
 

@@ -128,3 +128,43 @@ def test_node_walks_go_through_filtration_nodes():
         and node.func.attr == "children"
     ]
     assert found == []
+
+
+def _unread_parameters(source: str, module: str) -> list:
+    """``module.function.parameter`` for each parameter of a function in
+    ``source`` that its body (nested functions included) never reads.
+    Exempt are dunder methods and ``self``/``cls``, whose signatures
+    Python fixes."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if fn.name.startswith("__") and fn.name.endswith("__"):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {
+            node.id
+            for stmt in fn.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            f"{module}.{fn.name}.{p.arg}"
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls")
+        ]
+    return found
+
+
+def test_every_parameter_is_read():
+    # a parameter that nothing reads is an input every caller must supply
+    # and that changes nothing
+    sample = "def f(used, unused, *rest):\n    def g(self):\n        return used\n"
+    assert _unread_parameters(sample, "m") == ["m.f.unused", "m.f.rest"]
+    found = [
+        name
+        for path in SOURCES
+        for name in _unread_parameters(path.read_text(encoding="utf-8"), path.stem)
+    ]
+    assert found == []

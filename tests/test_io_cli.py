@@ -299,6 +299,21 @@ def test_cli_witness(capsys):
     assert json.loads(out) == {"thin_set_empty": True, "witness": None}
 
 
+def test_witness_and_theorems_agree_on_the_collapse_witness():
+    from randomhorizon.generator import random_instance
+
+    witnessed = 0
+    for sc in [load_builtin("ex1")] + [random_instance(seed) for seed in range(100)]:
+        witness = cli.witness_report(sc)["witness"]
+        pres = cli.theorems_report(sc, battery=0)["preservation"]
+        assert pres["thin_set_empty"] is (witness is None)
+        if witness is not None:
+            witnessed += 1
+            assert witness["time"] == pres["witness_time"]
+            assert witness["stopped_satisfies_nupbr"] is not pres["witness_fails_enlarged"]
+    assert witnessed > 1
+
+
 def test_cli_campaign_empty(capsys):
     rc, out, _ = _run(["campaign", "--instances", "0", "--seed", "1"], capsys)
     assert rc == 0
@@ -592,6 +607,8 @@ def test_cli_out_files_pinned(command, name, capsys, tmp_path):
         (["--seed", "-1"], "--seed"),
         (["--seed", str(2**64)], "--seed"),
         (["--dt", "0.25", "--validate-z"], "--dt"),
+        (["--paths", "1"], "--paths"),  # one path has no standard error
+        (["--model", "CAT-0", "--validate-z"], "--validate-z"),  # no survival formula
     ],
 )
 def test_cli_mc_argument_errors_exit_1(args, flag, capsys, monkeypatch):
@@ -603,6 +620,20 @@ def test_cli_mc_argument_errors_exit_1(args, flag, capsys, monkeypatch):
     assert (rc, out, simulated) == (1, "", [])
     doc = json.loads(err)
     assert (doc["error"], doc["location"]) == ("schema", flag)
+
+
+def test_cli_mc_non_finite_report_exits_3(capsys, monkeypatch):
+    # JSON has no NaN: a report holding one is a runtime failure, not output
+    from randomhorizon import mc
+
+    def simulate(model):
+        nan = float("nan")
+        cp = (0.25,)
+        return mc.PathEstimate("CAT-1", 2, model.dt, 0, cp, (1.0,), (nan,), (1.0,), (nan,), 0, 0)
+
+    monkeypatch.setattr(mc, "simulate", simulate)
+    rc, out, err = _run(["mc", "--paths", "2", "--dt", "0.05"], capsys)
+    assert (rc, out, json.loads(err)["error"]) == (3, "", "runtime")
 
 
 def test_theorems_replays_campaign_instances():

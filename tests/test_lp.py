@@ -47,6 +47,15 @@ def test_relative_interior_planar_cases():
 def test_separating_direction():
     (theta,) = separating_direction([v(-1)])
     assert theta == F(-1)
+    # one-dimensional failing families, zeros and repeats included, are
+    # separated by their common sign
+    for family, sign in (
+        ([v(0), v(2), v(1)], 1),
+        ([v(-3), v(0)], -1),
+        ([v(2), v(2), v(0), v(0)], 1),
+        ([v(F(-1, 2)), v(-1), v(-1), v(0)], -1),
+    ):
+        assert separating_direction(family) == (F(sign),), family
     theta = separating_direction([v(1, 0), v(0, 1)])
     assert all(
         sum(t * d for t, d in zip(theta, delta)) >= 0

@@ -59,20 +59,20 @@ def test_survival_closed_form_limits():
 
 
 def test_validate_survival_formula_midpoint():
-    model = McModel(model="CAT-1", dt=1e-3, paths=1, seed=2)
+    model = McModel(model="CAT-1", dt=1e-3, paths=2, seed=2)
     v = validate_survival_formula(model, 0.5, 0.5, 20_000, point_id=1)
     assert abs(v.estimate - v.closed_form) <= 4.0 * v.standard_error
     assert v.standard_error > 0
 
 
 def test_validate_rejects_bad_time():
-    model = McModel(model="CAT-1", dt=1e-3, paths=1, seed=2)
+    model = McModel(model="CAT-1", dt=1e-3, paths=2, seed=2)
     with pytest.raises(ValueError):
         validate_survival_formula(model, 1.0, 0.5, 100)
 
 
 def test_validate_rejects_no_subpaths():
-    model = McModel(model="CAT-1", dt=1e-3, paths=1, seed=2)
+    model = McModel(model="CAT-1", dt=1e-3, paths=2, seed=2)
     with pytest.raises(ValueError):
         validate_survival_formula(model, 0.5, 0.5, 0)
 
@@ -272,7 +272,7 @@ def test_zero_in_step_matches_the_reference():
 
 @pytest.mark.parametrize("t, x", [(0.25, 0.25), (0.5, 1.5), (0.9, -0.2), (0.5, 0.0)])
 def test_validation_matches_the_every_path_reference(t, x):
-    model = McModel(model="CAT-1", dt=5e-2, paths=1, seed=6)
+    model = McModel(model="CAT-1", dt=5e-2, paths=2, seed=6)
     v = validate_survival_formula(model, t, x, 3000, point_id=4)
     assert v.estimate.hex() == _hit_probability_reference(model, t, x, 3000, 4).hex()
 

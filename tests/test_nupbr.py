@@ -127,9 +127,12 @@ def test_masked_increment_criterion_fixtures(ex1, ex2):
 
 def test_masked_criterion_contract(ex1, ex2):
     for ctx in (ex1, ex2):
-        rec = masked_increment_criterion_all(ctx.price, ctx.bundle, extra_deltas=(F(1, 4),))
+        rec = masked_increment_criterion_all(ctx.price, ctx.bundle)
         assert rec.consistent
-        assert F(1, 4) in rec.per_delta
+        Z, space = ctx.bundle.Z, ctx.space
+        positive = {Z.scalar_at(t, i) for t in range(space.horizon) for i in range(space.n)}
+        positive.discard(0)
+        assert set(rec.per_delta) == positive  # the thresholds are the positive values of Z_-
 
 
 def test_masked_criterion_all_matches_each_threshold():
@@ -137,18 +140,17 @@ def test_masked_criterion_all_matches_each_threshold():
     for seed in range(50):
         inst = random_instance(seed)
         b = azema(inst.filtration, inst.tau, inst.space)
-        rec = masked_increment_criterion_all(inst.price, b, extra_deltas=(F(1, 3), F(2)))
+        rec = masked_increment_criterion_all(inst.price, b)
         expected = {d: masked_increment_criterion(inst.price, b, d) for d in rec.per_delta}
         assert rec.per_delta == expected, seed
-        assert {F(1, 3), F(2)} <= set(rec.per_delta)
         mixed += len(set(rec.per_delta.values())) == 2
     assert mixed > 0  # some instance passes at high thresholds and fails at low ones
 
 
 @pytest.mark.parametrize("bad", [F(0), F(-1, 2)])
-def test_masked_criterion_all_rejects_nonpositive_threshold(ex2, bad):
+def test_masked_criterion_rejects_nonpositive_threshold(ex2, bad):
     with pytest.raises(ValueError):
-        masked_increment_criterion_all(ex2.price, ex2.bundle, extra_deltas=(F(1, 4), bad))
+        masked_increment_criterion(ex2.price, ex2.bundle, bad)
 
 
 def test_masked_criterion_requires_base_nupbr(ex1):
