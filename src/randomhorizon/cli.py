@@ -16,10 +16,11 @@ Each report builds only what it prints: ``inspect`` the Azema bundle,
 :func:`randomhorizon.campaign.theorem_suite`, the suite behind ``campaign``,
 and adds the per-time collapse inclusion.  Reports are printed as JSON on
 stdout; ``--out DIR`` additionally writes ``<command>.json`` plus CSV tables
-built from the report alone.  Exit codes: 0 ok, 1 input error (``mc``
-arguments included, checked before any simulation), 2 equivalence
-violation, 3 runtime failure (internal errors included); a negative
-``--battery`` is an input error found before any work.  The only
+built from the report alone.  Exit codes: 0 ok, 1 input error (a command
+line argparse rejects, error ``usage``, and ``mc`` arguments included,
+checked before any simulation), 2 equivalence violation, 3 runtime failure
+(internal errors included); a negative ``--battery`` is an input error
+found before any work.  ``--help`` prints usage and exits 0.  The only
 environment knob is RANDOMHORIZON_JOBS, the campaign worker count: an
 integer >= 0 (unset, empty or 0 run sequentially, anything else exits 1
 ``schema``), capped at the instance count and the CPU count.
@@ -39,7 +40,7 @@ from .enlargement import azema, enlarge
 from .errors import EngineError, InvalidScenario
 from .io import Scenario, format_fraction, format_time
 from .nupbr import certify_nupbr, collapse_witness, thin_set_empty_at
-from .space import stop
+from .space import map_cells, stop
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -48,11 +49,10 @@ EXIT_RUNTIME = 3
 
 
 def _paths(X, space) -> dict:
-    """Per atom name, the formatted path of the scalar process X."""
-    return {
-        a: [format_fraction(X.scalar_at(t, i)) for t in space.times]
-        for i, a in enumerate(space.atoms)
-    }
+    """Per atom name, the formatted path of the scalar process X; each
+    distinct cell object is formatted once."""
+    rows = map_cells(X.values, lambda cell: format_fraction(cell[0]))
+    return {a: [row[i] for row in rows] for i, a in enumerate(space.atoms)}
 
 
 def inspect_report(sc: Scenario) -> dict:
@@ -205,11 +205,8 @@ def _mc_tables(doc):
     ]
     tables = {"checkpoints": (header, rows)}
     if doc.get("validation"):
-        vh = ["t", "x", "closed_form", "estimate", "standard_error"]
-        vr = [
-            [v["t"], v["x"], v["closed_form"], v["estimate"], v["standard_error"]]
-            for v in doc["validation"]
-        ]
+        vh = ["t", "x", "closed_form", "estimate", "standard_error", "within_4se"]
+        vr = [[v[k] for k in vh] for v in doc["validation"]]
         tables["validation"] = (vh, vr)
     return tables
 
@@ -217,8 +214,21 @@ def _mc_tables(doc):
 VALIDATION_POINTS = ((0.25, 0.25), (0.5, 0.5), (0.5, 1.5), (0.75, 0.5), (0.9, 0.2))
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print usage and exit
+    with its own code 2, which this CLI reserves for a violated
+    equivalence; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="randomhorizon",
         description="Exact arbitrage certification up to a random horizon",
     )
@@ -247,7 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        sys.stderr.write(rio.dump_json({"error": "usage", "message": str(exc)}))
+        return EXIT_INPUT
     try:
         if args.command == "inspect":
             _emit(inspect_report(rio.load_scenario(args.scenario)), args, _inspect_tables)

@@ -61,6 +61,7 @@ from .space import (
     condexp_cells,
     first_nonconstant,
     is_predictable,
+    map_cells,
     stop,
 )
 from .projections import assert_martingale
@@ -165,17 +166,19 @@ class AzemaBundle:
 
 
 def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
+    """The survival bundle of (F, tau, P).  Z, Zt, m and the compensator hold
+    one cell object per F-node, and every self-check below is decided once
+    per distinct tuple of cell objects in a row."""
     n = space.n
-    zero = Fraction(0)
+    one, zero = Fraction(1), Fraction(0)
+    times = tau.values
 
     z_rows, zt_rows, default_increments = [], [], []
     for t in space.times:
-        gt = [Fraction(1) if tau.at(i) > t else zero for i in range(n)]
-        ge = [Fraction(1) if tau.at(i) >= t else zero for i in range(n)]
-        z_rows.append(condexp(gt, filt.parts[t], space))
-        zt_rows.append(condexp(ge, filt.parts[t], space))
+        z_rows.append(condexp([one if v > t else zero for v in times], filt.parts[t], space))
+        zt_rows.append(condexp([one if v >= t else zero for v in times], filt.parts[t], space))
         if t >= 1:
-            eq = [(Fraction(1) if tau.at(i) == t else zero,) for i in range(n)]
+            eq = [(one,) if v == t else (zero,) for v in times]
             default_increments.append(condexp_cells(eq, filt.parts[t], space))
 
     Z = AdaptedProcess.from_scalar_paths(z_rows)
@@ -185,29 +188,38 @@ def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
 
     # engine self-checks: these identities hold on every valid instance
     assert_martingale(m, filt, space, "survival martingale part")
+    z_dead = map_cells(Z.values, _vanishes)
+    zt_dead = map_cells(Zt.values, _vanishes)
     for t in space.times:
-        for i in range(n):
-            z, zt = Z.scalar_at(t, i), Zt.scalar_at(t, i)
-            if not (0 <= z <= zt <= 1):
-                raise StructuralViolation("survival ordering 0 <= Z <= Zt <= 1 failed")
-            if t >= 1 and zt != Z.scalar_at(t - 1, i) + m.delta_at(t, i)[0]:
-                raise StructuralViolation("Zt = Z_- + dm failed")
-            if t >= 1 and t <= tau.at(i) and (zt == 0 or Z.scalar_at(t - 1, i) == 0):
+        prev = max(t - 1, 0)
+        checked = set()
+        rows = zip(Z.values[t], Zt.values[t], Z.values[prev], m.values[t], m.values[prev])
+        for i, cells in enumerate(rows):
+            key = tuple(map(id, cells))
+            if key not in checked:
+                checked.add(key)
+                (z,), (zt,), (zprev,), (mt,), (mprev,) = cells
+                if not (0 <= z <= zt <= 1):
+                    raise StructuralViolation("survival ordering 0 <= Z <= Zt <= 1 failed")
+                if t >= 1 and zt != zprev + (mt - mprev):
+                    raise StructuralViolation("Zt = Z_- + dm failed")
+            if t >= 1 and t <= times[i] and (zt_dead[t][i] or z_dead[t - 1][i]):
                 raise StructuralViolation("{Zt=0} or {Z_-=0} met ]0, tau]")
 
+    # Z >= 0 is checked above, so Z_- > 0 is "Z_- does not vanish"
     mask = frozenset(
         (space.atoms[i], t)
         for t in range(1, space.horizon + 1)
         for i in range(n)
-        if Zt.scalar_at(t, i) == 0 and Z.scalar_at(t - 1, i) > 0
+        if zt_dead[t][i] and not z_dead[t - 1][i]
     )
 
     # 0 when Z_0 = 0, else the first t >= 1 with Z_{t-1} = 0
     death = [
-        next((t for t in space.times if Z.scalar_at(max(t - 1, 0), i) == 0), INF)
+        next((t for t in space.times if z_dead[max(t - 1, 0)][i]), INF)
         for i in range(n)
     ]
-    sudden = [d if d is not INF and Zt.scalar_at(d, i) == 0 else INF for i, d in enumerate(death)]
+    sudden = [d if d is not INF and zt_dead[d][i] else INF for i, d in enumerate(death)]
 
     return AzemaBundle(
         Z=Z,
@@ -221,6 +233,10 @@ def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
         tau=tau,
         space=space,
     )
+
+
+def _vanishes(cell) -> bool:
+    return cell[0] == 0
 
 
 def survival_divisor(x: Fraction, name: str) -> Fraction:

@@ -178,6 +178,12 @@ def parse_scenario(doc: dict) -> Scenario:
     vals = s_doc["values"]
     if not isinstance(vals, dict) or set(vals) != set(atoms):
         raise InvalidScenario("schema", "$.S.values", "need exactly one path per atom")
+    # Each distinct rational string is parsed once, and the atoms whose cells
+    # carry the same strings share one cell.  Only strings are keys: True ==
+    # 1 and hash(1.0) == hash(1), so a wider key would let a JSON boolean or
+    # float skip its error.  A bad string is never stored and raises at its
+    # first location.
+    parsed, shared = {}, {}
     rows = []
     for t in space.times:
         row = []
@@ -189,7 +195,16 @@ def parse_scenario(doc: dict) -> Scenario:
             cell = path[t]
             if not isinstance(cell, list) or len(cell) != dim:
                 raise InvalidScenario("schema", loc, "need one rational per component")
-            row.append(tuple(parse_fraction(c, loc) for c in cell))
+            if not all(isinstance(c, str) for c in cell):
+                row.append(tuple(parse_fraction(c, loc) for c in cell))
+                continue
+            key = tuple(cell)
+            if key not in shared:
+                for c in cell:
+                    if c not in parsed:
+                        parsed[c] = parse_fraction(c, loc)
+                shared[key] = tuple(parsed[c] for c in cell)
+            row.append(shared[key])
         rows.append(tuple(row))
     for t, (row, blocks) in enumerate(zip(rows, filtration.parts)):
         i = first_nonconstant(row, blocks)
@@ -198,7 +213,8 @@ def parse_scenario(doc: dict) -> Scenario:
                 "adaptedness", f"$.S.values.{atoms[i]}[{t}]",
                 "price is not constant on a filtration block",
             )
-    return Scenario(space, filtration, tau, AdaptedProcess(dim, tuple(rows)))
+    # every cell is a dim-tuple of Fractions already
+    return Scenario(space, filtration, tau, AdaptedProcess._trusted(dim, tuple(rows)))
 
 
 def serialize_scenario(sc: Scenario) -> dict:

@@ -32,6 +32,20 @@ increments (:meth:`AdaptedProcess.from_increments`, :func:`stop`, sums and
 differences) receive their increment table with their values, so it is
 never rebuilt by subtraction.
 
+Atoms of one node share one cell.  A row of ``values`` is indexed by atom,
+but an adapted process repeats one value over each block, and the
+constructors hand those atoms one cell object: :func:`condexp` and
+:func:`condexp_cells` one per block, :meth:`AdaptedProcess.from_increments`
+one per pair of previous cell and increment, and
+:meth:`AdaptedProcess.from_scalar_paths` one per source object.  The cell
+maps compute once per cell object, not per atom: :func:`map_cells`
+(components, negation, scaling) once per distinct cell, and
+:func:`zip_cells` (sums, differences, products) once per distinct pair.
+Their memos are keyed by ``id`` and local to one call, and every key is a
+cell of the caller's tables, alive for the whole call.  Nothing relies on
+the sharing for correctness: a process whose atoms carry equal but
+distinct cells gives the same values, only with more arithmetic.
+
 Three kernels carry every process computation of the package, and one
 walk visits every one-period node:
 
@@ -341,6 +355,44 @@ def condexp_cells(cells: Sequence[tuple], blocks, space: FiniteSpace) -> tuple:
     return tuple(out)
 
 
+def map_cells(rows, fn) -> tuple:
+    """``fn(cell)`` at every (t, atom) of a table of cells (or of scalars),
+    computed once per distinct object: the atoms of one node, which share
+    their cell, share the result.
+
+    The memo is keyed by ``id`` and local to the call; the table is the
+    caller's, so every keyed cell stays alive for the whole call."""
+    memo = {}
+    out = []
+    for cells in rows:
+        row = []
+        for cell in cells:
+            c = memo.get(id(cell))
+            if c is None:
+                c = memo[id(cell)] = fn(cell)
+            row.append(c)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def zip_cells(rows_a, rows_b, fn) -> tuple:
+    """``fn(ca, cb)`` at every (t, atom) of two tables of cells, computed
+    once per distinct pair of cell objects, keyed as :func:`map_cells`
+    keys."""
+    memo = {}
+    out = []
+    for ra, rb in zip(rows_a, rows_b):
+        row = []
+        for ca, cb in zip(ra, rb):
+            key = (id(ca), id(cb))
+            c = memo.get(key)
+            if c is None:
+                c = memo[key] = fn(ca, cb)
+            row.append(c)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def first_nonconstant(row: Sequence, blocks):
     """The first atom (blocks in order) whose cell differs from the cell of
     its block's first atom, or ``None`` when the row is constant on every
@@ -426,8 +478,9 @@ class AdaptedProcess:
         return self.increments[t][atom]
 
     def component(self, k: int) -> "AdaptedProcess":
-        rows = tuple(tuple((cell[k],) for cell in row) for row in self.values)
-        return AdaptedProcess._trusted(1, rows)
+        """The scalar process of component ``k``: one cell per distinct cell
+        object of a row."""
+        return AdaptedProcess._trusted(1, map_cells(self.values, lambda cell: (cell[k],)))
 
     # -- construction helpers -------------------------------------------
 
@@ -481,9 +534,14 @@ class AdaptedProcess:
 
     @staticmethod
     def from_scalar_paths(paths) -> "AdaptedProcess":
-        """``paths[t][atom]`` is a scalar."""
-        rows = tuple(tuple((frac(v),) for v in row) for row in paths)
-        return AdaptedProcess._trusted(1, rows)
+        """``paths[t][atom]`` is a scalar; the atoms that carry the same
+        Fraction object share one cell.
+
+        :func:`map_cells` keys its memo by the coerced Fractions, which the
+        call keeps alive.  The raw input would not do: a string is freed
+        once parsed, and a later input can reuse its address."""
+        scalars = [[frac(v) for v in row] for row in paths]
+        return AdaptedProcess._trusted(1, map_cells(scalars, lambda x: (x,)))
 
     @staticmethod
     def constant(space: FiniteSpace, value, dim: int = 1) -> "AdaptedProcess":
@@ -504,19 +562,13 @@ class AdaptedProcess:
         if self.dim != other.dim or self.horizon != other.horizon:
             raise ValueError("shape mismatch")
 
-        def apply(rows_a, rows_b):
-            return tuple(
-                tuple(
-                    tuple(map(op, ca, cb)) if any(cb) else ca
-                    for ca, cb in zip(ra, rb)
-                )
-                for ra, rb in zip(rows_a, rows_b)
-            )
+        def cell(ca, cb):
+            return tuple(map(op, ca, cb)) if any(cb) else ca
 
         return AdaptedProcess._trusted(
             self.dim,
-            apply(self.values, other.values),
-            apply(self.increments, other.increments),
+            zip_cells(self.values, other.values, cell),
+            zip_cells(self.increments, other.increments, cell),
         )
 
     def __add__(self, other):
@@ -526,28 +578,20 @@ class AdaptedProcess:
         return self._zip(other, operator.sub)
 
     def __neg__(self):
-        rows = tuple(
-            tuple(tuple(-c for c in cell) for cell in row) for row in self.values
-        )
+        rows = map_cells(self.values, lambda cell: tuple(-c for c in cell))
         return AdaptedProcess._trusted(self.dim, rows)
 
     def scale(self, q) -> "AdaptedProcess":
         q = frac(q)
-        rows = tuple(
-            tuple(tuple(q * c for c in cell) for cell in row) for row in self.values
-        )
+        rows = map_cells(self.values, lambda cell: tuple(q * c for c in cell))
         return AdaptedProcess._trusted(self.dim, rows)
 
     def mul_scalar_process(self, scalar: "AdaptedProcess") -> "AdaptedProcess":
         """Pointwise product with a dim-1 process (broadcast over components)."""
         if scalar.dim != 1 or scalar.horizon != self.horizon:
             raise ValueError("need a scalar process on the same grid")
-        rows = tuple(
-            tuple(
-                tuple(cs[0] * c for c in cell)
-                for cell, cs in zip(row, srow)
-            )
-            for row, srow in zip(self.values, scalar.values)
+        rows = zip_cells(
+            self.values, scalar.values, lambda cell, cs: tuple(cs[0] * c for c in cell)
         )
         return AdaptedProcess._trusted(self.dim, rows)
 

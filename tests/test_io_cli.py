@@ -654,3 +654,101 @@ def test_theorems_replays_campaign_instances():
         expected = instance_report(seed, 10)
         assert {k: report[k] for k in shared} == {k: expected[k] for k in shared}
         assert report["consistent"] == (expected["violations"] == [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify"],  # no scenario file
+        ["nosuch"],  # unknown subcommand
+        ["theorems", "f.json", "--battery", "abc"],
+        ["mc", "--paths", "1e3"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1_not_2(argv, capsys):
+    # argparse's own exit code 2 would read as "equivalence violated"
+    rc, out, err = _run(argv, capsys)
+    assert (rc, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == "usage" and doc["message"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def _ex1_with_cells(cells):
+    """The ex1 document with ``cells`` written at (atom, t)."""
+    doc = _ex1_doc()
+    for (a, t), cell in cells.items():
+        doc["S"]["values"][a][t] = cell
+    return doc
+
+
+def test_a_repeated_bad_rational_reports_its_first_location():
+    # rows are read time by time, atoms in order: b at t = 1 comes first
+    doc = _ex1_with_cells({("a", 2): ["1/0"], ("b", 1): ["1/0"], ("c", 2): ["1/0"]})
+    with pytest.raises(InvalidScenario) as err:
+        parse_scenario(doc)
+    assert (err.value.code, err.value.location) == ("schema", "$.S.values.b[1]")
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_parsed_strings_do_not_admit_equal_non_strings(bad, capsys, tmp_path):
+    # True == 1 and hash(1.0) == hash(1): the parsed "1" must not serve them
+    doc = _ex1_with_cells({("a", 2): ["1"], ("b", 2): [1], ("c", 2): [bad], ("d", 2): ["1"]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, err = _run(["inspect", str(path)], capsys)
+    assert (rc, out) == (1, "")
+    got = json.loads(err)
+    assert (got["error"], got["location"]) == ("schema", "$.S.values.c[2]")
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        (None, "need one rational per component"),
+        ([["1"]], "not a rational: ['1']"),
+        ([None], "not a rational: None"),
+    ],
+)
+def test_malformed_cells_keep_their_errors(cell, message):
+    doc = _ex1_with_cells({("a", 1): ["1"], ("b", 1): ["1"], ("c", 1): cell})
+    with pytest.raises(InvalidScenario) as err:
+        parse_scenario(doc)
+    assert (err.value.code, err.value.location) == ("schema", "$.S.values.c[1]")
+    assert err.value.reason == message
+
+
+def test_parsed_price_shares_one_cell_per_block():
+    sc = parse_scenario(_ex1_doc())
+    for row, blocks in zip(sc.price.values, sc.filtration.parts):
+        for block in blocks:
+            assert len({id(row[i]) for i in block}) == 1
+    assert sc.price.values == load_builtin("ex1").price.values
+    assert all(type(c) is F for row in sc.price.values for cell in row for c in cell)
+
+
+def test_cli_mc_validation_reports_the_4se_verdict(capsys, tmp_path, monkeypatch):
+    from randomhorizon import mc
+
+    argv = ["mc", "--paths", "200", "--dt", "0.05", "--subpaths", "2000", "--validate-z"]
+    rc, out, _ = _run([*argv, "--out", str(tmp_path)], capsys)
+    points = json.loads(out)["validation"]
+    assert rc == 0 and len(points) == 5
+    for p in points:
+        bound = abs(p["estimate"] - p["closed_form"]) <= 4.0 * p["standard_error"]
+        assert p["within_4se"] is bound
+    header = (tmp_path / "mc_validation.csv").read_text().splitlines()[0]
+    assert header.endswith(",within_4se")
+    # a miss is reported, and the exit code stays 0: 4 SE misses by chance,
+    # and exit 2 means an exact equivalence failed
+    monkeypatch.setattr(mc, "survival_closed_form", lambda t, x: 2.0)
+    rc, out, _ = _run(argv, capsys)
+    assert rc == 0
+    assert [p["within_4se"] for p in json.loads(out)["validation"]] == [False] * 5

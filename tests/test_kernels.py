@@ -5,10 +5,13 @@ on every call: increments by subtraction, running sums by adding every
 increment, block masses and weighted sums over every atom, positive-mass
 tests by summing P-weighted weights, and block constancy by comparing
 each block's set of cells.  The enlargement references divide by Z_-
-atom by atom and build every ]0, tau] formula from its own loop.
+atom by atom and build every ]0, tau] formula from its own loop.  The cell
+maps (sums, differences, components, scalar paths) are referenced by one
+computation per atom, with no cell shared.
 """
 
 import importlib.util
+import operator
 import random
 from pathlib import Path
 from fractions import Fraction as F
@@ -330,6 +333,87 @@ def test_running_sum_matches_naive_reference(dim, n, horizon, data):
     # filtration its increments generate
     assert is_predictable(X, Filtration(tuple(natural(s) for s in range(horizon + 1))))
     assert X.increments == naive_increments(X)
+
+
+def naive_cellwise(fn, *tables):
+    """``fn`` of the cells at each (t, atom), one computation per atom."""
+    return tuple(
+        tuple(tuple(fn(*cells)) for cells in zip(*rows)) for rows in zip(*tables)
+    )
+
+
+def _shared_cases(seed):
+    """The processes of :func:`_cases` plus the survival bundle's, whose
+    atoms share one cell object per node."""
+    space, cases = _cases(seed)
+    inst = random_instance(seed)
+    b = azema(inst.filtration, inst.tau, inst.space)
+    procs = [X for X, _ in cases] + [b.Z, b.Ztilde, b.m, b.default_compensator]
+    return space, procs
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_cell_maps_match_naive_references(seed):
+    space, procs = _shared_cases(seed)
+    for X in procs:
+        for Y in procs:
+            if Y.dim != X.dim:
+                continue
+            for op in (operator.add, operator.sub):
+                R = X._zip(Y, op)
+                assert R.values == naive_cellwise(lambda a, b: map(op, a, b), X.values, Y.values)
+                assert R.increments == naive_increments(R)
+        for k in range(X.dim):
+            C = X.component(k)
+            assert C.values == naive_cellwise(lambda c: (c[k],), X.values)
+            assert C.increments == naive_increments(C)
+        assert (-X).values == naive_cellwise(lambda c: (-x for x in c), X.values)
+        assert X.scale(F(-3, 2)).values == naive_cellwise(
+            lambda c: (F(-3, 2) * x for x in c), X.values
+        )
+        for Y in procs:
+            if Y.dim == 1:
+                assert X.mul_scalar_process(Y).values == naive_cellwise(
+                    lambda c, s: (s[0] * x for x in c), X.values, Y.values
+                )
+
+
+SCALARS = st.sampled_from([0, 1, -2, 7, F(0), F(1, 2), F(-5, 3)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(SCALARS, min_size=4, max_size=4), min_size=1, max_size=4))
+def test_from_scalar_paths_matches_naive_reference(paths):
+    want = tuple(tuple((F(v),) for v in row) for row in paths)
+    assert AdaptedProcess.from_scalar_paths(paths).values == want
+    # generator rows of fresh objects: each is freed once read unless the
+    # memo keeps it (a Fraction keeps the int it was built from, not the
+    # string it parsed), so a memo keyed by the raw input's address would
+    # hand a later, different value an earlier value's cell
+    fresh_strs = ((str(F(v)) for v in row) for row in paths)
+    assert AdaptedProcess.from_scalar_paths(fresh_strs).values == want
+    big = 2**100
+    fresh_ints = ((big + int(F(v) * 6) for v in row) for row in paths)
+    assert AdaptedProcess.from_scalar_paths(fresh_ints).values == tuple(
+        tuple((F(big + int(F(v) * 6)),) for v in row) for row in paths
+    )
+    fresh_fracs = ((F(v) / 7 for v in row) for row in paths)
+    got = AdaptedProcess.from_scalar_paths(fresh_fracs).values
+    assert got == tuple(tuple((F(v) / 7,) for v in row) for row in paths)
+    assert all(type(c) is F for c in _cells(got))
+
+
+def test_shared_source_objects_share_one_cell():
+    half, third = F(1, 2), F(1, 3)
+    X = AdaptedProcess.from_scalar_paths([[half, half, third, half]])
+    row = X.values[0]
+    assert row[0] is row[1] is row[3] and row[2] is not row[0]
+    assert X.values == (((half,), (half,), (third,), (half,)),)
+    C = AdaptedProcess._trusted(2, (((half, third),) * 3,)).component(1)
+    assert C.values[0][0] is C.values[0][1] is C.values[0][2]
+    S = X + X
+    assert S.values[0][0] is S.values[0][1] and S.values[0][0] == (F(1),)
 
 
 def test_block_mass_is_cached_per_space():

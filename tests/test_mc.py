@@ -62,6 +62,7 @@ def test_validate_survival_formula_midpoint():
     model = McModel(model="CAT-1", dt=1e-3, paths=2, seed=2)
     v = validate_survival_formula(model, 0.5, 0.5, 20_000, point_id=1)
     assert abs(v.estimate - v.closed_form) <= 4.0 * v.standard_error
+    assert v.within_4se is True
     assert v.standard_error > 0
 
 
