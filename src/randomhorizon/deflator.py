@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .enlargement import AzemaBundle, survival_divisor
+from .enlargement import AzemaBundle, _times, survival_divisor
 from .errors import EngineError, InadmissibleStrategy, StructuralViolation
 from .lp import maximize_over_admissible
 from .projections import (
@@ -60,9 +60,7 @@ def optional_integral(
     assert_adapted(H, filt, "optional integrand")
     increments = []
     for t in range(1, space.horizon + 1):
-        prod = [
-            tuple(H.scalar_at(t, i) * c for c in cell) for i, cell in enumerate(N.increments[t])
-        ]
+        prod = _times(H.values[t], N.increments[t])
         proj = condexp_cells(prod, filt.parts[t - 1], space)
         increments.append(
             tuple(tuple(a - b for a, b in zip(p, q)) for p, q in zip(prod, proj))
@@ -236,13 +234,8 @@ def verify_deflator(
     names = space.atoms
     for t in range(1, space.horizon + 1):
         blocks = filt.parts[t - 1]
-        y = [cell[0] for cell in Y.values[t]]
-        base_row = condexp(y, blocks, space)
-        g_row = condexp_cells(
-            [tuple(v * c for c in cell) for v, cell in zip(y, S_stopped.increments[t])],
-            blocks,
-            space,
-        )
+        base_row = condexp([cell[0] for cell in Y.values[t]], blocks, space)
+        g_row = condexp_cells(_times(Y.values[t], S_stopped.increments[t]), blocks, space)
         for parent, kids in filt.nodes(t):
             deltas = [S_stopped.delta_at(t, c[0]) for c in kids]
             base, g = base_row[parent[0]], g_row[parent[0]]

@@ -78,43 +78,6 @@ def random_martingale(
     return AdaptedProcess(dim, tuple(rows))
 
 
-def random_adapted(
-    space: FiniteSpace, filt: Filtration, rng: random.Random, dim: int = 1, spread: int = 3
-) -> AdaptedProcess:
-    """An arbitrary adapted process: independent block values at each time."""
-    rows = []
-    for t in space.times:
-        row = [None] * space.n
-        for block in filt.parts[t]:
-            cell = tuple(
-                Fraction(rng.randint(-spread, spread), rng.randint(1, 3))
-                for _ in range(dim)
-            )
-            for i in block:
-                row[i] = cell
-        rows.append(tuple(row))
-    return AdaptedProcess(dim, tuple(rows))
-
-
-def random_predictable_fv(
-    space: FiniteSpace, filt: Filtration, rng: random.Random, nonconstant: bool
-) -> AdaptedProcess:
-    """Predictable finite-variation scalar process started at 0."""
-    if not nonconstant:
-        return AdaptedProcess.zero(space)
-    while True:
-        increments = []
-        for t in range(1, space.horizon + 1):
-            row = [None] * space.n
-            for block in filt.parts[t - 1]:
-                inc = (Fraction(rng.randint(-2, 2)),)
-                for i in block:
-                    row[i] = inc
-            increments.append(row)
-        if any(cell[0] for row in increments for cell in row):
-            return AdaptedProcess.from_increments(1, space.n, increments)
-
-
 def random_tau(space: FiniteSpace, rng: random.Random) -> RandomTime:
     choices = list(space.times) + [INF]
     return RandomTime(tuple(rng.choice(choices) for _ in range(space.n)))

@@ -152,8 +152,9 @@ def certify_nupbr(
     continuous reweighting given by nonnegative atom weights (zero-mass
     nodes and children are ignored).
 
-    The weights are nonnegative (``ValueError`` otherwise), so a node has
-    positive mass iff some weight on it is nonzero.
+    The weights are nonnegative and not all zero (``ValueError``
+    otherwise), so a node has positive mass iff some weight on it is
+    nonzero.
 
     Only the dates where X moves are decided: on a date whose increment
     row is all zero every node passes, with the uniform weights of an
@@ -176,35 +177,6 @@ def certify_nupbr(
                 return CertResult(False, arbitrage=Arbitrage(t, block, tuple(deltas)))
             nodes.append((parent, kids, lam))
     return CertResult(True, node_weights=partial(_node_weights, filt, space, w, decided))
-
-
-def martingale_measure_from_weights(
-    result: CertResult, filt: Filtration, space: FiniteSpace
-):
-    """Reassemble the per-node weights into atom weights dQ/dP.
-
-    Q is the product of the node weights along each atom's path, scaled by
-    the P-mass of the time-0 block; under Q the certified process is an
-    exact martingale (tested invariant of the certificate)."""
-    if not result.verdict:
-        raise ValueError("only a true verdict carries deflator weights")
-    table = {(nw.time, nw.block): nw for nw in result.node_weights}
-    q = []
-    for i, name in enumerate(space.atoms):
-        block0 = filt.block_of(0, i)
-        mass0 = space.mass(block0)
-        acc = mass0
-        for t in range(1, space.horizon + 1):
-            parent = tuple(space.atoms[j] for j in filt.block_of(t - 1, i))
-            nw = table[(t, parent)]
-            child = tuple(space.atoms[j] for j in filt.block_of(t, i))
-            acc *= nw.weights[nw.children.index(child)]
-        # conditional-measure weight of the atom inside its terminal block,
-        # then dQ/dP
-        term = filt.block_of(space.horizon, i)
-        acc *= space.prob[i] / space.mass(term)
-        q.append(acc / space.prob[i])
-    return tuple(q)
 
 
 def single_jump_process(

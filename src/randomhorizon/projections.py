@@ -83,8 +83,8 @@ def is_martingale(
     """Exact martingale test, optionally under an absolutely continuous
     reweighting.
 
-    ``weights`` is an atom vector of nonnegative rationals defining
-    dQ/dP up to normalization; the test then requires
+    ``weights`` is an atom vector of nonnegative rationals, not all zero,
+    defining dQ/dP up to normalization; the test then requires
     E_Q[dM_t | F_{t-1}] = 0 on every node of positive Q-mass and ignores the
     rest (Q only needs to be absolutely continuous).
     """
@@ -93,12 +93,15 @@ def is_martingale(
 
 def nonnegative(weights: Optional[Sequence]) -> Optional[list]:
     """Atom weights as Fractions (None stays None); ``ValueError`` on a
-    negative weight."""
+    negative weight, and when no weight is positive, since no Q
+    normalises then."""
     if weights is None:
         return None
     w = [frac(x) for x in weights]
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
+    if not any(w):
+        raise ValueError("some weight must be positive")
     return w
 
 
@@ -155,13 +158,5 @@ def doob(X: AdaptedProcess, filt: Filtration, space: FiniteSpace):
     """Unique decomposition X = X_0 + M + A, M martingale null at 0, A
     predictable null at 0 with increments E[dX_t | F_{t-1}]."""
     A = dual_predictable(X, filt, space)
-    first = X.values[0]
-    rows = tuple(
-        tuple(
-            tuple(x - a - x0 for x, a, x0 in zip(X.values[t][i], A.values[t][i], first[i]))
-            for i in range(space.n)
-        )
-        for t in space.times
-    )
-    M = AdaptedProcess(X.dim, rows)
-    return M, A
+    start = AdaptedProcess._trusted(X.dim, (X.values[0],) * len(X.values))
+    return X - A - start, A

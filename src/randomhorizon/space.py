@@ -24,8 +24,8 @@ Discrete-time conventions used throughout the package:
 
 Exact quantities are computed once per object that owns it:
 :meth:`AdaptedProcess.delta_at` reads a per-process increment table
-(:attr:`AdaptedProcess.increments`) and :meth:`FiniteSpace.mass` reads a
-per-space cache of block masses (int and Fraction together).  Both objects
+(:attr:`AdaptedProcess.increments`) and :meth:`FiniteSpace.block_mass`
+reads a per-space cache of block masses as ints over ``D``.  Both objects
 are frozen, so neither cache can go stale.  :func:`condexp` skips zero
 values and never divides on an all-zero block.  Processes built from
 increments (:meth:`AdaptedProcess.from_increments`, :func:`stop`, sums and
@@ -39,8 +39,8 @@ constructors hand those atoms one cell object: :func:`condexp` and
 one per pair of previous cell and increment, and
 :meth:`AdaptedProcess.from_scalar_paths` one per source object.  The cell
 maps compute once per cell object, not per atom: :func:`map_cells`
-(components, negation, scaling) once per distinct cell, and
-:func:`zip_cells` (sums, differences, products) once per distinct pair.
+(components, negation) once per distinct cell, and :func:`zip_cells`
+(sums, differences) once per distinct pair.
 Their memos are keyed by ``id`` and local to one call, and every key is a
 cell of the caller's tables, alive for the whole call.  Nothing relies on
 the sharing for correctness: a process whose atoms carry equal but
@@ -56,9 +56,11 @@ walk visits every one-period node:
   cells,
 * :func:`first_nonconstant` -- the first atom whose cell differs from the
   cell of its block's first atom; the body of :func:`is_adapted`,
-  :func:`is_predictable` and every measurability check,
+  :func:`is_predictable`, :func:`check_stopping_time` and every
+  measurability check,
 * :meth:`Filtration.nodes` -- each ``parts[t-1]`` block with its children,
   or only those of positive mass under atom weights; every node-wise test.
+  The children table is built once, by the pass that checks refinement.
 
 A filtration built from atom names must cover every atom of the space.
 """
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import InvalidProbabilities, NotAdapted, NotPredictable
 
@@ -145,6 +147,8 @@ class FiniteSpace:
             raise InvalidProbabilities("atom probabilities must be strictly positive")
         if sum(prob) != 1:
             raise InvalidProbabilities("atom probabilities must sum to 1 exactly")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
+            raise ValueError("horizon must be an int")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
 
@@ -176,20 +180,15 @@ class FiniteSpace:
     def _masses(self) -> dict:
         return {}
 
-    def block_mass(self, block: tuple) -> tuple:
-        """``(P_B, P(B))`` for a tuple of atom indices: the int
-        ``sum(P[i] for i in block)`` over ``D`` (see :attr:`scaled`) and the
-        Fraction ``P_B / D``, computed once per space."""
+    def block_mass(self, block: tuple) -> int:
+        """P(block) for a tuple of atom indices as the int
+        ``sum(P[i] for i in block)`` over ``D`` (see :attr:`scaled`),
+        computed once per space."""
         m = self._masses.get(block)
         if m is None:
-            d, P = self.scaled
-            pb = sum(P[i] for i in block)
-            m = self._masses[block] = (pb, Fraction(pb, d))
+            P = self.scaled[1]
+            m = self._masses[block] = sum(P[i] for i in block)
         return m
-
-    def mass(self, block: tuple) -> Fraction:
-        """P(block) for a tuple of atom indices, summed once per space."""
-        return self.block_mass(block)[1]
 
 
 def _canonical_partition(blocks, n: int):
@@ -213,7 +212,11 @@ def _canonical_partition(blocks, n: int):
 
 @dataclass(frozen=True)
 class Filtration:
-    """Refining partitions, one per grid time; blocks hold atom indices."""
+    """Refining partitions, one per grid time; blocks hold atom indices.
+
+    The pass that checks refinement also records, per block of
+    ``parts[t-1]``, its children in ``parts[t]``: the table behind
+    :meth:`nodes`."""
 
     parts: tuple
 
@@ -223,65 +226,33 @@ class Filtration:
         n = sum(len(b) for b in self.parts[0])
         parts = tuple(_canonical_partition(p, n) for p in self.parts)
         object.__setattr__(self, "parts", parts)
-        for t in range(len(parts) - 1):
-            coarse = {}
-            for k, block in enumerate(parts[t]):
-                for i in block:
-                    coarse[i] = k
-            for block in parts[t + 1]:
-                owners = {coarse[i] for i in block}
+        # children[t][k] -> the blocks of parts[t] inside block k of
+        # parts[t-1]; entry 0 is unused padding
+        children = [()]
+        for t in range(1, len(parts)):
+            owner = {i: k for k, block in enumerate(parts[t - 1]) for i in block}
+            kids = [[] for _ in parts[t - 1]]
+            for block in parts[t]:
+                owners = {owner[i] for i in block}
                 if len(owners) != 1:
-                    raise ValueError(
-                        f"partition at time {t + 1} does not refine time {t}"
-                    )
+                    raise ValueError(f"partition at time {t} does not refine time {t - 1}")
+                kids[owners.pop()].append(block)
+            children.append(tuple(map(tuple, kids)))
+        object.__setattr__(self, "_children", tuple(children))
 
     @property
     def horizon(self) -> int:
         return len(self.parts) - 1
 
-    @cached_property
-    def _block_of(self):
-        # _block_of[t][atom] -> position of the atom's block in parts[t]
-        table = []
-        for t in range(len(self.parts)):
-            row = [0] * sum(len(b) for b in self.parts[t])
-            for k, block in enumerate(self.parts[t]):
-                for i in block:
-                    row[i] = k
-            table.append(tuple(row))
-        return tuple(table)
-
-    def block_of(self, t: int, atom: int) -> tuple:
-        return self.parts[t][self._block_of[t][atom]]
-
-    @cached_property
-    def _children(self):
-        # _children[t][k] -> indices in parts[t] of the children of block k
-        # of parts[t-1]; entry 0 is unused padding.
-        table = [()]
-        for t in range(1, len(self.parts)):
-            kids = [[] for _ in self.parts[t - 1]]
-            for j, block in enumerate(self.parts[t]):
-                kids[self._block_of[t - 1][block[0]]].append(j)
-            table.append(tuple(tuple(k) for k in kids))
-        return tuple(table)
-
-    def children(self, t: int, parent_index: int) -> tuple:
-        """Indices in parts[t] of the sub-blocks of parts[t-1][parent_index]."""
-        return self._children[t][parent_index]
-
     def nodes(self, t: int, w=None):
         """``(parent, children)`` per block of ``parts[t-1]``, in order; under
         nonnegative atom weights ``w`` only the blocks of positive mass, i.e.
         with some nonzero weight."""
-        blocks = self.parts[t]
         for parent, kids in zip(self.parts[t - 1], self._children[t]):
-            if w is not None and not any(w[i] for i in parent):
-                continue
-            children = [blocks[j] for j in kids]
-            if w is not None:
-                children = [c for c in children if any(w[i] for i in c)]
-            yield parent, children
+            if w is None:
+                yield parent, list(kids)
+            elif any(w[i] for i in parent):
+                yield parent, [c for c in kids if any(w[i] for i in c)]
 
     @staticmethod
     def from_names(blocks_per_time, space: FiniteSpace) -> "Filtration":
@@ -336,7 +307,7 @@ def condexp(values: Sequence[Fraction], blocks, space: FiniteSpace):
     for block in blocks:
         num, den = weighted_sum(P, values, block)
         if num:
-            avg = Fraction(num, den * space.block_mass(block)[0])
+            avg = Fraction(num, den * space.block_mass(block))
             for i in block:
                 out[i] = avg
     return tuple(out)
@@ -518,21 +489,6 @@ class AdaptedProcess:
         return AdaptedProcess._trusted(dim, tuple(rows), tuple(table))
 
     @staticmethod
-    def from_function(
-        space: FiniteSpace, fn: Callable[[int, int], object], dim: int = 1
-    ) -> "AdaptedProcess":
-        """Build from fn(t, atom) returning a scalar (dim 1) or a tuple."""
-        rows = []
-        for t in space.times:
-            row = []
-            for i in range(space.n):
-                v = fn(t, i)
-                cell = (v,) if dim == 1 and not isinstance(v, tuple) else tuple(v)
-                row.append(cell)
-            rows.append(tuple(row))
-        return AdaptedProcess(dim, tuple(rows))
-
-    @staticmethod
     def from_scalar_paths(paths) -> "AdaptedProcess":
         """``paths[t][atom]`` is a scalar; the atoms that carry the same
         Fraction object share one cell.
@@ -542,16 +498,6 @@ class AdaptedProcess:
         once parsed, and a later input can reuse its address."""
         scalars = [[frac(v) for v in row] for row in paths]
         return AdaptedProcess._trusted(1, map_cells(scalars, lambda x: (x,)))
-
-    @staticmethod
-    def constant(space: FiniteSpace, value, dim: int = 1) -> "AdaptedProcess":
-        cell = (value,) * dim if not isinstance(value, tuple) else value
-        rows = tuple(tuple(cell for _ in range(space.n)) for _ in space.times)
-        return AdaptedProcess(len(cell), rows)
-
-    @staticmethod
-    def zero(space: FiniteSpace, dim: int = 1) -> "AdaptedProcess":
-        return AdaptedProcess.constant(space, tuple(Fraction(0) for _ in range(dim)))
 
     # -- pointwise arithmetic -------------------------------------------
 
@@ -581,26 +527,17 @@ class AdaptedProcess:
         rows = map_cells(self.values, lambda cell: tuple(-c for c in cell))
         return AdaptedProcess._trusted(self.dim, rows)
 
-    def scale(self, q) -> "AdaptedProcess":
-        q = frac(q)
-        rows = map_cells(self.values, lambda cell: tuple(q * c for c in cell))
-        return AdaptedProcess._trusted(self.dim, rows)
 
-    def mul_scalar_process(self, scalar: "AdaptedProcess") -> "AdaptedProcess":
-        """Pointwise product with a dim-1 process (broadcast over components)."""
-        if scalar.dim != 1 or scalar.horizon != self.horizon:
-            raise ValueError("need a scalar process on the same grid")
-        rows = zip_cells(
-            self.values, scalar.values, lambda cell, cs: tuple(cs[0] * c for c in cell)
-        )
-        return AdaptedProcess._trusted(self.dim, rows)
+def _constant_on(X: AdaptedProcess, parts) -> bool:
+    """True iff each row ``X.values[t]`` is constant on the blocks of
+    ``parts[t]``, one partition per date."""
+    return len(X.values) == len(parts) and all(
+        first_nonconstant(row, blocks) is None for row, blocks in zip(X.values, parts)
+    )
 
 
 def is_adapted(X: AdaptedProcess, filt: Filtration) -> bool:
-    return X.horizon == filt.horizon and all(
-        first_nonconstant(row, blocks) is None
-        for row, blocks in zip(X.values, filt.parts)
-    )
+    return _constant_on(X, filt.parts)
 
 
 def assert_adapted(X: AdaptedProcess, filt: Filtration, name: str = "process"):
@@ -610,10 +547,7 @@ def assert_adapted(X: AdaptedProcess, filt: Filtration, name: str = "process"):
 
 def is_predictable(X: AdaptedProcess, filt: Filtration) -> bool:
     """Constant on parts[t-1]-blocks for t >= 1 (and adapted at 0)."""
-    return X.horizon == filt.horizon and all(
-        first_nonconstant(row, blocks) is None
-        for row, blocks in zip(X.values, filt.parts[:1] + filt.parts[:-1])
-    )
+    return _constant_on(X, filt.parts[:1] + filt.parts[:-1])
 
 
 def assert_predictable(X: AdaptedProcess, filt: Filtration, name: str = "process"):
@@ -630,26 +564,20 @@ class RandomTime:
     def __post_init__(self):
         vals = tuple(self.values)
         for v in vals:
-            if v is not INF and not isinstance(v, int):
-                raise ValueError("random time values must be grid ints or INF")
+            if v is not INF and (isinstance(v, bool) or not isinstance(v, int) or v < 0):
+                raise ValueError("random time values must be grid ints >= 0 or INF")
         object.__setattr__(self, "values", vals)
 
     def at(self, atom: int) -> TimeValue:
         return self.values[atom]
 
-    @staticmethod
-    def constant(space: FiniteSpace, value: TimeValue) -> "RandomTime":
-        return RandomTime((value,) * space.n)
-
 
 def check_stopping_time(time: RandomTime, filt: Filtration, space: FiniteSpace) -> bool:
     """True iff {time <= t} is a union of parts[t]-blocks for every t."""
-    for t in space.times:
-        for block in filt.parts[t]:
-            flags = {time.at(i) <= t for i in block}
-            if len(flags) > 1:
-                return False
-    return True
+    return all(
+        first_nonconstant([v <= t for v in time.values], filt.parts[t]) is None
+        for t in space.times
+    )
 
 
 def stop(X: AdaptedProcess, sigma: RandomTime) -> AdaptedProcess:

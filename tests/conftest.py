@@ -6,6 +6,8 @@ from randomhorizon.deflator import DeflatorBundle, build_deflator
 from randomhorizon.enlargement import AzemaBundle, azema, jump_time_measures
 from randomhorizon.io import Scenario, load_builtin
 
+from helpers import block_of
+
 
 @dataclass(frozen=True)
 class Ctx:
@@ -61,7 +63,7 @@ def _check_survival_views(bundle):
         zt = [bundle.Ztilde.scalar_at(t, i) for i in range(space.n)]
         q = []
         for i in range(space.n):
-            block = filt.block_of(t - 1, i)
+            block = block_of(filt, t - 1, i)
             mass = sum(space.prob[j] for j in block)
             dead = sum(space.prob[j] for j in block if zt[j] == 0) / mass
             assert bundle.collapse[t][i] == dead

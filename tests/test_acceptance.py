@@ -18,11 +18,13 @@ from randomhorizon.campaign import _projection_identities, run_campaign
 from randomhorizon.cli import VALIDATION_POINTS
 from randomhorizon.deflator import build_deflator, is_supermartingale, verify_deflator
 from randomhorizon.enlargement import azema
-from randomhorizon.generator import random_instance, random_predictable_fv
+from randomhorizon.generator import random_instance
 from randomhorizon.io import dump_json
 from randomhorizon.mc import McModel, simulate, validate_survival_formula
 from randomhorizon.nupbr import certify_nupbr, thin_set_empty
 from randomhorizon.space import stop
+
+from helpers import random_predictable_fv
 
 INSTANCES = 1000
 MC_PATHS = 100_000

@@ -15,9 +15,11 @@ from fractions import Fraction as F
 import pytest
 
 from randomhorizon import cli
-from randomhorizon.generator import random_adapted, random_martingale, random_tau
+from randomhorizon.generator import random_martingale, random_tau
 from randomhorizon.io import Scenario, dump_json, serialize_scenario
 from randomhorizon.space import FiniteSpace, Filtration
+
+from helpers import children, random_adapted
 
 HORIZON = 3
 
@@ -66,7 +68,7 @@ def test_certify_stdout_pinned_on_planar_scenarios(seed, capsys, tmp_path):
     sc = planar_scenario(seed)
     filt = sc.filtration
     branching = {
-        len(filt.children(t, p))
+        len(children(filt, t, p))
         for t in range(1, HORIZON + 1)
         for p in range(len(filt.parts[t - 1]))
     }

@@ -15,13 +15,15 @@ from randomhorizon.enlargement import azema, g_martingale_part
 from randomhorizon.errors import EngineError, InadmissibleStrategy
 from randomhorizon.generator import random_instance, random_martingale
 from randomhorizon.projections import is_martingale, quadratic_covariation
-from randomhorizon.space import INF, AdaptedProcess, RandomTime, stop
+from randomhorizon.space import INF, AdaptedProcess, stop
+
+from helpers import constant, constant_time, from_function, mul_scalar_process, zero
 
 
 def test_optional_integral_with_predictable_integrand(ex1):
     # for predictable H the compensated integral collapses to the ordinary one
     G, space = ex1.enlarged, ex1.space
-    H = AdaptedProcess.from_function(space, lambda t, i: F(t + 1))
+    H = from_function(space, lambda t, i: F(t + 1))
     N = ex1.deflators.bundle.mhat
     out = optional_integral(H, N, G, space)
     acc = [F(0)] * 4
@@ -33,7 +35,7 @@ def test_optional_integral_with_predictable_integrand(ex1):
 
 def test_optional_integral_with_unit_integrand(ex1):
     G, space = ex1.enlarged, ex1.space
-    one = AdaptedProcess.constant(space, F(1))
+    one = constant(space, F(1))
     N = ex1.deflators.bundle.mhat
     out = optional_integral(one, N, G, space)
     for t in space.times:
@@ -62,7 +64,7 @@ def test_optional_integral_bracket_identity(ex1):
 def test_optional_integral_rejects_non_martingale(ex1):
     with pytest.raises(EngineError):
         optional_integral(
-            AdaptedProcess.constant(ex1.space, F(1)), ex1.bundle.Z, ex1.enlarged, ex1.space
+            constant(ex1.space, F(1)), ex1.bundle.Z, ex1.enlarged, ex1.space
         )
 
 
@@ -86,7 +88,7 @@ def test_deflator_bundle_ex2(ex2):
 
 
 def test_deflator_bundle_no_horizon(ex1):
-    d = build_deflator(azema(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space))
+    d = build_deflator(azema(ex1.filt, constant_time(ex1.space, INF), ex1.space))
     for t in ex1.space.times:
         for i in range(4):
             assert d.driver.scalar_at(t, i) == 0
@@ -95,12 +97,12 @@ def test_deflator_bundle_no_horizon(ex1):
 
 
 def test_stoch_exp_basics(ex1):
-    zero = AdaptedProcess.zero(ex1.space)
+    flat = zero(ex1.space)
     assert all(
-        stoch_exp(zero).scalar_at(t, i) == 1 for t in ex1.space.times for i in range(4)
+        stoch_exp(flat).scalar_at(t, i) == 1 for t in ex1.space.times for i in range(4)
     )
     with pytest.raises(EngineError):
-        stoch_exp(AdaptedProcess.constant(ex1.space, F(1)))
+        stoch_exp(constant(ex1.space, F(1)))
 
 
 def test_stoch_exp_multiplicativity(ex1):
@@ -118,14 +120,14 @@ def test_stoch_exp_multiplicativity(ex1):
         A = AdaptedProcess(1, tuple(tuple(r) for r in rows_a))
         B = AdaptedProcess(1, tuple(tuple(r) for r in rows_b))
         combo = A + B + quadratic_covariation(A, B)
-        lhs = stoch_exp(A).mul_scalar_process(stoch_exp(B))
+        lhs = mul_scalar_process(stoch_exp(A), stoch_exp(B))
         assert lhs.values == stoch_exp(combo).values
 
 
 def test_supermartingale_deflator_zero_strategy(ex1, ex2):
     for ctx in (ex1, ex2):
         out = supermartingale_deflator(
-            ctx.price, AdaptedProcess.zero(ctx.space), ctx.deflators
+            ctx.price, zero(ctx.space), ctx.deflators
         )
         assert out.positive and out.supermartingale
         assert out.process.values == ctx.deflators.deflator.values
@@ -133,7 +135,7 @@ def test_supermartingale_deflator_zero_strategy(ex1, ex2):
 
 def test_supermartingale_deflator_ex2_half(ex2):
     out = supermartingale_deflator(
-        ex2.price, AdaptedProcess.constant(ex2.space, F(1, 2)), ex2.deflators
+        ex2.price, constant(ex2.space, F(1, 2)), ex2.deflators
     )
     assert out.positive and out.supermartingale
 
@@ -141,7 +143,7 @@ def test_supermartingale_deflator_ex2_half(ex2):
 def test_supermartingale_deflator_fails_on_arbitrage_node(ex1):
     # exploit the one-child node {b} at t=2: any scale beyond the unit
     # direction beats the deflator's halving exactly
-    theta = AdaptedProcess.from_function(
+    theta = from_function(
         ex1.space, lambda t, i: F(-2) if (t, i) == (2, 1) else F(0)
     )
     out = supermartingale_deflator(ex1.price, theta, ex1.deflators)
@@ -150,7 +152,7 @@ def test_supermartingale_deflator_fails_on_arbitrage_node(ex1):
 
 
 def test_supermartingale_deflator_rejects_inadmissible(ex1):
-    theta = AdaptedProcess.constant(ex1.space, F(5))
+    theta = constant(ex1.space, F(5))
     with pytest.raises(InadmissibleStrategy):
         supermartingale_deflator(ex1.price, theta, ex1.deflators)
 
@@ -160,10 +162,10 @@ def test_verify_deflator_examples(ex1, ex2):
         ex2.deflators.deflator, stop(ex2.price, ex2.tau), ex2.enlarged, ex2.space
     )
     assert ok.passed and ok.worst is None
-    one = AdaptedProcess.constant(ex2.space, F(1))
+    one = constant(ex2.space, F(1))
     assert verify_deflator(one, stop(ex2.price, ex2.tau), ex2.enlarged, ex2.space).passed
     bad = verify_deflator(
-        AdaptedProcess.constant(ex1.space, F(1)),
+        constant(ex1.space, F(1)),
         stop(ex1.price, ex1.tau),
         ex1.enlarged,
         ex1.space,

@@ -16,16 +16,17 @@ from randomhorizon.enlargement import (
     reduce_g_predictable,
 )
 from randomhorizon.errors import NotMartingale, NotPredictable, StructuralViolation
-from randomhorizon.generator import random_adapted, random_instance
+from randomhorizon.generator import random_instance
 from randomhorizon.projections import dual_predictable, is_martingale, quadratic_covariation
 from randomhorizon.space import (
     INF,
     AdaptedProcess,
     Filtration,
-    RandomTime,
     check_stopping_time,
     stop,
 )
+
+from helpers import block_of, constant, constant_time, from_function, random_adapted, zero
 
 
 def test_enlarge_ex1_splits_to_singletons(ex1):
@@ -35,10 +36,10 @@ def test_enlarge_ex1_splits_to_singletons(ex1):
 
 def test_enlarge_trivial_cases(ex1):
     space, filt = ex1.space, ex1.filt
-    assert enlarge(filt, RandomTime.constant(space, INF), space).parts == filt.parts
+    assert enlarge(filt, constant_time(space, INF), space).parts == filt.parts
     # an F-stopping time adds no information (EX2's tau is one)
-    assert check_stopping_time(RandomTime.constant(space, 1), filt, space)
-    assert enlarge(filt, RandomTime.constant(space, 1), space).parts == filt.parts
+    assert check_stopping_time(constant_time(space, 1), filt, space)
+    assert enlarge(filt, constant_time(space, 1), space).parts == filt.parts
 
 
 def test_enlarge_ex2_equals_base(ex2):
@@ -78,7 +79,7 @@ def test_bundle_owns_its_model_and_builds_g_once_on_read(ex1, monkeypatch):
 
 def test_azema_infinite_horizon_time(ex1):
     space, filt = ex1.space, ex1.filt
-    b = azema(filt, RandomTime.constant(space, INF), space)
+    b = azema(filt, constant_time(space, INF), space)
     for t in space.times:
         for i in range(4):
             assert b.Z.scalar_at(t, i) == 1
@@ -130,7 +131,7 @@ def test_compensator_of_stopped_matches_direct(ex1, ex2):
 
 
 def test_compensator_of_stopped_constant_is_zero(ex1):
-    V = AdaptedProcess.constant(ex1.space, F(4))
+    V = constant(ex1.space, F(4))
     out = compensator_of_stopped(V, ex1.bundle)
     assert all(out.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
 
@@ -139,7 +140,7 @@ def test_compensator_of_rescaled(ex1, ex2):
     for ctx in (ex1, ex2):
         for V in (
             quadratic_covariation(ctx.bundle.m, ctx.bundle.m),
-            AdaptedProcess.zero(ctx.space),
+            zero(ctx.space),
             ctx.price,
         ):
             out = compensator_of_rescaled(V, ctx.bundle)
@@ -170,7 +171,7 @@ def test_g_martingale_part_zero_bracket_is_stopped_input(ex1):
 
 
 def test_g_martingale_part_constant(ex1):
-    M = AdaptedProcess.constant(ex1.space, F(2))
+    M = constant(ex1.space, F(2))
     out = g_martingale_part(M, ex1.bundle)
     assert all(out.scalar_at(t, i) == 2 for t in ex1.space.times for i in range(4))
 
@@ -190,7 +191,7 @@ def test_projection_transfer_identities_ex1(ex1):
 
 
 def test_projection_transfer_identities_trivial_time(ex1):
-    b = azema(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space)
+    b = azema(ex1.filt, constant_time(ex1.space, INF), ex1.space)
     out = projection_transfer_identities(b.m, b)
     assert out.consistent
     assert all(out.jump_lhs.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
@@ -217,9 +218,9 @@ def test_survival_views_follow_a_replaced_random_time(ex1):
     b = azema(ex1.filt, ex1.tau, ex1.space)
     before = b.alive
     assert before[2] == (False, True, False, True)
-    never = replace(b, tau=RandomTime.constant(ex1.space, INF))
+    never = replace(b, tau=constant_time(ex1.space, INF))
     assert never.alive == ((False,) * 4,) + ((True,) * 4,) * ex1.space.horizon
-    dead = replace(b, tau=RandomTime.constant(ex1.space, 0))
+    dead = replace(b, tau=constant_time(ex1.space, 0))
     assert dead.alive == ((False,) * 4,) * (ex1.space.horizon + 1)
     assert b.alive is before
 
@@ -232,7 +233,7 @@ def test_jump_time_measures_ex1(ex1):
 
 
 def test_jump_time_measures_trivial(ex1):
-    b = azema(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space)
+    b = azema(ex1.filt, constant_time(ex1.space, INF), ex1.space)
     out = jump_time_measures(2, b)
     assert out.q == (F(1),) * 4
     assert out.u_enlarged == (F(1),) * 4
@@ -244,7 +245,7 @@ def test_jump_time_measures_are_cached_per_argument_tuple(ex1):
     # the cache is keyed by the date and lives on the bundle: another date,
     # or the bundle paired with another random time or filtration, never
     # reads the entry of the first call
-    dead = replace(ex1.bundle, tau=RandomTime.constant(ex1.space, 0))
+    dead = replace(ex1.bundle, tau=constant_time(ex1.space, 0))
     fresh = jump_time_measures(2, dead)
     assert fresh is not first and fresh.u_enlarged == (F(1),) * 4
     assert jump_time_measures(2, dead) is fresh
@@ -260,7 +261,7 @@ def test_reduce_g_predictable_survival_reciprocal(ex1):
             return 1 / ex1.bundle.Z.scalar_at(t - 1, i)
         return F(1)
 
-    H = AdaptedProcess.from_function(ex1.space, hg)
+    H = from_function(ex1.space, hg)
     out = reduce_g_predictable(H, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
     assert [out.scalar_at(2, i) for i in range(4)] == [F(2)] * 4
     assert [out.scalar_at(1, i) for i in range(4)] == [F(1)] * 4
@@ -273,7 +274,7 @@ def test_reduce_g_predictable_survival_reciprocal(ex1):
 
 
 def test_reduce_g_predictable_keeps_f_predictable(ex1):
-    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t + 1))
+    V = from_function(ex1.space, lambda t, i: F(t + 1))
     out = reduce_g_predictable(V, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
     for t in range(1, 3):
         for i in range(4):
@@ -326,8 +327,8 @@ def test_enlargement_is_minimal(ex1):
         blocks = enlarged.parts[t]
         for j in range(len(blocks)):
             for k in range(j + 1, len(blocks)):
-                same_f_block = filt.block_of(t, blocks[j][0]) == filt.block_of(
-                    t, blocks[k][0]
+                same_f_block = block_of(filt, t, blocks[j][0]) == block_of(
+                    filt, t, blocks[k][0]
                 )
                 if not same_f_block:
                     continue
@@ -347,7 +348,7 @@ def test_enlargement_minimality_on_random_instances():
             blocks = enlarged.parts[t]
             for j in range(len(blocks)):
                 for k in range(j + 1, len(blocks)):
-                    if inst.filtration.block_of(t, blocks[j][0]) != inst.filtration.block_of(t, blocks[k][0]):
+                    if block_of(inst.filtration, t, blocks[j][0]) != block_of(inst.filtration, t, blocks[k][0]):
                         continue
                     parts = _merged_variant(enlarged, t, j, k)
                     try:
@@ -372,14 +373,14 @@ def test_transfer_formulas_reject_a_dead_survival_inside_the_interval(formula, e
     # comes) breaks the engine invariant; every formula dividing by Z_- or
     # by Zt reports it
     inst = random_instance(1)
-    never = RandomTime.constant(inst.space, INF)
+    never = constant_time(inst.space, INF)
     b = replace(azema(inst.filtration, inst.tau, inst.space), tau=never)
-    M = b.m if formula is g_martingale_part else AdaptedProcess.zero(inst.space)
+    M = b.m if formula is g_martingale_part else zero(inst.space)
     with pytest.raises(StructuralViolation, match="Z_- vanished"):
         formula(M, b)
     if formula in (compensator_of_rescaled, projection_transfer_identities):
         # ex1: Zt_2 = 0 on {a, c} while Z_1 = 1/2, and dm_2 is nonzero there
-        b1 = replace(ex1.bundle, tau=RandomTime.constant(ex1.space, INF))
+        b1 = replace(ex1.bundle, tau=constant_time(ex1.space, INF))
         with pytest.raises(StructuralViolation, match="Zt vanished"):
             formula(b1.m, b1)
         # the jump-date weight u = Z_-/Zt and the deflator kernel divide by

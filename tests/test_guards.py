@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import randomhorizon
@@ -168,3 +169,78 @@ def test_every_parameter_is_read():
         for name in _unread_parameters(path.read_text(encoding="utf-8"), path.stem)
     ]
     assert found == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _definitions(tree):
+    """Each module-level function and class, and each method of a
+    module-level class, except dunder methods, which Python calls."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                m
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+            )
+
+
+def _reads(node, enclosing=()):
+    """``(name, enclosing definitions)`` per ``Name`` or ``Attribute`` read
+    under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing + (node,)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id, enclosing
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, enclosing
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, enclosing)
+
+
+def _unused_definitions(sources, exported, documented) -> list:
+    """``module.name`` of each definition in ``sources`` (path -> text) that
+    no package module reads outside the definition itself and that is not
+    in ``exported`` or ``documented``.  The match is by name."""
+    trees = {Path(p).stem: ast.parse(text) for p, text in sources.items()}
+    reads = [r for tree in trees.values() for r in _reads(tree)]
+    found = []
+    for module, tree in trees.items():
+        for d in _definitions(tree):
+            if d.name in exported or d.name in documented:
+                continue
+            if not any(name == d.name and d not in inside for name, inside in reads):
+                found.append(f"{module}.{d.name}")
+    return found
+
+
+def _identifiers(text: str) -> set:
+    return set(re.findall(r"[A-Za-z_]\w*", text))
+
+
+def test_every_definition_has_a_reader():
+    # a helper that only the tests call belongs in tests/helpers.py, and one
+    # that nothing calls is dead: every definition of the package is read by
+    # the package, exported by __init__, named in README between backticks,
+    # or used by the benchmark or the packaging metadata
+    sample = {
+        "m.py": "def used():\n    return used()\n\ndef caller():\n    return used()\n\n"
+        "def alone():\n    return alone()\n\nclass K:\n    def __eq__(self, o):\n"
+        "        return True\n    def meth(self):\n        return 1\n"
+    }
+    assert _unused_definitions(sample, {"caller"}, {"K"}) == ["m.alone", "m.meth"]
+    init = ast.parse((SOURCES[0].parent / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    documented = _identifiers(" ".join(re.findall(r"`([^`]+)`", readme)))
+    for path in sorted((ROOT / "bench").rglob("*")) + [ROOT / "pyproject.toml"]:
+        if path.is_file():
+            documented |= _identifiers(path.read_text(encoding="utf-8"))
+    sources = {str(p): p.read_text(encoding="utf-8") for p in SOURCES}
+    assert _unused_definitions(sources, exported, documented) == []

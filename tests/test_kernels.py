@@ -4,10 +4,11 @@ The references below are the textbook definitions, computed from scratch
 on every call: increments by subtraction, running sums by adding every
 increment, block masses and weighted sums over every atom, positive-mass
 tests by summing P-weighted weights, and block constancy by comparing
-each block's set of cells.  The enlargement references divide by Z_-
-atom by atom and build every ]0, tau] formula from its own loop.  The cell
-maps (sums, differences, components, scalar paths) are referenced by one
-computation per atom, with no cell shared.
+each block's set of cells (or of flags [time <= t], for a stopping time).
+The enlargement references divide by Z_- atom by atom and build every
+]0, tau] formula from its own loop.  The cell maps (sums, differences,
+components, scalar paths) are referenced by one computation per atom, with
+no cell shared.
 """
 
 import importlib.util
@@ -28,7 +29,7 @@ from randomhorizon.enlargement import (
     g_martingale_part,
     projection_transfer_identities,
 )
-from randomhorizon.generator import random_adapted, random_instance
+from randomhorizon.generator import random_instance
 from randomhorizon.lp import zero_in_relative_interior
 from randomhorizon.nupbr import (
     Arbitrage,
@@ -39,14 +40,20 @@ from randomhorizon.nupbr import (
 )
 from randomhorizon.projections import condexp, is_martingale, node_drifts
 from randomhorizon.space import (
+    INF,
     AdaptedProcess,
+    FiniteSpace,
     Filtration,
+    RandomTime,
+    check_stopping_time,
     condexp_cells,
     first_nonconstant,
     is_adapted,
     is_predictable,
     stop,
 )
+
+from helpers import children, mul_scalar_process, random_adapted, scale
 
 
 def naive_increments(X):
@@ -94,6 +101,14 @@ def naive_first_nonconstant(row, blocks):
     return None
 
 
+def naive_is_stopping_time(time, filt, space):
+    return all(
+        len({time.at(i) <= t for i in block}) == 1
+        for t in space.times
+        for block in filt.parts[t]
+    )
+
+
 def naive_is_martingale(M, filt, space, weights=None):
     inc = naive_increments(M)
     w = [F(1)] * space.n if weights is None else [F(x) for x in weights]
@@ -135,7 +150,7 @@ def naive_certify(X, filt, space, weights):
                 continue
             kids = [
                 filt.parts[t][j]
-                for j in filt.children(t, p)
+                for j in children(filt, t, p)
                 if sum(space.prob[i] * w[i] for i in filt.parts[t][j]) != 0
             ]
             deltas = [inc[t][c[0]] for c in kids]
@@ -206,16 +221,23 @@ def test_kernels_match_naive_references(seed, weights):
         if not is_adapted(X, filt):
             continue  # the martingale and NUPBR kernels take adapted inputs
         assert is_martingale(X, filt, space) == naive_is_martingale(X, filt, space)
-        assert is_martingale(X, filt, space, weights=w) == naive_is_martingale(
-            X, filt, space, w
-        )
-        for t in space.times[1:]:
-            dropped = _drop_first_node(w, filt, t)
-            assert certify_nupbr(X, filt, space, weights=dropped) == naive_certify(
-                X, filt, space, dropped
-            )
-        assert certify_nupbr(X, filt, space, weights=w) == naive_certify(X, filt, space, w)
+        for weighted in (w, *(_drop_first_node(w, filt, t) for t in space.times[1:])):
+            _check_weighted_kernels(X, filt, space, weighted)
         assert certify_nupbr(X, filt, space) == naive_certify(X, filt, space, [F(1)] * space.n)
+
+
+def _check_weighted_kernels(X, filt, space, w):
+    """The weighted martingale test and certificate against the naive
+    references; a vector with no positive weight normalises to no Q, so
+    both raise ``ValueError`` on it."""
+    if not any(w):
+        with pytest.raises(ValueError):
+            is_martingale(X, filt, space, weights=w)
+        with pytest.raises(ValueError):
+            certify_nupbr(X, filt, space, weights=w)
+        return
+    assert is_martingale(X, filt, space, weights=w) == naive_is_martingale(X, filt, space, w)
+    assert certify_nupbr(X, filt, space, weights=w) == naive_certify(X, filt, space, w)
 
 
 @settings(max_examples=80, deadline=None)
@@ -284,11 +306,32 @@ def test_public_constructor_still_coerces_and_bans_floats():
         AdaptedProcess(1, (((F(1),),), ((0.5,),)))
 
 
+def _random_stopping_time(filt, space, rng):
+    """A stopping time by construction: each parts[t]-block not stopped
+    before t stops at t with chance 1/3; the rest never stop (INF)."""
+    values = [INF] * space.n
+    for t in space.times:
+        for block in filt.parts[t]:
+            if values[block[0]] is INF and rng.randrange(3) == 0:
+                for i in block:
+                    values[i] = t
+    return RandomTime(tuple(values))
+
+
 @settings(max_examples=80, deadline=None)
 @given(SEEDS)
 def test_block_constancy_matches_naive_reference(seed):
     space, cases = _cases(seed)
+    rng = random.Random(seed)
+    grid = list(space.times) + [INF]
+    drawn = [RandomTime(tuple(rng.choice(grid) for _ in range(space.n))) for _ in range(3)]
     for X, filt in cases:
+        stopping = _random_stopping_time(filt, space, rng)
+        assert naive_is_stopping_time(stopping, filt, space)
+        for time in [random_instance(seed).tau, stopping] + drawn:
+            assert check_stopping_time(time, filt, space) == naive_is_stopping_time(
+                time, filt, space
+            )
         for t in space.times:
             for blocks in (filt.parts[t], filt.parts[max(t - 1, 0)], filt.parts[0]):
                 assert first_nonconstant(X.values[t], blocks) == naive_first_nonconstant(
@@ -369,12 +412,12 @@ def test_cell_maps_match_naive_references(seed):
             assert C.values == naive_cellwise(lambda c: (c[k],), X.values)
             assert C.increments == naive_increments(C)
         assert (-X).values == naive_cellwise(lambda c: (-x for x in c), X.values)
-        assert X.scale(F(-3, 2)).values == naive_cellwise(
+        assert scale(X, F(-3, 2)).values == naive_cellwise(
             lambda c: (F(-3, 2) * x for x in c), X.values
         )
         for Y in procs:
             if Y.dim == 1:
-                assert X.mul_scalar_process(Y).values == naive_cellwise(
+                assert mul_scalar_process(X, Y).values == naive_cellwise(
                     lambda c, s: (s[0] * x for x in c), X.values, Y.values
                 )
 
@@ -417,19 +460,28 @@ def test_shared_source_objects_share_one_cell():
 
 
 def test_block_mass_is_cached_per_space():
-    space, cases = _cases(3)
-    block = cases[0][1].parts[1][0]
-    first = space.mass(block)
-    assert first == sum(space.prob[i] for i in block)
-    assert space.mass(block) is first
+    # P(B) as the int P_B over D; the second space's masses are big ints,
+    # which Python never shares, so ``is`` tells the cached int from an
+    # equal one summed afresh
+    small, cases = _cases(3)
+    tiny = F(1, 3**40)
+    big = FiniteSpace(("a", "b", "c"), (tiny, tiny, 1 - 2 * tiny), 1)
+    for space, block in ((small, cases[0][1].parts[1][0]), (big, (0, 2))):
+        D = space.scaled[0]
+        first = space.block_mass(block)
+        assert type(first) is int
+        assert first == sum(space.prob[i] for i in block) * D
+        assert space.block_mass(block) is first
 
 
-@pytest.mark.parametrize("bad", [F(-1), F(-1, 3)])
+# (every weight but the last, the last): a negative weight, or no positive
+# weight, so that no Q normalises
+@pytest.mark.parametrize("bad", [(F(1), F(-1)), (F(1), F(-1, 3)), (F(0), F(0))])
 def test_weighted_kernels_reject_negative_weights(bad):
     space, cases = _cases(5)
     X, filt = cases[0]
-    w = [F(1)] * space.n
-    w[-1] = bad
+    rest, last = bad
+    w = [rest] * (space.n - 1) + [last]
     with pytest.raises(ValueError):
         certify_nupbr(X, filt, space, weights=w)
     with pytest.raises(ValueError):

@@ -5,14 +5,9 @@ import pytest
 
 from randomhorizon.enlargement import azema, enlarge
 from randomhorizon.errors import EngineError, PreconditionViolated
-from randomhorizon.generator import (
-    random_instance,
-    random_martingale,
-    random_predictable_fv,
-)
+from randomhorizon.generator import random_instance, random_martingale
 from randomhorizon.nupbr import (
     certify_nupbr,
-    martingale_measure_from_weights,
     masked_increment_criterion,
     masked_increment_criterion_all,
     preservation_report,
@@ -23,7 +18,17 @@ from randomhorizon.nupbr import (
     witness_martingale,
 )
 from randomhorizon.projections import is_martingale
-from randomhorizon.space import AdaptedProcess, RandomTime, INF, stop
+from randomhorizon.space import RandomTime, INF, stop
+
+from helpers import (
+    children,
+    constant,
+    constant_time,
+    from_function,
+    martingale_measure_from_weights,
+    random_predictable_fv,
+    scale,
+)
 
 
 def test_certify_base_fixture(ex1):
@@ -58,8 +63,8 @@ def test_weights_reassemble_martingale_measure(ex1):
 
 def test_certify_scale_invariance(ex1):
     for c in (F(1, 7), F(3), F(12, 5)):
-        assert certify_nupbr(ex1.price.scale(c), ex1.filt, ex1.space).verdict
-        scaled = stop(ex1.price, ex1.tau).scale(c)
+        assert certify_nupbr(scale(ex1.price, c), ex1.filt, ex1.space).verdict
+        scaled = scale(stop(ex1.price, ex1.tau), c)
         assert not certify_nupbr(scaled, ex1.enlarged, ex1.space).verdict
 
 
@@ -105,7 +110,7 @@ def test_witness_martingale_values(ex1):
 def test_witness_martingale_trivial_when_no_collapse(ex1, ex2):
     M = witness_martingale(2, ex2.bundle)
     assert certify_nupbr(stop(M, ex2.tau), ex2.enlarged, ex2.space).verdict
-    b = azema(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space)
+    b = azema(ex1.filt, constant_time(ex1.space, INF), ex1.space)
     M = witness_martingale(2, b)
     assert all(M.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
 
@@ -121,7 +126,7 @@ def test_witness_contract_per_date(ex1, ex2):
 def test_masked_increment_criterion_fixtures(ex1, ex2):
     assert not masked_increment_criterion(ex1.price, ex1.bundle, F(1, 4))
     assert masked_increment_criterion(ex2.price, ex2.bundle, F(1, 4))
-    const = AdaptedProcess.constant(ex1.space, F(3))
+    const = constant(ex1.space, F(3))
     assert masked_increment_criterion(const, ex1.bundle, F(1, 4))
 
 
@@ -154,7 +159,7 @@ def test_masked_criterion_rejects_nonpositive_threshold(ex2, bad):
 
 
 def test_masked_criterion_requires_base_nupbr(ex1):
-    drift = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t))
+    drift = from_function(ex1.space, lambda t, i: F(t))
     with pytest.raises(PreconditionViolated):
         masked_increment_criterion_all(drift, ex1.bundle)
 
@@ -175,7 +180,7 @@ def test_martingale_transfer_zero_xi(ex1):
 
 
 def test_martingale_transfer_no_horizon(ex1):
-    b = azema(ex1.filt, RandomTime.constant(ex1.space, INF), ex1.space)
+    b = azema(ex1.filt, constant_time(ex1.space, INF), ex1.space)
     xi = [ex1.price.delta_at(2, i) for i in range(4)]
     rec = single_jump_martingale_transfer(xi, 2, b)
     assert rec.consistent and rec.thin_mean_zero and rec.under_jump_measure
@@ -214,7 +219,7 @@ def test_certify_failure_detects_unbounded_wealth(ex1):
     # a failing node always yields an unbounded one-period profit direction
     from randomhorizon.deflator import verify_deflator
 
-    one = AdaptedProcess.constant(ex1.space, F(1))
+    one = constant(ex1.space, F(1))
     stopped = stop(ex1.price, ex1.tau)
     assert not certify_nupbr(stopped, ex1.enlarged, ex1.space).verdict
     verdict = verify_deflator(one, stopped, ex1.enlarged, ex1.space)
@@ -251,7 +256,7 @@ def test_stopping_before_trouble_on_random_instances():
                 if any(b.Z.scalar_at(s, parent[0]) == 0 for s in range(t)):
                     continue  # sigma already stopped this node
                 deltas = []
-                for j in filt.children(t, parent_idx):
+                for j in children(filt, t, parent_idx):
                     child = filt.parts[t][j]
                     if b.Ztilde.scalar_at(t, child[0]) > 0:
                         deltas.append(inst.price.delta_at(t, child[0]))

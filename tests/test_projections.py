@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 
-from randomhorizon.generator import random_adapted, random_instance, random_martingale
+from randomhorizon.generator import random_instance, random_martingale
 from randomhorizon.projections import (
     angle_bracket,
     doob,
@@ -11,7 +11,9 @@ from randomhorizon.projections import (
     predictable_projection,
     quadratic_covariation,
 )
-from randomhorizon.space import AdaptedProcess, is_predictable
+from randomhorizon.space import is_predictable
+
+from helpers import constant, from_function, random_adapted
 
 
 def _collapse_indicator(ex1, t):
@@ -20,7 +22,7 @@ def _collapse_indicator(ex1, t):
 
 
 def test_predictable_projection_of_collapse_indicator(ex1):
-    X = AdaptedProcess.from_function(
+    X = from_function(
         ex1.space,
         lambda t, i: F(1) if ex1.bundle.Ztilde.scalar_at(t, i) == 0 else F(0),
     )
@@ -31,7 +33,7 @@ def test_predictable_projection_of_collapse_indicator(ex1):
 
 def test_predictable_projection_of_martingale_increments_vanishes(ex1):
     m = ex1.bundle.m
-    dm = AdaptedProcess.from_function(ex1.space, lambda t, i: m.delta_at(t, i)[0])
+    dm = from_function(ex1.space, lambda t, i: m.delta_at(t, i)[0])
     proj = predictable_projection(dm, ex1.filt, ex1.space)
     assert all(proj.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
 
@@ -39,14 +41,14 @@ def test_predictable_projection_of_martingale_increments_vanishes(ex1):
 def test_predictable_projection_fixes_predictable(ex1):
     X = ex1.deflators.drawdown  # G-predictable, but also F-predictable? no:
     # use an F-predictable process instead
-    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(t * t))
+    V = from_function(ex1.space, lambda t, i: F(t * t))
     proj = predictable_projection(V, ex1.filt, ex1.space)
     assert proj.values == V.values
 
 
 def test_dual_optional_of_default_indicator(ex1):
     tau = ex1.tau
-    D = AdaptedProcess.from_function(
+    D = from_function(
         ex1.space, lambda t, i: F(1) if tau.at(i) <= t else F(0)
     )
     proj = dual_optional(D, ex1.filt, ex1.space)
@@ -55,7 +57,7 @@ def test_dual_optional_of_default_indicator(ex1):
 
 
 def test_dual_predictable_of_predictable_recovers_increments(ex1):
-    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(2 * t + 1))
+    V = from_function(ex1.space, lambda t, i: F(2 * t + 1))
     proj = dual_predictable(V, ex1.filt, ex1.space)
     assert all(
         proj.scalar_at(t, i) == V.scalar_at(t, i) - V.scalar_at(0, i)
@@ -77,7 +79,7 @@ def test_angle_bracket_of_m(ex1):
 
 def test_angle_bracket_with_constant_and_symmetry(ex1):
     m = ex1.bundle.m
-    const = AdaptedProcess.constant(ex1.space, F(9))
+    const = constant(ex1.space, F(9))
     br = angle_bracket(m, const, ex1.filt, ex1.space)
     assert all(br.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
     lhs = angle_bracket(m, ex1.bundle.Z, ex1.filt, ex1.space)
@@ -88,7 +90,7 @@ def test_angle_bracket_with_constant_and_symmetry(ex1):
 def test_is_martingale_examples(ex1):
     assert is_martingale(ex1.bundle.m, ex1.filt, ex1.space)
     assert not is_martingale(ex1.bundle.Z, ex1.filt, ex1.space)
-    assert is_martingale(AdaptedProcess.constant(ex1.space, F(3)), ex1.filt, ex1.space)
+    assert is_martingale(constant(ex1.space, F(3)), ex1.filt, ex1.space)
 
 
 def test_doob_of_Z(ex1):
@@ -109,7 +111,7 @@ def test_doob_of_martingale_and_predictable(ex1):
     m = ex1.bundle.m
     M, A = doob(m, ex1.filt, ex1.space)
     assert all(A.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
-    V = AdaptedProcess.from_function(ex1.space, lambda t, i: F(5 - t))
+    V = from_function(ex1.space, lambda t, i: F(5 - t))
     M2, A2 = doob(V, ex1.filt, ex1.space)
     assert all(M2.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
 
@@ -124,7 +126,7 @@ def test_projection_invariants_on_random_instances():
         )
         assert is_martingale(diff, inst.filtration, inst.space)
         # predictable projection of increments equals compensator increments
-        dV = AdaptedProcess.from_function(
+        dV = from_function(
             inst.space, lambda t, i: V.delta_at(t, i)[0]
         )
         proj = predictable_projection(dV, inst.filtration, inst.space)

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from randomhorizon.deflator import stoch_exp
-from randomhorizon.generator import random_adapted, random_instance, random_martingale
-from randomhorizon.nupbr import certify_nupbr, martingale_measure_from_weights
+from randomhorizon.generator import random_instance, random_martingale
+from randomhorizon.nupbr import certify_nupbr
 from randomhorizon.projections import (
     condexp,
     doob,
@@ -13,6 +13,8 @@ from randomhorizon.projections import (
     quadratic_covariation,
 )
 from randomhorizon.space import AdaptedProcess
+
+from helpers import martingale_measure_from_weights, mul_scalar_process, random_adapted, scale
 
 SEEDS = st.integers(min_value=0, max_value=5_000)
 
@@ -69,7 +71,7 @@ def test_stoch_exp_multiplicativity(seed):
     B = null_at_zero(random_adapted(inst.space, inst.filtration, rng))
     combo = A + B + quadratic_covariation(A, B)
     assert (
-        stoch_exp(A).mul_scalar_process(stoch_exp(B)).values
+        mul_scalar_process(stoch_exp(A), stoch_exp(B)).values
         == stoch_exp(combo).values
     )
 
@@ -80,7 +82,7 @@ def test_certify_scale_invariance(seed, num, den):
     inst = random_instance(seed)
     c = F(num, den)
     base = certify_nupbr(inst.price, inst.filtration, inst.space)
-    scaled = certify_nupbr(inst.price.scale(c), inst.filtration, inst.space)
+    scaled = certify_nupbr(scale(inst.price, c), inst.filtration, inst.space)
     assert base.verdict == scaled.verdict
 
 

@@ -19,6 +19,8 @@ from randomhorizon.space import (
     stop,
 )
 
+from helpers import children, constant, constant_time, from_function
+
 
 def test_condexp_indicator_of_single_atom(ex1):
     space, filt = ex1.space, ex1.filt
@@ -60,7 +62,7 @@ def test_condexp_tower(ex1):
 def test_stopping_time_checks(ex1):
     space, filt = ex1.space, ex1.filt
     assert not check_stopping_time(ex1.tau, filt, space)
-    assert check_stopping_time(RandomTime.constant(space, 1), filt, space)
+    assert check_stopping_time(constant_time(space, 1), filt, space)
     assert check_stopping_time(ex1.tau, ex1.enlarged, space)
 
 
@@ -70,12 +72,12 @@ def test_stop_at_tau_terminal_values(ex1):
 
 
 def test_stop_at_infinity_is_identity(ex1):
-    stopped = stop(ex1.price, RandomTime.constant(ex1.space, INF))
+    stopped = stop(ex1.price, constant_time(ex1.space, INF))
     assert stopped.values == ex1.price.values
 
 
 def test_stop_at_zero_freezes(ex1):
-    stopped = stop(ex1.price, RandomTime.constant(ex1.space, 0))
+    stopped = stop(ex1.price, constant_time(ex1.space, 0))
     for t in ex1.space.times:
         assert stopped.values[t] == ex1.price.values[0]
 
@@ -84,9 +86,7 @@ def test_stopped_process_is_adapted_in_enlargement(ex1):
     stopped = stop(ex1.price, ex1.tau)
     assert_adapted(stopped, ex1.enlarged, "stopped price")
     # the random time itself is not F-measurable on EX1
-    ind = AdaptedProcess.from_function(
-        ex1.space, lambda t, i: 1 if ex1.tau.at(i) <= t else 0
-    )
+    ind = from_function(ex1.space, lambda t, i: 1 if ex1.tau.at(i) <= t else 0)
     assert not is_adapted(ind, ex1.filt)
     assert is_adapted(ind, ex1.enlarged)
 
@@ -137,7 +137,7 @@ def test_filtration_from_names_must_cover_every_atom():
 
 
 def test_predictable_flag_vs_check(ex1):
-    assert is_predictable(AdaptedProcess.constant(ex1.space, F(5)), ex1.filt)
+    assert is_predictable(constant(ex1.space, F(5)), ex1.filt)
     assert not is_predictable(ex1.price, ex1.filt)
 
 
@@ -153,7 +153,7 @@ def _naive_nodes(filt, t, w):
     or only those whose weights sum to a positive mass."""
     out = []
     for p, parent in enumerate(filt.parts[t - 1]):
-        kids = [filt.parts[t][j] for j in filt.children(t, p)]
+        kids = [filt.parts[t][j] for j in children(filt, t, p)]
         assert sorted(i for c in kids for i in c) == sorted(parent)
         if w is not None:
             if sum(w[i] for i in parent) == 0:
@@ -174,3 +174,18 @@ def test_nodes_match_the_naive_children_walk(ex1, ex2):
             for _ in range(3):
                 w = [F(rng.choice((0, 0, 1, 3)), rng.randint(1, 4)) for _ in range(space.n)]
                 assert list(filt.nodes(t, w)) == _naive_nodes(filt, t, w)
+
+
+@pytest.mark.parametrize("bad", [-1, True, False])
+def test_random_time_rejects_negative_ints_and_bools(bad):
+    # a negative time used to index the rows from the end: stop() read the
+    # terminal value at every date
+    with pytest.raises(ValueError):
+        RandomTime((0, bad))
+    assert RandomTime((0, 2, INF)).values == (0, 2, INF)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2", F(2)])
+def test_space_horizon_must_be_an_int(bad):
+    with pytest.raises(ValueError, match="horizon"):
+        FiniteSpace(("a", "b"), (F(1, 2), F(1, 2)), bad)
