@@ -82,7 +82,7 @@ def stoch_exp(N: AdaptedProcess) -> AdaptedProcess:
         for i in range(n):
             acc[i] *= 1 + N.delta_at(t, i)[0]
         rows.append(tuple((acc[i],) for i in range(n)))
-    return AdaptedProcess(1, tuple(rows))
+    return AdaptedProcess._trusted(1, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
                 kappa = zprev * zprev + bracket.delta_at(t, i)[0]  # > 0: d<m> >= 0
                 row[i] = (zprev * zprev / kappa / zt,)
         k_rows.append(tuple(row))
-    K = AdaptedProcess(1, tuple(k_rows))
+    K = AdaptedProcess._trusted(1, tuple(k_rows))
 
     L = -optional_integral(K, bundle.mhat, enlarged, space)
 
@@ -228,6 +228,7 @@ def verify_deflator(
     if Y.dim != 1:
         raise ValueError("deflator must be scalar")
     assert_adapted(Y, filt, "deflator")
+    assert_adapted(S_stopped, filt, "stopped price")
     if any(Y.scalar_at(t, i) <= 0 for t in space.times for i in range(space.n)):
         raise EngineError("deflator must be strictly positive")
     worst: Optional[DeflatorFailure] = None

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotPredictable, StructuralViolation
-from .projections import condexp, is_martingale, quadratic_covariation
+from .projections import assert_martingale, condexp, is_martingale, quadratic_covariation
 from .space import (
     INF,
     AdaptedProcess,
@@ -64,7 +64,6 @@ from .space import (
     map_cells,
     stop,
 )
-from .projections import assert_martingale
 
 _ZERO = Fraction(0)
 
@@ -120,9 +119,6 @@ class AzemaBundle:
     filt: Filtration
     tau: RandomTime
     space: FiniteSpace
-
-    def thin_times(self):
-        return sorted({t for (_, t) in self.thin_mask})
 
     @cached_property
     def enlarged(self) -> Filtration:
@@ -477,4 +473,4 @@ def reduce_g_predictable(
                 for i in block:
                     row[i] = H.values[t][survivors[0]]
         rows.append(tuple(row))
-    return AdaptedProcess(H.dim, tuple(rows))
+    return AdaptedProcess._trusted(H.dim, tuple(rows))

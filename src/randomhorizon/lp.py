@@ -39,11 +39,10 @@ in the substitution w_i = eps + v_i,
 
 with k + 1 variables and d + 1 rows; 0 is relatively interior iff the LP
 is feasible with eps* > 0.  The two theta LPs (the separating direction
-and the admissible maximization) are one formulation, max g . theta s.t.
-rhs + theta . delta_i >= 0 with theta = u - v, built by :func:`_theta_lp`.
-The separating direction adds the unit box and is this LP in every
-dimension; in one dimension its optimum is the common sign of a failing
-family, (1,) or (-1,).
+and the admissible maximization) are one formulation, :func:`_theta_lp`;
+the separating direction adds the unit box and is this LP in every
+dimension, and in one dimension its optimum is the common sign of a
+failing family, (1,) or (-1,).
 """
 
 from __future__ import annotations
@@ -217,45 +216,33 @@ def separating_direction(deltas: Sequence[tuple]) -> tuple:
     least one i, normalized to the unit box.  Exists exactly when
     :func:`zero_in_relative_interior` fails on a nonempty family; any other
     family raises :class:`StructuralViolation`."""
-    if not deltas or all(c == 0 for point in deltas for c in point):
+    status, theta, value = _theta_lp(tuple(map(sum, zip(*deltas))), deltas, 0, box=True)
+    if status != "optimal" or value <= 0:
         raise StructuralViolation("no separation: not a failing node")
-    d = len(deltas[0])
-    res = _theta_lp(tuple(sum(p[j] for p in deltas) for j in range(d)), deltas, 0, box=True)
-    if res.status != "optimal" or res.objective >= 0:
-        raise StructuralViolation("no separation: not a failing node")
-    return tuple(res.x[j] - res.x[d + j] for j in range(d))
+    return theta
 
 
-def _theta_lp(g: tuple, deltas: Sequence[tuple], rhs, box: bool) -> LPResult:
-    """min -g . theta  s.t.  rhs + theta . delta_i >= 0 for every i, with
-    theta = u - v and, when ``box``, u_j, v_j <= 1.
+def _theta_lp(g: tuple, deltas: Sequence[tuple], rhs, box: bool):
+    """max g . theta  s.t.  rhs + theta . delta_i >= 0 for every i (rhs >= 0),
+    with theta = u - v and, when ``box``, u_j, v_j <= 1.  Returns ("optimal",
+    theta, value) or ("unbounded", ray, None), both in theta.
 
     Variables: u_1..u_d, v_1..v_d, a slack s_i per point, then (box only)
     slacks p_j, q_j of u_j, v_j <= 1; rows: one per point, then (box only)
-    the u_j and v_j bounds for each j in turn."""
+    the u_j and v_j bounds for each j in turn.  Bland's rule reads this
+    order, so it fixes the vertex returned."""
     k, d = len(deltas), len(g)
-    nvars = 2 * d + k + (2 * d if box else 0)
-    A, b = [], []
-    for i, delta in enumerate(deltas):
-        row = [Fraction(0)] * nvars
-        for j in range(d):
-            row[j] = -delta[j]
-            row[d + j] = delta[j]
-        row[2 * d + i] = Fraction(1)
-        A.append(row)
-        b.append(rhs)
-    if box:
-        for col in (c for j in range(d) for c in (j, d + j)):
-            row = [Fraction(0)] * nvars
-            row[col] = Fraction(1)
-            row[2 * d + k + col] = Fraction(1)
-            A.append(row)
-            b.append(1)
-    c = [Fraction(0)] * nvars
-    for j in range(d):
-        c[j] = -g[j]
-        c[d + j] = g[j]
-    return solve_min(A, b, c)
+    bounded = [col for j in range(d) for col in (j, d + j)] if box else []
+    uv = [[-x for x in p] + list(p) for p in deltas]
+    uv += [[int(c == col) for c in range(2 * d)] for col in bounded]
+    slack = list(range(k)) + [k + col for col in bounded]  # each row's slack column
+    A = [row + [int(c == s) for c in range(len(slack))] for row, s in zip(uv, slack)]
+    cost = [-x for x in g] + list(g) + [0] * len(slack)
+    res = solve_min(A, [rhs] * k + [1] * len(bounded), cost)
+    if res.status == "infeasible":
+        raise StructuralViolation("theta = 0 is always admissible")
+    v, value = (res.ray, None) if res.status == "unbounded" else (res.x, -res.objective)
+    return res.status, tuple(v[j] - v[d + j] for j in range(d)), value
 
 
 def maximize_over_admissible(objective: tuple, deltas: Sequence[tuple]):
@@ -264,14 +251,6 @@ def maximize_over_admissible(objective: tuple, deltas: Sequence[tuple]):
     Returns ("optimal", theta, value) or ("unbounded", ray, None); theta is
     free (split internally), and theta = 0 is always feasible.
     """
-    d = len(objective)
     if all(g == 0 for g in objective):
-        return "optimal", tuple(Fraction(0) for _ in range(d)), Fraction(0)
-    res = _theta_lp(objective, deltas, 1, box=False)
-    if res.status == "unbounded":
-        ray = tuple(res.ray[j] - res.ray[d + j] for j in range(d))
-        return "unbounded", ray, None
-    if res.status != "optimal":
-        raise StructuralViolation("theta = 0 is always admissible")
-    theta = tuple(res.x[j] - res.x[d + j] for j in range(d))
-    return "optimal", theta, -res.objective
+        return "optimal", tuple(Fraction(0) for _ in objective), Fraction(0)
+    return _theta_lp(objective, deltas, 1, box=False)

@@ -185,16 +185,12 @@ def _normals(seed: int, stream: int, step: int, n: int, out=None) -> np.ndarray:
 
 
 def survival_closed_form(t, x):
-    """P(an independent Brownian motion from x at time t has a zero in (t, 1])."""
+    """P(an independent Brownian motion from x at time t has a zero in (t, 1]),
+    as an array shaped like x (0-d for a scalar x)."""
     rem = 1.0 - t
-    if np.isscalar(x):
-        if rem <= 0.0:
-            return 1.0 if x == 0.0 else 0.0
-        return float(erfc(abs(x) / math.sqrt(2.0 * rem)))
-    x = np.asarray(x)
     if rem <= 0.0:
         return np.where(x == 0.0, 1.0, 0.0)
-    r = np.abs(x)
+    r = np.abs(x, out=np.empty_like(x, dtype=float))
     r /= np.sqrt(2.0 * rem)
     return erfc(r, out=r)
 
@@ -402,7 +398,7 @@ def validate_survival_formula(
         w = w1[stays]
     p_hat = (n - alive.size) / n
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
-    closed = survival_closed_form(t, x)
+    closed = float(survival_closed_form(t, x))
     return ValidationPoint(
         t=t,
         x=x,

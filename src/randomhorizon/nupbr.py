@@ -258,6 +258,8 @@ def witness_martingale(T: int, bundle: AzemaBundle) -> AdaptedProcess:
     xi = I_{Zt_T = 0} - P(Zt_T = 0 | F_{T-}), the projection read from
     ``bundle.collapse``; stopping it at tau fails NUPBR in the enlargement
     exactly when the thin set meets date T."""
+    if not 1 <= T <= bundle.space.horizon:
+        raise ValueError("jump date must lie in {1, ..., horizon}")
     xi = [
         ((1 if z[0] == 0 else 0) - c,)
         for z, c in zip(bundle.Ztilde.values[T], bundle.collapse[T])
@@ -273,7 +275,7 @@ def collapse_witness(bundle: AzemaBundle) -> Optional[tuple]:
     :func:`preservation_report` and the CLI ``witness`` report."""
     if thin_set_empty(bundle):
         return None
-    T = min(bundle.thin_times())
+    T = min(t for (_, t) in bundle.thin_mask)
     M = witness_martingale(T, bundle)
     return T, M, certify_nupbr(stop(M, bundle.tau), bundle.enlarged, bundle.space)
 
@@ -306,6 +308,7 @@ def masked_increment_criterion(S: AdaptedProcess, bundle: AzemaBundle, delta: Fr
     Zt_t > 0 (such a node has at least one)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
+    assert_adapted(S, bundle.filt, "masked-criterion input")
     return all(
         zero_in_relative_interior(family)[0]
         for z, family in _masked_families(S, bundle)

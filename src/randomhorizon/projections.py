@@ -30,7 +30,7 @@ def predictable_projection(X: AdaptedProcess, filt: Filtration, space: FiniteSpa
     rows = tuple(
         condexp_cells(X.values[t], filt.parts[max(t - 1, 0)], space) for t in space.times
     )
-    return AdaptedProcess(X.dim, rows)
+    return AdaptedProcess._trusted(X.dim, rows)
 
 
 def _dual(V: AdaptedProcess, filt: Filtration, space: FiniteSpace, lag: int) -> AdaptedProcess:

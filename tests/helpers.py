@@ -50,6 +50,15 @@ def zero(space: FiniteSpace, dim: int = 1) -> AdaptedProcess:
     return constant(space, tuple(Fraction(0) for _ in range(dim)))
 
 
+def unadapted_price():
+    """(space, filt, S): atoms a, b, c of mass 1/3, horizon 1, F_1 =
+    {a, b}, {c} and S_1 = (1, -5, -1), which is not F_1-measurable."""
+    space = FiniteSpace(("a", "b", "c"), (Fraction(1, 3),) * 3, 1)
+    filt = Filtration.from_names([[("a", "b", "c")], [("a", "b"), ("c",)]], space)
+    S = AdaptedProcess(1, (((0,),) * 3, ((1,), (-5,), (-1,))))
+    return space, filt, S
+
+
 def constant_time(space: FiniteSpace, value: TimeValue) -> RandomTime:
     return RandomTime((value,) * space.n)
 

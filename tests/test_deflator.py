@@ -12,12 +12,19 @@ from randomhorizon.deflator import (
     verify_deflator,
 )
 from randomhorizon.enlargement import azema, g_martingale_part
-from randomhorizon.errors import EngineError, InadmissibleStrategy
+from randomhorizon.errors import EngineError, InadmissibleStrategy, NotAdapted
 from randomhorizon.generator import random_instance, random_martingale
 from randomhorizon.projections import is_martingale, quadratic_covariation
 from randomhorizon.space import INF, AdaptedProcess, stop
 
-from helpers import constant, constant_time, from_function, mul_scalar_process, zero
+from helpers import (
+    constant,
+    constant_time,
+    from_function,
+    mul_scalar_process,
+    unadapted_price,
+    zero,
+)
 
 
 def test_optional_integral_with_predictable_integrand(ex1):
@@ -172,6 +179,14 @@ def test_verify_deflator_examples(ex1, ex2):
     )
     assert not bad.passed
     assert bad.worst.time == 2 and bad.worst.block == ("b",)
+
+
+def test_verify_deflator_rejects_an_unadapted_price():
+    # the node walk reads one atom per child, so an unadapted price would
+    # be judged by the first atom of {a, b} alone
+    space, filt, S = unadapted_price()
+    with pytest.raises(NotAdapted):
+        verify_deflator(constant(space, F(1)), S, filt, space)
 
 
 def test_deflator_invariants_on_random_instances():

@@ -131,6 +131,22 @@ def test_node_walks_go_through_filtration_nodes():
     assert found == []
 
 
+def test_engine_rows_skip_the_coercing_constructor():
+    # ``AdaptedProcess(...)`` re-coerces every cell of input from outside
+    # the engine; rows the engine built are exact already, so a package
+    # module builds its processes with ``AdaptedProcess._trusted`` (or a
+    # kernel that does) and never pays that pass
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "AdaptedProcess"
+    ]
+    assert found == []
+
+
 def _unread_parameters(source: str, module: str) -> list:
     """``module.function.parameter`` for each parameter of a function in
     ``source`` that its body (nested functions included) never reads.

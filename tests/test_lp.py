@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import randomhorizon
 from randomhorizon.errors import StructuralViolation
@@ -182,6 +182,65 @@ def _planar_families(k):
 @given(st.sampled_from([2, 3]).flatmap(_planar_families))
 def test_planar_closed_forms_return_the_lps_answer(family):
     assert zero_in_relative_interior(family) == reduced_lp(family)
+
+
+def theta_lp_reference(g, family, rhs, box):
+    """The theta LP max g . theta s.t. rhs + theta . delta_i >= 0 (and, with
+    ``box``, u_j, v_j <= 1) on its fixed tableau, solved directly: columns
+    u, v, one slack per point, then the box slacks p_1..p_d, q_1..q_d; rows
+    the points, then the u_j and v_j bounds for each j in turn.  Bland's
+    rule reads this order, so it fixes the vertex every answer must
+    reproduce."""
+    k, d = len(family), len(g)
+    width = 2 * d + k + (2 * d if box else 0)
+    A, b = [], []
+    for i, point in enumerate(family):
+        row = [F(0)] * width
+        for j in range(d):
+            row[j], row[d + j] = -point[j], point[j]
+        row[2 * d + i] = F(1)
+        A.append(row)
+        b.append(rhs)
+    for j in range(d if box else 0):
+        for col in (j, d + j):
+            row = [F(0)] * width
+            row[col] = row[2 * d + k + col] = F(1)
+            A.append(row)
+            b.append(1)
+    cost = [F(0)] * width
+    for j in range(d):
+        cost[j], cost[d + j] = -g[j], g[j]
+    res = solve_min(A, b, cost)
+    if res.status == "unbounded":
+        return "unbounded", tuple(res.ray[j] - res.ray[d + j] for j in range(d)), None
+    assert res.status == "optimal"  # theta = 0 is feasible
+    return "optimal", tuple(res.x[j] - res.x[d + j] for j in range(d)), -res.objective
+
+
+@st.composite
+def _theta_problems(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    point = st.tuples(*[RATIONAL] * d)
+    family = draw(st.lists(point, max_size=6))
+    objective = draw(point.filter(any))
+    return family, objective
+
+
+@settings(max_examples=500, deadline=None)
+@given(_theta_problems())
+# a failing 3-D family with a bounded maximum, and one with an unbounded ray
+@example(([(F(1), F(0), F(2)), (F(0), F(1), F(-1)), (F(1), F(1), F(1))], (F(-2), F(-2), F(-2))))
+@example(([(F(-1), F(0), F(0)), (F(0), F(-2), F(1))], (F(-1), F(1), F(0))))
+def test_theta_lps_return_the_reference_vertex(problem):
+    family, objective = problem
+    if family and not zero_in_relative_interior(family)[0]:
+        g = tuple(sum(point[j] for point in family) for j in range(len(objective)))
+        status, theta, value = theta_lp_reference(g, family, 0, box=True)
+        assert status == "optimal" and value > 0
+        assert separating_direction(family) == theta
+    assert maximize_over_admissible(objective, family) == theta_lp_reference(
+        objective, family, 1, box=False
+    )
 
 
 def test_maximize_over_admissible_bounded():

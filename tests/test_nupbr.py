@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from randomhorizon.enlargement import azema, enlarge
-from randomhorizon.errors import EngineError, PreconditionViolated
+from randomhorizon.errors import EngineError, NotAdapted, PreconditionViolated
 from randomhorizon.generator import random_instance, random_martingale
 from randomhorizon.nupbr import (
     certify_nupbr,
@@ -28,6 +28,7 @@ from helpers import (
     martingale_measure_from_weights,
     random_predictable_fv,
     scale,
+    unadapted_price,
 )
 
 
@@ -156,6 +157,22 @@ def test_masked_criterion_all_matches_each_threshold():
 def test_masked_criterion_rejects_nonpositive_threshold(ex2, bad):
     with pytest.raises(ValueError):
         masked_increment_criterion(ex2.price, ex2.bundle, bad)
+
+
+def test_masked_criterion_rejects_an_unadapted_price():
+    space, filt, S = unadapted_price()
+    bundle = azema(filt, constant_time(space, INF), space)
+    with pytest.raises(NotAdapted):
+        masked_increment_criterion(S, bundle, F(1, 2))
+    with pytest.raises(NotAdapted):
+        masked_increment_criterion_all(S, bundle)
+
+
+@pytest.mark.parametrize("T", [-1, 0, 3])
+def test_witness_martingale_rejects_a_date_off_the_grid(ex1, T):
+    # dates run over 1..horizon, as for jump_time_measures
+    with pytest.raises(ValueError):
+        witness_martingale(T, ex1.bundle)
 
 
 def test_masked_criterion_requires_base_nupbr(ex1):
