@@ -32,6 +32,7 @@ import argparse
 import sys
 import traceback
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 from . import io as rio
@@ -227,6 +228,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="randomhorizon",

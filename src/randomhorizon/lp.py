@@ -1,8 +1,8 @@
 """Exact linear programming over rationals for node-sized problems.
 
-All arithmetic is :class:`fractions.Fraction`, so feasibility, optimality
-and unboundedness are decided exactly.  Three entry points cover every use
-in the package:
+All arithmetic is exact (ints and :class:`fractions.Fraction`), so
+feasibility, optimality and unboundedness are decided exactly.  Three entry
+points cover every use in the package:
 
 * :func:`zero_in_relative_interior` -- decides whether 0 lies in the
   relative interior of the convex hull of a finite point family, with
@@ -29,10 +29,17 @@ are the barycentric coordinates of 0, each cross product divided by their
 sum.  In both cases the weights are the only positive solution, so they
 are exactly what the LP below returns.
 
-Every other family goes to :func:`solve_min`, a dense two-phase primal
-simplex with Bland's rule: repeated or collinear triples, four or more
-points and three or more dimensions.  The relative-interior test is the LP
-in the substitution w_i = eps + v_i,
+Every other family goes to :func:`solve_min`, a two-phase primal simplex
+with Bland's rule: repeated or collinear triples, four or more points and
+three or more dimensions.  Its tableau holds each row as Python ints over
+one positive denominator, with the reduced costs as one more row that is
+pivoted with the others; a pivot is fraction-free (cross-multiply, then
+divide the row by its gcd), and Fractions are built only for the answer.
+Every sign test and every ratio comparison (cross-multiplied, as the row
+denominator cancels) has the exact value a Fraction tableau gives, so
+Bland's rule takes the same pivots and returns the same vertex, objective
+and ray.  The relative-interior test is the LP in the substitution
+w_i = eps + v_i,
 
     max eps  s.t.  eps * sum_i delta_i + sum_i v_i delta_i = 0,
                    k * eps + sum_i v_i = 1,   eps, v >= 0,
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import StructuralViolation
@@ -62,95 +70,111 @@ class LPResult:
     ray: Optional[tuple] = None
 
 
+def _lowest(nums, d):
+    """The row (nums, d) with its gcd divided out."""
+    g = gcd(d, *nums)
+    return ([a // g for a in nums], d // g) if g > 1 else (nums, d)
+
+
 def _pivot(T, basis, row, col):
-    # zero entries are skipped here and in pricing; the arithmetic is exact,
-    # so the tableau and every pivot choice are the same as without skipping
-    piv = T[row][col]
-    if piv != 1:
-        T[row] = [v / piv for v in T[row]]
-    prow = T[row]
-    for r in range(len(T)):
-        f = T[r][col]
-        if r != row and f != 0:
-            T[r] = [a - f * b if b else a for a, b in zip(T[r], prow)]
+    # each row of T is (ints, d), the values ints / d with d > 0; the pivot
+    # row goes over its entry p in col (made positive), and every other row
+    # with an entry f != 0 there becomes (ints * p - f * pivot ints) / (d * p)
+    prow, p = T[row][0], T[row][0][col]
+    if p < 0:
+        prow, p = [-a for a in prow], -p
+    prow, p = T[row] = _lowest(prow, p)
+    for i, (nums, d) in enumerate(T):
+        f = nums[col]
+        if f and i != row:
+            T[i] = _lowest([a * p - f * b for a, b in zip(nums, prow)], d * p)
     basis[row] = col
 
 
-def _iterate(T, basis, cost, ncols):
-    """Run Bland-rule simplex on tableau T (rows [A|b]) minimizing cost.
+def _iterate(T, basis, ncols):
+    """Run Bland-rule simplex on tableau T: the rows [A|b] of ``basis``,
+    then the reduced-cost row, which pivots with them.
 
     Returns ("optimal", None) or ("unbounded", entering_column).
     """
-    m = len(T)
+    m = len(basis)
     while True:
-        priced = [(cost[basis[r]], T[r]) for r in range(m) if cost[basis[r]] != 0]
-        entering = -1
-        for j in range(ncols):
-            red = cost[j] - sum(cb * row[j] for cb, row in priced)
-            if red < 0:
-                entering = j
-                break
+        z = T[m][0]
+        entering = next((j for j in range(ncols) if z[j] < 0), -1)
         if entering < 0:
             return "optimal", None
-        leave, best = -1, None
+        # ratio test on top / bot = T[r][-1] / T[r][entering]: the row
+        # denominator cancels, so cross-multiplied ints compare exactly
+        leave, top, bot = -1, 0, 1
         for r in range(m):
-            if T[r][entering] > 0:
-                ratio = T[r][-1] / T[r][entering]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
+            nums = T[r][0]
+            a = nums[entering]
+            if a > 0:
+                lhs, rhs = nums[-1] * bot, top * a
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, top, bot = r, nums[-1], a
         if leave < 0:
             return "unbounded", entering
         _pivot(T, basis, leave, entering)
 
 
+def _ints(values):
+    """The ints and Fractions ``values`` as ints over the lcm of their
+    denominators."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def solve_min(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]) -> LPResult:
-    """min c.x  s.t.  A x = b, x >= 0, exactly."""
+    """min c.x  s.t.  A x = b, x >= 0, exactly; every entry an int or a
+    Fraction (anything else raises TypeError)."""
     m, n = len(A), len(c)
+    if not {type(v) for vs in (*A, b, c) for v in vs} <= {int, Fraction}:
+        named = [(f"A[{r}]", row) for r, row in enumerate(A)] + [("b", b), ("c", c)]
+        name, v = next((f"{name}[{i}]", v) for name, vs in named for i, v in enumerate(vs)
+                       if type(v) not in (int, Fraction))
+        raise TypeError(f"solve_min takes int or Fraction entries: {name} = {v!r}")
+    # phase 1: artificial basis, priced by one pivot on each artificial
     T = []
     for r in range(m):
-        row = [Fraction(v) for v in A[r]] + [Fraction(b[r])]
-        if row[-1] < 0:
-            row = [-v for v in row]
-        T.append(row)
-
-    # phase 1: artificial basis
-    for r in range(m):
-        art = [Fraction(0)] * m
-        art[r] = Fraction(1)
-        T[r] = T[r][:-1] + art + [T[r][-1]]
-    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
+        nums, d = _ints([*A[r], b[r]])
+        if nums[-1] < 0:
+            nums = [-a for a in nums]
+        T.append((nums[:-1] + [d * (i == r) for i in range(m)] + nums[-1:], d))
+    T.append(([0] * n + [1] * m + [0], 1))
     basis = [n + r for r in range(m)]
-    status, _ = _iterate(T, basis, cost1, n + m)
+    for r in range(m):
+        _pivot(T, basis, r, n + r)
+    status, _ = _iterate(T, basis, n + m)
     if status != "optimal":
         raise StructuralViolation("phase-1 objective is bounded below by 0")
-    obj1 = sum(cost1[basis[r]] * T[r][-1] for r in range(m))
-    if obj1 != 0:
+    if T[m][0][-1] != 0:  # minus the sum of the artificials
         return LPResult("infeasible")
     # drive artificials out of the basis; drop rows that are redundant
     keep = []
     for r in range(m):
         if basis[r] >= n:
-            piv = next((j for j in range(n) if T[r][j] != 0), None)
+            piv = next((j for j in range(n) if T[r][0][j] != 0), None)
             if piv is None:
                 continue  # redundant constraint
             _pivot(T, basis, r, piv)
         keep.append(r)
-    T = [T[r][:n] + [T[r][-1]] for r in keep]
+    cost, dc = _ints(c)
+    T = [(T[r][0][:n] + T[r][0][-1:], T[r][1]) for r in keep] + [(cost + [0], dc)]
     basis = [basis[r] for r in keep]
-
-    cost2 = [Fraction(v) for v in c]
-    status, entering = _iterate(T, basis, cost2, n)
+    for r, col in enumerate(basis):
+        _pivot(T, basis, r, col)  # prices the phase-2 cost row
+    status, entering = _iterate(T, basis, n)
     if status == "unbounded":
         ray = [Fraction(0)] * n
         ray[entering] = Fraction(1)
-        for r in range(len(T)):
-            if basis[r] < n:
-                ray[basis[r]] = -T[r][entering]
+        for col, (nums, d) in zip(basis, T):
+            ray[col] = Fraction(-nums[entering], d)
         return LPResult("unbounded", ray=tuple(ray))
     x = [Fraction(0)] * n
-    for r in range(len(T)):
-        x[basis[r]] = T[r][-1]
-    return LPResult("optimal", x=tuple(x), objective=sum(ci * xi for ci, xi in zip(cost2, x)))
+    for col, (nums, d) in zip(basis, T):
+        x[col] = Fraction(nums[-1], d)
+    return LPResult("optimal", x=tuple(x), objective=Fraction(-T[-1][0][-1], T[-1][1]))
 
 
 def zero_in_relative_interior(deltas: Sequence[tuple]):

@@ -7,12 +7,16 @@ index; these helpers write those out for the tests to build inputs and
 check the engine against.  ``scale`` and ``mul_scalar_process`` go through
 the package's cell maps, so the tests that compare them with a per-atom
 reference exercise :func:`map_cells` and :func:`zip_cells`.
+``solve_min_reference`` is the simplex on a dense Fraction tableau that
+the engine's integer-row :func:`randomhorizon.lp.solve_min` must match.
 """
 
 import random
 from fractions import Fraction
 from typing import Callable
 
+from randomhorizon.errors import StructuralViolation
+from randomhorizon.lp import LPResult
 from randomhorizon.space import (
     AdaptedProcess,
     FiniteSpace,
@@ -154,3 +158,96 @@ def martingale_measure_from_weights(result, filt: Filtration, space: FiniteSpace
         acc *= space.prob[i] / mass(space, block_of(filt, space.horizon, i))
         q.append(acc / space.prob[i])
     return tuple(q)
+
+
+def _reference_pivot(T, basis, row, col):
+    # zero entries are skipped here and in pricing; the arithmetic is exact,
+    # so the tableau and every pivot choice are the same as without skipping
+    piv = T[row][col]
+    if piv != 1:
+        T[row] = [v / piv for v in T[row]]
+    prow = T[row]
+    for r in range(len(T)):
+        f = T[r][col]
+        if r != row and f != 0:
+            T[r] = [a - f * b if b else a for a, b in zip(T[r], prow)]
+    basis[row] = col
+
+
+def _reference_iterate(T, basis, cost, ncols):
+    """Run Bland-rule simplex on tableau T (rows [A|b]) minimizing cost.
+
+    Returns ("optimal", None) or ("unbounded", entering_column).
+    """
+    m = len(T)
+    while True:
+        priced = [(cost[basis[r]], T[r]) for r in range(m) if cost[basis[r]] != 0]
+        entering = -1
+        for j in range(ncols):
+            red = cost[j] - sum(cb * row[j] for cb, row in priced)
+            if red < 0:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal", None
+        leave, best = -1, None
+        for r in range(m):
+            if T[r][entering] > 0:
+                ratio = T[r][-1] / T[r][entering]
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best, leave = ratio, r
+        if leave < 0:
+            return "unbounded", entering
+        _reference_pivot(T, basis, leave, entering)
+
+
+def solve_min_reference(A, b, c) -> LPResult:
+    """min c.x  s.t.  A x = b, x >= 0 on a dense Fraction tableau: the
+    two-phase Bland-rule simplex that :func:`randomhorizon.lp.solve_min`
+    must reproduce exactly, status, vertex, objective and ray."""
+    m, n = len(A), len(c)
+    T = []
+    for r in range(m):
+        row = [Fraction(v) for v in A[r]] + [Fraction(b[r])]
+        if row[-1] < 0:
+            row = [-v for v in row]
+        T.append(row)
+
+    # phase 1: artificial basis
+    for r in range(m):
+        art = [Fraction(0)] * m
+        art[r] = Fraction(1)
+        T[r] = T[r][:-1] + art + [T[r][-1]]
+    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
+    basis = [n + r for r in range(m)]
+    status, _ = _reference_iterate(T, basis, cost1, n + m)
+    if status != "optimal":
+        raise StructuralViolation("phase-1 objective is bounded below by 0")
+    obj1 = sum(cost1[basis[r]] * T[r][-1] for r in range(m))
+    if obj1 != 0:
+        return LPResult("infeasible")
+    # drive artificials out of the basis; drop rows that are redundant
+    keep = []
+    for r in range(m):
+        if basis[r] >= n:
+            piv = next((j for j in range(n) if T[r][j] != 0), None)
+            if piv is None:
+                continue  # redundant constraint
+            _reference_pivot(T, basis, r, piv)
+        keep.append(r)
+    T = [T[r][:n] + [T[r][-1]] for r in keep]
+    basis = [basis[r] for r in keep]
+
+    cost2 = [Fraction(v) for v in c]
+    status, entering = _reference_iterate(T, basis, cost2, n)
+    if status == "unbounded":
+        ray = [Fraction(0)] * n
+        ray[entering] = Fraction(1)
+        for r in range(len(T)):
+            if basis[r] < n:
+                ray[basis[r]] = -T[r][entering]
+        return LPResult("unbounded", ray=tuple(ray))
+    x = [Fraction(0)] * n
+    for r in range(len(T)):
+        x[basis[r]] = T[r][-1]
+    return LPResult("optimal", x=tuple(x), objective=sum(ci * xi for ci, xi in zip(cost2, x)))

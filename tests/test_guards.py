@@ -48,6 +48,22 @@ def test_no_floats_in_the_exact_engine():
     assert found == []
 
 
+def test_pivot_loop_never_names_fraction():
+    # the simplex pivots on ints over one denominator per row; a Fraction
+    # in the pivot or pricing loop would bring back its per-entry gcd and
+    # allocation, and solve_min builds Fractions only for its answer
+    lp = ast.parse((SOURCES[0].parent / "lp.py").read_text(encoding="utf-8"))
+    loops = {n.name: n for n in lp.body if isinstance(n, ast.FunctionDef)}
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("_pivot", "_iterate")
+        for node in ast.walk(loops[name])
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+    assert found == []
+
+
 def test_tracer_targets_are_module_level_functions():
     # the benchmark tracer rebinds each (module, name) of its TARGETS by
     # name, so a renamed, moved or nested target would only surface as a

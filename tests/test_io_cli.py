@@ -674,6 +674,16 @@ def test_usage_errors_exit_1_not_2(argv, capsys):
     assert doc["error"] == "usage" and doc["message"]
 
 
+def test_a_usage_error_leaves_the_next_command_intact(capsys):
+    # the parser is built once per process: a rejected command line must
+    # leave no parse state behind for the next call
+    rc, out, err = _run(["certify", "--out"], capsys)
+    assert (rc, out, json.loads(err)["error"]) == (1, "", "usage")
+    rc, out, _ = _run(["certify", _scenario_path("ex1")], capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_STDOUT_SHA256[("certify", "ex1")]
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -15,6 +16,8 @@ from randomhorizon.lp import (
     solve_min,
     zero_in_relative_interior,
 )
+
+from helpers import solve_min_reference
 
 
 def v(*xs):
@@ -73,6 +76,18 @@ def test_separating_direction_rejects_passing_families():
             separating_direction(family)
 
 
+def _run_optimized(code):
+    src = str(Path(randomhorizon.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 def test_separating_direction_raises_under_optimize():
     # the guard is a raise, not an assert, so it survives python -O
     code = (
@@ -85,15 +100,7 @@ def test_separating_direction_raises_under_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = str(Path(randomhorizon.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    done = _run_optimized(code)
     assert done.returncode == 0, done.stderr
 
 
@@ -281,3 +288,84 @@ def test_solve_min_redundant_rows():
     assert res.status == "optimal"
     assert res.objective == 0
     assert res.x[1] == 1
+
+
+ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 7])),
+)
+
+
+@st.composite
+def _lps(draw):
+    """min c.x s.t. A x = b, x >= 0 with m <= 5 rows and n <= 8 columns of
+    ints and rationals over mixed denominators; half the systems are
+    feasible by construction, and some repeat a row scaled."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 8))
+    row = st.lists(ENTRY, min_size=n, max_size=n)
+    A = draw(st.lists(row, min_size=m, max_size=m))
+    if m >= 2 and draw(st.booleans()):
+        A[-1] = [2 * a for a in A[0]]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.sampled_from([0, 1, 2, F(1, 2)]), min_size=n, max_size=n))
+        b = [sum(a * x for a, x in zip(r, x0)) for r in A]
+    else:
+        b = draw(st.lists(ENTRY, min_size=m, max_size=m))
+    return A, b, draw(row)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lps())
+# a non-integer phase-2 cost: the objective carries the cost's denominator
+@example(([[1, 1, 1]], [1], [F(1, 2), F(-1, 3), F(1, 6)]))
+# row 1 keeps its artificial basic at 0 and drives it out on a negative
+# entry; row 2 = row 0 + row 1 is redundant and is dropped
+@example(([[1, 1], [1, -1], [2, 0]], [0, 0, 0], [1, F(1, 2)]))
+# a degenerate ratio-test tie that Bland's rule breaks by basis index, not
+# by row order
+@example(([[0, 0, 0, F(1, 2)], [F(6, 7), -1, 3, 1]], [0, 0], [-3, F(2, 3), 0, 0]))
+# a negative b flips its row
+@example(([[1, -1]], [F(-2, 3)], [1, 1]))
+# x1 + x2 = 1 and x1 + x2 = 2: infeasible
+@example(([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)], [F(0), F(0)]))
+# no rows: maximize_over_admissible((1,), []) is unbounded along (1, 0)
+@example(([], [], [-1, 1]))
+def test_solve_min_matches_the_fraction_tableau(lp):
+    # the integer-row kernel takes the same pivots as the Fraction tableau,
+    # so status, vertex, objective and ray are equal, value types included
+    assert repr(solve_min(*lp)) == repr(solve_min_reference(*lp))
+
+
+def test_unbounded_ray_without_rows():
+    assert maximize_over_admissible((1,), []) == ("unbounded", (F(1),), None)
+
+
+@pytest.mark.parametrize(
+    "A, b, c, name",
+    [
+        ([[F(1), 0.1]], [1], [0, 0], "A[0][1] = 0.1"),
+        ([[1, 1], [1, 2]], [1, 1.5], [0, 0], "b[1] = 1.5"),
+        ([[1, 1]], [1], [True, 0], "c[0] = True"),
+        ([[1, "1/2"]], [1], [0, 0], "A[0][1] = '1/2'"),
+    ],
+)
+def test_solve_min_rejects_inexact_entries(A, b, c, name):
+    # Fraction(0.1) would admit a float as a binary rational; the kernel
+    # reads numerator and denominator, so anything but int or Fraction
+    # (bool included) is refused by name
+    with pytest.raises(TypeError, match=re.escape(name)):
+        solve_min(A, b, c)
+
+
+def test_solve_min_rejects_floats_under_optimize():
+    code = (
+        "from randomhorizon.lp import solve_min\n"
+        "try:\n"
+        "    solve_min([[1, 1]], [0.5], [0, 0])\n"
+        "except TypeError as exc:\n"
+        "    raise SystemExit(0 if 'b[0] = 0.5' in str(exc) else 2)\n"
+        "raise SystemExit(1)\n"
+    )
+    done = _run_optimized(code)
+    assert done.returncode == 0, done.stderr
