@@ -50,13 +50,12 @@ JOBS_ENV = "RANDOMHORIZON_JOBS"
 
 
 def _projection_identities(price, bundle):
-    space = bundle.space
     qv = bundle.m_bracket  # [m, m]
     out = {}
     ok = True
     for V in (bundle.default_compensator, qv):
         closed = compensator_of_stopped(V, bundle)
-        direct = dual_predictable(stop(V, bundle.tau), bundle.enlarged, space)
+        direct = dual_predictable(stop(V, bundle.tau), bundle.enlarged)
         ok = ok and closed.values == direct.values
     out["stopped_compensator"] = ok
     try:
@@ -71,8 +70,8 @@ def _projection_identities(price, bundle):
         out["projection_ratios"] = False
     try:
         bundle.mhat  # built and checked to be a G-martingale on first read
-        if is_martingale(price, bundle.filt, space):
-            g_martingale_part(price.component(0), bundle)
+        if is_martingale(price, bundle.filt):
+            g_martingale_part(price, bundle)
             out["martingale_part"] = True
         else:
             out["martingale_part"] = None  # not applicable: no F-martingale price
@@ -83,7 +82,7 @@ def _projection_identities(price, bundle):
 
 
 def _deflator_suite(price, bundle):
-    space, enlarged = bundle.space, bundle.enlarged
+    enlarged = bundle.enlarged
     out = {}
     try:
         deflators = build_deflator(bundle)
@@ -93,11 +92,9 @@ def _deflator_suite(price, bundle):
         out["supermartingale"] = False
         out["deflates_stopped_price"] = None
         return out
-    out["supermartingale"] = is_supermartingale(deflators.deflator, enlarged, space)
-    if thin_set_empty(bundle) and is_martingale(price, bundle.filt, space):
-        verdict = verify_deflator(
-            deflators.deflator, stop(price, bundle.tau), enlarged, space
-        )
+    out["supermartingale"] = is_supermartingale(deflators.deflator, enlarged)
+    if thin_set_empty(bundle) and is_martingale(price, bundle.filt):
+        verdict = verify_deflator(deflators.deflator, stop(price, bundle.tau), enlarged)
         out["deflates_stopped_price"] = verdict.passed
     else:
         out["deflates_stopped_price"] = None
@@ -124,7 +121,7 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
     every other section is the record its checker returns, and it is a
     violation when that record is not ``consistent``."""
     space, filt, price = model.space, model.filtration, model.price
-    bundle = azema(filt, model.tau, space)
+    bundle = azema(filt, model.tau)
 
     projections = _projection_identities(price, bundle)
     deflator = _deflator_suite(price, bundle)

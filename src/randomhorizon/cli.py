@@ -57,7 +57,7 @@ def _paths(X, space) -> dict:
 
 
 def inspect_report(sc: Scenario) -> dict:
-    bundle = azema(sc.filtration, sc.tau, sc.space)
+    bundle = azema(sc.filtration, sc.tau)
     space = sc.space
     return {
         "atoms": list(space.atoms),
@@ -99,7 +99,7 @@ def _witness_doc(result):
 
 
 def certify_report(sc: Scenario) -> dict:
-    enlarged = enlarge(sc.filtration, sc.tau, sc.space)
+    enlarged = enlarge(sc.filtration, sc.tau)
     res_f = certify_nupbr(sc.price, sc.filtration, sc.space)
     res_g = certify_nupbr(stop(sc.price, sc.tau), enlarged, sc.space)
     doc = {
@@ -125,7 +125,7 @@ def theorems_report(sc: Scenario, battery: int = 100, seed: int = 0) -> dict:
 
 
 def witness_report(sc: Scenario) -> dict:
-    witness = collapse_witness(azema(sc.filtration, sc.tau, sc.space))
+    witness = collapse_witness(azema(sc.filtration, sc.tau))
     if witness is None:
         return {"thin_set_empty": True, "witness": None}
     T, M, res = witness

@@ -40,7 +40,6 @@ from .projections import (
 )
 from .space import (
     AdaptedProcess,
-    FiniteSpace,
     Filtration,
     assert_adapted,
     assert_predictable,
@@ -49,23 +48,21 @@ from .space import (
 )
 
 
-def optional_integral(
-    H: AdaptedProcess, N: AdaptedProcess, filt: Filtration, space: FiniteSpace
-) -> AdaptedProcess:
+def optional_integral(H: AdaptedProcess, N: AdaptedProcess, filt: Filtration) -> AdaptedProcess:
     """Compensated (optional) stochastic integral of a scalar optional H
     against a martingale N: starts at 0, jumps H dN - E[H dN | G_{t-1}]."""
     if H.dim != 1:
         raise ValueError("optional integrand must be scalar")
-    assert_martingale(N, filt, space, "optional-integral driver")
+    assert_martingale(N, filt, "optional-integral driver")
     assert_adapted(H, filt, "optional integrand")
     increments = []
-    for t in range(1, space.horizon + 1):
+    for t in range(1, filt.space.horizon + 1):
         prod = _times(H.values[t], N.increments[t])
-        proj = condexp_cells(prod, filt.parts[t - 1], space)
+        proj = condexp_cells(prod, filt.parts[t - 1], filt.space)
         increments.append(
             tuple(tuple(a - b for a, b in zip(p, q)) for p, q in zip(prod, proj))
         )
-    return AdaptedProcess.from_increments(N.dim, space.n, increments)
+    return AdaptedProcess.from_increments(N.dim, filt.space.n, increments)
 
 
 def stoch_exp(N: AdaptedProcess) -> AdaptedProcess:
@@ -100,7 +97,7 @@ class DeflatorBundle:
 def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
     space, enlarged, alive = bundle.space, bundle.enlarged, bundle.alive
     n = space.n
-    bracket = dual_predictable(bundle.m_bracket, bundle.filt, space)  # <m, m>
+    bracket = dual_predictable(bundle.m_bracket, bundle.filt)  # <m, m>
     zero = (Fraction(0),)
 
     k_rows = [(zero,) * n]
@@ -115,7 +112,7 @@ def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
         k_rows.append(tuple(row))
     K = AdaptedProcess._trusted(1, tuple(k_rows))
 
-    L = -optional_integral(K, bundle.mhat, enlarged, space)
+    L = -optional_integral(K, bundle.mhat, enlarged)
 
     # the drawdown, and the closed form of the jumps re-derived
     # independently of the integral; both vanish off ]0, tau]
@@ -138,7 +135,7 @@ def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
         drawdown_increments.append(row)
     drawdown = AdaptedProcess.from_increments(1, n, drawdown_increments)
 
-    if not is_martingale(L, enlarged, space):
+    if not is_martingale(L, enlarged):
         raise StructuralViolation("deflator driver is not a G-martingale")
     deflator = stoch_exp(L - drawdown)
     for t in space.times:
@@ -148,8 +145,8 @@ def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
     return DeflatorBundle(K, L, drawdown, deflator, bundle)
 
 
-def is_supermartingale(Y: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> bool:
-    return all(drift <= 0 for drift in node_drifts(Y, filt, space))
+def is_supermartingale(Y: AdaptedProcess, filt: Filtration) -> bool:
+    return all(drift <= 0 for drift in node_drifts(Y, filt))
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ def supermartingale_deflator(
     positive = all(
         E.scalar_at(t, i) > 0 for t in space.times for i in range(n)
     )
-    return WealthDeflation(E, positive, is_supermartingale(E, enlarged, space))
+    return WealthDeflation(E, positive, is_supermartingale(E, enlarged))
 
 
 @dataclass(frozen=True)
@@ -214,10 +211,7 @@ class DeflatorVerdict:
 
 
 def verify_deflator(
-    Y: AdaptedProcess,
-    S_stopped: AdaptedProcess,
-    filt: Filtration,
-    space: FiniteSpace,
+    Y: AdaptedProcess, S_stopped: AdaptedProcess, filt: Filtration
 ) -> DeflatorVerdict:
     """Exact check that Y deflates every admissible one-period wealth.
 
@@ -227,6 +221,7 @@ def verify_deflator(
     recession direction fails the node outright."""
     if Y.dim != 1:
         raise ValueError("deflator must be scalar")
+    space = filt.space
     assert_adapted(Y, filt, "deflator")
     assert_adapted(S_stopped, filt, "stopped price")
     if any(Y.scalar_at(t, i) <= 0 for t in space.times for i in range(space.n)):

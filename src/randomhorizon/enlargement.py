@@ -13,8 +13,8 @@ attached to the pair:
 * the death time, the first t with Z_{t-1} = 0, and its sudden part on
   {Zt = 0}.
 
-``azema(filt, tau, space)`` returns an ``AzemaBundle`` that owns its model:
-it carries (F, tau, P) as ``filt``, ``tau`` and ``space`` and builds the
+``azema(filt, tau)`` returns an ``AzemaBundle`` that owns its model: it
+carries (F, tau, P) as ``filt``, ``tau`` and ``filt.space`` and builds the
 enlargement G on first read of ``bundle.enlarged`` (so a caller that only
 reads Z never pays for G).  It also owns the two survival views every
 reader shares, each built once on first read: the stochastic interval
@@ -68,11 +68,22 @@ from .space import (
 _ZERO = Fraction(0)
 
 
-def enlarge(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> Filtration:
+def _check_fits(tau: RandomTime, space: FiniteSpace) -> None:
+    if len(tau.values) != space.n or any(v is not INF and v > space.horizon for v in tau.values):
+        raise ValueError("a random time needs one grid time or inf per atom of the space")
+
+
+def check_jump_date(T: int, bundle: "AzemaBundle") -> None:
+    if not 1 <= T <= bundle.space.horizon:
+        raise ValueError("jump date must lie in {1, ..., horizon}")
+
+
+def enlarge(filt: Filtration, tau: RandomTime) -> Filtration:
     """Progressive enlargement: split each F_t-block by {tau = s}, s <= t,
     keeping {tau > t} together."""
+    _check_fits(tau, filt.space)
     parts = []
-    for t in space.times:
+    for t in filt.space.times:
         blocks = []
         for block in filt.parts[t]:
             groups = {}
@@ -82,8 +93,8 @@ def enlarge(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> Filtration
                 groups.setdefault(key, []).append(i)
             blocks.extend(groups.values())
         parts.append(tuple(tuple(b) for b in blocks))
-    enlarged = Filtration(tuple(parts))
-    if not check_stopping_time(tau, enlarged, space):
+    enlarged = Filtration(tuple(parts), filt.space)
+    if not check_stopping_time(tau, enlarged):
         raise StructuralViolation("enlargement failed to absorb the random time")
     return enlarged
 
@@ -91,8 +102,8 @@ def enlarge(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> Filtration
 @dataclass(frozen=True)
 class AzemaBundle:
     """Survival data of the model (F, tau, P), which the bundle carries as
-    ``filt``, ``tau`` and ``space``; the enlargement G is built on first
-    read of ``enlarged``.
+    ``filt``, ``tau`` and ``space`` (read from ``filt``); the enlargement G
+    is built on first read of ``enlarged``.
 
     ``death`` is the first grid time t >= 1 with Z_{t-1} = 0 (0 when Z_0 = 0,
     INF when Z never dies), so Z_{death-} = 0 wherever it is finite: every
@@ -118,11 +129,14 @@ class AzemaBundle:
     sudden_death: RandomTime
     filt: Filtration
     tau: RandomTime
-    space: FiniteSpace
+
+    @property
+    def space(self) -> FiniteSpace:
+        return self.filt.space
 
     @cached_property
     def enlarged(self) -> Filtration:
-        return enlarge(self.filt, self.tau, self.space)
+        return enlarge(self.filt, self.tau)
 
     @cached_property
     def alive(self) -> tuple:
@@ -161,10 +175,12 @@ class AzemaBundle:
         return {}
 
 
-def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
+def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
     """The survival bundle of (F, tau, P).  Z, Zt, m and the compensator hold
     one cell object per F-node, and every self-check below is decided once
     per distinct tuple of cell objects in a row."""
+    space = filt.space
+    _check_fits(tau, space)
     n = space.n
     one, zero = Fraction(1), Fraction(0)
     times = tau.values
@@ -183,7 +199,7 @@ def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
     m = Z + Dof
 
     # engine self-checks: these identities hold on every valid instance
-    assert_martingale(m, filt, space, "survival martingale part")
+    assert_martingale(m, filt, "survival martingale part")
     z_dead = map_cells(Z.values, _vanishes)
     zt_dead = map_cells(Zt.values, _vanishes)
     for t in space.times:
@@ -227,7 +243,6 @@ def azema(filt: Filtration, tau: RandomTime, space: FiniteSpace) -> AzemaBundle:
         sudden_death=RandomTime(tuple(sudden)),
         filt=filt,
         tau=tau,
-        space=space,
     )
 
 
@@ -342,13 +357,13 @@ def g_martingale_part(M: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
     The output is verified to be an exact G-martingale.
     """
     space = bundle.space
-    assert_martingale(M, bundle.filt, space, "input of g_martingale_part")
+    assert_martingale(M, bundle.filt, "input of g_martingale_part")
     drift = [
         _over_zprev(_times(bundle.m.increments[t], M.increments[t]), t, bundle)
         for t in range(1, space.horizon + 1)
     ]
     result = stop(M, bundle.tau) - AdaptedProcess.from_increments(M.dim, space.n, drift)
-    if not is_martingale(result, bundle.enlarged, space):
+    if not is_martingale(result, bundle.enlarged):
         raise StructuralViolation("drift-corrected stopped process is not a G-martingale")
     return result
 
@@ -379,7 +394,7 @@ def projection_transfer_identities(
 
     The unit identity is the jump identity of the clock V_t = t."""
     space = bundle.space
-    assert_martingale(M, bundle.filt, space, "input of projection_transfer_identities")
+    assert_martingale(M, bundle.filt, "input of projection_transfer_identities")
     if M.dim != 1:
         raise ValueError("transfer identities are per scalar component")
     n = space.n
@@ -416,9 +431,8 @@ def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
 
     ``q`` is I_{Zt_T > 0} / P(Zt_T > 0 | F_{T-1}), where that mass is
     1 - ``bundle.collapse[T]`` > 0, and 1 elsewhere."""
+    check_jump_date(T, bundle)
     space = bundle.space
-    if not 1 <= T <= space.horizon:
-        raise ValueError("jump date must lie in {1, ..., horizon}")
     cached = bundle._jump_measures.get(T)
     if cached is not None:
         return cached
@@ -443,11 +457,7 @@ def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
 
 
 def reduce_g_predictable(
-    H: AdaptedProcess,
-    filt: Filtration,
-    enlarged: Filtration,
-    tau: RandomTime,
-    space: FiniteSpace,
+    H: AdaptedProcess, filt: Filtration, enlarged: Filtration, tau: RandomTime
 ) -> AdaptedProcess:
     """F-predictable reduction of a G-predictable process.
 
@@ -460,14 +470,14 @@ def reduce_g_predictable(
         raise NotPredictable("input of reduce_g_predictable is not G-predictable")
     one = tuple(Fraction(1) for _ in range(H.dim))
     rows = []
-    for t in space.times:
+    for t in filt.space.times:
         blocks = filt.parts[max(t - 1, 0)]
         alive = [[i for i in block if tau.at(i) >= max(t, 1)] for block in blocks]
         if first_nonconstant(H.values[t], [a for a in alive if a]) is not None:
             raise StructuralViolation(
                 "G-predictable process not constant on an alive sub-block"
             )
-        row = [one] * space.n
+        row = [one] * filt.space.n
         for block, survivors in zip(blocks, alive):
             if survivors:
                 for i in block:

@@ -64,7 +64,9 @@ def random_martingale(
     then set X_t = E[X_{t+1} | F_t] backwards.
 
     When the terminal partition is the atoms this is one draw per atom, in
-    atom order."""
+    atom order.  ``space`` must be ``filt.space`` (else ValueError)."""
+    if space != filt.space:
+        raise ValueError("the space must be the space of the filtration")
     terminal = [None] * space.n
     for block in filt.parts[space.horizon]:
         cell = tuple(Fraction(rng.randint(-spread, spread)) for _ in range(dim))

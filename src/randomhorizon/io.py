@@ -112,10 +112,16 @@ def parse_time(v, horizon, location=""):
 
 @dataclass(frozen=True)
 class Scenario:
+    """``space`` must be ``filtration.space`` (else ValueError)."""
+
     space: FiniteSpace
     filtration: Filtration
     tau: RandomTime
     price: AdaptedProcess
+
+    def __post_init__(self):
+        if self.space != self.filtration.space:
+            raise ValueError("the space must be the space of the filtration")
 
 
 def parse_scenario(doc: dict) -> Scenario:

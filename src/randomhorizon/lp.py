@@ -127,8 +127,10 @@ def _ints(values):
 
 def solve_min(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]) -> LPResult:
     """min c.x  s.t.  A x = b, x >= 0, exactly; every entry an int or a
-    Fraction (anything else raises TypeError)."""
+    Fraction (anything else raises TypeError); A has len(b) rows of len(c)."""
     m, n = len(A), len(c)
+    if len(b) != m or any(len(row) != n for row in A):
+        raise ValueError(f"solve_min takes len(b) rows of A, each of length len(c) = {n}")
     if not {type(v) for vs in (*A, b, c) for v in vs} <= {int, Fraction}:
         named = [(f"A[{r}]", row) for r, row in enumerate(A)] + [("b", b), ("c", c)]
         name, v = next((f"{name}[{i}]", v) for name, vs in named for i, v in enumerate(vs)

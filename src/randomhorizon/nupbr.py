@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional, Sequence
 
-from .enlargement import AzemaBundle, jump_time_measures
+from .enlargement import AzemaBundle, check_jump_date, jump_time_measures
 from .errors import EngineError, PreconditionViolated, StructuralViolation
 from .generator import random_martingale
 from .lp import separating_direction, zero_in_relative_interior
@@ -117,13 +117,13 @@ class CertResult:
         )
 
 
-def _node_weights(filt: Filtration, space: FiniteSpace, w, decided: dict) -> tuple:
+def _node_weights(filt: Filtration, w, decided: dict) -> tuple:
     """The weight witness of a true verdict: ``decided[t]`` lists the
     (parent, children, weights) found on a date where the process moves;
     every node of any other date has zero increments and uniform weights."""
-    names = space.atoms
+    names = filt.space.atoms
     out = []
-    for t in range(1, space.horizon + 1):
+    for t in range(1, filt.space.horizon + 1):
         nodes = decided.get(t)
         if nodes is None:
             nodes = [
@@ -160,7 +160,9 @@ def certify_nupbr(
     row is all zero every node passes, with the uniform weights of an
     all-zero family.  The weights found on the moving nodes are kept, and
     the witness of a true verdict is built from them on first read of
-    ``node_weights``."""
+    ``node_weights``.  ``space`` must be ``filt.space`` (else ValueError)."""
+    if space != filt.space:
+        raise ValueError("the space must be the space of the filtration")
     assert_adapted(X, filt, "certify_nupbr input")
     w = nonnegative(weights)
     decided = {}
@@ -176,7 +178,7 @@ def certify_nupbr(
                 block = tuple(space.atoms[i] for i in parent)
                 return CertResult(False, arbitrage=Arbitrage(t, block, tuple(deltas)))
             nodes.append((parent, kids, lam))
-    return CertResult(True, node_weights=partial(_node_weights, filt, space, w, decided))
+    return CertResult(True, node_weights=partial(_node_weights, filt, w, decided))
 
 
 def single_jump_process(
@@ -224,6 +226,7 @@ def single_jump_equivalences(
 ) -> SingleJumpRecord:
     """Certify xi I_{Z_{T-}>0} I_{[T,inf)} four ways: stopped in G, masked by
     {Zt_T > 0} in F, and in F under the two jump-date reweightings."""
+    check_jump_date(T, bundle)
     space, filt = bundle.space, bundle.filt
     if first_nonconstant(xi_values, filt.parts[T]) is not None:
         raise EngineError("xi must be measurable at the jump date")
@@ -258,8 +261,7 @@ def witness_martingale(T: int, bundle: AzemaBundle) -> AdaptedProcess:
     xi = I_{Zt_T = 0} - P(Zt_T = 0 | F_{T-}), the projection read from
     ``bundle.collapse``; stopping it at tau fails NUPBR in the enlargement
     exactly when the thin set meets date T."""
-    if not 1 <= T <= bundle.space.horizon:
-        raise ValueError("jump date must lie in {1, ..., horizon}")
+    check_jump_date(T, bundle)
     xi = [
         ((1 if z[0] == 0 else 0) - c,)
         for z, c in zip(bundle.Ztilde.values[T], bundle.collapse[T])
@@ -369,6 +371,7 @@ class MartingaleTransferRecord:
 def single_jump_martingale_transfer(
     xi_values: Sequence[tuple], T: int, bundle: AzemaBundle
 ) -> MartingaleTransferRecord:
+    check_jump_date(T, bundle)
     space, filt = bundle.space, bundle.filt
     if first_nonconstant(xi_values, filt.parts[T]) is not None:
         raise EngineError("xi must be measurable at the jump date")
@@ -386,10 +389,10 @@ def single_jump_martingale_transfer(
 
     return MartingaleTransferRecord(
         T=T,
-        under_jump_measure=is_martingale(M, filt, space, weights=measures.q),
+        under_jump_measure=is_martingale(M, filt, weights=measures.q),
         thin_mean_zero=thin_zero,
         stopped_under_enlarged_weight=is_martingale(
-            stop(M, bundle.tau), bundle.enlarged, space, weights=measures.u_enlarged
+            stop(M, bundle.tau), bundle.enlarged, weights=measures.u_enlarged
         ),
     )
 

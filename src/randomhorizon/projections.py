@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .errors import NotMartingale
 from .space import (
     AdaptedProcess,
-    FiniteSpace,
     Filtration,
     condexp,
     condexp_cells,
@@ -25,30 +24,30 @@ from .space import (
 )
 
 
-def predictable_projection(X: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> AdaptedProcess:
+def predictable_projection(X: AdaptedProcess, filt: Filtration) -> AdaptedProcess:
     """(pX)_t = E[X_t | F_{t-1}] for t >= 1, E[X_0 | F_0] at t = 0."""
     rows = tuple(
-        condexp_cells(X.values[t], filt.parts[max(t - 1, 0)], space) for t in space.times
+        condexp_cells(X.values[t], filt.parts[max(t - 1, 0)], filt.space) for t in filt.space.times
     )
     return AdaptedProcess._trusted(X.dim, rows)
 
 
-def _dual(V: AdaptedProcess, filt: Filtration, space: FiniteSpace, lag: int) -> AdaptedProcess:
+def _dual(V: AdaptedProcess, filt: Filtration, lag: int) -> AdaptedProcess:
     increments = [
-        condexp_cells(V.increments[t], filt.parts[t - lag], space)
-        for t in range(1, space.horizon + 1)
+        condexp_cells(V.increments[t], filt.parts[t - lag], filt.space)
+        for t in range(1, filt.space.horizon + 1)
     ]
-    return AdaptedProcess.from_increments(V.dim, space.n, increments)
+    return AdaptedProcess.from_increments(V.dim, filt.space.n, increments)
 
 
-def dual_optional(V: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> AdaptedProcess:
+def dual_optional(V: AdaptedProcess, filt: Filtration) -> AdaptedProcess:
     """Starts at 0; increments E[dV_t | F_t]."""
-    return _dual(V, filt, space, lag=0)
+    return _dual(V, filt, lag=0)
 
 
-def dual_predictable(V: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> AdaptedProcess:
+def dual_predictable(V: AdaptedProcess, filt: Filtration) -> AdaptedProcess:
     """Starts at 0; increments E[dV_t | F_{t-1}]; the compensator of V."""
-    return _dual(V, filt, space, lag=1)
+    return _dual(V, filt, lag=1)
 
 
 def quadratic_covariation(M: AdaptedProcess, N: AdaptedProcess) -> AdaptedProcess:
@@ -69,16 +68,13 @@ def quadratic_covariation(M: AdaptedProcess, N: AdaptedProcess) -> AdaptedProces
     return AdaptedProcess.from_increments(M.dim * N.dim, len(M.values[0]), increments)
 
 
-def angle_bracket(M: AdaptedProcess, N: AdaptedProcess, filt: Filtration, space: FiniteSpace) -> AdaptedProcess:
+def angle_bracket(M: AdaptedProcess, N: AdaptedProcess, filt: Filtration) -> AdaptedProcess:
     """<M, N>_t = sum_{s<=t} E[dM_s dN_s | F_{s-1}]: the compensator of [M, N]."""
-    return dual_predictable(quadratic_covariation(M, N), filt, space)
+    return dual_predictable(quadratic_covariation(M, N), filt)
 
 
 def is_martingale(
-    M: AdaptedProcess,
-    filt: Filtration,
-    space: FiniteSpace,
-    weights: Optional[Sequence[Fraction]] = None,
+    M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[Fraction]] = None
 ) -> bool:
     """Exact martingale test, optionally under an absolutely continuous
     reweighting.
@@ -88,7 +84,7 @@ def is_martingale(
     E_Q[dM_t | F_{t-1}] = 0 on every node of positive Q-mass and ignores the
     rest (Q only needs to be absolutely continuous).
     """
-    return not any(node_drifts(M, filt, space, nonnegative(weights)))
+    return not any(node_drifts(M, filt, nonnegative(weights)))
 
 
 def nonnegative(weights: Optional[Sequence]) -> Optional[list]:
@@ -105,12 +101,7 @@ def nonnegative(weights: Optional[Sequence]) -> Optional[list]:
     return w
 
 
-def node_drifts(
-    M: AdaptedProcess,
-    filt: Filtration,
-    space: FiniteSpace,
-    weights: Optional[Sequence[Fraction]] = None,
-):
+def node_drifts(M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[Fraction]] = None):
     """Yield, per one-period node and component, sum q(w) dM_t(w) over the
     node, with q = P, or P * E[weights | F_t] under a reweighting whose
     nonnegative ``weights`` are already validated; nodes of zero Q-mass are
@@ -120,9 +111,9 @@ def node_drifts(
     and only a nonzero one becomes a Fraction; a zero node yields 0.  On a
     date whose increment row is all zero every node yields its zeros
     without projecting the weights or summing."""
-    D, P = space.scaled
+    D, P = filt.space.scaled
     zeros = (0,) * M.dim
-    for t in range(1, space.horizon + 1):
+    for t in range(1, filt.space.horizon + 1):
         row = M.increments[t]
         if not any(map(any, row)):
             for block in filt.parts[t - 1]:
@@ -135,7 +126,7 @@ def node_drifts(
             # Q-weights P * E[w|F_t]: E_Q[dM_t|F_{t-1}] may use the density
             # projected on F_t since dM_t is F_t-measurable; scaled to ints
             # over D * L, L the common denominator of the projection
-            proj = condexp(weights, filt.parts[t], space)
+            proj = condexp(weights, filt.parts[t], filt.space)
             L = lcm(*(x.denominator for x in proj))
             q = [p * x.numerator * (L // x.denominator) for p, x in zip(P, proj)]
             qden = D * L
@@ -149,14 +140,14 @@ def node_drifts(
                 yield Fraction(num, den * qden) if num else 0
 
 
-def assert_martingale(M, filt, space, name="process"):
-    if not is_martingale(M, filt, space):
+def assert_martingale(M, filt, name="process"):
+    if not is_martingale(M, filt):
         raise NotMartingale(f"{name} is not a martingale for the given filtration")
 
 
-def doob(X: AdaptedProcess, filt: Filtration, space: FiniteSpace):
+def doob(X: AdaptedProcess, filt: Filtration):
     """Unique decomposition X = X_0 + M + A, M martingale null at 0, A
     predictable null at 0 with increments E[dX_t | F_{t-1}]."""
-    A = dual_predictable(X, filt, space)
+    A = dual_predictable(X, filt)
     start = AdaptedProcess._trusted(X.dim, (X.values[0],) * len(X.values))
     return X - A - start, A

@@ -62,7 +62,8 @@ walk visits every one-period node:
   or only those of positive mass under atom weights; every node-wise test.
   The children table is built once, by the pass that checks refinement.
 
-A filtration built from atom names must cover every atom of the space.
+A :class:`Filtration` carries its :class:`FiniteSpace` and covers every
+atom of it, so no function that takes a filtration also takes the space.
 """
 
 from __future__ import annotations
@@ -212,17 +213,17 @@ def _canonical_partition(blocks, n: int):
 
 @dataclass(frozen=True)
 class Filtration:
-    """Refining partitions, one per grid time; blocks hold atom indices.
-
-    The pass that checks refinement also records, per block of
-    ``parts[t-1]``, its children in ``parts[t]``: the table behind
-    :meth:`nodes`."""
+    """Refining partitions of the atoms of ``space``, one per grid time;
+    blocks hold atom indices.  The pass that checks refinement also
+    records, per block of ``parts[t-1]``, its children in ``parts[t]``: the
+    table behind :meth:`nodes`."""
 
     parts: tuple
+    space: FiniteSpace
 
     def __post_init__(self):
-        if not self.parts:
-            raise ValueError("a filtration needs at least one time")
+        if len(self.parts) != self.space.horizon + 1:
+            raise ValueError("filtration length must match the time grid")
         n = sum(len(b) for b in self.parts[0])
         parts = tuple(_canonical_partition(p, n) for p in self.parts)
         object.__setattr__(self, "parts", parts)
@@ -238,11 +239,9 @@ class Filtration:
                     raise ValueError(f"partition at time {t} does not refine time {t - 1}")
                 kids[owners.pop()].append(block)
             children.append(tuple(map(tuple, kids)))
+        if n != self.space.n:
+            raise ValueError("filtration must cover every atom of the space")
         object.__setattr__(self, "_children", tuple(children))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.parts) - 1
 
     def nodes(self, t: int, w=None):
         """``(parent, children)`` per block of ``parts[t-1]``, in order; under
@@ -261,12 +260,7 @@ class Filtration:
             tuple(tuple(idx[a] for a in block) for block in blocks)
             for blocks in blocks_per_time
         )
-        f = Filtration(parts)
-        if f.horizon != space.horizon:
-            raise ValueError("filtration length must match the time grid")
-        if sum(len(b) for b in f.parts[0]) != space.n:
-            raise ValueError("filtration must cover every atom of the space")
-        return f
+        return Filtration(parts, space)
 
 
 def weighted_sum(weights: Sequence[int], values: Sequence, block) -> tuple:
@@ -448,11 +442,6 @@ class AdaptedProcess:
         """dX_t(atom); dX_0 := 0."""
         return self.increments[t][atom]
 
-    def component(self, k: int) -> "AdaptedProcess":
-        """The scalar process of component ``k``: one cell per distinct cell
-        object of a row."""
-        return AdaptedProcess._trusted(1, map_cells(self.values, lambda cell: (cell[k],)))
-
     # -- construction helpers -------------------------------------------
 
     @staticmethod
@@ -572,11 +561,11 @@ class RandomTime:
         return self.values[atom]
 
 
-def check_stopping_time(time: RandomTime, filt: Filtration, space: FiniteSpace) -> bool:
+def check_stopping_time(time: RandomTime, filt: Filtration) -> bool:
     """True iff {time <= t} is a union of parts[t]-blocks for every t."""
     return all(
-        first_nonconstant([v <= t for v in time.values], filt.parts[t]) is None
-        for t in space.times
+        first_nonconstant([v <= t for v in time.values], blocks) is None
+        for t, blocks in enumerate(filt.parts)
     )
 
 
@@ -584,7 +573,9 @@ def stop(X: AdaptedProcess, sigma: RandomTime) -> AdaptedProcess:
     """Stopped process X^sigma(w, t) = X(w, min(t, sigma(w))).
 
     Its increment table is read off X's: dX^sigma_t = dX_t up to sigma, 0
-    after."""
+    after; ``ValueError`` unless sigma has one value per atom of X."""
+    if len(sigma.values) != len(X.values[0]):
+        raise ValueError("stopping time must have one value per atom of the process")
     zero = X.increments[0][0]
     rows, table = [], []
     for t, inc in enumerate(X.increments):

@@ -38,7 +38,7 @@ class Ctx:
 
 def _ctx(name):
     sc = load_builtin(name)
-    bundle = azema(sc.filtration, sc.tau, sc.space)
+    bundle = azema(sc.filtration, sc.tau)
     return Ctx(sc, bundle, build_deflator(bundle))
 
 

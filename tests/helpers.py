@@ -1,12 +1,13 @@
 """Builders and naive references that only the tests read.
 
 The engine never builds a process from a Python function, a constant, a
-scaled copy or a pointwise product, never draws an arbitrary adapted or
-predictable process, and never walks a filtration by atom or by child
-index; these helpers write those out for the tests to build inputs and
-check the engine against.  ``scale`` and ``mul_scalar_process`` go through
-the package's cell maps, so the tests that compare them with a per-atom
-reference exercise :func:`map_cells` and :func:`zip_cells`.
+scaled copy, a pointwise product or one component, never draws an
+arbitrary adapted or predictable process, and never walks a filtration by
+atom or by child index; these helpers write those out for the tests to
+build inputs and check the engine against.  ``scale``,
+``mul_scalar_process`` and ``component`` go through the package's cell
+maps, so the tests that compare them with a per-atom reference exercise
+:func:`map_cells` and :func:`zip_cells`.
 ``solve_min_reference`` is the simplex on a dense Fraction tableau that
 the engine's integer-row :func:`randomhorizon.lp.solve_min` must match.
 """
@@ -81,6 +82,12 @@ def mul_scalar_process(X: AdaptedProcess, scalar: AdaptedProcess) -> AdaptedProc
         raise ValueError("need a scalar process on the same grid")
     rows = zip_cells(X.values, scalar.values, lambda cell, s: tuple(s[0] * c for c in cell))
     return AdaptedProcess._trusted(X.dim, rows)
+
+
+def component(X: AdaptedProcess, k: int) -> AdaptedProcess:
+    """The scalar process of component ``k``: one cell per distinct cell
+    object of a row, by :func:`map_cells`."""
+    return AdaptedProcess._trusted(1, map_cells(X.values, lambda cell: (cell[k],)))
 
 
 def children(filt: Filtration, t: int, parent_index: int) -> tuple:

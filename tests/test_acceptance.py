@@ -45,7 +45,7 @@ def test_criterion_1_projection_identities():
     failures = []
     for seed in range(INSTANCES):
         inst = random_instance(seed)
-        bundle = azema(inst.filtration, inst.tau, inst.space)
+        bundle = azema(inst.filtration, inst.tau)
         flags = _projection_identities(inst.price, bundle)
         if not all(flags.values()):
             failures.append((seed, flags))
@@ -61,7 +61,7 @@ def test_criterion_2_deflator_suite():
     failures = []
     for seed in range(INSTANCES):
         inst = random_instance(seed)
-        bundle = azema(inst.filtration, inst.tau, inst.space)
+        bundle = azema(inst.filtration, inst.tau)
         enlarged = bundle.enlarged
         try:
             # the builder itself re-derives the closed form of the jumps and
@@ -71,12 +71,12 @@ def test_criterion_2_deflator_suite():
         except Exception as exc:  # noqa: BLE001 - any failure breaks the criterion
             failures.append((seed, repr(exc)))
             continue
-        if not is_supermartingale(deflators.deflator, enlarged, inst.space):
+        if not is_supermartingale(deflators.deflator, enlarged):
             failures.append((seed, "exponential is not a supermartingale"))
             continue
         if thin_set_empty(bundle):
             verdict = verify_deflator(
-                deflators.deflator, stop(inst.price, inst.tau), enlarged, inst.space
+                deflators.deflator, stop(inst.price, inst.tau), enlarged
             )
             if not verdict.passed:
                 failures.append((seed, "deflator fails on thin-free instance"))

@@ -1,6 +1,7 @@
 import pytest
 
 from randomhorizon import campaign
+from randomhorizon.generator import random_instance
 
 
 @pytest.mark.parametrize(
@@ -39,6 +40,20 @@ def test_campaign_worker_count_is_capped(jobs, instances, cpus, expected, monkey
     report = campaign.run_campaign(instances, 0, battery=2)
     assert seen == ([] if expected is None else [expected])
     assert report == campaign.run_campaign(instances, 0, battery=2, jobs=1)
+
+
+def test_martingale_part_check_covers_the_whole_price(monkeypatch):
+    # a two-dimensional price is checked in both components, not the first
+    dims = []
+    real = campaign.g_martingale_part
+    monkeypatch.setattr(
+        campaign, "g_martingale_part", lambda M, b: dims.append(M.dim) or real(M, b)
+    )
+    model = next(m for m in map(random_instance, range(20)) if m.price.dim == 2)
+    _, sections, violations = campaign.theorem_suite(model, battery=0)
+    assert dims == [2]
+    assert sections["projection_identities"]["martingale_part"] is True
+    assert violations == []
 
 
 def test_parallel_campaign_matches_the_sequential_one():

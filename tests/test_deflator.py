@@ -32,7 +32,7 @@ def test_optional_integral_with_predictable_integrand(ex1):
     G, space = ex1.enlarged, ex1.space
     H = from_function(space, lambda t, i: F(t + 1))
     N = ex1.deflators.bundle.mhat
-    out = optional_integral(H, N, G, space)
+    out = optional_integral(H, N, G)
     acc = [F(0)] * 4
     for t in range(1, space.horizon + 1):
         for i in range(4):
@@ -44,7 +44,7 @@ def test_optional_integral_with_unit_integrand(ex1):
     G, space = ex1.enlarged, ex1.space
     one = constant(space, F(1))
     N = ex1.deflators.bundle.mhat
-    out = optional_integral(one, N, G, space)
+    out = optional_integral(one, N, G)
     for t in space.times:
         for i in range(4):
             assert out.scalar_at(t, i) == N.scalar_at(t, i) - N.scalar_at(0, i)
@@ -55,7 +55,7 @@ def test_optional_integral_bracket_identity(ex1):
     # N = Y = drift-corrected survival martingale)
     G, space = ex1.enlarged, ex1.space
     K, mhat = ex1.deflators.kernel, ex1.deflators.bundle.mhat
-    M = optional_integral(K, mhat, G, space)
+    M = optional_integral(K, mhat, G)
     lhs = quadratic_covariation(M, mhat)
     hn = quadratic_covariation(mhat, mhat)
     acc = [F(0)] * 4
@@ -65,13 +65,13 @@ def test_optional_integral_bracket_identity(ex1):
             acc[i] += K.scalar_at(t, i) * hn.delta_at(t, i)[0]
         rows.append(tuple((acc[i],) for i in range(4)))
     hdotn = AdaptedProcess(1, tuple(rows))
-    assert is_martingale(lhs - hdotn, G, space)
+    assert is_martingale(lhs - hdotn, G)
 
 
 def test_optional_integral_rejects_non_martingale(ex1):
     with pytest.raises(EngineError):
         optional_integral(
-            constant(ex1.space, F(1)), ex1.bundle.Z, ex1.enlarged, ex1.space
+            constant(ex1.space, F(1)), ex1.bundle.Z, ex1.enlarged
         )
 
 
@@ -91,11 +91,11 @@ def test_deflator_bundle_ex2(ex2):
                 expected = -ex2.bundle.m.delta_at(t, i)[0] / ex2.bundle.Ztilde.scalar_at(t, i)
                 assert d.driver.delta_at(t, i)[0] == expected
     assert all(d.drawdown.scalar_at(2, i) == 0 for i in range(4))
-    assert is_martingale(d.driver, ex2.enlarged, ex2.space)
+    assert is_martingale(d.driver, ex2.enlarged)
 
 
 def test_deflator_bundle_no_horizon(ex1):
-    d = build_deflator(azema(ex1.filt, constant_time(ex1.space, INF), ex1.space))
+    d = build_deflator(azema(ex1.filt, constant_time(ex1.space, INF)))
     for t in ex1.space.times:
         for i in range(4):
             assert d.driver.scalar_at(t, i) == 0
@@ -166,16 +166,15 @@ def test_supermartingale_deflator_rejects_inadmissible(ex1):
 
 def test_verify_deflator_examples(ex1, ex2):
     ok = verify_deflator(
-        ex2.deflators.deflator, stop(ex2.price, ex2.tau), ex2.enlarged, ex2.space
+        ex2.deflators.deflator, stop(ex2.price, ex2.tau), ex2.enlarged
     )
     assert ok.passed and ok.worst is None
     one = constant(ex2.space, F(1))
-    assert verify_deflator(one, stop(ex2.price, ex2.tau), ex2.enlarged, ex2.space).passed
+    assert verify_deflator(one, stop(ex2.price, ex2.tau), ex2.enlarged).passed
     bad = verify_deflator(
         constant(ex1.space, F(1)),
         stop(ex1.price, ex1.tau),
         ex1.enlarged,
-        ex1.space,
     )
     assert not bad.passed
     assert bad.worst.time == 2 and bad.worst.block == ("b",)
@@ -186,16 +185,16 @@ def test_verify_deflator_rejects_an_unadapted_price():
     # be judged by the first atom of {a, b} alone
     space, filt, S = unadapted_price()
     with pytest.raises(NotAdapted):
-        verify_deflator(constant(space, F(1)), S, filt, space)
+        verify_deflator(constant(space, F(1)), S, filt)
 
 
 def test_deflator_invariants_on_random_instances():
     for seed in range(120):
         inst = random_instance(seed)
-        b = azema(inst.filtration, inst.tau, inst.space)
+        b = azema(inst.filtration, inst.tau)
         G = b.enlarged
         d = build_deflator(b)  # self-checking
-        assert is_supermartingale(d.deflator, G, inst.space)
+        assert is_supermartingale(d.deflator, G)
         assert all(
             d.deflator.scalar_at(t, i) > 0
             for t in inst.space.times
@@ -203,7 +202,7 @@ def test_deflator_invariants_on_random_instances():
         )
         if not b.thin_mask:
             assert verify_deflator(
-                d.deflator, stop(inst.price, inst.tau), G, inst.space
+                d.deflator, stop(inst.price, inst.tau), G
             ).passed
 
 
@@ -211,7 +210,7 @@ def test_adjoint_identity_on_random_instances():
     # E[[L, Mhat]_inf] = E[(-K) . [mhat, Mhat]_inf]
     for seed in range(60):
         inst = random_instance(seed)
-        b = azema(inst.filtration, inst.tau, inst.space)
+        b = azema(inst.filtration, inst.tau)
         d = build_deflator(b)
         rng = random.Random(seed + 99)
         M = random_martingale(inst.space, inst.filtration, rng)

@@ -1,11 +1,12 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
 
 from randomhorizon.deflator import build_deflator
 from randomhorizon.enlargement import (
+    AzemaBundle,
     azema,
     compensator_of_rescaled,
     compensator_of_stopped,
@@ -22,6 +23,7 @@ from randomhorizon.space import (
     INF,
     AdaptedProcess,
     Filtration,
+    RandomTime,
     check_stopping_time,
     stop,
 )
@@ -36,10 +38,10 @@ def test_enlarge_ex1_splits_to_singletons(ex1):
 
 def test_enlarge_trivial_cases(ex1):
     space, filt = ex1.space, ex1.filt
-    assert enlarge(filt, constant_time(space, INF), space).parts == filt.parts
+    assert enlarge(filt, constant_time(space, INF)).parts == filt.parts
     # an F-stopping time adds no information (EX2's tau is one)
-    assert check_stopping_time(constant_time(space, 1), filt, space)
-    assert enlarge(filt, constant_time(space, 1), space).parts == filt.parts
+    assert check_stopping_time(constant_time(space, 1), filt)
+    assert enlarge(filt, constant_time(space, 1)).parts == filt.parts
 
 
 def test_enlarge_ex2_equals_base(ex2):
@@ -70,16 +72,37 @@ def test_bundle_owns_its_model_and_builds_g_once_on_read(ex1, monkeypatch):
         return enlarge(*args)
 
     monkeypatch.setattr(enlargement, "enlarge", counted)
-    b = azema(ex1.filt, ex1.tau, ex1.space)
+    b = azema(ex1.filt, ex1.tau)
     assert (b.filt, b.tau, b.space) == (ex1.filt, ex1.tau, ex1.space)
     assert calls == []
-    assert b.enlarged.parts == enlarge(ex1.filt, ex1.tau, ex1.space).parts
-    assert b.enlarged is b.enlarged and calls == [(ex1.filt, ex1.tau, ex1.space)]
+    assert b.enlarged.parts == enlarge(ex1.filt, ex1.tau).parts
+    assert b.enlarged is b.enlarged and calls == [(ex1.filt, ex1.tau)]
+
+
+def test_bundle_reads_its_space_from_the_filtration(ex1):
+    assert "space" not in {f.name for f in fields(AzemaBundle)}
+    assert ex1.bundle.space is ex1.filt.space is ex1.enlarged.space
+
+
+def test_a_random_time_must_fit_the_space(ex2):
+    # a fifth value used to be ignored and three values raised a bare
+    # IndexError; a value past the horizon acted as inf, and the scenario
+    # written from it could not be read back
+    longer = RandomTime(ex2.tau.values + (1,))
+    shorter = RandomTime(ex2.tau.values[:3])
+    past = RandomTime((5,) + ex2.tau.values[1:])
+    for tau in (longer, shorter, past):
+        for build in (azema, enlarge):
+            with pytest.raises(ValueError, match="one grid time or inf per atom"):
+                build(ex2.filt, tau)
+    for tau in (longer, shorter):
+        with pytest.raises(ValueError, match="one value per atom"):
+            stop(ex2.price, tau)
 
 
 def test_azema_infinite_horizon_time(ex1):
     space, filt = ex1.space, ex1.filt
-    b = azema(filt, constant_time(space, INF), space)
+    b = azema(filt, constant_time(space, INF))
     for t in space.times:
         for i in range(4):
             assert b.Z.scalar_at(t, i) == 1
@@ -96,19 +119,19 @@ def test_death_time_invariants(ex1, ex2):
             if ctx.tau.at(i) is not INF:
                 assert ctx.tau.at(i) < b.sudden_death.at(i)
         for rt in (b.death, b.sudden_death):
-            assert check_stopping_time(rt, ctx.filt, space)
+            assert check_stopping_time(rt, ctx.filt)
 
 
 def test_death_times_on_random_instances():
     for seed in range(120):
         inst = random_instance(seed)
-        b = azema(inst.filtration, inst.tau, inst.space)
+        b = azema(inst.filtration, inst.tau)
         for i in range(inst.space.n):
             assert inst.tau.at(i) <= b.death.at(i)
             if inst.tau.at(i) is not INF:
                 assert inst.tau.at(i) < b.sudden_death.at(i)
-        assert check_stopping_time(b.death, inst.filtration, inst.space)
-        assert check_stopping_time(b.sudden_death, inst.filtration, inst.space)
+        assert check_stopping_time(b.death, inst.filtration)
+        assert check_stopping_time(b.sudden_death, inst.filtration)
         # survival identity and interval disjointness re-checked externally
         for t in range(1, inst.space.horizon + 1):
             for i in range(inst.space.n):
@@ -126,7 +149,7 @@ def test_compensator_of_stopped_matches_direct(ex1, ex2):
             quadratic_covariation(ctx.bundle.m, ctx.bundle.m),
         ):
             closed = compensator_of_stopped(V, ctx.bundle)
-            direct = dual_predictable(stop(V, ctx.tau), ctx.enlarged, ctx.space)
+            direct = dual_predictable(stop(V, ctx.tau), ctx.enlarged)
             assert closed.values == direct.values
 
 
@@ -158,7 +181,7 @@ def test_compensator_of_rescaled(ex1, ex2):
 
 def test_g_martingale_part_of_m(ex1):
     mhat = g_martingale_part(ex1.bundle.m, ex1.bundle)
-    assert is_martingale(mhat, ex1.enlarged, ex1.space)
+    assert is_martingale(mhat, ex1.enlarged)
     # EX1: the bracket correction cancels the jump exactly, mhat stays at 1
     assert all(mhat.scalar_at(t, i) == 1 for t in ex1.space.times for i in range(4))
 
@@ -191,7 +214,7 @@ def test_projection_transfer_identities_ex1(ex1):
 
 
 def test_projection_transfer_identities_trivial_time(ex1):
-    b = azema(ex1.filt, constant_time(ex1.space, INF), ex1.space)
+    b = azema(ex1.filt, constant_time(ex1.space, INF))
     out = projection_transfer_identities(b.m, b)
     assert out.consistent
     assert all(out.jump_lhs.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
@@ -210,12 +233,12 @@ def test_survival_views_match_a_per_atom_recomputation(ex1, ex2, survival_views_
     survival_views_oracle(ex2.bundle)
     for seed in range(120):
         inst = random_instance(seed)
-        survival_views_oracle(azema(inst.filtration, inst.tau, inst.space))
+        survival_views_oracle(azema(inst.filtration, inst.tau))
 
 
 def test_survival_views_follow_a_replaced_random_time(ex1):
     # the views are cached per bundle, so ``replace`` must build them afresh
-    b = azema(ex1.filt, ex1.tau, ex1.space)
+    b = azema(ex1.filt, ex1.tau)
     before = b.alive
     assert before[2] == (False, True, False, True)
     never = replace(b, tau=constant_time(ex1.space, INF))
@@ -233,7 +256,7 @@ def test_jump_time_measures_ex1(ex1):
 
 
 def test_jump_time_measures_trivial(ex1):
-    b = azema(ex1.filt, constant_time(ex1.space, INF), ex1.space)
+    b = azema(ex1.filt, constant_time(ex1.space, INF))
     out = jump_time_measures(2, b)
     assert out.q == (F(1),) * 4
     assert out.u_enlarged == (F(1),) * 4
@@ -262,7 +285,7 @@ def test_reduce_g_predictable_survival_reciprocal(ex1):
         return F(1)
 
     H = from_function(ex1.space, hg)
-    out = reduce_g_predictable(H, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
+    out = reduce_g_predictable(H, ex1.filt, ex1.enlarged, ex1.tau)
     assert [out.scalar_at(2, i) for i in range(4)] == [F(2)] * 4
     assert [out.scalar_at(1, i) for i in range(4)] == [F(1)] * 4
     # agreement on ]0, tau] and positivity
@@ -275,7 +298,7 @@ def test_reduce_g_predictable_survival_reciprocal(ex1):
 
 def test_reduce_g_predictable_keeps_f_predictable(ex1):
     V = from_function(ex1.space, lambda t, i: F(t + 1))
-    out = reduce_g_predictable(V, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
+    out = reduce_g_predictable(V, ex1.filt, ex1.enlarged, ex1.tau)
     for t in range(1, 3):
         for i in range(4):
             if t <= ex1.tau.at(i):
@@ -284,13 +307,13 @@ def test_reduce_g_predictable_keeps_f_predictable(ex1):
 
 def test_reduce_g_predictable_rejects_non_predictable(ex1):
     with pytest.raises(NotPredictable):
-        reduce_g_predictable(ex1.price, ex1.filt, ex1.enlarged, ex1.tau, ex1.space)
+        reduce_g_predictable(ex1.price, ex1.filt, ex1.enlarged, ex1.tau)
 
 
 def test_reduce_g_predictable_positivity_on_random_instances():
     for seed in range(60):
         inst = random_instance(seed)
-        enlarged = enlarge(inst.filtration, inst.tau, inst.space)
+        enlarged = enlarge(inst.filtration, inst.tau)
         rng = random.Random(seed)
         # positive G-predictable process, constant on G_{t-1} blocks
         rows = []
@@ -302,7 +325,7 @@ def test_reduce_g_predictable_positivity_on_random_instances():
                     row[i] = (v,)
             rows.append(tuple(row))
         H = AdaptedProcess(1, tuple(rows))
-        out = reduce_g_predictable(H, inst.filtration, enlarged, inst.tau, inst.space)
+        out = reduce_g_predictable(H, inst.filtration, enlarged, inst.tau)
         for t in inst.space.times:
             for i in range(inst.space.n):
                 assert out.scalar_at(t, i) > 0
@@ -334,16 +357,16 @@ def test_enlargement_is_minimal(ex1):
                     continue
                 parts = _merged_variant(enlarged, t, j, k)
                 try:
-                    candidate = Filtration(tuple(parts))
+                    candidate = Filtration(tuple(parts), space)
                 except ValueError:
                     continue  # refinement broke: split was necessary
-                assert not check_stopping_time(tau, candidate, space)
+                assert not check_stopping_time(tau, candidate)
 
 
 def test_enlargement_minimality_on_random_instances():
     for seed in range(40):
         inst = random_instance(seed)
-        enlarged = enlarge(inst.filtration, inst.tau, inst.space)
+        enlarged = enlarge(inst.filtration, inst.tau)
         for t in inst.space.times:
             blocks = enlarged.parts[t]
             for j in range(len(blocks)):
@@ -352,10 +375,10 @@ def test_enlargement_minimality_on_random_instances():
                         continue
                     parts = _merged_variant(enlarged, t, j, k)
                     try:
-                        candidate = Filtration(tuple(parts))
+                        candidate = Filtration(tuple(parts), inst.space)
                     except ValueError:
                         continue
-                    assert not check_stopping_time(inst.tau, candidate, inst.space)
+                    assert not check_stopping_time(inst.tau, candidate)
 
 
 @pytest.mark.parametrize(
@@ -374,7 +397,7 @@ def test_transfer_formulas_reject_a_dead_survival_inside_the_interval(formula, e
     # by Zt reports it
     inst = random_instance(1)
     never = constant_time(inst.space, INF)
-    b = replace(azema(inst.filtration, inst.tau, inst.space), tau=never)
+    b = replace(azema(inst.filtration, inst.tau), tau=never)
     M = b.m if formula is g_martingale_part else zero(inst.space)
     with pytest.raises(StructuralViolation, match="Z_- vanished"):
         formula(M, b)
@@ -394,11 +417,11 @@ def test_transfer_formulas_reject_a_dead_survival_inside_the_interval(formula, e
 def test_transfer_identities_on_random_instances():
     for seed in range(120):
         inst = random_instance(seed)
-        b = azema(inst.filtration, inst.tau, inst.space)
+        b = azema(inst.filtration, inst.tau)
         rng = random.Random(seed + 1)
         V = random_adapted(inst.space, inst.filtration, rng)
         closed = compensator_of_stopped(V, b)
-        direct = dual_predictable(stop(V, inst.tau), b.enlarged, inst.space)
+        direct = dual_predictable(stop(V, inst.tau), b.enlarged)
         assert closed.values == direct.values
         compensator_of_rescaled(V, b)
         assert projection_transfer_identities(b.m, b).consistent

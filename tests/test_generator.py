@@ -19,7 +19,7 @@ def test_instances_respect_bounds():
 def test_price_is_martingale():
     for seed in range(100):
         inst = random_instance(seed)
-        assert is_martingale(inst.price, inst.filtration, inst.space)
+        assert is_martingale(inst.price, inst.filtration)
 
 
 def test_generation_is_reproducible():

@@ -91,6 +91,21 @@ def test_tracer_targets_are_module_level_functions():
     assert broken == []
 
 
+def test_no_function_takes_a_filtration_beside_its_space():
+    # a filtration carries its space, so a function that also took the space
+    # could read the grid or the measure of another one; the two kept
+    # signatures raise on a mismatched pair
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+                if "space" in params and params & {"filt", "enlarged", "filtration"}:
+                    found.append(f"{path.stem}.{node.name}")
+    assert sorted(found) == ["generator.random_martingale", "nupbr.certify_nupbr"]
+
+
 def _decides_a_survival_view(call) -> bool:
     """``tau.at(...)``, ``<obj>.tau.at(...)`` or ``condexp(...)``."""
     f = call.func

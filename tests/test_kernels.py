@@ -53,7 +53,7 @@ from randomhorizon.space import (
     stop,
 )
 
-from helpers import children, mul_scalar_process, random_adapted, scale
+from helpers import children, component, mul_scalar_process, random_adapted, scale
 
 
 def naive_increments(X):
@@ -171,7 +171,7 @@ def _cases(seed):
     adapted to the enlargement only, paired with the base filtration, and
     the price's last jump alone (all-zero increments before the horizon)."""
     inst = random_instance(seed)
-    enlarged = enlarge(inst.filtration, inst.tau, inst.space)
+    enlarged = enlarge(inst.filtration, inst.tau)
     rng = random.Random(seed)
     H = inst.space.horizon
     jump = [inst.price.delta_at(H, i) for i in range(inst.space.n)]
@@ -220,7 +220,7 @@ def test_kernels_match_naive_references(seed, weights):
                 )
         if not is_adapted(X, filt):
             continue  # the martingale and NUPBR kernels take adapted inputs
-        assert is_martingale(X, filt, space) == naive_is_martingale(X, filt, space)
+        assert is_martingale(X, filt) == naive_is_martingale(X, filt, space)
         for weighted in (w, *(_drop_first_node(w, filt, t) for t in space.times[1:])):
             _check_weighted_kernels(X, filt, space, weighted)
         assert certify_nupbr(X, filt, space) == naive_certify(X, filt, space, [F(1)] * space.n)
@@ -232,11 +232,11 @@ def _check_weighted_kernels(X, filt, space, w):
     both raise ``ValueError`` on it."""
     if not any(w):
         with pytest.raises(ValueError):
-            is_martingale(X, filt, space, weights=w)
+            is_martingale(X, filt, weights=w)
         with pytest.raises(ValueError):
             certify_nupbr(X, filt, space, weights=w)
         return
-    assert is_martingale(X, filt, space, weights=w) == naive_is_martingale(X, filt, space, w)
+    assert is_martingale(X, filt, weights=w) == naive_is_martingale(X, filt, space, w)
     assert certify_nupbr(X, filt, space, weights=w) == naive_certify(X, filt, space, w)
 
 
@@ -246,9 +246,9 @@ def test_node_drifts_match_a_from_scratch_sum(seed, weights):
     space, cases = _cases(seed)
     w = weights[: space.n]
     for X, filt in cases:
-        assert list(node_drifts(X, filt, space)) == naive_node_drifts(X, filt, space)
-        assert list(node_drifts(X, filt, space, w)) == naive_node_drifts(X, filt, space, w)
-        assert is_supermartingale(X, filt, space) == all(
+        assert list(node_drifts(X, filt)) == naive_node_drifts(X, filt, space)
+        assert list(node_drifts(X, filt, w)) == naive_node_drifts(X, filt, space, w)
+        assert is_supermartingale(X, filt) == all(
             d <= 0 for d in naive_node_drifts(X, filt, space)
         )
 
@@ -329,7 +329,7 @@ def test_block_constancy_matches_naive_reference(seed):
         stopping = _random_stopping_time(filt, space, rng)
         assert naive_is_stopping_time(stopping, filt, space)
         for time in [random_instance(seed).tau, stopping] + drawn:
-            assert check_stopping_time(time, filt, space) == naive_is_stopping_time(
+            assert check_stopping_time(time, filt) == naive_is_stopping_time(
                 time, filt, space
             )
         for t in space.times:
@@ -374,7 +374,8 @@ def test_running_sum_matches_naive_reference(dim, n, horizon, data):
 
     # X_t sums the increment rows before t: it is predictable for the
     # filtration its increments generate
-    assert is_predictable(X, Filtration(tuple(natural(s) for s in range(horizon + 1))))
+    space = FiniteSpace(tuple(range(n)), (F(1, n),) * n, horizon)
+    assert is_predictable(X, Filtration(tuple(natural(s) for s in range(horizon + 1)), space))
     assert X.increments == naive_increments(X)
 
 
@@ -390,7 +391,7 @@ def _shared_cases(seed):
     atoms share one cell object per node."""
     space, cases = _cases(seed)
     inst = random_instance(seed)
-    b = azema(inst.filtration, inst.tau, inst.space)
+    b = azema(inst.filtration, inst.tau)
     procs = [X for X, _ in cases] + [b.Z, b.Ztilde, b.m, b.default_compensator]
     return space, procs
 
@@ -408,7 +409,7 @@ def test_cell_maps_match_naive_references(seed):
                 assert R.values == naive_cellwise(lambda a, b: map(op, a, b), X.values, Y.values)
                 assert R.increments == naive_increments(R)
         for k in range(X.dim):
-            C = X.component(k)
+            C = component(X, k)
             assert C.values == naive_cellwise(lambda c: (c[k],), X.values)
             assert C.increments == naive_increments(C)
         assert (-X).values == naive_cellwise(lambda c: (-x for x in c), X.values)
@@ -453,7 +454,7 @@ def test_shared_source_objects_share_one_cell():
     row = X.values[0]
     assert row[0] is row[1] is row[3] and row[2] is not row[0]
     assert X.values == (((half,), (half,), (third,), (half,)),)
-    C = AdaptedProcess._trusted(2, (((half, third),) * 3,)).component(1)
+    C = component(AdaptedProcess._trusted(2, (((half, third),) * 3,)), 1)
     assert C.values[0][0] is C.values[0][1] is C.values[0][2]
     S = X + X
     assert S.values[0][0] is S.values[0][1] and S.values[0][0] == (F(1),)
@@ -485,7 +486,7 @@ def test_weighted_kernels_reject_negative_weights(bad):
     with pytest.raises(ValueError):
         certify_nupbr(X, filt, space, weights=w)
     with pytest.raises(ValueError):
-        is_martingale(X, filt, space, weights=w)
+        is_martingale(X, filt, weights=w)
 
 
 # -- the ]0, tau] transfer formulas of the enlargement ----------------------
@@ -604,8 +605,8 @@ def _enlargement_cases():
 def test_enlargement_identities_match_naive_references():
     atoms, thin, dims = 0, 0, set()
     for space, filt, tau, price, adapted in _enlargement_cases():
-        b = azema(filt, tau, space)
-        G = enlarge(filt, tau, space)
+        b = azema(filt, tau)
+        G = enlarge(filt, tau)
         atoms, thin = max(atoms, space.n), thin + len(b.thin_mask)
         dims.add(price.dim)
         for V in [b.default_compensator, b.m, price] + adapted:
@@ -619,7 +620,7 @@ def test_enlargement_identities_match_naive_references():
             assert g_martingale_part(M, b).values == (
                 naive_g_martingale_part(M, b, filt, tau, space)
             )
-        for M in [b.m] + [price.component(k) for k in range(price.dim)]:
+        for M in [b.m] + [component(price, k) for k in range(price.dim)]:
             out = projection_transfer_identities(M, b)
             got = tuple(
                 X.values for X in (out.jump_lhs, out.jump_rhs, out.unit_lhs, out.unit_rhs)

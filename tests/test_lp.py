@@ -358,6 +358,35 @@ def test_solve_min_rejects_inexact_entries(A, b, c, name):
         solve_min(A, b, c)
 
 
+SHAPES = [
+    ([[1, 1], [1]], [1, 2], [1, 1]),  # a short row of A
+    ([[1, 1]], [1, 2], [1, 1]),  # an entry of b without a row
+    ([[1]], [1], [1, 1]),  # rows shorter than c
+]
+
+
+@pytest.mark.parametrize("A, b, c", SHAPES)
+def test_solve_min_rejects_mismatched_shapes(A, b, c):
+    # a misaligned tableau answers wrongly without an error: x = (2, -2)
+    # "optimal", b[1] ignored, a feasible LP "infeasible"
+    with pytest.raises(ValueError, match="rows of A, each of length len"):
+        solve_min(A, b, c)
+
+
+def test_solve_min_rejects_mismatched_shapes_under_optimize():
+    code = (
+        "from randomhorizon.lp import solve_min\n"
+        f"for A, b, c in {SHAPES!r}:\n"
+        "    try:\n"
+        "        solve_min(A, b, c)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    done = _run_optimized(code)
+    assert done.returncode == 0, done.stderr
+
+
 def test_solve_min_rejects_floats_under_optimize():
     code = (
         "from randomhorizon.lp import solve_min\n"

@@ -59,7 +59,7 @@ def test_weights_reassemble_martingale_measure(ex1):
     q = martingale_measure_from_weights(res, ex1.filt, ex1.space)
     assert all(w > 0 for w in q)
     assert ex1.space.expectation(q) == 1
-    assert is_martingale(ex1.price, ex1.filt, ex1.space, weights=q)
+    assert is_martingale(ex1.price, ex1.filt, weights=q)
 
 
 def test_certify_scale_invariance(ex1):
@@ -104,14 +104,14 @@ def test_thin_set_empty_at(ex1, ex2):
 def test_witness_martingale_values(ex1):
     M = witness_martingale(2, ex1.bundle)
     assert [M.scalar_at(2, i) for i in range(4)] == [F(1, 2), F(-1, 2), F(1, 2), F(-1, 2)]
-    assert is_martingale(M, ex1.filt, ex1.space)
+    assert is_martingale(M, ex1.filt)
     assert not certify_nupbr(stop(M, ex1.tau), ex1.enlarged, ex1.space).verdict
 
 
 def test_witness_martingale_trivial_when_no_collapse(ex1, ex2):
     M = witness_martingale(2, ex2.bundle)
     assert certify_nupbr(stop(M, ex2.tau), ex2.enlarged, ex2.space).verdict
-    b = azema(ex1.filt, constant_time(ex1.space, INF), ex1.space)
+    b = azema(ex1.filt, constant_time(ex1.space, INF))
     M = witness_martingale(2, b)
     assert all(M.scalar_at(t, i) == 0 for t in ex1.space.times for i in range(4))
 
@@ -145,7 +145,7 @@ def test_masked_criterion_all_matches_each_threshold():
     mixed = 0
     for seed in range(50):
         inst = random_instance(seed)
-        b = azema(inst.filtration, inst.tau, inst.space)
+        b = azema(inst.filtration, inst.tau)
         rec = masked_increment_criterion_all(inst.price, b)
         expected = {d: masked_increment_criterion(inst.price, b, d) for d in rec.per_delta}
         assert rec.per_delta == expected, seed
@@ -161,7 +161,7 @@ def test_masked_criterion_rejects_nonpositive_threshold(ex2, bad):
 
 def test_masked_criterion_rejects_an_unadapted_price():
     space, filt, S = unadapted_price()
-    bundle = azema(filt, constant_time(space, INF), space)
+    bundle = azema(filt, constant_time(space, INF))
     with pytest.raises(NotAdapted):
         masked_increment_criterion(S, bundle, F(1, 2))
     with pytest.raises(NotAdapted):
@@ -173,6 +173,17 @@ def test_witness_martingale_rejects_a_date_off_the_grid(ex1, T):
     # dates run over 1..horizon, as for jump_time_measures
     with pytest.raises(ValueError):
         witness_martingale(T, ex1.bundle)
+
+
+@pytest.mark.parametrize("check", [single_jump_equivalences, single_jump_martingale_transfer])
+def test_single_jump_checks_reject_a_date_off_the_grid(ex2, check):
+    # the date is checked before xi or Z is read: past the horizon the
+    # measurability scan used to index off the filtration, at 0 it judged
+    # xi against F_0, and at -1 it read Z at the last date
+    xi = [ex2.price.delta_at(2, i) for i in range(ex2.space.n)]
+    for T in (-1, 0, ex2.space.horizon + 1):
+        with pytest.raises(ValueError, match="jump date must lie in"):
+            check(xi, T, ex2.bundle)
 
 
 def test_masked_criterion_requires_base_nupbr(ex1):
@@ -197,7 +208,7 @@ def test_martingale_transfer_zero_xi(ex1):
 
 
 def test_martingale_transfer_no_horizon(ex1):
-    b = azema(ex1.filt, constant_time(ex1.space, INF), ex1.space)
+    b = azema(ex1.filt, constant_time(ex1.space, INF))
     xi = [ex1.price.delta_at(2, i) for i in range(4)]
     rec = single_jump_martingale_transfer(xi, 2, b)
     assert rec.consistent and rec.thin_mean_zero and rec.under_jump_measure
@@ -239,7 +250,7 @@ def test_certify_failure_detects_unbounded_wealth(ex1):
     one = constant(ex1.space, F(1))
     stopped = stop(ex1.price, ex1.tau)
     assert not certify_nupbr(stopped, ex1.enlarged, ex1.space).verdict
-    verdict = verify_deflator(one, stopped, ex1.enlarged, ex1.space)
+    verdict = verify_deflator(one, stopped, ex1.enlarged)
     assert not verdict.passed and verdict.worst.unbounded
 
 
@@ -260,8 +271,8 @@ def test_stopping_before_trouble_on_random_instances():
     for seed in range(80):
         inst = random_instance(seed)
         space, filt, tau = inst.space, inst.filtration, inst.tau
-        b = azema(filt, tau, space)
-        enlarged = enlarge(filt, tau, space)
+        b = azema(filt, tau)
+        enlarged = enlarge(filt, tau)
         sigma = _death_minus_one(b, space)
         both = RandomTime(
             tuple(min(sigma.at(i), tau.at(i)) for i in range(space.n))
@@ -367,7 +378,7 @@ def test_survival_weights_keep_exactly_the_nodes_where_z_is_positive(ex1, ex2):
     # Z_{t-1} = E[Zt_t | F_{t-1}]: the masked criterion's nodes (Z_{t-1} > 0)
     # are the positive-mass parents of Filtration.nodes under the weights Zt_t
     bundles = [ex1.bundle, ex2.bundle] + [
-        azema(inst.filtration, inst.tau, inst.space)
+        azema(inst.filtration, inst.tau)
         for inst in map(random_instance, range(120))
     ]
     for b in bundles:

@@ -39,8 +39,8 @@ def test_doob_reconstruction_unique(seed):
     inst = random_instance(seed)
     rng = random.Random(seed + 1)
     X = random_adapted(inst.space, inst.filtration, rng)
-    M, A = doob(X, inst.filtration, inst.space)
-    assert is_martingale(M, inst.filtration, inst.space)
+    M, A = doob(X, inst.filtration)
+    assert is_martingale(M, inst.filtration)
     for t in inst.space.times:
         for i in range(inst.space.n):
             recon = tuple(
@@ -97,4 +97,4 @@ def test_certificate_weights_give_martingale_measure(seed):
     q = martingale_measure_from_weights(res, inst.filtration, inst.space)
     assert all(w > 0 for w in q)
     assert inst.space.expectation(q) == 1
-    assert is_martingale(M, inst.filtration, inst.space, weights=q)
+    assert is_martingale(M, inst.filtration, weights=q)

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from randomhorizon.errors import NotAdapted
-from randomhorizon.generator import random_instance
+from randomhorizon.generator import random_instance, random_martingale
+from randomhorizon.io import Scenario
+from randomhorizon.nupbr import certify_nupbr
 from randomhorizon.space import (
     INF,
     AdaptedProcess,
@@ -61,9 +63,9 @@ def test_condexp_tower(ex1):
 
 def test_stopping_time_checks(ex1):
     space, filt = ex1.space, ex1.filt
-    assert not check_stopping_time(ex1.tau, filt, space)
-    assert check_stopping_time(constant_time(space, 1), filt, space)
-    assert check_stopping_time(ex1.tau, ex1.enlarged, space)
+    assert not check_stopping_time(ex1.tau, filt)
+    assert check_stopping_time(constant_time(space, 1), filt)
+    assert check_stopping_time(ex1.tau, ex1.enlarged)
 
 
 def test_stop_at_tau_terminal_values(ex1):
@@ -118,7 +120,28 @@ def test_space_validation():
 
 def test_filtration_must_refine():
     with pytest.raises(ValueError):
-        Filtration((((0, 1), (2,)), ((0, 1, 2),)))
+        Filtration((((0, 1), (2,)), ((0, 1, 2),)), FiniteSpace((0, 1, 2), (F(1, 3),) * 3, 1))
+
+
+def test_a_filtration_cannot_be_paired_with_another_space(ex1):
+    # ex1 beside a horizon-1 copy of its own space used to give an empty thin
+    # set (true: {(a, 2), (c, 2)}), a true certificate for the G-arbitrage
+    # S^tau and a martingale pass for the process 0, 0, 1, all silently
+    short = FiniteSpace(ex1.space.atoms, ex1.space.prob, 1)
+    with pytest.raises(ValueError, match="length must match the time grid"):
+        Filtration(ex1.filt.parts, short)
+    stopped = stop(ex1.price, ex1.tau)
+    mismatch = "the space must be the space of the filtration"
+    with pytest.raises(ValueError, match=mismatch):
+        certify_nupbr(stopped, ex1.enlarged, short)
+    with pytest.raises(ValueError, match=mismatch):
+        random_martingale(short, ex1.filt, random.Random(0))
+    with pytest.raises(ValueError, match=mismatch):
+        Scenario(short, ex1.filt, ex1.tau, ex1.price)
+    assert ex1.bundle.thin_mask == {("a", 2), ("c", 2)}
+    # an equal space built apart is the same space
+    twin = FiniteSpace(ex1.space.atoms, ex1.space.prob, ex1.space.horizon)
+    assert not certify_nupbr(stopped, ex1.enlarged, twin).verdict
 
 
 def test_non_trivial_time_zero_block():
@@ -134,6 +157,14 @@ def test_filtration_from_names_must_cover_every_atom():
     space = FiniteSpace(("u", "v", "x"), (F(1, 3),) * 3, 1)
     with pytest.raises(ValueError, match="cover every atom"):
         Filtration.from_names([[("u", "v")], [("u",), ("v",)]], space)
+
+
+def test_partition_errors_are_reported_before_coverage():
+    # a time-0 partition that repeats an atom is reported as such, as the
+    # scenario parser always has, and not as missing atoms of the space
+    space = FiniteSpace(("u", "v", "x"), (F(1, 3),) * 3, 1)
+    with pytest.raises(ValueError, match="appears in two blocks"):
+        Filtration.from_names([[("u",), ("u",)], [("u",), ("v",), ("x",)]], space)
 
 
 def test_predictable_flag_vs_check(ex1):

@@ -44,7 +44,8 @@ def split_space(space, filt, shares):
         tuple(tuple(2 * i + c for i in block for c in (0, 1)) for block in blocks)
         for blocks in filt.parts
     )
-    return FiniteSpace(atoms, probs, space.horizon), Filtration(parts)
+    split = FiniteSpace(atoms, probs, space.horizon)
+    return split, Filtration(parts, split)
 
 
 def split_instance(inst, shares, tau_of):
@@ -91,7 +92,7 @@ def test_draws_one_terminal_value_per_block_on_split_atoms():
         space, filt = split_space(inst.space, inst.filtration, [F(1, 3)] * inst.space.n)
         M = random_martingale(space, filt, random.Random(seed), dim=2)
         assert first_nonconstant(M.values[space.horizon], filt.parts[space.horizon]) is None
-        assert is_martingale(M, filt, space)
+        assert is_martingale(M, filt)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -144,7 +145,7 @@ def _immortal_copy_scenario(seed, horizon, branching_dates):
         horizon,
     )
     space, filt = split_space(
-        base, Filtration(tuple(parts)), [F(rng.randint(1, 4), 5) for _ in range(n)]
+        base, Filtration(tuple(parts), base), [F(rng.randint(1, 4), 5) for _ in range(n)]
     )
     price = random_martingale(space, filt, rng, dim=1)
     grid = _grid(horizon)
@@ -168,7 +169,7 @@ def test_a_per_atom_battery_draw_is_an_engine_fault(capsys, monkeypatch, tmp_pat
 
     inst = random_instance(1)
     sc = split_instance(inst, [F(1, 3)] * inst.space.n, lambda i, c: INF if c == 0 else 1)
-    bundle = azema(sc.filtration, sc.tau, sc.space)
+    bundle = azema(sc.filtration, sc.tau)
     assert thin_set_empty(bundle)
     monkeypatch.setattr(nupbr, "random_martingale", per_atom_martingale)
     with pytest.raises(StructuralViolation):

@@ -107,7 +107,7 @@ def test_atoms_of_one_node_share_one_cell(seed, horizon):
     # seed None: the built-in ex1
     sc = load_builtin("ex1") if seed is None else large_scenario(seed, horizon)
     parts = sc.filtration.parts
-    b = azema(sc.filtration, sc.tau, sc.space)
+    b = azema(sc.filtration, sc.tau)
     for X in (b.Z, b.Ztilde, b.m, b.default_compensator):
         for t, row in enumerate(X.values):
             assert len({id(cell) for cell in row}) <= len(parts[t])
