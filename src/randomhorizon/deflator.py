@@ -43,6 +43,7 @@ from .space import (
     Filtration,
     assert_adapted,
     assert_predictable,
+    check_shape,
     condexp_cells,
     stop,
 )
@@ -62,7 +63,7 @@ def optional_integral(H: AdaptedProcess, N: AdaptedProcess, filt: Filtration) ->
         increments.append(
             tuple(tuple(a - b for a, b in zip(p, q)) for p, q in zip(prod, proj))
         )
-    return AdaptedProcess.from_increments(N.dim, filt.space.n, increments)
+    return AdaptedProcess.from_increments(increments)
 
 
 def stoch_exp(N: AdaptedProcess) -> AdaptedProcess:
@@ -79,7 +80,7 @@ def stoch_exp(N: AdaptedProcess) -> AdaptedProcess:
         for i in range(n):
             acc[i] *= 1 + N.delta_at(t, i)[0]
         rows.append(tuple((acc[i],) for i in range(n)))
-    return AdaptedProcess._trusted(1, tuple(rows))
+    return AdaptedProcess._trusted(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
                 kappa = zprev * zprev + bracket.delta_at(t, i)[0]  # > 0: d<m> >= 0
                 row[i] = (zprev * zprev / kappa / zt,)
         k_rows.append(tuple(row))
-    K = AdaptedProcess._trusted(1, tuple(k_rows))
+    K = AdaptedProcess._trusted(tuple(k_rows))
 
     L = -optional_integral(K, bundle.mhat, enlarged)
 
@@ -133,7 +134,7 @@ def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
             if 1 + jump <= 0:
                 raise StructuralViolation("driver jump fell to -1 or below")
         drawdown_increments.append(row)
-    drawdown = AdaptedProcess.from_increments(1, n, drawdown_increments)
+    drawdown = AdaptedProcess.from_increments(drawdown_increments)
 
     if not is_martingale(L, enlarged):
         raise StructuralViolation("deflator driver is not a G-martingale")
@@ -164,9 +165,11 @@ def supermartingale_deflator(
     """Stochastic exponential of
     dX = dL - dD + theta (1 + dL - dD) dS^tau  (D the drawdown),
     the deflated wealth of the one-period strategy theta on the stopped
-    price.  theta must be G-predictable and keep theta . S^tau >= -1."""
+    price.  theta must be G-predictable and keep theta . S^tau >= -1;
+    ``ValueError`` unless S fits the space."""
     bundle = deflators.bundle
     space, enlarged = bundle.space, bundle.enlarged
+    check_shape(S, space)
     assert_predictable(theta, enlarged, "strategy")
     if theta.dim != S.dim:
         raise ValueError("strategy dimension must match the price")
@@ -188,7 +191,7 @@ def supermartingale_deflator(
             core = deflators.driver.delta_at(t, i)[0] - deflators.drawdown.delta_at(t, i)[0]
             row.append((core + (1 + core) * gain,))
         increments.append(row)
-    E = stoch_exp(AdaptedProcess.from_increments(1, n, increments))
+    E = stoch_exp(AdaptedProcess.from_increments(increments))
     positive = all(
         E.scalar_at(t, i) > 0 for t in space.times for i in range(n)
     )

@@ -195,7 +195,7 @@ def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
 
     Z = AdaptedProcess.from_scalar_paths(z_rows)
     Zt = AdaptedProcess.from_scalar_paths(zt_rows)
-    Dof = AdaptedProcess.from_increments(1, n, default_increments)
+    Dof = AdaptedProcess.from_increments(default_increments)
     m = Z + Dof
 
     # engine self-checks: these identities hold on every valid instance
@@ -317,7 +317,7 @@ def compensator_of_stopped(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPro
         _over_zprev(_times(bundle.Ztilde.values[t], V.increments[t]), t, bundle)
         for t in range(1, bundle.space.horizon + 1)
     ]
-    return AdaptedProcess.from_increments(V.dim, bundle.space.n, increments)
+    return AdaptedProcess.from_increments(increments)
 
 
 def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
@@ -346,7 +346,7 @@ def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPr
             zprev = bundle.Z.scalar_at(t - 1, i)
             if bundle.alive[t][i] and plain[i] != tuple(zprev * g for g in got[i]):
                 raise StructuralViolation("converse compensator identity failed on ]0, tau]")
-    return AdaptedProcess.from_increments(V.dim, space.n, [got for got, _ in sides])
+    return AdaptedProcess.from_increments([got for got, _ in sides])
 
 
 def g_martingale_part(M: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
@@ -362,7 +362,7 @@ def g_martingale_part(M: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
         _over_zprev(_times(bundle.m.increments[t], M.increments[t]), t, bundle)
         for t in range(1, space.horizon + 1)
     ]
-    result = stop(M, bundle.tau) - AdaptedProcess.from_increments(M.dim, space.n, drift)
+    result = stop(M, bundle.tau) - AdaptedProcess.from_increments(drift)
     if not is_martingale(result, bundle.enlarged):
         raise StructuralViolation("drift-corrected stopped process is not a G-martingale")
     return result
@@ -398,13 +398,13 @@ def projection_transfer_identities(
     if M.dim != 1:
         raise ValueError("transfer identities are per scalar component")
     n = space.n
-    clock = AdaptedProcess.from_increments(1, n, [((Fraction(1),),) * n] * space.horizon)
+    clock = AdaptedProcess.from_increments([((Fraction(1),),) * n] * space.horizon)
     first = ((_ZERO,),) * n
     rows = []
     for V in (M, clock):
         sides = _rescaled_sides(V, bundle)
         for k in (0, 1):
-            rows.append(AdaptedProcess._trusted(1, (first,) + tuple(s[k] for s in sides)))
+            rows.append(AdaptedProcess._trusted((first,) + tuple(s[k] for s in sides)))
     out = TransferIdentities(*rows)
     if not out.consistent:
         raise StructuralViolation("projection-ratio transfer identity failed")
@@ -483,4 +483,4 @@ def reduce_g_predictable(
                 for i in block:
                     row[i] = H.values[t][survivors[0]]
         rows.append(tuple(row))
-    return AdaptedProcess._trusted(H.dim, tuple(rows))
+    return AdaptedProcess._trusted(tuple(rows))

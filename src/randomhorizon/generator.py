@@ -77,7 +77,7 @@ def random_martingale(
     rows[space.horizon] = current
     for t in range(space.horizon - 1, -1, -1):
         current = rows[t] = condexp_cells(current, filt.parts[t], space)
-    return AdaptedProcess._trusted(dim, tuple(rows))
+    return AdaptedProcess._trusted(tuple(rows))
 
 
 def random_tau(space: FiniteSpace, rng: random.Random) -> RandomTime:

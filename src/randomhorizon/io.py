@@ -220,7 +220,7 @@ def parse_scenario(doc: dict) -> Scenario:
                 "price is not constant on a filtration block",
             )
     # every cell is a dim-tuple of Fractions already
-    return Scenario(space, filtration, tau, AdaptedProcess._trusted(dim, tuple(rows)))
+    return Scenario(space, filtration, tau, AdaptedProcess._trusted(tuple(rows)))
 
 
 def serialize_scenario(sc: Scenario) -> dict:

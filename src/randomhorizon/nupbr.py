@@ -47,6 +47,7 @@ from .space import (
     first_nonconstant,
     frac,
     stop,
+    table_shape,
 )
 
 
@@ -164,7 +165,7 @@ def certify_nupbr(
     if space != filt.space:
         raise ValueError("the space must be the space of the filtration")
     assert_adapted(X, filt, "certify_nupbr input")
-    w = nonnegative(weights)
+    w = nonnegative(weights, space)
     decided = {}
     for t in range(1, space.horizon + 1):
         row = X.increments[t]
@@ -198,7 +199,13 @@ def single_jump_process(
     flat = (zero,) * space.n
     rows = tuple(jump if t >= T else flat for t in space.times)
     table = tuple(jump if 0 < t == T else flat for t in space.times)
-    return AdaptedProcess._trusted(dim, rows, table)
+    return AdaptedProcess._trusted(rows, table)
+
+
+def _check_xi(xi_values: Sequence[tuple], space: FiniteSpace) -> None:
+    """``ValueError`` unless xi has one cell per atom, all of one length."""
+    if table_shape((xi_values,))[0] != space.n:
+        raise ValueError("xi needs one cell per atom of the space")
 
 
 @dataclass(frozen=True)
@@ -228,6 +235,7 @@ def single_jump_equivalences(
     {Zt_T > 0} in F, and in F under the two jump-date reweightings."""
     check_jump_date(T, bundle)
     space, filt = bundle.space, bundle.filt
+    _check_xi(xi_values, space)
     if first_nonconstant(xi_values, filt.parts[T]) is not None:
         raise EngineError("xi must be measurable at the jump date")
     alive_prev = [bundle.Z.scalar_at(T - 1, i) > 0 for i in range(space.n)]
@@ -373,6 +381,7 @@ def single_jump_martingale_transfer(
 ) -> MartingaleTransferRecord:
     check_jump_date(T, bundle)
     space, filt = bundle.space, bundle.filt
+    _check_xi(xi_values, space)
     if first_nonconstant(xi_values, filt.parts[T]) is not None:
         raise EngineError("xi must be measurable at the jump date")
     if any(any(c) for c in condexp_cells(xi_values, filt.parts[T - 1], space)):

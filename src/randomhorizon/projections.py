@@ -16,7 +16,10 @@ from typing import Optional, Sequence
 from .errors import NotMartingale
 from .space import (
     AdaptedProcess,
+    FiniteSpace,
     Filtration,
+    assert_adapted,
+    check_shape,
     condexp,
     condexp_cells,
     frac,
@@ -26,18 +29,20 @@ from .space import (
 
 def predictable_projection(X: AdaptedProcess, filt: Filtration) -> AdaptedProcess:
     """(pX)_t = E[X_t | F_{t-1}] for t >= 1, E[X_0 | F_0] at t = 0."""
+    check_shape(X, filt.space)
     rows = tuple(
         condexp_cells(X.values[t], filt.parts[max(t - 1, 0)], filt.space) for t in filt.space.times
     )
-    return AdaptedProcess._trusted(X.dim, rows)
+    return AdaptedProcess._trusted(rows)
 
 
 def _dual(V: AdaptedProcess, filt: Filtration, lag: int) -> AdaptedProcess:
+    check_shape(V, filt.space)
     increments = [
         condexp_cells(V.increments[t], filt.parts[t - lag], filt.space)
         for t in range(1, filt.space.horizon + 1)
     ]
-    return AdaptedProcess.from_increments(V.dim, filt.space.n, increments)
+    return AdaptedProcess.from_increments(increments)
 
 
 def dual_optional(V: AdaptedProcess, filt: Filtration) -> AdaptedProcess:
@@ -54,9 +59,10 @@ def quadratic_covariation(M: AdaptedProcess, N: AdaptedProcess) -> AdaptedProces
     """[M, N]_t = sum_{s<=t} dM_s dN_s, componentwise.
 
     Scalar inputs give a scalar process; vector inputs give the dM x dN
-    matrix process in row-major component order.
+    matrix process in row-major component order; ``ValueError`` unless M
+    and N have the same dates and atoms.
     """
-    if M.horizon != N.horizon:
+    if M.shape[:2] != N.shape[:2]:
         raise ValueError("grids differ")
     increments = [
         tuple(
@@ -65,7 +71,7 @@ def quadratic_covariation(M: AdaptedProcess, N: AdaptedProcess) -> AdaptedProces
         )
         for t in range(1, M.horizon + 1)
     ]
-    return AdaptedProcess.from_increments(M.dim * N.dim, len(M.values[0]), increments)
+    return AdaptedProcess.from_increments(increments)
 
 
 def angle_bracket(M: AdaptedProcess, N: AdaptedProcess, filt: Filtration) -> AdaptedProcess:
@@ -83,17 +89,23 @@ def is_martingale(
     defining dQ/dP up to normalization; the test then requires
     E_Q[dM_t | F_{t-1}] = 0 on every node of positive Q-mass and ignores the
     rest (Q only needs to be absolutely continuous).
+
+    Adaptedness is the caller's to check (:func:`assert_martingale` does):
+    the test reads only the increments, node by node.  ``ValueError``
+    unless M fits ``filt.space`` and the weights are one per atom.
     """
-    return not any(node_drifts(M, filt, nonnegative(weights)))
+    return not any(node_drifts(M, filt, nonnegative(weights, filt.space)))
 
 
-def nonnegative(weights: Optional[Sequence]) -> Optional[list]:
-    """Atom weights as Fractions (None stays None); ``ValueError`` on a
-    negative weight, and when no weight is positive, since no Q
-    normalises then."""
+def nonnegative(weights: Optional[Sequence], space: FiniteSpace) -> Optional[list]:
+    """Atom weights as Fractions (None stays None); ``ValueError`` unless
+    there is one weight per atom of ``space``, on a negative weight, and
+    when no weight is positive, since no Q normalises then."""
     if weights is None:
         return None
     w = [frac(x) for x in weights]
+    if len(w) != space.n:
+        raise ValueError("one weight per atom required")
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
     if not any(w):
@@ -110,7 +122,9 @@ def node_drifts(M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[
     Each sum runs on integers (:func:`weighted_sum` with q scaled to ints)
     and only a nonzero one becomes a Fraction; a zero node yields 0.  On a
     date whose increment row is all zero every node yields its zeros
-    without projecting the weights or summing."""
+    without projecting the weights or summing.  ``ValueError`` unless M
+    fits ``filt.space``."""
+    check_shape(M, filt.space)
     D, P = filt.space.scaled
     zeros = (0,) * M.dim
     for t in range(1, filt.space.horizon + 1):
@@ -141,6 +155,9 @@ def node_drifts(M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[
 
 
 def assert_martingale(M, filt, name="process"):
+    """:class:`NotAdapted` unless M is adapted, :class:`NotMartingale`
+    unless it is a martingale."""
+    assert_adapted(M, filt, name)
     if not is_martingale(M, filt):
         raise NotMartingale(f"{name} is not a martingale for the given filtration")
 
@@ -149,5 +166,5 @@ def doob(X: AdaptedProcess, filt: Filtration):
     """Unique decomposition X = X_0 + M + A, M martingale null at 0, A
     predictable null at 0 with increments E[dX_t | F_{t-1}]."""
     A = dual_predictable(X, filt)
-    start = AdaptedProcess._trusted(X.dim, (X.values[0],) * len(X.values))
+    start = AdaptedProcess._trusted((X.values[0],) * len(X.values))
     return X - A - start, A

@@ -64,6 +64,21 @@ walk visits every one-period node:
 
 A :class:`Filtration` carries its :class:`FiniteSpace` and covers every
 atom of it, so no function that takes a filtration also takes the space.
+
+A process reads its shape off its cells: ``AdaptedProcess(values)``,
+``AdaptedProcess._trusted(rows)`` and
+:meth:`AdaptedProcess.from_increments` take no dimension and no atom
+count, and ``dim`` is the length of the first cell.  One shape rule holds
+wherever a process meets something it must fit: one row per date, one
+cell per atom, one length per cell and one weight per atom.  The public
+constructor checks its rows (:func:`table_shape`), ``from_increments``
+each row and each new sum, :func:`check_shape` a process against the
+space of a filtration (behind :func:`is_adapted`, :func:`is_predictable`
+and the node drifts of :mod:`projections`), :func:`condexp` and
+:meth:`FiniteSpace.expectation` a vector against the space, and sums,
+differences and brackets one process against the other.  A mismatch is a
+``ValueError``, never a truncated result.  Engine-built rows enter through
+``_trusted`` unchecked.
 """
 
 from __future__ import annotations
@@ -166,6 +181,10 @@ class FiniteSpace:
         return {a: i for i, a in enumerate(self.atoms)}
 
     def expectation(self, values: Sequence[Fraction]) -> Fraction:
+        """E[values] for an atom vector; ``ValueError`` unless it has one
+        value per atom."""
+        if len(values) != self.n:
+            raise ValueError("one value per atom required")
         D, P = self.scaled
         num, den = weighted_sum(P, values, range(self.n))
         return Fraction(num, den * D)
@@ -295,9 +314,13 @@ def condexp(values: Sequence[Fraction], blocks, space: FiniteSpace):
     each block sums ``P[i] * values[i]`` as :func:`weighted_sum` and builds
     a single Fraction ``num / (den * P_B)`` (the common denominator D of
     ``prob`` cancels).  A block whose sum is zero keeps 0 without a division.
+    ``ValueError`` unless ``values`` has one value per atom of ``space``.
     """
+    n = space.n
+    if len(values) != n:
+        raise ValueError("one value per atom required")
     P = space.scaled[1]
-    out = [_ZERO] * space.n
+    out = [_ZERO] * n
     for block in blocks:
         num, den = weighted_sum(P, values, block)
         if num:
@@ -370,16 +393,32 @@ def first_nonconstant(row: Sequence, blocks):
     return None
 
 
+def table_shape(rows) -> tuple:
+    """``(atoms, dim)`` of a table of cells; ``ValueError`` unless it has a
+    row and an atom, every row one cell per atom and every cell one
+    length."""
+    if not rows or not rows[0]:
+        raise ValueError("a process needs at least one date and one atom")
+    n, dim = len(rows[0]), len(rows[0][0])
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("ragged rows: one cell per atom required")
+        if any(len(cell) != dim for cell in row):
+            raise ValueError("cell dimension mismatch")
+    return n, dim
+
+
 @dataclass(frozen=True)
 class AdaptedProcess:
     """Per-atom, per-time vector of exact rationals.
 
-    ``values[t][atom]`` is a tuple of ``dim`` Fractions.  A process carries
-    no measurability claim: :func:`is_adapted` and :func:`is_predictable`
-    decide it against a filtration.
+    ``values[t][atom]`` is a tuple of ``dim`` Fractions, and the shape is
+    read off the cells: one row per date, one cell per atom, one length
+    ``dim`` per cell (:func:`table_shape`; ``ValueError`` otherwise).  A
+    process carries no measurability claim: :func:`is_adapted` and
+    :func:`is_predictable` decide it against a filtration.
     """
 
-    dim: int
     values: tuple
 
     def __post_init__(self):
@@ -388,26 +427,29 @@ class AdaptedProcess:
             for row in self.values
         )
         object.__setattr__(self, "values", rows)
-        for row in rows:
-            for cell in row:
-                if len(cell) != self.dim:
-                    raise ValueError("cell dimension mismatch")
+        table_shape(rows)
 
     @classmethod
-    def _trusted(
-        cls, dim: int, rows: tuple, increments: Optional[tuple] = None
-    ) -> "AdaptedProcess":
-        """Internal constructor for rows that are already tuples of
-        ``dim``-tuples of Fractions (results of Fraction arithmetic or cells
-        of existing processes): skips the coercion of ``__post_init__``.
-        ``increments``, when given, is the exact :attr:`increments` table of
-        ``rows`` and fills that cache."""
+    def _trusted(cls, rows: tuple, increments: Optional[tuple] = None) -> "AdaptedProcess":
+        """Internal constructor for rows that are already tuples of tuples of
+        Fractions of one shape (results of Fraction arithmetic or cells of
+        existing processes): skips the coercion and the shape check of
+        ``__post_init__``.  ``increments``, when given, is the exact
+        :attr:`increments` table of ``rows`` and fills that cache."""
         self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "values", rows)
         if increments is not None:
             self.__dict__["increments"] = increments
         return self
+
+    @property
+    def dim(self) -> int:
+        return len(self.values[0][0])
+
+    @property
+    def shape(self) -> tuple:
+        """``(dates, atoms, dim)``."""
+        return len(self.values), len(self.values[0]), self.dim
 
     @property
     def horizon(self) -> int:
@@ -417,9 +459,10 @@ class AdaptedProcess:
         return self.values[t][atom]
 
     def scalar_at(self, t: int, atom: int) -> Fraction:
-        if self.dim != 1:
+        cell = self.values[t][atom]
+        if len(cell) != 1:
             raise ValueError("scalar access on a vector process")
-        return self.values[t][atom][0]
+        return cell[0]
 
     @cached_property
     def increments(self) -> tuple:
@@ -445,18 +488,25 @@ class AdaptedProcess:
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def from_increments(dim: int, n: int, increments) -> "AdaptedProcess":
+    def from_increments(increments) -> "AdaptedProcess":
         """Running sum from 0: ``values[0]`` is zero and ``values[t]`` adds
-        ``increments[t - 1][atom]`` (a ``dim``-tuple of Fractions) to
-        ``values[t - 1]``.
+        ``increments[t - 1][atom]`` (a tuple of Fractions) to
+        ``values[t - 1]``.  The atoms and the dimension are read off the
+        first increment row; ``ValueError`` on a row of another length or a
+        nonzero increment of another dimension.
 
         An all-zero increment keeps the previous cell without an addition.
         The increments also fill the :attr:`increments` table of the result,
         so it is never rebuilt by subtraction."""
+        if not increments or not increments[0]:
+            raise ValueError("increments need at least one row and one atom")
+        n, dim = len(increments[0]), len(increments[0][0])
         zero = (_ZERO,) * dim
         cells = (zero,) * n
         rows, table = [cells], [cells]
         for inc in increments:
+            if len(inc) != n:
+                raise ValueError("ragged rows: one cell per atom required")
             # atoms that share both their cell and their increment object
             # (a block of a conditional expectation) share one sum
             sums = {}
@@ -469,13 +519,15 @@ class AdaptedProcess:
                 key = (id(cell), id(d))
                 total = sums.get(key)
                 if total is None:
+                    if len(d) != dim:
+                        raise ValueError("cell dimension mismatch")
                     total = sums[key] = tuple(map(operator.add, cell, d))
                 row.append(total)
                 dx.append(tuple(d))
             cells = tuple(row)
             rows.append(cells)
             table.append(tuple(dx))
-        return AdaptedProcess._trusted(dim, tuple(rows), tuple(table))
+        return AdaptedProcess._trusted(tuple(rows), tuple(table))
 
     @staticmethod
     def from_scalar_paths(paths) -> "AdaptedProcess":
@@ -486,7 +538,7 @@ class AdaptedProcess:
         call keeps alive.  The raw input would not do: a string is freed
         once parsed, and a later input can reuse its address."""
         scalars = [[frac(v) for v in row] for row in paths]
-        return AdaptedProcess._trusted(1, map_cells(scalars, lambda x: (x,)))
+        return AdaptedProcess._trusted(map_cells(scalars, lambda x: (x,)))
 
     # -- pointwise arithmetic -------------------------------------------
 
@@ -494,14 +546,13 @@ class AdaptedProcess:
         """``op`` (``operator.add`` or ``operator.sub``) cell by cell.  A zero
         cell of ``other`` keeps this process's cell without arithmetic, and,
         ``op`` being linear, the increment tables map to the result's."""
-        if self.dim != other.dim or self.horizon != other.horizon:
+        if self.shape != other.shape:
             raise ValueError("shape mismatch")
 
         def cell(ca, cb):
             return tuple(map(op, ca, cb)) if any(cb) else ca
 
         return AdaptedProcess._trusted(
-            self.dim,
             zip_cells(self.values, other.values, cell),
             zip_cells(self.increments, other.increments, cell),
         )
@@ -514,19 +565,28 @@ class AdaptedProcess:
 
     def __neg__(self):
         rows = map_cells(self.values, lambda cell: tuple(-c for c in cell))
-        return AdaptedProcess._trusted(self.dim, rows)
+        return AdaptedProcess._trusted(rows)
 
 
-def _constant_on(X: AdaptedProcess, parts) -> bool:
+def check_shape(X: AdaptedProcess, space: FiniteSpace) -> None:
+    """``ValueError`` unless X has one row per date and one cell per atom
+    of ``space``."""
+    if len(X.values) != space.horizon + 1 or len(X.values[0]) != space.n:
+        raise ValueError("process shape does not fit the space")
+
+
+def _constant_on(X: AdaptedProcess, filt: Filtration, parts) -> bool:
     """True iff each row ``X.values[t]`` is constant on the blocks of
-    ``parts[t]``, one partition per date."""
-    return len(X.values) == len(parts) and all(
+    ``parts[t]``, one partition per date; ``ValueError`` unless X fits
+    ``filt.space``."""
+    check_shape(X, filt.space)
+    return all(
         first_nonconstant(row, blocks) is None for row, blocks in zip(X.values, parts)
     )
 
 
 def is_adapted(X: AdaptedProcess, filt: Filtration) -> bool:
-    return _constant_on(X, filt.parts)
+    return _constant_on(X, filt, filt.parts)
 
 
 def assert_adapted(X: AdaptedProcess, filt: Filtration, name: str = "process"):
@@ -536,7 +596,7 @@ def assert_adapted(X: AdaptedProcess, filt: Filtration, name: str = "process"):
 
 def is_predictable(X: AdaptedProcess, filt: Filtration) -> bool:
     """Constant on parts[t-1]-blocks for t >= 1 (and adapted at 0)."""
-    return _constant_on(X, filt.parts[:1] + filt.parts[:-1])
+    return _constant_on(X, filt, filt.parts[:1] + filt.parts[:-1])
 
 
 def assert_predictable(X: AdaptedProcess, filt: Filtration, name: str = "process"):
@@ -590,4 +650,4 @@ def stop(X: AdaptedProcess, sigma: RandomTime) -> AdaptedProcess:
                 dx.append(zero)
         rows.append(tuple(row))
         table.append(tuple(dx))
-    return AdaptedProcess._trusted(X.dim, tuple(rows), tuple(table))
+    return AdaptedProcess._trusted(tuple(rows), tuple(table))

@@ -10,22 +10,39 @@ maps, so the tests that compare them with a per-atom reference exercise
 :func:`map_cells` and :func:`zip_cells`.
 ``solve_min_reference`` is the simplex on a dense Fraction tableau that
 the engine's integer-row :func:`randomhorizon.lp.solve_min` must match.
+``split_instance`` splits every atom of a model in two copies that share
+every F-block, and ``shape_mismatches`` lists the calls whose process does
+not fit what it meets; ``run_optimized`` runs a snippet under
+``python -O``.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable
 
+import randomhorizon
+from randomhorizon.deflator import build_deflator, supermartingale_deflator
+from randomhorizon.enlargement import azema, enlarge
 from randomhorizon.errors import StructuralViolation
+from randomhorizon.io import Scenario, load_builtin
 from randomhorizon.lp import LPResult
+from randomhorizon.nupbr import certify_nupbr
+from randomhorizon.projections import is_martingale, quadratic_covariation
 from randomhorizon.space import (
     AdaptedProcess,
     FiniteSpace,
     Filtration,
     RandomTime,
     TimeValue,
+    condexp,
     frac,
+    is_adapted,
     map_cells,
+    stop,
     zip_cells,
 )
 
@@ -42,13 +59,13 @@ def from_function(
             cell = (v,) if dim == 1 and not isinstance(v, tuple) else tuple(v)
             row.append(cell)
         rows.append(tuple(row))
-    return AdaptedProcess(dim, tuple(rows))
+    return AdaptedProcess(tuple(rows))
 
 
 def constant(space: FiniteSpace, value, dim: int = 1) -> AdaptedProcess:
     cell = (value,) * dim if not isinstance(value, tuple) else value
     rows = tuple(tuple(cell for _ in range(space.n)) for _ in space.times)
-    return AdaptedProcess(len(cell), rows)
+    return AdaptedProcess(rows)
 
 
 def zero(space: FiniteSpace, dim: int = 1) -> AdaptedProcess:
@@ -60,8 +77,98 @@ def unadapted_price():
     {a, b}, {c} and S_1 = (1, -5, -1), which is not F_1-measurable."""
     space = FiniteSpace(("a", "b", "c"), (Fraction(1, 3),) * 3, 1)
     filt = Filtration.from_names([[("a", "b", "c")], [("a", "b"), ("c",)]], space)
-    S = AdaptedProcess(1, (((0,),) * 3, ((1,), (-5,), (-1,))))
+    S = AdaptedProcess((((0,),) * 3, ((1,), (-5,), (-1,))))
     return space, filt, S
+
+
+def split_space(space, filt, shares):
+    """The split space and filtration: copy 0 of atom i carries the share
+    ``shares[i]`` of its probability, and both copies sit in its blocks."""
+    atoms = tuple(f"{a}_{c}" for a in space.atoms for c in (0, 1))
+    probs = tuple(x for p, r in zip(space.prob, shares) for x in (p * r, p * (1 - r)))
+    parts = tuple(
+        tuple(tuple(2 * i + c for i in block for c in (0, 1)) for block in blocks)
+        for blocks in filt.parts
+    )
+    split = FiniteSpace(atoms, probs, space.horizon)
+    return split, Filtration(parts, split)
+
+
+def split_instance(inst, shares, tau_of):
+    """Split every atom of a generator instance in two; ``tau_of(i, c)`` is
+    the random time of copy c of atom i."""
+    space, filt = split_space(inst.space, inst.filtration, shares)
+    rows = tuple(
+        tuple(cell for cell in row for _ in (0, 1)) for row in inst.price.values
+    )
+    price = AdaptedProcess(rows)
+    tau = RandomTime(tuple(tau_of(i, c) for i in range(inst.space.n) for c in (0, 1)))
+    return Scenario(space, filt, tau, price)
+
+
+def shape_mismatches() -> dict:
+    """Name -> zero-argument call of a public entry point on ex1 whose
+    process does not fit the filtration, space, weights or second process
+    it meets; every call must raise ``ValueError``.
+
+    Each would otherwise truncate silently: the ex1 price with a fifth atom
+    would pass ``is_adapted``, ``is_martingale`` and ``certify_nupbr``,
+    sums and brackets would drop the fifth atom, and five weights would
+    make ``certify_nupbr`` certify the G-arbitrage S^tau."""
+    sc = load_builtin("ex1")
+    S, filt, space = sc.price, sc.filtration, sc.space
+    fifth = AdaptedProcess(tuple(row + row[-1:] for row in S.values))
+    short = AdaptedProcess(tuple(row[:3] for row in S.values))
+    later = AdaptedProcess(S.values + S.values[-1:])
+    flat = AdaptedProcess(tuple(tuple((0,) for _ in row) for row in S.values))
+    five = [0, 0, 0, 0, 1]
+    one = (Fraction(1),)
+    return {
+        "constructor ragged rows": lambda: AdaptedProcess((((0,), (0,)), ((1,),))),
+        "constructor cell lengths": lambda: AdaptedProcess((((0,), (0, 0)),)),
+        "constructor no date": lambda: AdaptedProcess(()),
+        "constructor no atom": lambda: AdaptedProcess(((),)),
+        "from_increments cell lengths": lambda: AdaptedProcess.from_increments(
+            [[one] * 3, [one * 2] * 3]
+        ),
+        "from_increments atoms": lambda: AdaptedProcess.from_increments(
+            [[one * 2] * 2, [one * 2] * 3]
+        ),
+        "is_adapted fifth atom": lambda: is_adapted(fifth, filt),
+        "is_adapted short rows": lambda: is_adapted(short, filt),
+        "is_adapted extra date": lambda: is_adapted(later, filt),
+        "is_martingale fifth atom": lambda: is_martingale(fifth, filt),
+        "is_martingale extra date": lambda: is_martingale(later, filt),
+        "is_martingale weights": lambda: is_martingale(S, filt, weights=five),
+        "certify_nupbr fifth atom": lambda: certify_nupbr(fifth, filt, space),
+        "certify_nupbr weights": lambda: certify_nupbr(
+            stop(S, sc.tau), enlarge(filt, sc.tau), space, weights=five
+        ),
+        "condexp": lambda: condexp([Fraction(1)] * 5, filt.parts[1], space),
+        "expectation": lambda: space.expectation([Fraction(1)] * 5),
+        "add": lambda: fifth + S,
+        "sub": lambda: S - fifth,
+        "add extra date": lambda: S + later,
+        "quadratic_covariation": lambda: quadratic_covariation(fifth, S),
+        "supermartingale_deflator extra date": lambda: supermartingale_deflator(
+            later, flat, build_deflator(azema(filt, sc.tau))
+        ),
+    }
+
+
+def run_optimized(code):
+    """Run ``code`` under ``python -O`` with the package and this directory
+    on the path."""
+    src = str(Path(randomhorizon.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 def constant_time(space: FiniteSpace, value: TimeValue) -> RandomTime:
@@ -72,7 +179,7 @@ def scale(X: AdaptedProcess, q) -> AdaptedProcess:
     """``q X``, computed once per distinct cell by :func:`map_cells`."""
     q = frac(q)
     rows = map_cells(X.values, lambda cell: tuple(q * c for c in cell))
-    return AdaptedProcess._trusted(X.dim, rows)
+    return AdaptedProcess._trusted(rows)
 
 
 def mul_scalar_process(X: AdaptedProcess, scalar: AdaptedProcess) -> AdaptedProcess:
@@ -81,13 +188,13 @@ def mul_scalar_process(X: AdaptedProcess, scalar: AdaptedProcess) -> AdaptedProc
     if scalar.dim != 1 or scalar.horizon != X.horizon:
         raise ValueError("need a scalar process on the same grid")
     rows = zip_cells(X.values, scalar.values, lambda cell, s: tuple(s[0] * c for c in cell))
-    return AdaptedProcess._trusted(X.dim, rows)
+    return AdaptedProcess._trusted(rows)
 
 
 def component(X: AdaptedProcess, k: int) -> AdaptedProcess:
     """The scalar process of component ``k``: one cell per distinct cell
     object of a row, by :func:`map_cells`."""
-    return AdaptedProcess._trusted(1, map_cells(X.values, lambda cell: (cell[k],)))
+    return AdaptedProcess._trusted(map_cells(X.values, lambda cell: (cell[k],)))
 
 
 def children(filt: Filtration, t: int, parent_index: int) -> tuple:
@@ -120,7 +227,7 @@ def random_adapted(
             for i in block:
                 row[i] = cell
         rows.append(tuple(row))
-    return AdaptedProcess(dim, tuple(rows))
+    return AdaptedProcess(tuple(rows))
 
 
 def random_predictable_fv(
@@ -139,7 +246,7 @@ def random_predictable_fv(
                     row[i] = inc
             increments.append(row)
         if any(cell[0] for row in increments for cell in row):
-            return AdaptedProcess.from_increments(1, space.n, increments)
+            return AdaptedProcess.from_increments(increments)
 
 
 def martingale_measure_from_weights(result, filt: Filtration, space: FiniteSpace):

@@ -64,7 +64,7 @@ def test_optional_integral_bracket_identity(ex1):
         for i in range(4):
             acc[i] += K.scalar_at(t, i) * hn.delta_at(t, i)[0]
         rows.append(tuple((acc[i],) for i in range(4)))
-    hdotn = AdaptedProcess(1, tuple(rows))
+    hdotn = AdaptedProcess(tuple(rows))
     assert is_martingale(lhs - hdotn, G)
 
 
@@ -124,8 +124,8 @@ def test_stoch_exp_multiplicativity(ex1):
                 acc_b[i] += F(rng.randint(-2, 2), 3)
             rows_a.append([(acc_a[i],) for i in range(4)])
             rows_b.append([(acc_b[i],) for i in range(4)])
-        A = AdaptedProcess(1, tuple(tuple(r) for r in rows_a))
-        B = AdaptedProcess(1, tuple(tuple(r) for r in rows_b))
+        A = AdaptedProcess(tuple(tuple(r) for r in rows_a))
+        B = AdaptedProcess(tuple(tuple(r) for r in rows_b))
         combo = A + B + quadratic_covariation(A, B)
         lhs = mul_scalar_process(stoch_exp(A), stoch_exp(B))
         assert lhs.values == stoch_exp(combo).values

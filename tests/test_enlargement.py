@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from randomhorizon.deflator import build_deflator
+from randomhorizon.deflator import build_deflator, optional_integral
 from randomhorizon.enlargement import (
     AzemaBundle,
     azema,
@@ -16,9 +16,14 @@ from randomhorizon.enlargement import (
     projection_transfer_identities,
     reduce_g_predictable,
 )
-from randomhorizon.errors import NotMartingale, NotPredictable, StructuralViolation
+from randomhorizon.errors import NotAdapted, NotMartingale, NotPredictable, StructuralViolation
 from randomhorizon.generator import random_instance
-from randomhorizon.projections import dual_predictable, is_martingale, quadratic_covariation
+from randomhorizon.projections import (
+    assert_martingale,
+    dual_predictable,
+    is_martingale,
+    quadratic_covariation,
+)
 from randomhorizon.space import (
     INF,
     AdaptedProcess,
@@ -204,6 +209,27 @@ def test_g_martingale_part_rejects_non_martingale(ex1):
         g_martingale_part(ex1.bundle.Z, ex1.bundle)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda M, ctx: assert_martingale(M, ctx.filt),
+        lambda M, ctx: g_martingale_part(M, ctx.bundle),
+        lambda M, ctx: projection_transfer_identities(M, ctx.bundle),
+        lambda M, ctx: optional_integral(constant(ctx.space, F(1)), M, ctx.filt),
+    ],
+    ids=["assert_martingale", "g_martingale_part", "projection_transfer_identities",
+         "optional_integral"],
+)
+def test_martingale_inputs_must_be_adapted(ex1, check):
+    # M_1 = M_2 = (1, -1, 0, 0) has zero drift at every node, but {a, b} is
+    # one F_1-block, so M is not F_1-measurable
+    row = ((F(1),), (F(-1),), (F(0),), (F(0),))
+    M = AdaptedProcess((((F(0),),) * 4, row, row))
+    assert is_martingale(M, ex1.filt)
+    with pytest.raises(NotAdapted):
+        check(M, ex1)
+
+
 def test_projection_transfer_identities_ex1(ex1):
     out = projection_transfer_identities(ex1.bundle.m, ex1.bundle)
     assert out.consistent
@@ -324,7 +350,7 @@ def test_reduce_g_predictable_positivity_on_random_instances():
                 for i in block:
                     row[i] = (v,)
             rows.append(tuple(row))
-        H = AdaptedProcess(1, tuple(rows))
+        H = AdaptedProcess(tuple(rows))
         out = reduce_g_predictable(H, inst.filtration, enlarged, inst.tau)
         for t in inst.space.times:
             for i in range(inst.space.n):

@@ -6,7 +6,11 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import randomhorizon
+
+from helpers import run_optimized, shape_mismatches
 
 SOURCES = sorted(Path(randomhorizon.__file__).parent.rglob("*.py"))
 
@@ -291,3 +295,34 @@ def test_every_definition_has_a_reader():
             documented |= _identifiers(path.read_text(encoding="utf-8"))
     sources = {str(p): p.read_text(encoding="utf-8") for p in SOURCES}
     assert _unused_definitions(sources, exported, documented) == []
+
+
+SHAPE_MISMATCHES = shape_mismatches()
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_MISMATCHES))
+def test_a_process_that_does_not_fit_raises_value_error(case):
+    # one row per date, one cell per atom, one length per cell and one
+    # weight per atom: a process that breaks the rule where it meets a
+    # filtration, a space, weights or a second process is an error, never
+    # a truncated result or a verdict
+    with pytest.raises(ValueError):
+        SHAPE_MISMATCHES[case]()
+
+
+def test_shape_guards_raise_under_optimize():
+    # every shape guard is a raise, not an assert, so it survives python -O
+    code = (
+        "from helpers import shape_mismatches\n"
+        "missed = []\n"
+        "for name, call in shape_mismatches().items():\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    missed.append(name)\n"
+        "print(missed)\n"
+        "raise SystemExit(1 if missed else 0)\n"
+    )
+    done = run_optimized(code)
+    assert done.returncode == 0, done.stdout + done.stderr

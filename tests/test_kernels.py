@@ -283,7 +283,7 @@ def test_kernels_return_fractions_only(seed):
     space, cases = _cases(seed)
     tau = random_instance(seed).tau
     for X, filt in cases:
-        built = AdaptedProcess.from_increments(X.dim, space.n, X.increments[1:])
+        built = AdaptedProcess.from_increments(X.increments[1:])
         derived = [X, built, stop(X, tau), X + built, X - stop(X, tau)]
         for Y in derived:
             assert all(type(c) is F for c in _cells(Y.values) + _cells(Y.increments))
@@ -299,11 +299,11 @@ def test_kernels_return_fractions_only(seed):
 
 
 def test_public_constructor_still_coerces_and_bans_floats():
-    X = AdaptedProcess(1, ((("3/4",),), ((1,),)))
+    X = AdaptedProcess(((("3/4",),), ((1,),)))
     assert X.values == (((F(3, 4),),), ((F(1),),))
     assert all(type(c) is F for c in _cells(X.values))
     with pytest.raises(TypeError):
-        AdaptedProcess(1, (((F(1),),), ((0.5,),)))
+        AdaptedProcess((((F(1),),), ((0.5,),)))
 
 
 def _random_stopping_time(filt, space, rng):
@@ -360,7 +360,7 @@ def test_running_sum_matches_naive_reference(dim, n, horizon, data):
     increments = [
         [tuple(data.draw(CELLS)[:dim]) for _ in range(n)] for _ in range(horizon)
     ]
-    X = AdaptedProcess.from_increments(dim, n, increments)
+    X = AdaptedProcess.from_increments(increments)
     assert X.values == naive_running_sum(dim, n, increments)
     assert X.horizon == horizon
 
@@ -454,7 +454,7 @@ def test_shared_source_objects_share_one_cell():
     row = X.values[0]
     assert row[0] is row[1] is row[3] and row[2] is not row[0]
     assert X.values == (((half,), (half,), (third,), (half,)),)
-    C = component(AdaptedProcess._trusted(2, (((half, third),) * 3,)), 1)
+    C = component(AdaptedProcess._trusted((((half, third),) * 3,)), 1)
     assert C.values[0][0] is C.values[0][1] is C.values[0][2]
     S = X + X
     assert S.values[0][0] is S.values[0][1] and S.values[0][0] == (F(1),)

@@ -1,14 +1,9 @@
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import randomhorizon
 from randomhorizon.errors import StructuralViolation
 from randomhorizon.lp import (
     maximize_over_admissible,
@@ -17,7 +12,7 @@ from randomhorizon.lp import (
     zero_in_relative_interior,
 )
 
-from helpers import solve_min_reference
+from helpers import run_optimized, solve_min_reference
 
 
 def v(*xs):
@@ -76,18 +71,6 @@ def test_separating_direction_rejects_passing_families():
             separating_direction(family)
 
 
-def _run_optimized(code):
-    src = str(Path(randomhorizon.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-
-
 def test_separating_direction_raises_under_optimize():
     # the guard is a raise, not an assert, so it survives python -O
     code = (
@@ -100,7 +83,7 @@ def test_separating_direction_raises_under_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    done = _run_optimized(code)
+    done = run_optimized(code)
     assert done.returncode == 0, done.stderr
 
 
@@ -383,7 +366,7 @@ def test_solve_min_rejects_mismatched_shapes_under_optimize():
         "        continue\n"
         "    raise SystemExit(1)\n"
     )
-    done = _run_optimized(code)
+    done = run_optimized(code)
     assert done.returncode == 0, done.stderr
 
 
@@ -396,5 +379,5 @@ def test_solve_min_rejects_floats_under_optimize():
         "    raise SystemExit(0 if 'b[0] = 0.5' in str(exc) else 2)\n"
         "raise SystemExit(1)\n"
     )
-    done = _run_optimized(code)
+    done = run_optimized(code)
     assert done.returncode == 0, done.stderr

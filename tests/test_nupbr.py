@@ -93,6 +93,21 @@ def test_single_jump_requires_measurable_xi(ex1):
         single_jump_equivalences(xi, 1, ex1.bundle)
 
 
+@pytest.mark.parametrize("check", [single_jump_equivalences, single_jump_martingale_transfer])
+@pytest.mark.parametrize("cells", [3, 5])
+def test_single_jump_checks_need_one_xi_cell_per_atom(ex1, check, cells):
+    # checked before measurability: a short xi raised a bare IndexError and
+    # a long one a TypeError from deep inside the checks
+    with pytest.raises(ValueError, match="one cell per atom"):
+        check([(F(0),)] * cells, 2, ex1.bundle)
+
+
+@pytest.mark.parametrize("check", [single_jump_equivalences, single_jump_martingale_transfer])
+def test_single_jump_checks_need_xi_cells_of_one_length(ex1, check):
+    with pytest.raises(ValueError, match="cell dimension mismatch"):
+        check([(F(0),)] * 3 + [(F(0), F(0))], 2, ex1.bundle)
+
+
 def test_thin_set_empty_at(ex1, ex2):
     assert not thin_set_empty_at(ex1.bundle, 2)
     assert thin_set_empty_at(ex1.bundle, 1)

@@ -65,7 +65,7 @@ def test_stoch_exp_multiplicativity(seed):
                     for i in range(inst.space.n)
                 )
             )
-        return AdaptedProcess(1, tuple(rows))
+        return AdaptedProcess(tuple(rows))
 
     A = null_at_zero(random_adapted(inst.space, inst.filtration, rng))
     B = null_at_zero(random_adapted(inst.space, inst.filtration, rng))

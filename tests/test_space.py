@@ -174,7 +174,7 @@ def test_predictable_flag_vs_check(ex1):
 
 def test_assert_adapted_raises(ex1):
     rows = [[(F(i),) for i in range(4)] for _ in ex1.space.times]
-    bad = AdaptedProcess(1, tuple(tuple(r) for r in rows))
+    bad = AdaptedProcess(tuple(tuple(r) for r in rows))
     with pytest.raises(NotAdapted):
         assert_adapted(bad, ex1.filt)
 

@@ -34,30 +34,7 @@ from randomhorizon.space import (
     first_nonconstant,
 )
 
-
-def split_space(space, filt, shares):
-    """The split space and filtration: copy 0 of atom i carries the share
-    ``shares[i]`` of its probability, and both copies sit in its blocks."""
-    atoms = tuple(f"{a}_{c}" for a in space.atoms for c in (0, 1))
-    probs = tuple(x for p, r in zip(space.prob, shares) for x in (p * r, p * (1 - r)))
-    parts = tuple(
-        tuple(tuple(2 * i + c for i in block for c in (0, 1)) for block in blocks)
-        for blocks in filt.parts
-    )
-    split = FiniteSpace(atoms, probs, space.horizon)
-    return split, Filtration(parts, split)
-
-
-def split_instance(inst, shares, tau_of):
-    """Split every atom of a generator instance in two; ``tau_of(i, c)`` is
-    the random time of copy c of atom i."""
-    space, filt = split_space(inst.space, inst.filtration, shares)
-    rows = tuple(
-        tuple(cell for cell in row for _ in (0, 1)) for row in inst.price.values
-    )
-    price = AdaptedProcess(inst.price.dim, rows)
-    tau = RandomTime(tuple(tau_of(i, c) for i in range(inst.space.n) for c in (0, 1)))
-    return Scenario(space, filt, tau, price)
+from helpers import split_instance, split_space
 
 
 def _grid(horizon):
@@ -74,7 +51,7 @@ def per_atom_martingale(space, filt, rng, dim=1, spread=4):
     rows[space.horizon] = current
     for t in range(space.horizon - 1, -1, -1):
         current = rows[t] = condexp_cells(current, filt.parts[t], space)
-    return AdaptedProcess(dim, tuple(rows))
+    return AdaptedProcess(tuple(rows))
 
 
 def test_draws_per_atom_when_the_leaves_are_atoms():
