@@ -138,7 +138,7 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
         # the transfer triple takes the martingale part of the jump
         centered = [
             tuple(a - b for a, b in zip(x, p))
-            for x, p in zip(xi, condexp_cells(xi, filt.parts[T - 1], space))
+            for x, p in zip(xi, condexp_cells(xi, filt, T - 1))
         ]
         single.append(_section(single_jump_equivalences(xi, T, bundle)))
         transfer.append(_section(single_jump_martingale_transfer(centered, T, bundle)))

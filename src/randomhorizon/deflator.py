@@ -59,7 +59,7 @@ def optional_integral(H: AdaptedProcess, N: AdaptedProcess, filt: Filtration) ->
     increments = []
     for t in range(1, filt.space.horizon + 1):
         prod = _times(H.values[t], N.increments[t])
-        proj = condexp_cells(prod, filt.parts[t - 1], filt.space)
+        proj = condexp_cells(prod, filt, t - 1)
         increments.append(
             tuple(tuple(a - b for a, b in zip(p, q)) for p, q in zip(prod, proj))
         )
@@ -232,9 +232,8 @@ def verify_deflator(
     worst: Optional[DeflatorFailure] = None
     names = space.atoms
     for t in range(1, space.horizon + 1):
-        blocks = filt.parts[t - 1]
-        base_row = condexp([cell[0] for cell in Y.values[t]], blocks, space)
-        g_row = condexp_cells(_times(Y.values[t], S_stopped.increments[t]), blocks, space)
+        base_row = condexp([cell[0] for cell in Y.values[t]], filt, t - 1)
+        g_row = condexp_cells(_times(Y.values[t], S_stopped.increments[t]), filt, t - 1)
         for parent, kids in filt.nodes(t):
             deltas = [S_stopped.delta_at(t, c[0]) for c in kids]
             base, g = base_row[parent[0]], g_row[parent[0]]

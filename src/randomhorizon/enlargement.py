@@ -151,14 +151,10 @@ class AzemaBundle:
         t >= 1 (None at t = 0).  It is 1 on {Z_{t-1} = 0}, where Zt_t
         vanishes too, and elsewhere the mass of the thin set {Zt = 0 < Z_-}
         seen from F."""
-        one, space = Fraction(1), self.space
+        one = Fraction(1)
         return (None,) + tuple(
-            condexp(
-                [one if c[0] == 0 else _ZERO for c in self.Ztilde.values[t]],
-                self.filt.parts[t - 1],
-                space,
-            )
-            for t in range(1, space.horizon + 1)
+            condexp([one if c[0] == 0 else _ZERO for c in self.Ztilde.values[t]], self.filt, t - 1)
+            for t in range(1, self.space.horizon + 1)
         )
 
     @cached_property
@@ -177,8 +173,14 @@ class AzemaBundle:
 
 def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
     """The survival bundle of (F, tau, P).  Z, Zt, m and the compensator hold
-    one cell object per F-node, and every self-check below is decided once
-    per distinct tuple of cell objects in a row."""
+    one cell object per F-node.
+
+    The self-checks on Z, Zt and m are decided at one atom per
+    ``filt.parts[t]``-block: Z_t and Zt_t are :func:`condexp` rows on that
+    partition, Z_{t-1} is constant on its coarser one, and
+    :func:`assert_martingale` has checked that m is adapted, so every atom
+    of a block carries the values of its first.  Only the check that
+    {Zt = 0} and {Z_- = 0} miss ]0, tau] reads tau and runs per atom."""
     space = filt.space
     _check_fits(tau, space)
     n = space.n
@@ -187,11 +189,11 @@ def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
 
     z_rows, zt_rows, default_increments = [], [], []
     for t in space.times:
-        z_rows.append(condexp([one if v > t else zero for v in times], filt.parts[t], space))
-        zt_rows.append(condexp([one if v >= t else zero for v in times], filt.parts[t], space))
+        z_rows.append(condexp([one if v > t else zero for v in times], filt, t))
+        zt_rows.append(condexp([one if v >= t else zero for v in times], filt, t))
         if t >= 1:
             eq = [(one,) if v == t else (zero,) for v in times]
-            default_increments.append(condexp_cells(eq, filt.parts[t], space))
+            default_increments.append(condexp_cells(eq, filt, t))
 
     Z = AdaptedProcess.from_scalar_paths(z_rows)
     Zt = AdaptedProcess.from_scalar_paths(zt_rows)
@@ -204,19 +206,17 @@ def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
     zt_dead = map_cells(Zt.values, _vanishes)
     for t in space.times:
         prev = max(t - 1, 0)
-        checked = set()
-        rows = zip(Z.values[t], Zt.values[t], Z.values[prev], m.values[t], m.values[prev])
-        for i, cells in enumerate(rows):
-            key = tuple(map(id, cells))
-            if key not in checked:
-                checked.add(key)
-                (z,), (zt,), (zprev,), (mt,), (mprev,) = cells
-                if not (0 <= z <= zt <= 1):
-                    raise StructuralViolation("survival ordering 0 <= Z <= Zt <= 1 failed")
-                if t >= 1 and zt != zprev + (mt - mprev):
-                    raise StructuralViolation("Zt = Z_- + dm failed")
-            if t >= 1 and t <= times[i] and (zt_dead[t][i] or z_dead[t - 1][i]):
-                raise StructuralViolation("{Zt=0} or {Z_-=0} met ]0, tau]")
+        for block in filt.parts[t]:
+            i = block[0]
+            (z,), (zt,), (zprev,) = Z.values[t][i], Zt.values[t][i], Z.values[prev][i]
+            if not (0 <= z <= zt <= 1):
+                raise StructuralViolation("survival ordering 0 <= Z <= Zt <= 1 failed")
+            if t >= 1 and zt != zprev + (m.values[t][i][0] - m.values[prev][i][0]):
+                raise StructuralViolation("Zt = Z_- + dm failed")
+        if t >= 1 and any(
+            t <= v and (zt_dead[t][i] or z_dead[t - 1][i]) for i, v in enumerate(times)
+        ):
+            raise StructuralViolation("{Zt=0} or {Z_-=0} met ]0, tau]")
 
     # Z >= 0 is checked above, so Z_- > 0 is "Z_- does not vanish"
     mask = frozenset(
@@ -269,10 +269,9 @@ def _over_zprev(cells, t: int, bundle: AzemaBundle) -> tuple:
     The projection and Z_{t-1} are both constant on an F_{t-1}-block, so
     each block divides once and its alive atoms share the resulting cell."""
     space, alive = bundle.space, bundle.alive[t]
-    blocks = bundle.filt.parts[t - 1]
-    proj = condexp_cells(cells, blocks, space)
+    proj = condexp_cells(cells, bundle.filt, t - 1)
     row = [(_ZERO,) * len(cells[0])] * space.n
-    for block in blocks:
+    for block in bundle.filt.parts[t - 1]:
         inside = [i for i in block if alive[i]]
         if not inside:
             continue
@@ -300,7 +299,7 @@ def _rescaled_sides(V: AdaptedProcess, bundle: AzemaBundle) -> list:
                 z_i = survival_divisor(z[0], "Zt")
                 rescaled[i] = tuple(c / z_i for c in cell)
         masked = [cell if z[0] > 0 else zero for z, cell in zip(zt, dv)]
-        g_side = condexp_cells(rescaled, bundle.enlarged.parts[t - 1], space)
+        g_side = condexp_cells(rescaled, bundle.enlarged, t - 1)
         sides.append((g_side, _over_zprev(masked, t, bundle)))
     return sides
 
@@ -341,7 +340,7 @@ def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPr
             raise StructuralViolation("rescaled-compensator transfer identity failed")
         if not supported:
             continue
-        plain = condexp_cells(V.increments[t], filt.parts[t - 1], space)
+        plain = condexp_cells(V.increments[t], filt, t - 1)
         for i in range(space.n):
             zprev = bundle.Z.scalar_at(t - 1, i)
             if bundle.alive[t][i] and plain[i] != tuple(zprev * g for g in got[i]):

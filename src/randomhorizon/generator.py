@@ -76,7 +76,7 @@ def random_martingale(
     rows = [None] * (space.horizon + 1)
     rows[space.horizon] = current
     for t in range(space.horizon - 1, -1, -1):
-        current = rows[t] = condexp_cells(current, filt.parts[t], space)
+        current = rows[t] = condexp_cells(current, filt, t)
     return AdaptedProcess._trusted(tuple(rows))
 
 

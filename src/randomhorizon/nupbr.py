@@ -256,7 +256,9 @@ def single_jump_equivalences(
 
 def thin_set_empty_at(bundle: AzemaBundle, T: int) -> bool:
     """True iff no atom has Zt_T = 0 while Z_{T-1} > 0, i.e. the abrupt
-    survival collapse {Zt_T = 0} stays inside {Z_{T-} = 0}."""
+    survival collapse {Zt_T = 0} stays inside {Z_{T-} = 0}; ``ValueError``
+    unless T lies in {1, ..., horizon}."""
+    check_jump_date(T, bundle)
     return all(t != T for (_, t) in bundle.thin_mask)
 
 
@@ -384,7 +386,7 @@ def single_jump_martingale_transfer(
     _check_xi(xi_values, space)
     if first_nonconstant(xi_values, filt.parts[T]) is not None:
         raise EngineError("xi must be measurable at the jump date")
-    if any(any(c) for c in condexp_cells(xi_values, filt.parts[T - 1], space)):
+    if any(any(c) for c in condexp_cells(xi_values, filt, T - 1)):
         raise EngineError("xi must have zero conditional mean at T-")
     M = single_jump_process(xi_values, T, space)
     measures = jump_time_measures(T, bundle)
@@ -394,7 +396,7 @@ def single_jump_martingale_transfer(
         cell if (space.atoms[i], T) in bundle.thin_mask else zero
         for i, cell in enumerate(xi_values)
     ]
-    thin_zero = not any(any(c) for c in condexp_cells(thin, filt.parts[T - 1], space))
+    thin_zero = not any(any(c) for c in condexp_cells(thin, filt, T - 1))
 
     return MartingaleTransferRecord(
         T=T,

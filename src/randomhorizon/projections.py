@@ -30,16 +30,14 @@ from .space import (
 def predictable_projection(X: AdaptedProcess, filt: Filtration) -> AdaptedProcess:
     """(pX)_t = E[X_t | F_{t-1}] for t >= 1, E[X_0 | F_0] at t = 0."""
     check_shape(X, filt.space)
-    rows = tuple(
-        condexp_cells(X.values[t], filt.parts[max(t - 1, 0)], filt.space) for t in filt.space.times
-    )
+    rows = tuple(condexp_cells(X.values[t], filt, max(t - 1, 0)) for t in filt.space.times)
     return AdaptedProcess._trusted(rows)
 
 
 def _dual(V: AdaptedProcess, filt: Filtration, lag: int) -> AdaptedProcess:
     check_shape(V, filt.space)
     increments = [
-        condexp_cells(V.increments[t], filt.parts[t - lag], filt.space)
+        condexp_cells(V.increments[t], filt, t - lag)
         for t in range(1, filt.space.horizon + 1)
     ]
     return AdaptedProcess.from_increments(increments)
@@ -140,7 +138,7 @@ def node_drifts(M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[
             # Q-weights P * E[w|F_t]: E_Q[dM_t|F_{t-1}] may use the density
             # projected on F_t since dM_t is F_t-measurable; scaled to ints
             # over D * L, L the common denominator of the projection
-            proj = condexp(weights, filt.parts[t], filt.space)
+            proj = condexp(weights, filt, t)
             L = lcm(*(x.denominator for x in proj))
             q = [p * x.numerator * (L // x.denominator) for p, x in zip(P, proj)]
             qden = D * L

@@ -22,12 +22,18 @@ Discrete-time conventions used throughout the package:
 * ``INF`` is a sentinel ordered strictly above every grid point; random
   times take values in the grid or ``INF``.
 
+Conditional expectation is asked of a filtration at a date:
+``condexp(values, filt, t)`` is E[values | F_t], read off the blocks of
+``filt.parts[t]`` and P of ``filt.space``, so no caller can hand it a block
+list that does not partition the space; a date off ``{0, ..., horizon}``
+is a ``ValueError``, never a wrapped index.
+
 Exact quantities are computed once per object that owns it:
 :meth:`AdaptedProcess.delta_at` reads a per-process increment table
-(:attr:`AdaptedProcess.increments`) and :meth:`FiniteSpace.block_mass`
-reads a per-space cache of block masses as ints over ``D``.  Both objects
-are frozen, so neither cache can go stale.  :func:`condexp` skips zero
-values and never divides on an all-zero block.  Processes built from
+(:attr:`AdaptedProcess.increments`) and :func:`condexp` the per-filtration
+table of block masses :attr:`Filtration.masses`, ints over ``D``.  Both
+objects are frozen, so neither cache can go stale.  :func:`condexp` skips
+zero values and never divides on an all-zero block.  Processes built from
 increments (:meth:`AdaptedProcess.from_increments`, :func:`stop`, sums and
 differences) receive their increment table with their values, so it is
 never rebuilt by subtraction.
@@ -53,7 +59,7 @@ walk visits every one-period node:
   table of increments (compensators, dual projections, brackets, optional
   integrals); a zero increment keeps the previous cell without an addition,
 * :func:`condexp_cells` -- :func:`condexp` of each component of a row of
-  cells,
+  cells, given ``filt.parts[t]``,
 * :func:`first_nonconstant` -- the first atom whose cell differs from the
   cell of its block's first atom; the body of :func:`is_adapted`,
   :func:`is_predictable`, :func:`check_stopping_time` and every
@@ -196,20 +202,6 @@ class FiniteSpace:
         d = lcm(*(p.denominator for p in self.prob))
         return d, tuple(p.numerator * (d // p.denominator) for p in self.prob)
 
-    @cached_property
-    def _masses(self) -> dict:
-        return {}
-
-    def block_mass(self, block: tuple) -> int:
-        """P(block) for a tuple of atom indices as the int
-        ``sum(P[i] for i in block)`` over ``D`` (see :attr:`scaled`),
-        computed once per space."""
-        m = self._masses.get(block)
-        if m is None:
-            P = self.scaled[1]
-            m = self._masses[block] = sum(P[i] for i in block)
-        return m
-
 
 def _canonical_partition(blocks, n: int):
     seen = []
@@ -272,14 +264,27 @@ class Filtration:
             elif any(w[i] for i in parent):
                 yield parent, [c for c in kids if any(w[i] for i in c)]
 
+    @cached_property
+    def masses(self) -> tuple:
+        """``masses[t][k]`` is P(B) for block B = ``parts[t][k]``, as the int
+        ``sum(P[i] for i in B)`` over ``D`` (see :attr:`FiniteSpace.scaled`),
+        computed once per filtration."""
+        P = self.space.scaled[1]
+        return tuple(tuple(sum(P[i] for i in block) for block in blocks) for blocks in self.parts)
+
     @staticmethod
     def from_names(blocks_per_time, space: FiniteSpace) -> "Filtration":
+        """The filtration whose blocks list atom names; ``ValueError`` on a
+        name that is not an atom of ``space``."""
         idx = space.index
-        parts = tuple(
-            tuple(tuple(idx[a] for a in block) for block in blocks)
-            for blocks in blocks_per_time
-        )
-        return Filtration(parts, space)
+        parts = []
+        for t, blocks in enumerate(blocks_per_time):
+            try:
+                parts.append(tuple(tuple(idx[a] for a in block) for block in blocks))
+            except KeyError as exc:
+                msg = f"unknown atom {exc.args[0]!r} in the partition at time {t}"
+                raise ValueError(msg) from None
+        return Filtration(tuple(parts), space)
 
 
 def weighted_sum(weights: Sequence[int], values: Sequence, block) -> tuple:
@@ -306,37 +311,49 @@ def weighted_sum(weights: Sequence[int], values: Sequence, block) -> tuple:
     return num, den
 
 
-def condexp(values: Sequence[Fraction], blocks, space: FiniteSpace):
-    """Exact conditional expectation of an atom vector given a partition.
+def _off_grid(t, filt: Filtration) -> ValueError:
+    return ValueError(f"date {t!r} is off the grid {{0, ..., {filt.space.horizon}}}")
 
-    Returns a vector over atoms, constant on each block, equal on block B to
-    sum(P(w) values(w) for w in B) / P(B).  Values may be ints or Fractions;
-    each block sums ``P[i] * values[i]`` as :func:`weighted_sum` and builds
-    a single Fraction ``num / (den * P_B)`` (the common denominator D of
-    ``prob`` cancels).  A block whose sum is zero keeps 0 without a division.
-    ``ValueError`` unless ``values`` has one value per atom of ``space``.
+
+def condexp(values: Sequence[Fraction], filt: Filtration, t: int):
+    """Exact conditional expectation E[values | F_t] of an atom vector.
+
+    Returns a vector over atoms, constant on each block of ``filt.parts[t]``,
+    equal on block B to sum(P(w) values(w) for w in B) / P(B).  Values may
+    be ints or Fractions; each block sums ``P[i] * values[i]`` as
+    :func:`weighted_sum` and builds a single Fraction
+    ``num / (den * P_B)`` with ``P_B`` read from :attr:`Filtration.masses`
+    (the common denominator D of ``prob`` cancels).  A block whose sum is
+    zero keeps 0 without a division.  ``ValueError`` unless
+    ``0 <= t <= horizon`` (a negative date would index the terminal
+    partition) and ``values`` has one value per atom.
     """
+    space = filt.space
+    if not 0 <= t <= space.horizon:
+        raise _off_grid(t, filt)
     n = space.n
     if len(values) != n:
         raise ValueError("one value per atom required")
     P = space.scaled[1]
     out = [_ZERO] * n
-    for block in blocks:
+    for block, mass in zip(filt.parts[t], filt.masses[t]):
         num, den = weighted_sum(P, values, block)
         if num:
-            avg = Fraction(num, den * space.block_mass(block))
+            avg = Fraction(num, den * mass)
             for i in block:
                 out[i] = avg
     return tuple(out)
 
 
-def condexp_cells(cells: Sequence[tuple], blocks, space: FiniteSpace) -> tuple:
+def condexp_cells(cells: Sequence[tuple], filt: Filtration, t: int) -> tuple:
     """:func:`condexp` of each component of an atom vector of cells; returns
-    the conditional expectation as a tuple of cells, one cell object shared
-    by the atoms of each block."""
-    comps = [condexp(col, blocks, space) for col in zip(*cells)]
+    E[cells | F_t] as a tuple of cells, one cell object shared by the atoms
+    of each block.  ``ValueError`` as :func:`condexp`."""
+    if not 0 <= t <= filt.space.horizon:
+        raise _off_grid(t, filt)
+    comps = [condexp(col, filt, t) for col in zip(*cells)]
     out = [None] * len(cells)
-    for block in blocks:
+    for block in filt.parts[t]:
         cell = tuple(c[block[0]] for c in comps)
         for i in block:
             out[i] = cell

@@ -10,10 +10,11 @@ maps, so the tests that compare them with a per-atom reference exercise
 :func:`map_cells` and :func:`zip_cells`.
 ``solve_min_reference`` is the simplex on a dense Fraction tableau that
 the engine's integer-row :func:`randomhorizon.lp.solve_min` must match.
-``split_instance`` splits every atom of a model in two copies that share
-every F-block, and ``shape_mismatches`` lists the calls whose process does
-not fit what it meets; ``run_optimized`` runs a snippet under
-``python -O``.
+``copy_instance`` splits every atom of a model in copies that share every
+F-block (``split_instance`` in two), ``tau_class_draw`` draws a random
+time of a class whose survival facts are known a priori, and
+``shape_mismatches`` lists the calls whose process does not fit what it
+meets; ``run_optimized`` runs a snippet under ``python -O``.
 """
 
 import os
@@ -28,17 +29,20 @@ import randomhorizon
 from randomhorizon.deflator import build_deflator, supermartingale_deflator
 from randomhorizon.enlargement import azema, enlarge
 from randomhorizon.errors import StructuralViolation
+from randomhorizon.generator import random_instance
 from randomhorizon.io import Scenario, load_builtin
 from randomhorizon.lp import LPResult
 from randomhorizon.nupbr import certify_nupbr
 from randomhorizon.projections import is_martingale, quadratic_covariation
 from randomhorizon.space import (
+    INF,
     AdaptedProcess,
     FiniteSpace,
     Filtration,
     RandomTime,
     TimeValue,
     condexp,
+    condexp_cells,
     frac,
     is_adapted,
     map_cells,
@@ -81,40 +85,106 @@ def unadapted_price():
     return space, filt, S
 
 
-def split_space(space, filt, shares):
-    """The split space and filtration: copy 0 of atom i carries the share
-    ``shares[i]`` of its probability, and both copies sit in its blocks."""
-    atoms = tuple(f"{a}_{c}" for a in space.atoms for c in (0, 1))
-    probs = tuple(x for p, r in zip(space.prob, shares) for x in (p * r, p * (1 - r)))
+def copy_space(space, filt, shares):
+    """Each atom i as ``len(shares[i])`` copies, one count for every atom:
+    copy c carries the share ``shares[i][c]`` of its probability, and every
+    copy sits in each block of atom i, so F cannot tell the copies apart."""
+    k = len(shares[0])
+    atoms = tuple(f"{a}_{c}" for a in space.atoms for c in range(k))
+    probs = tuple(p * r for p, rs in zip(space.prob, shares) for r in rs)
     parts = tuple(
-        tuple(tuple(2 * i + c for i in block for c in (0, 1)) for block in blocks)
+        tuple(tuple(k * i + c for i in block for c in range(k)) for block in blocks)
         for blocks in filt.parts
     )
     split = FiniteSpace(atoms, probs, space.horizon)
     return split, Filtration(parts, split)
 
 
+def copy_instance(inst, shares, tau_of):
+    """A generator instance on :func:`copy_space`, its price repeated over
+    the copies; ``tau_of(i, c)`` is the random time of copy c of atom i."""
+    space, filt = copy_space(inst.space, inst.filtration, shares)
+    k = len(shares[0])
+    rows = tuple(tuple(cell for cell in row for _ in range(k)) for row in inst.price.values)
+    tau = RandomTime(tuple(tau_of(i, c) for i in range(inst.space.n) for c in range(k)))
+    return Scenario(space, filt, tau, AdaptedProcess(rows))
+
+
+def split_space(space, filt, shares):
+    """The split space and filtration: copy 0 of atom i carries the share
+    ``shares[i]`` of its probability, and both copies sit in its blocks."""
+    return copy_space(space, filt, [(r, 1 - r) for r in shares])
+
+
 def split_instance(inst, shares, tau_of):
     """Split every atom of a generator instance in two; ``tau_of(i, c)`` is
     the random time of copy c of atom i."""
-    space, filt = split_space(inst.space, inst.filtration, shares)
-    rows = tuple(
-        tuple(cell for cell in row for _ in (0, 1)) for row in inst.price.values
-    )
-    price = AdaptedProcess(rows)
-    tau = RandomTime(tuple(tau_of(i, c) for i in range(inst.space.n) for c in (0, 1)))
-    return Scenario(space, filt, tau, price)
+    return copy_instance(inst, [(r, 1 - r) for r in shares], tau_of)
+
+
+def stopping_time_draw(filt, rng) -> RandomTime:
+    """An F-stopping time: each F_t-block, t >= 1, not stopped before t
+    stops at t with probability 1/3, and an atom never stopped gets INF."""
+    tau = [INF] * filt.space.n
+    for t, blocks in enumerate(filt.parts[1:], 1):
+        for block in blocks:
+            if tau[block[0]] is INF and rng.randrange(3) == 0:
+                for i in block:
+                    tau[i] = t
+    return RandomTime(tuple(tau))
+
+
+def optional_end_draw(filt, rng) -> RandomTime:
+    """The end of an F-optional set Gamma: each F_t-block lies in Gamma_t
+    with probability 1/2, and tau is the last t with the atom in Gamma_t
+    (INF where the section of Gamma is empty)."""
+    tau = [INF] * filt.space.n
+    for t, blocks in enumerate(filt.parts):
+        for block in blocks:
+            if rng.randrange(2) == 0:
+                for i in block:
+                    tau[i] = t
+    return RandomTime(tuple(tau))
+
+
+def tau_class_draw(family: str, seed: int) -> Scenario:
+    """Generator instance ``seed`` with tau drawn from one class of
+    ``family``: ``stopping``, an F-stopping time; ``independent``, a tau
+    independent of F_H; ``pseudo``, the minimum of the two (these three are
+    pseudo-stopping times); or ``optional-end``, the end of an F-optional
+    set.  The independent and the minimum draw split each atom into 2 or 3
+    copies with one share vector for every atom, and rho reads only the
+    copy (one distinct date per copy), so rho is independent of F_H and not
+    constant."""
+    inst = random_instance(seed)
+    space, filt = inst.space, inst.filtration
+    rng = random.Random(f"{family}:{seed}")
+    if family == "stopping":
+        return Scenario(space, filt, stopping_time_draw(filt, rng), inst.price)
+    if family == "optional-end":
+        return Scenario(space, filt, optional_end_draw(filt, rng), inst.price)
+    weights = [rng.randint(1, 5) for _ in range(rng.choice((2, 3)))]
+    shares = [Fraction(w, sum(weights)) for w in weights]
+    rho = rng.sample(list(space.times) + [INF], len(shares))
+    if family == "independent":
+        return copy_instance(inst, [shares] * space.n, lambda i, c: rho[c])
+    if family != "pseudo":
+        raise ValueError(f"unknown tau class {family!r}")
+    sigma = stopping_time_draw(filt, rng).values
+    return copy_instance(inst, [shares] * space.n, lambda i, c: min(sigma[i], rho[c]))
 
 
 def shape_mismatches() -> dict:
     """Name -> zero-argument call of a public entry point on ex1 whose
     process does not fit the filtration, space, weights or second process
-    it meets; every call must raise ``ValueError``.
+    it meets, or that conditions on a date off the grid; every call must
+    raise ``ValueError``.
 
     Each would otherwise truncate silently: the ex1 price with a fifth atom
     would pass ``is_adapted``, ``is_martingale`` and ``certify_nupbr``,
-    sums and brackets would drop the fifth atom, and five weights would
-    make ``certify_nupbr`` certify the G-arbitrage S^tau."""
+    sums and brackets would drop the fifth atom, five weights would make
+    ``certify_nupbr`` certify the G-arbitrage S^tau, and a date of -1 would
+    condition on the terminal partition."""
     sc = load_builtin("ex1")
     S, filt, space = sc.price, sc.filtration, sc.space
     fifth = AdaptedProcess(tuple(row + row[-1:] for row in S.values))
@@ -144,7 +214,10 @@ def shape_mismatches() -> dict:
         "certify_nupbr weights": lambda: certify_nupbr(
             stop(S, sc.tau), enlarge(filt, sc.tau), space, weights=five
         ),
-        "condexp": lambda: condexp([Fraction(1)] * 5, filt.parts[1], space),
+        "condexp": lambda: condexp([Fraction(1)] * 5, filt, 1),
+        "condexp date -1": lambda: condexp([Fraction(1)] * 4, filt, -1),
+        "condexp date past horizon": lambda: condexp([Fraction(1)] * 4, filt, space.horizon + 1),
+        "condexp_cells date -1": lambda: condexp_cells([one] * 4, filt, -1),
         "expectation": lambda: space.expectation([Fraction(1)] * 5),
         "add": lambda: fifth + S,
         "sub": lambda: S - fifth,

@@ -95,19 +95,46 @@ def test_tracer_targets_are_module_level_functions():
     assert broken == []
 
 
+def _beside_space(source: str, module: str, names: set) -> list:
+    """``module.function`` of each function in ``source`` that takes a
+    ``space`` parameter and one named in ``names``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            if "space" in params and params & names:
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def _package_beside_space(names: set) -> list:
+    return sorted(
+        name
+        for path in SOURCES
+        for name in _beside_space(path.read_text(encoding="utf-8"), path.stem, names)
+    )
+
+
 def test_no_function_takes_a_filtration_beside_its_space():
     # a filtration carries its space, so a function that also took the space
     # could read the grid or the measure of another one; the two kept
     # signatures raise on a mismatched pair
-    found = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                a = node.args
-                params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
-                if "space" in params and params & {"filt", "enlarged", "filtration"}:
-                    found.append(f"{path.stem}.{node.name}")
-    assert sorted(found) == ["generator.random_martingale", "nupbr.certify_nupbr"]
+    found = _package_beside_space({"filt", "enlarged", "filtration"})
+    assert found == ["generator.random_martingale", "nupbr.certify_nupbr"]
+
+
+def test_no_function_takes_a_partition_beside_a_space():
+    # a block list beside a space need not partition that space: conditioning
+    # on one that misses an atom gave that atom E = 0, and overlapping blocks
+    # passed; conditional expectation is asked of a filtration at a date
+    old = (
+        "def condexp(values, blocks, space):\n    pass\n\n"
+        "def condexp_cells(cells, blocks, space):\n    pass\n"
+    )
+    partitions = {"blocks", "parts", "partition"}
+    assert _beside_space(old, "space", partitions) == ["space.condexp", "space.condexp_cells"]
+    assert _package_beside_space(partitions) == []
 
 
 def _decides_a_survival_view(call) -> bool:

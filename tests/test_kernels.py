@@ -210,12 +210,12 @@ def test_kernels_match_naive_references(seed, weights):
         )
         for t in space.times:
             for values in (w, [X.values[t][i][0] for i in range(space.n)]):
-                assert condexp(values, filt.parts[t], space) == naive_condexp(
+                assert condexp(values, filt, t) == naive_condexp(
                     values, filt.parts[t], space
                 )
         for t in space.times:
             for cells in (X.values[t], X.increments[t]):
-                assert condexp_cells(cells, filt.parts[t], space) == naive_condexp_cells(
+                assert condexp_cells(cells, filt, t) == naive_condexp_cells(
                     cells, filt.parts[t], space
                 )
         if not is_adapted(X, filt):
@@ -266,7 +266,7 @@ def test_condexp_on_mixed_ints_and_fractions(seed, values):
     v = values[: space.n]
     for _, filt in cases:
         for t in space.times:
-            got = condexp(v, filt.parts[t], space)
+            got = condexp(v, filt, t)
             assert got == naive_condexp(v, filt.parts[t], space)
             assert all(type(c) is F for c in got)
 
@@ -289,11 +289,11 @@ def test_kernels_return_fractions_only(seed):
             assert all(type(c) is F for c in _cells(Y.values) + _cells(Y.increments))
         for t in space.times:
             first = [cell[0] for cell in X.values[t]]
-            assert all(type(c) is F for c in condexp(first, filt.parts[t], space))
+            assert all(type(c) is F for c in condexp(first, filt, t))
             for cells in (X.values[t], X.increments[t]):
                 assert all(
                     type(c) is F
-                    for cell in condexp_cells(cells, filt.parts[t], space)
+                    for cell in condexp_cells(cells, filt, t)
                     for c in cell
                 )
 
@@ -460,19 +460,27 @@ def test_shared_source_objects_share_one_cell():
     assert S.values[0][0] is S.values[0][1] and S.values[0][0] == (F(1),)
 
 
-def test_block_mass_is_cached_per_space():
-    # P(B) as the int P_B over D; the second space's masses are big ints,
-    # which Python never shares, so ``is`` tells the cached int from an
-    # equal one summed afresh
-    small, cases = _cases(3)
+def test_filtration_masses_are_ints_over_d(ex1, ex2):
+    # P(B) per block of each date as the int P_B over D, for F and G, built
+    # once per filtration; the big-int space checks masses over D = 3**40
     tiny = F(1, 3**40)
     big = FiniteSpace(("a", "b", "c"), (tiny, tiny, 1 - 2 * tiny), 1)
-    for space, block in ((small, cases[0][1].parts[1][0]), (big, (0, 2))):
-        D = space.scaled[0]
-        first = space.block_mass(block)
-        assert type(first) is int
-        assert first == sum(space.prob[i] for i in block) * D
-        assert space.block_mass(block) is first
+    filts = [Filtration((((0, 1, 2),), ((0, 2), (1,))), big)]
+    for ctx in (ex1, ex2):
+        filts += [ctx.filt, ctx.enlarged]
+    for seed in range(20):
+        inst = random_instance(seed)
+        filts += [inst.filtration, enlarge(inst.filtration, inst.tau)]
+    for filt in filts:
+        D = filt.space.scaled[0]
+        table = filt.masses
+        assert len(table) == len(filt.parts)
+        for blocks, masses in zip(filt.parts, table):
+            assert len(masses) == len(blocks)
+            for block, mass in zip(blocks, masses):
+                assert type(mass) is int
+                assert mass == sum(filt.space.prob[i] for i in block) * D
+        assert filt.masses is table
 
 
 # (every weight but the last, the last): a negative weight, or no positive

@@ -116,6 +116,13 @@ def test_thin_set_empty_at(ex1, ex2):
     assert thin_set_empty(ex2.bundle) and not thin_set_empty(ex1.bundle)
 
 
+@pytest.mark.parametrize("T", [0, 3, 99, -1])
+def test_thin_set_empty_at_rejects_dates_off_the_jump_grid(ex1, T):
+    # ex1 has horizon 2: the collapse inclusion is claimed for T in {1, 2} only
+    with pytest.raises(ValueError, match="jump date"):
+        thin_set_empty_at(ex1.bundle, T)
+
+
 def test_witness_martingale_values(ex1):
     M = witness_martingale(2, ex1.bundle)
     assert [M.scalar_at(2, i) for i in range(4)] == [F(1, 2), F(-1, 2), F(1, 2), F(-1, 2)]

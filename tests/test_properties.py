@@ -27,10 +27,10 @@ def test_condexp_tower_and_projection(seed):
     rng = random.Random(seed)
     x = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(space.n)]
     t = rng.randint(1, space.horizon)
-    fine = condexp(x, filt.parts[t], space)
-    assert condexp(list(fine), filt.parts[t], space) == fine
-    coarse = condexp(x, filt.parts[t - 1], space)
-    assert condexp(list(fine), filt.parts[t - 1], space) == coarse
+    fine = condexp(x, filt, t)
+    assert condexp(list(fine), filt, t) == fine
+    coarse = condexp(x, filt, t - 1)
+    assert condexp(list(fine), filt, t - 1) == coarse
 
 
 @settings(max_examples=60, deadline=None)

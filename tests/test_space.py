@@ -27,7 +27,7 @@ from helpers import children, constant, constant_time, from_function
 def test_condexp_indicator_of_single_atom(ex1):
     space, filt = ex1.space, ex1.filt
     x = [F(0), F(1), F(0), F(0)]  # indicator of {b}
-    out = condexp(x, filt.parts[1], space)
+    out = condexp(x, filt, 1)
     assert out == (F(1, 2), F(1, 2), F(0), F(0))
 
 
@@ -35,30 +35,30 @@ def test_condexp_constant_is_identity(ex1):
     space, filt = ex1.space, ex1.filt
     c = F(7, 3)
     for t in space.times:
-        assert condexp([c] * 4, filt.parts[t], space) == (c,) * 4
+        assert condexp([c] * 4, filt, t) == (c,) * 4
 
 
 def test_condexp_survival_indicator_is_Z1(ex1):
     space, filt, tau = ex1.space, ex1.filt, ex1.tau
     x = [F(1) if tau.at(i) > 1 else F(0) for i in range(4)]
-    out = condexp(x, filt.parts[1], space)
+    out = condexp(x, filt, 1)
     assert out == (F(1, 2),) * 4
 
 
 def test_condexp_is_projection(ex1):
     space, filt = ex1.space, ex1.filt
     x = [F(3), F(-1), F(2), F(5)]
-    once = condexp(x, filt.parts[1], space)
-    twice = condexp(list(once), filt.parts[1], space)
+    once = condexp(x, filt, 1)
+    twice = condexp(list(once), filt, 1)
     assert once == twice
 
 
 def test_condexp_tower(ex1):
     space, filt = ex1.space, ex1.filt
     x = [F(3), F(-1), F(2), F(5)]
-    fine = condexp(x, filt.parts[2], space)
-    coarse_of_fine = condexp(list(fine), filt.parts[1], space)
-    assert coarse_of_fine == condexp(x, filt.parts[1], space)
+    fine = condexp(x, filt, 2)
+    coarse_of_fine = condexp(list(fine), filt, 1)
+    assert coarse_of_fine == condexp(x, filt, 1)
 
 
 def test_stopping_time_checks(ex1):
@@ -150,13 +150,19 @@ def test_non_trivial_time_zero_block():
         [[("u", "v"), ("x", "y")], [("u",), ("v",), ("x",), ("y",)]], space
     )
     x = [F(1), F(3), F(0), F(4)]
-    assert condexp(x, filt.parts[0], space) == (F(2), F(2), F(2), F(2))
+    assert condexp(x, filt, 0) == (F(2), F(2), F(2), F(2))
 
 
 def test_filtration_from_names_must_cover_every_atom():
     space = FiniteSpace(("u", "v", "x"), (F(1, 3),) * 3, 1)
     with pytest.raises(ValueError, match="cover every atom"):
         Filtration.from_names([[("u", "v")], [("u",), ("v",)]], space)
+
+
+def test_filtration_from_names_rejects_an_unknown_atom():
+    space = FiniteSpace(("u", "v"), (F(1, 2),) * 2, 1)
+    with pytest.raises(ValueError, match="unknown atom 'x' in the partition at time 1"):
+        Filtration.from_names([[("u", "v")], [("u",), ("v", "x")]], space)
 
 
 def test_partition_errors_are_reported_before_coverage():

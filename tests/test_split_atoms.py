@@ -50,7 +50,7 @@ def per_atom_martingale(space, filt, rng, dim=1, spread=4):
     rows = [None] * (space.horizon + 1)
     rows[space.horizon] = current
     for t in range(space.horizon - 1, -1, -1):
-        current = rows[t] = condexp_cells(current, filt.parts[t], space)
+        current = rows[t] = condexp_cells(current, filt, t)
     return AdaptedProcess(tuple(rows))
 
 
