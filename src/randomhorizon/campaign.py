@@ -20,6 +20,7 @@ timestamps, stable key order, rationals as "p/q" strings.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
@@ -44,7 +45,7 @@ from .nupbr import (
     thin_set_empty,
 )
 from .projections import dual_predictable, is_martingale
-from .space import condexp_cells, stop
+from .space import condexp_cells, stop, zip_cells
 
 JOBS_ENV = "RANDOMHORIZON_JOBS"
 
@@ -120,7 +121,7 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
     check does not apply) and every flag that is ``False`` is a violation;
     every other section is the record its checker returns, and it is a
     violation when that record is not ``consistent``."""
-    space, filt, price = model.space, model.filtration, model.price
+    filt, price = model.filtration, model.price
     bundle = azema(filt, model.tau)
 
     projections = _projection_identities(price, bundle)
@@ -132,16 +133,14 @@ def theorem_suite(model, battery: int = 100, seed: int = 0):
         if good is False
     ]
 
+    # the transfer triple takes the martingale part of the jump
+    jumps = price.increments[1:]
+    projected = [condexp_cells(xi, filt, T - 1) for T, xi in enumerate(jumps, 1)]
+    centered = zip_cells(jumps, projected, lambda x, p: tuple(map(operator.sub, x, p)))
     single, transfer = [], []
-    for T in range(1, space.horizon + 1):
-        xi = [price.delta_at(T, i) for i in range(space.n)]
-        # the transfer triple takes the martingale part of the jump
-        centered = [
-            tuple(a - b for a, b in zip(x, p))
-            for x, p in zip(xi, condexp_cells(xi, filt, T - 1))
-        ]
+    for T, (xi, xc) in enumerate(zip(jumps, centered), 1):
         single.append(_section(single_jump_equivalences(xi, T, bundle)))
-        transfer.append(_section(single_jump_martingale_transfer(centered, T, bundle)))
+        transfer.append(_section(single_jump_martingale_transfer(xc, T, bundle)))
     violations += [f"single_jump:T={d['T']}" for d in single if not d["consistent"]]
     violations += [f"martingale_transfer:T={d['T']}" for d in transfer if not d["consistent"]]
 

@@ -24,6 +24,7 @@ otherwise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -46,6 +47,8 @@ from .space import (
     check_shape,
     condexp_cells,
     stop,
+    zip_cells,
+    zip_row,
 )
 
 
@@ -56,13 +59,9 @@ def optional_integral(H: AdaptedProcess, N: AdaptedProcess, filt: Filtration) ->
         raise ValueError("optional integrand must be scalar")
     assert_martingale(N, filt, "optional-integral driver")
     assert_adapted(H, filt, "optional integrand")
-    increments = []
-    for t in range(1, filt.space.horizon + 1):
-        prod = _times(H.values[t], N.increments[t])
-        proj = condexp_cells(prod, filt, t - 1)
-        increments.append(
-            tuple(tuple(a - b for a, b in zip(p, q)) for p, q in zip(prod, proj))
-        )
+    prod = _times(H.values, N.increments)[1:]
+    proj = [condexp_cells(row, filt, t - 1) for t, row in enumerate(prod, 1)]
+    increments = zip_cells(prod, proj, lambda p, q: tuple(map(operator.sub, p, q)))
     return AdaptedProcess.from_increments(increments)
 
 
@@ -71,15 +70,15 @@ def stoch_exp(N: AdaptedProcess) -> AdaptedProcess:
     N_0 = 0.  Positive exactly when every factor is positive."""
     if N.dim != 1:
         raise ValueError("stochastic exponential of a scalar process")
-    n = len(N.values[0])
-    if any(N.values[0][i][0] != 0 for i in range(n)):
+    if any(cell[0] != 0 for cell in N.values[0]):
         raise EngineError("stochastic exponential requires N_0 = 0")
-    acc = [Fraction(1)] * n
-    rows = [tuple((Fraction(1),) for _ in range(n))]
+
+    def grow(acc, dN):
+        return (acc[0] * (1 + dN[0]),)
+
+    rows = [((Fraction(1),),) * len(N.values[0])]
     for t in range(1, N.horizon + 1):
-        for i in range(n):
-            acc[i] *= 1 + N.delta_at(t, i)[0]
-        rows.append(tuple((acc[i],) for i in range(n)))
+        rows.append(zip_row(grow, rows[-1], N.increments[t]))
     return AdaptedProcess._trusted(tuple(rows))
 
 
@@ -96,53 +95,54 @@ class DeflatorBundle:
 
 
 def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
-    space, enlarged, alive = bundle.space, bundle.enlarged, bundle.alive
-    n = space.n
-    bracket = dual_predictable(bundle.m_bracket, bundle.filt)  # <m, m>
+    space, enlarged = bundle.space, bundle.enlarged
+    Z, Zt = bundle.Z.values, bundle.Ztilde.values
+    bracket = dual_predictable(bundle.m_bracket, bundle.filt).increments  # d<m, m>
     zero = (Fraction(0),)
 
-    k_rows = [(zero,) * n]
+    def kernel(alive, zprev, ztilde, dbracket):
+        if not alive:
+            return zero
+        zp = survival_divisor(zprev[0], "Z_-")
+        z = survival_divisor(ztilde[0], "Zt")
+        kappa = zp * zp + dbracket[0]  # > 0: d<m> >= 0
+        return (zp * zp / kappa / z,)
+
+    k_rows = [(zero,) * space.n]
     for t in range(1, space.horizon + 1):
-        row = [zero] * n
-        for i in range(n):
-            if alive[t][i]:
-                zprev = survival_divisor(bundle.Z.scalar_at(t - 1, i), "Z_-")
-                zt = survival_divisor(bundle.Ztilde.scalar_at(t, i), "Zt")
-                kappa = zprev * zprev + bracket.delta_at(t, i)[0]  # > 0: d<m> >= 0
-                row[i] = (zprev * zprev / kappa / zt,)
-        k_rows.append(tuple(row))
+        k_rows.append(zip_row(kernel, bundle.alive[t], Z[t - 1], Zt[t], bracket[t]))
     K = AdaptedProcess._trusted(tuple(k_rows))
 
     L = -optional_integral(K, bundle.mhat, enlarged)
 
     # the drawdown, and the closed form of the jumps re-derived
     # independently of the integral; both vanish off ]0, tau]
-    drawdown_increments = []
-    for t in range(1, space.horizon + 1):
-        row = [zero] * n
-        for i in range(n):
-            expected = 0
-            if alive[t][i]:
-                inc = bundle.collapse[t][i]
-                if not 0 <= inc < 1:
-                    raise StructuralViolation("drawdown jump outside [0, 1)")
-                row[i] = (inc,)
-                expected = -bundle.m.delta_at(t, i)[0] / bundle.Ztilde.scalar_at(t, i) + inc
-            jump = L.delta_at(t, i)[0]
-            if jump != expected:
-                raise StructuralViolation("driver jumps disagree with the closed form")
-            if 1 + jump <= 0:
-                raise StructuralViolation("driver jump fell to -1 or below")
-        drawdown_increments.append(row)
+    def drawdown_jump(alive, inc, dm, ztilde, dL):
+        cell, expected = zero, 0
+        if alive:
+            if not 0 <= inc < 1:
+                raise StructuralViolation("drawdown jump outside [0, 1)")
+            cell = (inc,)
+            expected = -dm[0] / ztilde[0] + inc
+        jump = dL[0]
+        if jump != expected:
+            raise StructuralViolation("driver jumps disagree with the closed form")
+        if 1 + jump <= 0:
+            raise StructuralViolation("driver jump fell to -1 or below")
+        return cell
+
+    m_inc, l_inc = bundle.m.increments, L.increments
+    drawdown_increments = [
+        zip_row(drawdown_jump, bundle.alive[t], bundle.collapse[t], m_inc[t], Zt[t], l_inc[t])
+        for t in range(1, space.horizon + 1)
+    ]
     drawdown = AdaptedProcess.from_increments(drawdown_increments)
 
     if not is_martingale(L, enlarged):
         raise StructuralViolation("deflator driver is not a G-martingale")
     deflator = stoch_exp(L - drawdown)
-    for t in space.times:
-        for i in range(n):
-            if deflator.scalar_at(t, i) <= 0:
-                raise StructuralViolation("candidate deflator is not positive")
+    if any(cell[0] <= 0 for row in deflator.values for cell in row):
+        raise StructuralViolation("candidate deflator is not positive")
     return DeflatorBundle(K, L, drawdown, deflator, bundle)
 
 
@@ -231,9 +231,10 @@ def verify_deflator(
         raise EngineError("deflator must be strictly positive")
     worst: Optional[DeflatorFailure] = None
     names = space.atoms
+    gains = _times(Y.values, S_stopped.increments)
     for t in range(1, space.horizon + 1):
         base_row = condexp([cell[0] for cell in Y.values[t]], filt, t - 1)
-        g_row = condexp_cells(_times(Y.values[t], S_stopped.increments[t]), filt, t - 1)
+        g_row = condexp_cells(gains[t], filt, t - 1)
         for parent, kids in filt.nodes(t):
             deltas = [S_stopped.delta_at(t, c[0]) for c in kids]
             base, g = base_row[parent[0]], g_row[parent[0]]

@@ -40,6 +40,10 @@ Key structural facts the engine relies on (and re-checks at build time):
 ``Zt_t = Z_{t-1} + dm_t`` for t >= 1, and ``{Zt = 0}``, ``{Z_- = 0}`` never
 meet ``]0, tau]``.  Every division by Z_- or Zt there reads its divisor
 through ``survival_divisor``, which raises ``StructuralViolation`` if not.
+Each per-atom body runs once per distinct tuple of the objects it reads
+(:func:`space.zip_cells`, :func:`space.zip_row`), so every such check is
+decided on each distinct input and raises at the same first atom as an
+atom-by-atom loop.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ from .space import (
     is_predictable,
     map_cells,
     stop,
+    zip_cells,
+    zip_row,
 )
 
 _ZERO = Fraction(0)
@@ -258,25 +264,29 @@ def survival_divisor(x: Fraction, name: str) -> Fraction:
     return x
 
 
-def _times(scalars, cells) -> list:
-    """The row of cells scaled atom by atom by the cells of a scalar row."""
-    return [tuple(s[0] * c for c in cell) for s, cell in zip(scalars, cells)]
+def _times(scalars, cells) -> tuple:
+    """The table of cells scaled by the cells of a scalar table, once per
+    distinct pair of cells (:func:`zip_cells`)."""
+    return zip_cells(scalars, cells, lambda s, cell: tuple(s[0] * c for c in cell))
 
 
 def _over_zprev(cells, t: int, bundle: AzemaBundle) -> tuple:
     """The row (1/Z_{t-1}) I_{t <= tau} E[cells | F_{t-1}], zero off ]0, tau].
 
     The projection and Z_{t-1} are both constant on an F_{t-1}-block, so
-    each block divides once and its alive atoms share the resulting cell."""
+    each block divides once, or not at all where the projection is zero,
+    and its alive atoms share the resulting cell."""
     space, alive = bundle.space, bundle.alive[t]
     proj = condexp_cells(cells, bundle.filt, t - 1)
-    row = [(_ZERO,) * len(cells[0])] * space.n
+    zero = (_ZERO,) * len(cells[0])
+    row = [zero] * space.n
     for block in bundle.filt.parts[t - 1]:
         inside = [i for i in block if alive[i]]
         if not inside:
             continue
         zprev = survival_divisor(bundle.Z.scalar_at(t - 1, block[0]), "Z_-")
-        cell = tuple(c / zprev for c in proj[block[0]])
+        p = proj[block[0]]
+        cell = tuple(c / zprev for c in p) if any(p) else zero
         for i in inside:
             row[i] = cell
     return tuple(row)
@@ -288,16 +298,18 @@ def _rescaled_sides(V: AdaptedProcess, bundle: AzemaBundle) -> list:
 
     On the G-side every G_{t-1}-node lies wholly in {tau >= t} or outside
     it, so averaging over the node is averaging over its alive part."""
-    space = bundle.space
     zero = (_ZERO,) * V.dim
+
+    def rescale(alive, z, cell):
+        if alive and any(cell):
+            z_i = survival_divisor(z[0], "Zt")
+            return tuple(c / z_i for c in cell)
+        return zero
+
     sides = []
-    for t in range(1, space.horizon + 1):
-        zt, dv, alive = bundle.Ztilde.values[t], V.increments[t], bundle.alive[t]
-        rescaled = [zero] * space.n
-        for i, (z, cell) in enumerate(zip(zt, dv)):
-            if alive[i] and any(cell):
-                z_i = survival_divisor(z[0], "Zt")
-                rescaled[i] = tuple(c / z_i for c in cell)
+    for t in range(1, bundle.space.horizon + 1):
+        zt, dv = bundle.Ztilde.values[t], V.increments[t]
+        rescaled = zip_row(rescale, bundle.alive[t], zt, dv)
         masked = [cell if z[0] > 0 else zero for z, cell in zip(zt, dv)]
         g_side = condexp_cells(rescaled, bundle.enlarged, t - 1)
         sides.append((g_side, _over_zprev(masked, t, bundle)))
@@ -312,9 +324,9 @@ def compensator_of_stopped(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPro
     equality is asserted by the test-suite rather than recomputed here.
     """
     assert_adapted(V, bundle.filt, "V")
+    weighted = _times(bundle.Ztilde.values, V.increments)
     increments = [
-        _over_zprev(_times(bundle.Ztilde.values[t], V.increments[t]), t, bundle)
-        for t in range(1, bundle.space.horizon + 1)
+        _over_zprev(weighted[t], t, bundle) for t in range(1, bundle.space.horizon + 1)
     ]
     return AdaptedProcess.from_increments(increments)
 
@@ -335,16 +347,18 @@ def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPr
         for i in range(space.n)
         if bundle.Ztilde.scalar_at(t, i) == 0
     )
+
+    def converse(alive, zprev, plain, got):
+        if alive and plain != tuple(zprev[0] * g for g in got):
+            raise StructuralViolation("converse compensator identity failed on ]0, tau]")
+        return True
+
     for t, (got, closed) in enumerate(sides, 1):
         if got != closed:
             raise StructuralViolation("rescaled-compensator transfer identity failed")
-        if not supported:
-            continue
-        plain = condexp_cells(V.increments[t], filt, t - 1)
-        for i in range(space.n):
-            zprev = bundle.Z.scalar_at(t - 1, i)
-            if bundle.alive[t][i] and plain[i] != tuple(zprev * g for g in got[i]):
-                raise StructuralViolation("converse compensator identity failed on ]0, tau]")
+        if supported:
+            plain = condexp_cells(V.increments[t], filt, t - 1)
+            zip_row(converse, bundle.alive[t], bundle.Z.values[t - 1], plain, got)
     return AdaptedProcess.from_increments([got for got, _ in sides])
 
 
@@ -357,10 +371,8 @@ def g_martingale_part(M: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
     """
     space = bundle.space
     assert_martingale(M, bundle.filt, "input of g_martingale_part")
-    drift = [
-        _over_zprev(_times(bundle.m.increments[t], M.increments[t]), t, bundle)
-        for t in range(1, space.horizon + 1)
-    ]
+    covariation = _times(bundle.m.increments, M.increments)
+    drift = [_over_zprev(covariation[t], t, bundle) for t in range(1, space.horizon + 1)]
     result = stop(M, bundle.tau) - AdaptedProcess.from_increments(drift)
     if not is_martingale(result, bundle.enlarged):
         raise StructuralViolation("drift-corrected stopped process is not a G-martingale")
@@ -426,7 +438,9 @@ class JumpTimeMeasures:
 
 
 def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
-    """The weights of the jump date T, computed once per bundle and date.
+    """The weights of the jump date T, computed once per bundle and date,
+    and within it once per distinct input (Z_{T-1}, Zt_T, collapse, the
+    ]0, tau] flag) by :func:`zip_row`.
 
     ``q`` is I_{Zt_T > 0} / P(Zt_T > 0 | F_{T-1}), where that mass is
     1 - ``bundle.collapse[T]`` > 0, and 1 elsewhere."""
@@ -436,17 +450,22 @@ def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
     if cached is not None:
         return cached
     one = Fraction(1)
-    zprev = [c[0] for c in bundle.Z.values[T - 1]]
-    zt = [c[0] for c in bundle.Ztilde.values[T]]
-    q = tuple(
-        (one / (one - c) if z > 0 else _ZERO) if c < 1 else one
-        for z, c in zip(zt, bundle.collapse[T])
+
+    def weights(zprev, ztilde, c, alive):
+        zp, z = zprev[0], ztilde[0]
+        q = (one / (one - c) if z > 0 else _ZERO) if c < 1 else one
+        qt = z / zp if zp > 0 else one
+        u = zp / survival_divisor(z, "Zt") if alive else one
+        return q, qt, u
+
+    per_atom = zip_row(
+        weights,
+        bundle.Z.values[T - 1],
+        bundle.Ztilde.values[T],
+        bundle.collapse[T],
+        bundle.alive[T],
     )
-    qt = tuple(z / zp if zp > 0 else one for zp, z in zip(zprev, zt))
-    ug = tuple(
-        zp / survival_divisor(z, "Zt") if a else one
-        for zp, z, a in zip(zprev, zt, bundle.alive[T])
-    )
+    q, qt, ug = map(tuple, zip(*per_atom))
     if space.expectation(q) != 1 or space.expectation(qt) != 1:
         raise StructuralViolation("jump-date measures must have expectation 1")
     if any(u <= 0 for u in ug):

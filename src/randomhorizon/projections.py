@@ -24,6 +24,7 @@ from .space import (
     condexp_cells,
     frac,
     weighted_sum,
+    zip_cells,
 )
 
 
@@ -62,13 +63,9 @@ def quadratic_covariation(M: AdaptedProcess, N: AdaptedProcess) -> AdaptedProces
     """
     if M.shape[:2] != N.shape[:2]:
         raise ValueError("grids differ")
-    increments = [
-        tuple(
-            tuple(a * b for a in dm for b in dn)
-            for dm, dn in zip(M.increments[t], N.increments[t])
-        )
-        for t in range(1, M.horizon + 1)
-    ]
+    increments = zip_cells(
+        M.increments[1:], N.increments[1:], lambda dm, dn: tuple(a * b for a in dm for b in dn)
+    )
     return AdaptedProcess.from_increments(increments)
 
 

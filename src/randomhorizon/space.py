@@ -42,15 +42,22 @@ Atoms of one node share one cell.  A row of ``values`` is indexed by atom,
 but an adapted process repeats one value over each block, and the
 constructors hand those atoms one cell object: :func:`condexp` and
 :func:`condexp_cells` one per block, :meth:`AdaptedProcess.from_increments`
-one per pair of previous cell and increment, and
-:meth:`AdaptedProcess.from_scalar_paths` one per source object.  The cell
-maps compute once per cell object, not per atom: :func:`map_cells`
-(components, negation) once per distinct cell, and :func:`zip_cells`
-(sums, differences) once per distinct pair.
-Their memos are keyed by ``id`` and local to one call, and every key is a
-cell of the caller's tables, alive for the whole call.  Nothing relies on
-the sharing for correctness: a process whose atoms carry equal but
-distinct cells gives the same values, only with more arithmetic.
+one per pair of previous cell and increment,
+:meth:`AdaptedProcess.from_scalar_paths` one per source object, and the
+increment table :attr:`AdaptedProcess.increments` one per pair of cell and
+previous cell.  The cell maps compute once per cell object, not per atom:
+:func:`map_cells` (components, negation) once per distinct cell,
+:func:`zip_cells` (sums, differences, products, increments) once per
+distinct pair, and :func:`zip_row` (a body that reads three or more
+inputs, or runs row by row) once per distinct tuple of objects.  So the
+sharing holds end to end: the per-atom arithmetic of the transfer
+formulas, the deflator construction and the theorem suite runs once per
+node.  A memo is keyed by the ``id`` of every input its body reads, is
+local to one call, and every key is an object of the caller's tables,
+alive for the whole call; a self-check run through it is decided on every
+distinct input and raises at the same first atom as an atom-by-atom loop.
+Nothing relies on the sharing for correctness: a process whose atoms carry
+equal but distinct cells gives the same values, only with more arithmetic.
 
 Three kernels carry every process computation of the package, and one
 walk visits every one-period node:
@@ -174,7 +181,7 @@ class FiniteSpace:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.atoms)
 
@@ -348,9 +355,12 @@ def condexp(values: Sequence[Fraction], filt: Filtration, t: int):
 def condexp_cells(cells: Sequence[tuple], filt: Filtration, t: int) -> tuple:
     """:func:`condexp` of each component of an atom vector of cells; returns
     E[cells | F_t] as a tuple of cells, one cell object shared by the atoms
-    of each block.  ``ValueError`` as :func:`condexp`."""
+    of each block.  ``ValueError`` as :func:`condexp`: off the grid, or
+    unless the row has one cell per atom."""
     if not 0 <= t <= filt.space.horizon:
         raise _off_grid(t, filt)
+    if len(cells) != filt.space.n:
+        raise ValueError("one value per atom required")
     comps = [condexp(col, filt, t) for col in zip(*cells)]
     out = [None] * len(cells)
     for block in filt.parts[t]:
@@ -395,6 +405,25 @@ def zip_cells(rows_a, rows_b, fn) -> tuple:
                 c = memo[key] = fn(ca, cb)
             row.append(c)
         out.append(tuple(row))
+    return tuple(out)
+
+
+def zip_row(fn, *rows) -> tuple:
+    """``fn(*objs)`` at every atom of equal-length rows (cells, scalars or
+    flags, one per atom), computed once per distinct tuple of objects and
+    keyed as :func:`map_cells` keys: the map of a body that reads three or
+    more inputs, or that runs row by row.  Atoms are visited in order, so
+    a ``fn`` that raises raises at the first atom whose inputs make it
+    raise.  A ``None`` result is not memoised, so ``fn`` returns a value
+    even when it only checks."""
+    memo = {}
+    out = []
+    for objs in zip(*rows):
+        key = tuple(map(id, objs))
+        c = memo.get(key)
+        if c is None:
+            c = memo[key] = fn(*objs)
+        out.append(c)
     return tuple(out)
 
 
@@ -485,18 +514,17 @@ class AdaptedProcess:
     def increments(self) -> tuple:
         """``increments[t][atom]`` is dX_t(atom), with dX_0 := 0.
 
-        A cell equal to (or the same object as) its predecessor maps to one
+        One subtraction per distinct pair of cell and previous cell
+        (:func:`zip_cells`), so the atoms of a node share their increment;
+        a cell equal to (or the same object as) its predecessor maps to one
         shared zero tuple without a subtraction."""
         zero = (_ZERO,) * self.dim
-        rows = [(zero,) * len(self.values[0])]
-        for prev, now in zip(self.values, self.values[1:]):
-            rows.append(
-                tuple(
-                    zero if a is b or a == b else tuple(x - y for x, y in zip(a, b))
-                    for a, b in zip(now, prev)
-                )
-            )
-        return tuple(rows)
+
+        def delta(now, prev):
+            return zero if now is prev or now == prev else tuple(map(operator.sub, now, prev))
+
+        first = (zero,) * len(self.values[0])
+        return (first,) + zip_cells(self.values[1:], self.values, delta)
 
     def delta_at(self, t: int, atom: int) -> tuple:
         """dX_t(atom); dX_0 := 0."""

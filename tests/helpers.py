@@ -184,7 +184,8 @@ def shape_mismatches() -> dict:
     would pass ``is_adapted``, ``is_martingale`` and ``certify_nupbr``,
     sums and brackets would drop the fifth atom, five weights would make
     ``certify_nupbr`` certify the G-arbitrage S^tau, and a date of -1 would
-    condition on the terminal partition."""
+    condition on the terminal partition; ``condexp_cells`` on a row with no
+    cell raised a bare ``IndexError``."""
     sc = load_builtin("ex1")
     S, filt, space = sc.price, sc.filtration, sc.space
     fifth = AdaptedProcess(tuple(row + row[-1:] for row in S.values))
@@ -218,6 +219,8 @@ def shape_mismatches() -> dict:
         "condexp date -1": lambda: condexp([Fraction(1)] * 4, filt, -1),
         "condexp date past horizon": lambda: condexp([Fraction(1)] * 4, filt, space.horizon + 1),
         "condexp_cells date -1": lambda: condexp_cells([one] * 4, filt, -1),
+        "condexp_cells no atom": lambda: condexp_cells((), filt, 1),
+        "condexp_cells fifth atom": lambda: condexp_cells([one] * 5, filt, 1),
         "expectation": lambda: space.expectation([Fraction(1)] * 5),
         "add": lambda: fifth + S,
         "sub": lambda: S - fifth,

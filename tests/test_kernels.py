@@ -6,11 +6,14 @@ increment, block masses and weighted sums over every atom, positive-mass
 tests by summing P-weighted weights, and block constancy by comparing
 each block's set of cells (or of flags [time <= t], for a stopping time).
 The enlargement references divide by Z_- atom by atom and build every
-]0, tau] formula from its own loop.  The cell maps (sums, differences,
+]0, tau] formula from its own loop; the deflator and jump-date references
+build the kernel, driver, drawdown, deflator and the three jump-date
+weights atom by atom from their definitions.  The cell maps (sums, differences,
 components, scalar paths) are referenced by one computation per atom, with
 no cell shared.
 """
 
+import dataclasses
 import importlib.util
 import operator
 import random
@@ -20,16 +23,21 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randomhorizon.deflator import is_supermartingale
+from randomhorizon.deflator import build_deflator, is_supermartingale
+from randomhorizon.campaign import theorem_suite
 from randomhorizon.enlargement import (
+    _rescaled_sides,
     azema,
     compensator_of_rescaled,
     compensator_of_stopped,
     enlarge,
     g_martingale_part,
+    jump_time_measures,
     projection_transfer_identities,
 )
+from randomhorizon.errors import StructuralViolation
 from randomhorizon.generator import random_instance
+from randomhorizon.io import Scenario
 from randomhorizon.lp import zero_in_relative_interior
 from randomhorizon.nupbr import (
     Arbitrage,
@@ -53,7 +61,7 @@ from randomhorizon.space import (
     stop,
 )
 
-from helpers import children, component, mul_scalar_process, random_adapted, scale
+from helpers import block_of, children, component, mul_scalar_process, random_adapted, scale
 
 
 def naive_increments(X):
@@ -636,3 +644,150 @@ def test_enlargement_identities_match_naive_references():
             assert got == naive_transfer_rows(M, b, filt, G, tau, space)
     # the cases reach the 40-atom file, 2-D prices and the thin set {Zt = 0 < Z_-}
     assert atoms == 40 and dims == {1, 2} and thin > 0
+
+
+# -- the deflator and the jump-date weights ---------------------------------
+
+
+def naive_build_deflator(b, filt, enlarged, tau, space):
+    """(K, driver, drawdown, deflator) from their definitions, atom by atom:
+    K = Z_-^2 / (Z_-^2 + d<m>) / Zt on ]0, tau], the driver L = -(K . mhat)
+    with jumps -(K dmhat - E[K dmhat | G_{t-1}]), the drawdown summing
+    P(Zt_t = 0 | F_{t-1}) on ]0, tau], and the deflator the running
+    product of 1 + dL - d(drawdown)."""
+    n = space.n
+    dm = naive_increments(b.m)
+    dmhat = naive_increments(AdaptedProcess(naive_g_martingale_part(b.m, b, filt, tau, space)))
+    k_rows = [tuple((F(0),) for _ in range(n))]
+    driver, drawdown = [], []
+    for t in range(1, space.horizon + 1):
+        alive = [t <= tau.at(i) for i in range(n)]
+        zprev = [b.Z.scalar_at(t - 1, i) for i in range(n)]
+        zt = [b.Ztilde.scalar_at(t, i) for i in range(n)]
+        dbracket = naive_condexp([dm[t][i][0] ** 2 for i in range(n)], filt.parts[t - 1], space)
+        collapse = naive_condexp([F(zt[i] == 0) for i in range(n)], filt.parts[t - 1], space)
+        k = [
+            zprev[i] ** 2 / (zprev[i] ** 2 + dbracket[i]) / zt[i] if alive[i] else F(0)
+            for i in range(n)
+        ]
+        prod = [k[i] * dmhat[t][i][0] for i in range(n)]
+        proj = naive_condexp(prod, enlarged.parts[t - 1], space)
+        k_rows.append(tuple((v,) for v in k))
+        driver.append([(proj[i] - prod[i],) for i in range(n)])
+        drawdown.append([(collapse[i] if alive[i] else F(0),) for i in range(n)])
+    L = naive_running_sum(1, n, driver)
+    D = naive_running_sum(1, n, drawdown)
+    rows = [tuple((F(1),) for _ in range(n))]
+    for t in range(1, space.horizon + 1):
+        rows.append(
+            tuple(
+                (rows[-1][i][0] * (1 + L[t][i][0] - L[t - 1][i][0] - D[t][i][0] + D[t - 1][i][0]),)
+                for i in range(n)
+            )
+        )
+    return tuple(k_rows), L, D, tuple(rows)
+
+
+def naive_jump_time_measures(T, b, filt, tau, space):
+    """(q, q_tilde, u) at the jump date T: q = I_{Zt_T > 0} / P(Zt_T > 0 |
+    F_{T-1}) where that mass is positive, else 1; q_tilde = Zt_T / Z_{T-1}
+    where Z_{T-1} > 0, else 1; u = Z_{T-1} / Zt_T on {T <= tau}, else 1."""
+    n = space.n
+    zprev = [b.Z.scalar_at(T - 1, i) for i in range(n)]
+    zt = [b.Ztilde.scalar_at(T, i) for i in range(n)]
+    kept = naive_condexp([F(z > 0) for z in zt], filt.parts[T - 1], space)
+    q = tuple(F(zt[i] > 0) / kept[i] if kept[i] > 0 else F(1) for i in range(n))
+    qt = tuple(zt[i] / zprev[i] if zprev[i] > 0 else F(1) for i in range(n))
+    u = tuple(zprev[i] / zt[i] if T <= tau.at(i) else F(1) for i in range(n))
+    return q, qt, u
+
+
+def test_deflator_and_jump_measures_match_naive_references():
+    atoms, thin = 0, 0
+    for space, filt, tau, _, _ in _enlargement_cases():
+        b = azema(filt, tau)
+        atoms, thin = max(atoms, space.n), thin + len(b.thin_mask)
+        out = build_deflator(b)
+        got = tuple(X.values for X in (out.kernel, out.driver, out.drawdown, out.deflator))
+        assert got == naive_build_deflator(b, filt, enlarge(filt, tau), tau, space)
+        for T in range(1, space.horizon + 1):
+            m = jump_time_measures(T, b)
+            assert (m.q, m.q_tilde, m.u_enlarged) == naive_jump_time_measures(
+                T, b, filt, tau, space
+            )
+    assert atoms == 40 and thin > 0
+
+
+# -- node sharing: one computation per node, no value or check lost ---------
+
+
+def _bench_scenario():
+    sc = _scenario_gen().random_scenario(7000, 5)
+    assert sc.space.n == 40
+    return sc
+
+
+def _unshared(X):
+    """A copy of X in which every cell, and every Fraction in it, is a
+    distinct object."""
+    return AdaptedProcess._trusted(
+        tuple(tuple(tuple(F(c.numerator, c.denominator) for c in cell) for cell in row)
+              for row in X.values)
+    )
+
+
+def _tampered(X, t, i, cell):
+    """A copy of X whose cell at (t, atom i) is the new object ``cell``."""
+    rows = list(X.values)
+    rows[t] = rows[t][:i] + (cell,) + rows[t][i + 1:]
+    return AdaptedProcess._trusted(tuple(rows))
+
+
+def test_increments_share_one_cell_per_node():
+    sc = _bench_scenario()
+    b = azema(sc.filtration, sc.tau)
+    for X in (sc.price, b.Z, b.Ztilde, b.m, b.default_compensator):
+        for t, row in enumerate(X.increments):
+            for block in sc.filtration.parts[t]:
+                assert all(row[i] is row[block[0]] for i in block)
+            assert row == naive_increments(X)[t]
+
+
+def test_theorem_suite_is_unchanged_on_an_unshared_copy():
+    sc = _bench_scenario()
+    copy = Scenario(sc.space, sc.filtration, sc.tau, _unshared(sc.price))
+    assert copy.price.values[1][0] is not copy.price.values[1][1]
+    _, shared, violations = theorem_suite(sc, battery=5)
+    _, unshared, unshared_violations = theorem_suite(copy, battery=5)
+    assert shared == unshared and violations == unshared_violations == []
+
+
+def test_a_tampered_late_atom_still_trips_the_self_checks():
+    # each per-node memo keys on every input its body reads, so an atom
+    # whose cell differs from its node's first cell is decided on its own
+    sc = _bench_scenario()
+    filt = sc.filtration
+    b = azema(filt, sc.tau)
+    dates, atoms = range(1, sc.space.horizon + 1), range(sc.space.n)
+
+    def late(t, i):
+        # in ]0, tau] at t, m moves there, and not the first atom of its F_t-node
+        return b.alive[t][i] and any(b.m.increments[t][i]) and i != block_of(filt, t, i)[0]
+
+    t, i = next((t, i) for t in dates for i in atoms if late(t, i))
+    _rescaled_sides(b.m, b)
+    vanished = dataclasses.replace(b, Ztilde=_tampered(b.Ztilde, t, i, (F(0),)))
+    with pytest.raises(StructuralViolation, match="Zt vanished inside"):
+        _rescaled_sides(b.m, vanished)
+
+    # an atom alone in its G_t-node keeps the kernel G-adapted, so only the
+    # closed form of the driver's jumps sees its halved Zt
+    t, i = next(
+        (t, i) for t in dates for i in atoms
+        if late(t, i) and len(block_of(b.enlarged, t, i)) == 1
+    )
+    build_deflator(b)
+    halved = (b.Ztilde.values[t][i][0] / 2,)
+    moved = dataclasses.replace(b, Ztilde=_tampered(b.Ztilde, t, i, halved))
+    with pytest.raises(StructuralViolation, match="closed form"):
+        build_deflator(moved)
