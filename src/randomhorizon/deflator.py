@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .enlargement import AzemaBundle, _times, survival_divisor
@@ -39,6 +38,7 @@ from .projections import (
     is_martingale,
     node_drifts,
 )
+from .rational import Q
 from .space import (
     AdaptedProcess,
     Filtration,
@@ -76,7 +76,7 @@ def stoch_exp(N: AdaptedProcess) -> AdaptedProcess:
     def grow(acc, dN):
         return (acc[0] * (1 + dN[0]),)
 
-    rows = [((Fraction(1),),) * len(N.values[0])]
+    rows = [((Q(1),),) * len(N.values[0])]
     for t in range(1, N.horizon + 1):
         rows.append(zip_row(grow, rows[-1], N.increments[t]))
     return AdaptedProcess._trusted(tuple(rows))
@@ -98,7 +98,7 @@ def build_deflator(bundle: AzemaBundle) -> DeflatorBundle:
     space, enlarged = bundle.space, bundle.enlarged
     Z, Zt = bundle.Z.values, bundle.Ztilde.values
     bracket = dual_predictable(bundle.m_bracket, bundle.filt).increments  # d<m, m>
-    zero = (Fraction(0),)
+    zero = (Q(0),)
 
     def kernel(alive, zprev, ztilde, dbracket):
         if not alive:
@@ -175,7 +175,7 @@ def supermartingale_deflator(
         raise ValueError("strategy dimension must match the price")
     stopped = stop(S, bundle.tau)
     n = space.n
-    wealth = [Fraction(0)] * n
+    wealth = [Q(0)] * n
     increments = []
     for t in range(1, space.horizon + 1):
         row = []
@@ -204,7 +204,7 @@ class DeflatorFailure:
     block: tuple          # atom names of the node
     direction: Optional[tuple]  # strategy or recession direction
     unbounded: bool
-    excess: Optional[Fraction]  # achieved value minus the allowed bound
+    excess: Optional[Q]  # achieved value minus the allowed bound
 
 
 @dataclass(frozen=True)

@@ -49,11 +49,11 @@ atom-by-atom loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotPredictable, StructuralViolation
 from .projections import assert_martingale, condexp, is_martingale, quadratic_covariation
+from .rational import Q
 from .space import (
     INF,
     AdaptedProcess,
@@ -71,7 +71,7 @@ from .space import (
     zip_row,
 )
 
-_ZERO = Fraction(0)
+_ZERO = Q(0)
 
 
 def _check_fits(tau: RandomTime, space: FiniteSpace) -> None:
@@ -157,7 +157,7 @@ class AzemaBundle:
         t >= 1 (None at t = 0).  It is 1 on {Z_{t-1} = 0}, where Zt_t
         vanishes too, and elsewhere the mass of the thin set {Zt = 0 < Z_-}
         seen from F."""
-        one = Fraction(1)
+        one = Q(1)
         return (None,) + tuple(
             condexp([one if c[0] == 0 else _ZERO for c in self.Ztilde.values[t]], self.filt, t - 1)
             for t in range(1, self.space.horizon + 1)
@@ -190,7 +190,7 @@ def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
     space = filt.space
     _check_fits(tau, space)
     n = space.n
-    one, zero = Fraction(1), Fraction(0)
+    one, zero = Q(1), Q(0)
     times = tau.values
 
     z_rows, zt_rows, default_increments = [], [], []
@@ -256,7 +256,7 @@ def _vanishes(cell) -> bool:
     return cell[0] == 0
 
 
-def survival_divisor(x: Fraction, name: str) -> Fraction:
+def survival_divisor(x: Q, name: str) -> Q:
     """``x``, a value of ``name`` ("Z_-" or "Zt") divided by on ]0, tau];
     :class:`StructuralViolation` if it vanished there."""
     if x == 0:
@@ -409,7 +409,7 @@ def projection_transfer_identities(
     if M.dim != 1:
         raise ValueError("transfer identities are per scalar component")
     n = space.n
-    clock = AdaptedProcess.from_increments([((Fraction(1),),) * n] * space.horizon)
+    clock = AdaptedProcess.from_increments([((Q(1),),) * n] * space.horizon)
     first = ((_ZERO,),) * n
     rows = []
     for V in (M, clock):
@@ -449,7 +449,7 @@ def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
     cached = bundle._jump_measures.get(T)
     if cached is not None:
         return cached
-    one = Fraction(1)
+    one = Q(1)
 
     def weights(zprev, ztilde, c, alive):
         zp, z = zprev[0], ztilde[0]
@@ -486,7 +486,7 @@ def reduce_g_predictable(
     """
     if not is_predictable(H, enlarged):
         raise NotPredictable("input of reduce_g_predictable is not G-predictable")
-    one = tuple(Fraction(1) for _ in range(H.dim))
+    one = tuple(Q(1) for _ in range(H.dim))
     rows = []
     for t in filt.space.times:
         blocks = filt.parts[max(t - 1, 0)]

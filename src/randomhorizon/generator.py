@@ -14,9 +14,9 @@ construction.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .io import Scenario
+from .rational import Q
 from .space import INF, AdaptedProcess, FiniteSpace, Filtration, RandomTime, condexp_cells
 
 MAX_ATOMS = 12
@@ -50,7 +50,7 @@ def _random_tree(rng: random.Random, horizon: int):
 def _random_probs(rng: random.Random, n: int):
     weights = [rng.randint(1, 5) for _ in range(n)]
     total = sum(weights)
-    return [Fraction(w, total) for w in weights]
+    return [Q(w, total) for w in weights]
 
 
 def random_martingale(
@@ -69,7 +69,7 @@ def random_martingale(
         raise ValueError("the space must be the space of the filtration")
     terminal = [None] * space.n
     for block in filt.parts[space.horizon]:
-        cell = tuple(Fraction(rng.randint(-spread, spread)) for _ in range(dim))
+        cell = tuple(Q(rng.randint(-spread, spread)) for _ in range(dim))
         for i in block:
             terminal[i] = cell
     current = tuple(terminal)

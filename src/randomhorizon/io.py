@@ -22,11 +22,11 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .errors import InvalidProbabilities, InvalidScenario
+from .rational import Q
 from .space import (
     INF,
     AdaptedProcess,
@@ -49,8 +49,8 @@ def _decimal(n: int) -> str:
     return ("-" if n < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
 
 
-def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
+def format_fraction(x) -> str:
+    """``p/q`` of a ``Q`` or an int, or ``p`` when the denominator is 1."""
     num = _decimal(x.numerator)
     return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
 
@@ -73,7 +73,7 @@ def _max_digits() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
-def _printable(x: Fraction, limit: int) -> bool:
+def _printable(x: Q, limit: int) -> bool:
     """True iff numerator and denominator have at most ``limit`` decimal
     digits; below ``2**(3 * limit)`` no power of ten is needed."""
     bits = 3 * limit
@@ -82,15 +82,15 @@ def _printable(x: Fraction, limit: int) -> bool:
     return max(abs(x.numerator), x.denominator) < 10**limit
 
 
-def parse_fraction(s, location="") -> Fraction:
+def parse_fraction(s, location="") -> Q:
     try:
         if _is_int(s):
-            return Fraction(s)
+            return Q(s)
         if isinstance(s, str):
             limit = _max_digits()
             m = _EXPONENT.search(s)
             if m is None or abs(int(m.group(1))) < limit:
-                x = Fraction(s)
+                x = Q(s)
                 if _printable(x, limit):
                     return x
     except (ValueError, ZeroDivisionError):
@@ -219,7 +219,7 @@ def parse_scenario(doc: dict) -> Scenario:
                 "adaptedness", f"$.S.values.{atoms[i]}[{t}]",
                 "price is not constant on a filtration block",
             )
-    # every cell is a dim-tuple of Fractions already
+    # every cell is a dim-tuple of Q values already
     return Scenario(space, filtration, tau, AdaptedProcess._trusted(tuple(rows)))
 
 

@@ -1,6 +1,6 @@
 """Exact linear programming over rationals for node-sized problems.
 
-All arithmetic is exact (ints and :class:`fractions.Fraction`), so
+All arithmetic is exact (ints and :class:`~randomhorizon.rational.Q`), so
 feasibility, optimality and unboundedness are decided exactly.  Three entry
 points cover every use in the package:
 
@@ -34,7 +34,7 @@ with Bland's rule: repeated or collinear triples, four or more points and
 three or more dimensions.  Its tableau holds each row as Python ints over
 one positive denominator, with the reduced costs as one more row that is
 pivoted with the others; a pivot is fraction-free (cross-multiply, then
-divide the row by its gcd), and Fractions are built only for the answer.
+divide the row by its gcd), and rationals are built only for the answer.
 Every sign test and every ratio comparison (cross-multiplied, as the row
 denominator cancels) has the exact value a Fraction tableau gives, so
 Bland's rule takes the same pivots and returns the same vertex, objective
@@ -55,18 +55,18 @@ failing family, (1,) or (-1,).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import StructuralViolation
+from .rational import EXACT, Q
 
 
 @dataclass
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[tuple] = None
-    objective: Optional[Fraction] = None
+    objective: Optional[Q] = None
     ray: Optional[tuple] = None
 
 
@@ -119,23 +119,24 @@ def _iterate(T, basis, ncols):
 
 
 def _ints(values):
-    """The ints and Fractions ``values`` as ints over the lcm of their
+    """The exact ``values`` (ints and rationals) as ints over the lcm of their
     denominators."""
     d = lcm(*[v.denominator for v in values])
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def solve_min(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequence[Fraction]) -> LPResult:
-    """min c.x  s.t.  A x = b, x >= 0, exactly; every entry an int or a
-    Fraction (anything else raises TypeError); A has len(b) rows of len(c)."""
+def solve_min(A: Sequence[Sequence[Q]], b: Sequence[Q], c: Sequence[Q]) -> LPResult:
+    """min c.x  s.t.  A x = b, x >= 0, exactly; every entry an int, a
+    Fraction or a ``Q`` (anything else raises TypeError); A has len(b) rows
+    of len(c).  The answer is in ``Q``."""
     m, n = len(A), len(c)
     if len(b) != m or any(len(row) != n for row in A):
         raise ValueError(f"solve_min takes len(b) rows of A, each of length len(c) = {n}")
-    if not {type(v) for vs in (*A, b, c) for v in vs} <= {int, Fraction}:
+    if not {type(v) for vs in (*A, b, c) for v in vs} <= EXACT:
         named = [(f"A[{r}]", row) for r, row in enumerate(A)] + [("b", b), ("c", c)]
         name, v = next((f"{name}[{i}]", v) for name, vs in named for i, v in enumerate(vs)
-                       if type(v) not in (int, Fraction))
-        raise TypeError(f"solve_min takes int or Fraction entries: {name} = {v!r}")
+                       if type(v) not in EXACT)
+        raise TypeError(f"solve_min takes int, Fraction or Q entries: {name} = {v!r}")
     # phase 1: artificial basis, priced by one pivot on each artificial
     T = []
     for r in range(m):
@@ -168,15 +169,15 @@ def solve_min(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: Sequenc
         _pivot(T, basis, r, col)  # prices the phase-2 cost row
     status, entering = _iterate(T, basis, n)
     if status == "unbounded":
-        ray = [Fraction(0)] * n
-        ray[entering] = Fraction(1)
+        ray = [Q(0)] * n
+        ray[entering] = Q(1)
         for col, (nums, d) in zip(basis, T):
-            ray[col] = Fraction(-nums[entering], d)
+            ray[col] = Q(-nums[entering], d)
         return LPResult("unbounded", ray=tuple(ray))
-    x = [Fraction(0)] * n
+    x = [Q(0)] * n
     for col, (nums, d) in zip(basis, T):
-        x[col] = Fraction(nums[-1], d)
-    return LPResult("optimal", x=tuple(x), objective=Fraction(-T[-1][0][-1], T[-1][1]))
+        x[col] = Q(nums[-1], d)
+    return LPResult("optimal", x=tuple(x), objective=Q(-T[-1][0][-1], T[-1][1]))
 
 
 def zero_in_relative_interior(deltas: Sequence[tuple]):
@@ -190,7 +191,7 @@ def zero_in_relative_interior(deltas: Sequence[tuple]):
     if k == 0:
         return True, ()
     if all(c == 0 for point in deltas for c in point):
-        w = Fraction(1, k)
+        w = Q(1, k)
         return True, tuple(w for _ in range(k))
     if k == 1:
         return False, None
@@ -201,7 +202,7 @@ def zero_in_relative_interior(deltas: Sequence[tuple]):
         if pos == 0 or neg == 0:
             return False, None
         raw = [neg if x > 0 else pos if x < 0 else 1 for (x,) in deltas]
-        total = Fraction(sum(raw))
+        total = Q(sum(raw))
         return True, tuple(r / total for r in raw)
     if d == 2 and k == 2:
         (a0, a1), (b0, b1) = deltas
@@ -209,7 +210,7 @@ def zero_in_relative_interior(deltas: Sequence[tuple]):
             return False, None
         # antiparallel: w_a * a_j + w_b * b_j = 0 on a coordinate with a_j != 0
         aj, bj = (a0, b0) if a0 else (a1, b1)
-        wa = Fraction(bj, bj - aj)
+        wa = Q(bj, bj - aj)
         return True, (wa, 1 - wa)
     if d == 2 and k == 3:
         (a0, a1), (b0, b1), (c0, c1) = deltas
@@ -219,7 +220,7 @@ def zero_in_relative_interior(deltas: Sequence[tuple]):
         total = wa + wb + wc
         if total:  # affinely independent: barycentric coordinates of 0
             if (wa > 0 and wb > 0 and wc > 0) or (wa < 0 and wb < 0 and wc < 0):
-                return True, (Fraction(wa, total), Fraction(wb, total), Fraction(wc, total))
+                return True, (Q(wa, total), Q(wb, total), Q(wc, total))
             return False, None
     # variables: eps, v_1..v_k  (w_i = eps + v_i)
     A = [[sum(p[j] for p in deltas)] + [p[j] for p in deltas] for j in range(d)]
@@ -278,5 +279,5 @@ def maximize_over_admissible(objective: tuple, deltas: Sequence[tuple]):
     free (split internally), and theta = 0 is always feasible.
     """
     if all(g == 0 for g in objective):
-        return "optimal", tuple(Fraction(0) for _ in objective), Fraction(0)
+        return "optimal", tuple(Q(0) for _ in objective), Q(0)
     return _theta_lp(objective, deltas, 1, box=False)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional, Sequence
 
@@ -38,6 +37,7 @@ from .errors import EngineError, PreconditionViolated, StructuralViolation
 from .generator import random_martingale
 from .lp import separating_direction, zero_in_relative_interior
 from .projections import is_martingale, nonnegative
+from .rational import Q
 from .space import (
     AdaptedProcess,
     FiniteSpace,
@@ -56,7 +56,7 @@ class NodeWeights:
     time: int
     block: tuple  # atom names of the parts[t-1]-block
     children: tuple  # atom-name blocks, only positive-mass children
-    weights: tuple  # strictly positive Fractions summing to 1
+    weights: tuple  # strictly positive rationals summing to 1
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _node_weights(filt: Filtration, w, decided: dict) -> tuple:
         nodes = decided.get(t)
         if nodes is None:
             nodes = [
-                (parent, kids, (Fraction(1, len(kids)),) * len(kids))
+                (parent, kids, (Q(1, len(kids)),) * len(kids))
                 for parent, kids in filt.nodes(t, w)
             ]
         for parent, kids, lam in nodes:
@@ -147,7 +147,7 @@ def certify_nupbr(
     X: AdaptedProcess,
     filt: Filtration,
     space: FiniteSpace,
-    weights: Optional[Sequence[Fraction]] = None,
+    weights: Optional[Sequence[Q]] = None,
 ) -> CertResult:
     """Exact node-wise NUPBR certificate, optionally under an absolutely
     continuous reweighting given by nonnegative atom weights (zero-mass
@@ -191,7 +191,7 @@ def single_jump_process(
     """xi I_{[T, inf)} with an optional atom mask applied to xi; its only
     nonzero increments are at T."""
     dim = len(xi_values[0])
-    zero = (Fraction(0),) * dim
+    zero = (Q(0),) * dim
     jump = tuple(
         tuple(frac(c) for c in xi) if mask is None or mask[i] else zero
         for i, xi in enumerate(xi_values)
@@ -294,7 +294,7 @@ def collapse_witness(bundle: AzemaBundle) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class MaskedCriterionRecord:
-    per_delta: dict  # Fraction -> bool
+    per_delta: dict  # Q -> bool
     all_deltas: bool
     stopped_verdict: bool
 
@@ -314,7 +314,7 @@ def _masked_families(S: AdaptedProcess, bundle: AzemaBundle):
             yield bundle.Z.scalar_at(t - 1, parent[0]), [row[c[0]] for c in kids]
 
 
-def masked_increment_criterion(S: AdaptedProcess, bundle: AzemaBundle, delta: Fraction) -> bool:
+def masked_increment_criterion(S: AdaptedProcess, bundle: AzemaBundle, delta: Q) -> bool:
     """On every node with Z_{t-1} >= delta, zero must lie in the relative
     interior of the convex hull of the increments over children that keep
     Zt_t > 0 (such a node has at least one)."""
@@ -346,7 +346,7 @@ def masked_increment_criterion_all(S: AdaptedProcess, bundle: AzemaBundle) -> Ma
             "masked-increment criterion requires the base process to satisfy NUPBR"
         )
     nodes = list(_masked_families(S, bundle))
-    worst = Fraction(0)  # largest Z_{t-1} over the failing nodes seen
+    worst = Q(0)  # largest Z_{t-1} over the failing nodes seen
     for z, family in nodes:
         if z <= worst:
             continue  # cannot raise the bound, so the node need not be decided
@@ -391,7 +391,7 @@ def single_jump_martingale_transfer(
     M = single_jump_process(xi_values, T, space)
     measures = jump_time_measures(T, bundle)
 
-    zero = (Fraction(0),) * len(xi_values[0])
+    zero = (Q(0),) * len(xi_values[0])
     thin = [
         cell if (space.atoms[i], T) in bundle.thin_mask else zero
         for i, cell in enumerate(xi_values)

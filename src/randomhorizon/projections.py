@@ -9,11 +9,11 @@ integrability caveats apply on a finite space.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
 from .errors import NotMartingale
+from .rational import Q
 from .space import (
     AdaptedProcess,
     FiniteSpace,
@@ -75,7 +75,7 @@ def angle_bracket(M: AdaptedProcess, N: AdaptedProcess, filt: Filtration) -> Ada
 
 
 def is_martingale(
-    M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[Fraction]] = None
+    M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[Q]] = None
 ) -> bool:
     """Exact martingale test, optionally under an absolutely continuous
     reweighting.
@@ -93,7 +93,7 @@ def is_martingale(
 
 
 def nonnegative(weights: Optional[Sequence], space: FiniteSpace) -> Optional[list]:
-    """Atom weights as Fractions (None stays None); ``ValueError`` unless
+    """Atom weights as ``Q`` values (None stays None); ``ValueError`` unless
     there is one weight per atom of ``space``, on a negative weight, and
     when no weight is positive, since no Q normalises then."""
     if weights is None:
@@ -108,14 +108,14 @@ def nonnegative(weights: Optional[Sequence], space: FiniteSpace) -> Optional[lis
     return w
 
 
-def node_drifts(M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[Fraction]] = None):
+def node_drifts(M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[Q]] = None):
     """Yield, per one-period node and component, sum q(w) dM_t(w) over the
     node, with q = P, or P * E[weights | F_t] under a reweighting whose
     nonnegative ``weights`` are already validated; nodes of zero Q-mass are
     skipped.  Zero increments and zero Q-weights add nothing.
 
     Each sum runs on integers (:func:`weighted_sum` with q scaled to ints)
-    and only a nonzero one becomes a Fraction; a zero node yields 0.  On a
+    and only a nonzero one becomes a ``Q``; a zero node yields 0.  On a
     date whose increment row is all zero every node yields its zeros
     without projecting the weights or summing.  ``ValueError`` unless M
     fits ``filt.space``."""
@@ -146,7 +146,7 @@ def node_drifts(M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[
                 continue
             for col in cols:
                 num, den = weighted_sum(q, col, block)
-                yield Fraction(num, den * qden) if num else 0
+                yield Q(num, den * qden) if num else 0
 
 
 def assert_martingale(M, filt, name="process"):

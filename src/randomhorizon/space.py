@@ -1,18 +1,18 @@
 """Finite probability spaces, filtrations as refining partitions, and exact
 adapted processes.
 
-Probabilities and process values are :class:`fractions.Fraction`; every
-operator here (conditional expectation, stopping, ...) is closed-form
+Probabilities and process values are :class:`~randomhorizon.rational.Q`,
+the package's one exact rational type (a :class:`fractions.Fraction` whose
+operators run in one frame); every operator here (conditional expectation, stopping, ...) is closed-form
 rational arithmetic, so equality of processes is decidable and exact.  The
 hot kernels run on integer numerators: :attr:`FiniteSpace.scaled` holds
 the probabilities as ints ``P`` over one common denominator ``D``, and
 :func:`weighted_sum` adds ``P[i] * v_i`` as one int numerator over a
 running common denominator, so :func:`condexp`,
 :meth:`FiniteSpace.expectation` and the node drifts of
-:mod:`projections` build a single Fraction per block or node.  Python
+:mod:`projections` build a single ``Q`` per block or node.  Python
 ints have arbitrary precision, so every result is the exact value a
-Fraction computation gives, and every value a kernel returns is a
-Fraction.
+Fraction computation gives, and every value a kernel returns is a ``Q``.
 
 Discrete-time conventions used throughout the package:
 
@@ -98,21 +98,22 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidProbabilities, NotAdapted, NotPredictable
+from .rational import Q
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def frac(x) -> Q:
+    """Coerce ints, strings like '3/4', and Fractions to ``Q``; a ``Q`` is
+    returned unchanged."""
+    if type(x) is Q:
         return x
     if isinstance(x, float):
         raise TypeError("floats are banned in the exact engine; got %r" % (x,))
-    return Fraction(x)
+    return Q(x)
 
 
 class _Infinity:
@@ -152,7 +153,7 @@ INF = _Infinity()
 
 TimeValue = Union[int, _Infinity]
 
-_ZERO = Fraction(0)
+_ZERO = Q(0)
 
 
 @dataclass(frozen=True)
@@ -193,14 +194,14 @@ class FiniteSpace:
     def index(self) -> dict:
         return {a: i for i, a in enumerate(self.atoms)}
 
-    def expectation(self, values: Sequence[Fraction]) -> Fraction:
+    def expectation(self, values: Sequence[Q]) -> Q:
         """E[values] for an atom vector; ``ValueError`` unless it has one
         value per atom."""
         if len(values) != self.n:
             raise ValueError("one value per atom required")
         D, P = self.scaled
         num, den = weighted_sum(P, values, range(self.n))
-        return Fraction(num, den * D)
+        return Q(num, den * D)
 
     @cached_property
     def scaled(self) -> tuple:
@@ -210,7 +211,7 @@ class FiniteSpace:
         return d, tuple(p.numerator * (d // p.denominator) for p in self.prob)
 
 
-def _canonical_partition(blocks, n: int):
+def _canonical_partition(blocks, n: int, t: int):
     seen = []
     covered = set()
     for block in blocks:
@@ -225,7 +226,7 @@ def _canonical_partition(blocks, n: int):
             covered.add(i)
         seen.append(b)
     if len(covered) != n:
-        raise ValueError("partition does not cover all atoms")
+        raise ValueError(f"the partition at time {t} does not cover every atom of the space")
     return tuple(sorted(seen))
 
 
@@ -242,8 +243,8 @@ class Filtration:
     def __post_init__(self):
         if len(self.parts) != self.space.horizon + 1:
             raise ValueError("filtration length must match the time grid")
-        n = sum(len(b) for b in self.parts[0])
-        parts = tuple(_canonical_partition(p, n) for p in self.parts)
+        n = self.space.n
+        parts = tuple(_canonical_partition(p, n, t) for t, p in enumerate(self.parts))
         object.__setattr__(self, "parts", parts)
         # children[t][k] -> the blocks of parts[t] inside block k of
         # parts[t-1]; entry 0 is unused padding
@@ -257,8 +258,6 @@ class Filtration:
                     raise ValueError(f"partition at time {t} does not refine time {t - 1}")
                 kids[owners.pop()].append(block)
             children.append(tuple(map(tuple, kids)))
-        if n != self.space.n:
-            raise ValueError("filtration must cover every atom of the space")
         object.__setattr__(self, "_children", tuple(children))
 
     def nodes(self, t: int, w=None):
@@ -296,10 +295,10 @@ class Filtration:
 
 def weighted_sum(weights: Sequence[int], values: Sequence, block) -> tuple:
     """``(num, den)`` with ``num / den == sum(weights[i] * values[i] for i in
-    block)`` for int ``weights`` and int or Fraction ``values``.
+    block)`` for int ``weights`` and int or rational ``values``.
 
     The sum runs on one integer numerator over a running common denominator
-    (the least common multiple of the denominators met), so no Fraction is
+    (the least common multiple of the denominators met), so no rational is
     built; atoms with a zero value or a zero weight are skipped."""
     num, den = 0, 1
     for i in block:
@@ -322,13 +321,13 @@ def _off_grid(t, filt: Filtration) -> ValueError:
     return ValueError(f"date {t!r} is off the grid {{0, ..., {filt.space.horizon}}}")
 
 
-def condexp(values: Sequence[Fraction], filt: Filtration, t: int):
+def condexp(values: Sequence[Q], filt: Filtration, t: int):
     """Exact conditional expectation E[values | F_t] of an atom vector.
 
     Returns a vector over atoms, constant on each block of ``filt.parts[t]``,
     equal on block B to sum(P(w) values(w) for w in B) / P(B).  Values may
-    be ints or Fractions; each block sums ``P[i] * values[i]`` as
-    :func:`weighted_sum` and builds a single Fraction
+    be ints or rationals; each block sums ``P[i] * values[i]`` as
+    :func:`weighted_sum` and builds a single ``Q``
     ``num / (den * P_B)`` with ``P_B`` read from :attr:`Filtration.masses`
     (the common denominator D of ``prob`` cancels).  A block whose sum is
     zero keeps 0 without a division.  ``ValueError`` unless
@@ -346,7 +345,7 @@ def condexp(values: Sequence[Fraction], filt: Filtration, t: int):
     for block, mass in zip(filt.parts[t], filt.masses[t]):
         num, den = weighted_sum(P, values, block)
         if num:
-            avg = Fraction(num, den * mass)
+            avg = Q(num, den * mass)
             for i in block:
                 out[i] = avg
     return tuple(out)
@@ -458,7 +457,7 @@ def table_shape(rows) -> tuple:
 class AdaptedProcess:
     """Per-atom, per-time vector of exact rationals.
 
-    ``values[t][atom]`` is a tuple of ``dim`` Fractions, and the shape is
+    ``values[t][atom]`` is a tuple of ``dim`` ``Q`` values, and the shape is
     read off the cells: one row per date, one cell per atom, one length
     ``dim`` per cell (:func:`table_shape`; ``ValueError`` otherwise).  A
     process carries no measurability claim: :func:`is_adapted` and
@@ -478,7 +477,7 @@ class AdaptedProcess:
     @classmethod
     def _trusted(cls, rows: tuple, increments: Optional[tuple] = None) -> "AdaptedProcess":
         """Internal constructor for rows that are already tuples of tuples of
-        Fractions of one shape (results of Fraction arithmetic or cells of
+        ``Q`` values of one shape (results of ``Q`` arithmetic or cells of
         existing processes): skips the coercion and the shape check of
         ``__post_init__``.  ``increments``, when given, is the exact
         :attr:`increments` table of ``rows`` and fills that cache."""
@@ -504,7 +503,7 @@ class AdaptedProcess:
     def at(self, t: int, atom: int) -> tuple:
         return self.values[t][atom]
 
-    def scalar_at(self, t: int, atom: int) -> Fraction:
+    def scalar_at(self, t: int, atom: int) -> Q:
         cell = self.values[t][atom]
         if len(cell) != 1:
             raise ValueError("scalar access on a vector process")
@@ -535,7 +534,7 @@ class AdaptedProcess:
     @staticmethod
     def from_increments(increments) -> "AdaptedProcess":
         """Running sum from 0: ``values[0]`` is zero and ``values[t]`` adds
-        ``increments[t - 1][atom]`` (a tuple of Fractions) to
+        ``increments[t - 1][atom]`` (a tuple of ``Q`` values) to
         ``values[t - 1]``.  The atoms and the dimension are read off the
         first increment row; ``ValueError`` on a row of another length or a
         nonzero increment of another dimension.
@@ -576,14 +575,16 @@ class AdaptedProcess:
 
     @staticmethod
     def from_scalar_paths(paths) -> "AdaptedProcess":
-        """``paths[t][atom]`` is a scalar; the atoms that carry the same
-        Fraction object share one cell.
+        """``paths[t][atom]`` is a scalar; each distinct source object is
+        coerced (:func:`frac`) once, and the atoms that carry it share one
+        cell.
 
-        :func:`map_cells` keys its memo by the coerced Fractions, which the
-        call keeps alive.  The raw input would not do: a string is freed
-        once parsed, and a later input can reuse its address."""
-        scalars = [[frac(v) for v in row] for row in paths]
-        return AdaptedProcess._trusted(map_cells(scalars, lambda x: (x,)))
+        :func:`map_cells` keys its memo by the sources, which the call
+        copies into its own table and so keeps alive: a source a generator
+        hands over (a string, a Fraction) would otherwise be freed once
+        read, and a later one could reuse its address and its cell."""
+        sources = [tuple(row) for row in paths]
+        return AdaptedProcess._trusted(map_cells(sources, lambda v: (frac(v),)))
 
     # -- pointwise arithmetic -------------------------------------------
 
@@ -681,17 +682,17 @@ def stop(X: AdaptedProcess, sigma: RandomTime) -> AdaptedProcess:
     after; ``ValueError`` unless sigma has one value per atom of X."""
     if len(sigma.values) != len(X.values[0]):
         raise ValueError("stopping time must have one value per atom of the process")
+    values, times = X.values, sigma.values
     zero = X.increments[0][0]
     rows, table = [], []
-    for t, inc in enumerate(X.increments):
+    for t, (cells, inc) in enumerate(zip(values, X.increments)):
         row, dx = [], []
-        for i, d in enumerate(inc):
-            s = sigma.at(i)
+        for i, (cell, d, s) in enumerate(zip(cells, inc, times)):
             if t <= s:
-                row.append(X.values[t][i])
+                row.append(cell)
                 dx.append(d)
             else:
-                row.append(X.values[s][i])
+                row.append(values[s][i])
                 dx.append(zero)
         rows.append(tuple(row))
         table.append(tuple(dx))

@@ -52,18 +52,46 @@ def test_no_floats_in_the_exact_engine():
     assert found == []
 
 
+def _imports_fractions(tree) -> list:
+    """Line numbers of each ``import fractions`` or ``from fractions import``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions" and not node.level)
+    ]
+
+
+def test_one_rational_type():
+    # the engine computes in ``rational.Q``: a module that imported
+    # ``fractions`` could build plain Fractions, whose operators go through
+    # the stdlib's ABC dispatch, and a leaked one passes every equality
+    # test; ``rational.py`` is also held to the float and reader rules,
+    # since neither exempts it
+    sample = "import fractions\nfrom fractions import Fraction\nfrom .fractions import x\n"
+    assert _imports_fractions(ast.parse(sample)) == [1, 2]
+    assert "rational.py" in {p.name for p in SOURCES}
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "rational.py"
+        for line in _imports_fractions(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
 def test_pivot_loop_never_names_fraction():
-    # the simplex pivots on ints over one denominator per row; a Fraction
-    # in the pivot or pricing loop would bring back its per-entry gcd and
-    # allocation, and solve_min builds Fractions only for its answer
+    # the simplex pivots on ints over one denominator per row; a rational
+    # (Q or Fraction) in the pivot or pricing loop would bring back its
+    # per-entry gcd and allocation, and solve_min builds Qs only for its answer
     lp = ast.parse((SOURCES[0].parent / "lp.py").read_text(encoding="utf-8"))
     loops = {n.name: n for n in lp.body if isinstance(n, ast.FunctionDef)}
     found = [
         f"{name}:{node.lineno}"
         for name in ("_pivot", "_iterate")
         for node in ast.walk(loops[name])
-        if (isinstance(node, ast.Name) and node.id == "Fraction")
-        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+        if (isinstance(node, ast.Name) and node.id in ("Fraction", "Q"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("Fraction", "Q"))
     ]
     assert found == []
 

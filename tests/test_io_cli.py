@@ -15,6 +15,7 @@ from randomhorizon.io import (
     parse_scenario,
     serialize_scenario,
 )
+from randomhorizon.rational import Q
 
 
 def _ex1_doc():
@@ -112,21 +113,35 @@ def test_malformed_containers_are_schema_errors(mutate, location, capsys, tmp_pa
     assert json.loads(err_text)["error"] == "schema"
 
 
-@pytest.mark.parametrize("command", ["inspect", "certify"])
-def test_filtration_must_cover_every_atom(command, capsys, tmp_path):
+@pytest.mark.parametrize(
+    "command, time_0",
+    [("inspect", None), ("certify", None), ("inspect", []), ("inspect", [["a"]]), ("inspect", [["a", "b", "c"]])],
+    ids=["inspect", "certify", "empty-time-0", "a-time-0", "abc-time-0"],
+)
+def test_filtration_must_cover_every_atom(command, time_0, capsys, tmp_path):
+    # time_0 None drops atom d from every date; an empty or short F_0 alone
+    # is reported the same way, not as an atom index of a later date
     doc = _ex1_doc()
-    doc["filtration"] = [
-        [[a for a in block if a != "d"] for block in blocks if block != ["d"]]
-        for blocks in doc["filtration"]
-    ]
+    if time_0 is None:
+        doc["filtration"] = [
+            [[a for a in block if a != "d"] for block in blocks if block != ["d"]]
+            for blocks in doc["filtration"]
+        ]
+    else:
+        doc["filtration"][0] = time_0
+    message = "the partition at time 0 does not cover every atom of the space"
     with pytest.raises(InvalidScenario) as err:
         parse_scenario(doc)
-    assert (err.value.code, err.value.location) == ("filtration", "$.filtration")
-    path = tmp_path / "missing_d.json"
+    assert (err.value.code, err.value.location, err.value.reason) == (
+        "filtration", "$.filtration", message
+    )
+    path = tmp_path / "uncovered.json"
     path.write_text(json.dumps(doc))
     rc, out, err_text = _run([command, str(path)], capsys)
     assert (rc, out) == (1, "")
-    assert json.loads(err_text)["error"] == "filtration"
+    assert json.loads(err_text) == {
+        "error": "filtration", "location": "$.filtration", "message": message
+    }
 
 
 @pytest.mark.parametrize("cell", ["1e99999999", "-3e-4000000", "1e4000000", "2E+4300"])
@@ -741,7 +756,7 @@ def test_parsed_price_shares_one_cell_per_block():
         for block in blocks:
             assert len({id(row[i]) for i in block}) == 1
     assert sc.price.values == load_builtin("ex1").price.values
-    assert all(type(c) is F for row in sc.price.values for cell in row for c in cell)
+    assert all(type(c) is Q for row in sc.price.values for cell in row for c in cell)
 
 
 def test_cli_mc_validation_reports_the_4se_verdict(capsys, tmp_path, monkeypatch):

@@ -47,6 +47,7 @@ from randomhorizon.nupbr import (
     single_jump_process,
 )
 from randomhorizon.projections import condexp, is_martingale, node_drifts
+from randomhorizon.rational import Q
 from randomhorizon.space import (
     INF,
     AdaptedProcess,
@@ -276,7 +277,7 @@ def test_condexp_on_mixed_ints_and_fractions(seed, values):
         for t in space.times:
             got = condexp(v, filt, t)
             assert got == naive_condexp(v, filt.parts[t], space)
-            assert all(type(c) is F for c in got)
+            assert all(type(c) is Q for c in got)
 
 
 def _cells(rows):
@@ -287,20 +288,20 @@ def _cells(rows):
 @given(SEEDS)
 def test_kernels_return_fractions_only(seed):
     # Fraction(1, 2) == 0.5, so equality with a reference cannot tell a
-    # leaked float (or int) from a Fraction; the type can
+    # leaked float, int or plain Fraction from a Q; the type can
     space, cases = _cases(seed)
     tau = random_instance(seed).tau
     for X, filt in cases:
         built = AdaptedProcess.from_increments(X.increments[1:])
         derived = [X, built, stop(X, tau), X + built, X - stop(X, tau)]
         for Y in derived:
-            assert all(type(c) is F for c in _cells(Y.values) + _cells(Y.increments))
+            assert all(type(c) is Q for c in _cells(Y.values) + _cells(Y.increments))
         for t in space.times:
             first = [cell[0] for cell in X.values[t]]
-            assert all(type(c) is F for c in condexp(first, filt, t))
+            assert all(type(c) is Q for c in condexp(first, filt, t))
             for cells in (X.values[t], X.increments[t]):
                 assert all(
-                    type(c) is F
+                    type(c) is Q
                     for cell in condexp_cells(cells, filt, t)
                     for c in cell
                 )
@@ -309,7 +310,7 @@ def test_kernels_return_fractions_only(seed):
 def test_public_constructor_still_coerces_and_bans_floats():
     X = AdaptedProcess(((("3/4",),), ((1,),)))
     assert X.values == (((F(3, 4),),), ((F(1),),))
-    assert all(type(c) is F for c in _cells(X.values))
+    assert all(type(c) is Q for c in _cells(X.values))
     with pytest.raises(TypeError):
         AdaptedProcess((((F(1),),), ((0.5,),)))
 
@@ -453,7 +454,7 @@ def test_from_scalar_paths_matches_naive_reference(paths):
     fresh_fracs = ((F(v) / 7 for v in row) for row in paths)
     got = AdaptedProcess.from_scalar_paths(fresh_fracs).values
     assert got == tuple(tuple((F(v) / 7,) for v in row) for row in paths)
-    assert all(type(c) is F for c in _cells(got))
+    assert all(type(c) is Q for c in _cells(got))
 
 
 def test_shared_source_objects_share_one_cell():

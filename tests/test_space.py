@@ -154,9 +154,20 @@ def test_non_trivial_time_zero_block():
 
 
 def test_filtration_from_names_must_cover_every_atom():
+    # the atom count is the space's: read off a short time-0 partition, it
+    # made the complete later partitions fail as "atom index k out of range"
     space = FiniteSpace(("u", "v", "x"), (F(1, 3),) * 3, 1)
-    with pytest.raises(ValueError, match="cover every atom"):
-        Filtration.from_names([[("u", "v")], [("u",), ("v",)]], space)
+    singles = [("u",), ("v",), ("x",)]
+    for names, t in [
+        ([[("u", "v")], [("u",), ("v",)]], 0),
+        ([[], singles], 0),
+        ([[("u",)], singles], 0),
+        ([[("u", "v")], [("u", "v"), ("x",)]], 0),
+        ([[("u", "v", "x")], [("u",), ("v",)]], 1),
+    ]:
+        message = f"the partition at time {t} does not cover every atom of the space"
+        with pytest.raises(ValueError, match=message):
+            Filtration.from_names(names, space)
 
 
 def test_filtration_from_names_rejects_an_unknown_atom():
