@@ -13,19 +13,22 @@ attached to the pair:
 * the death time, the first t with Z_{t-1} = 0, and its sudden part on
   {Zt = 0}.
 
-``azema(filt, tau)`` returns an ``AzemaBundle`` that owns its model: it
-carries (F, tau, P) as ``filt``, ``tau`` and ``filt.space`` and builds the
-enlargement G on first read of ``bundle.enlarged`` (so a caller that only
-reads Z never pays for G).  It also owns the two survival views every
-reader shares, each built once on first read: the stochastic interval
-``]0, tau]`` as ``bundle.alive`` and the abrupt-collapse mass
-P(Zt_t = 0 | F_{t-1}) as ``bundle.collapse``.  Every function below that
-takes a bundle takes nothing else of the model and decides neither view
-itself: the exact transfer formulas between F- and G-compensators and
-projections on ``]0, tau]`` and the two change-of-measure weight families
-attached to a predictable jump date.  The reduction of G-predictable
-processes to F-predictable ones works on any pair of filtrations and keeps
-its explicit arguments.
+``azema(filt, tau)`` returns an ``AzemaBundle`` whose fields are the model
+(F, tau, P), carried as ``filt``, ``tau`` and ``filt.space``, and its four
+processes Z, Zt, D^o and m.  Everything else is a view of these, built once
+on first read, so ``dataclasses.replace`` rebuilds it: the enlargement G as
+``bundle.enlarged`` (a caller that only reads Z never pays for G), the
+stochastic interval ``]0, tau]`` as ``bundle.alive``, the zero sets of Z and
+Zt as ``bundle.z_zero`` and ``bundle.zt_zero``, the thin set as
+``bundle.thin`` and ``bundle.thin_mask``, the death times, and the
+abrupt-collapse mass P(Zt_t = 0 | F_{t-1}) as ``bundle.collapse``.  Every
+function below that takes a bundle takes nothing else of the model and
+decides none of these sets itself; only a body that divides by Z_- or Zt
+reads the value: the exact transfer formulas between F- and
+G-compensators and projections on ``]0, tau]`` and the two
+change-of-measure weight families attached to a predictable jump date.
+The reduction of G-predictable processes to F-predictable ones works on
+any pair of filtrations and keeps its explicit arguments.
 
 Every transfer formula is an F-predictable projection divided by Z_- on
 ``]0, tau]``, written once in ``_over_zprev``: the G-compensator of V^tau
@@ -107,32 +110,25 @@ def enlarge(filt: Filtration, tau: RandomTime) -> Filtration:
 
 @dataclass(frozen=True)
 class AzemaBundle:
-    """Survival data of the model (F, tau, P), which the bundle carries as
-    ``filt``, ``tau`` and ``space`` (read from ``filt``); the enlargement G
-    is built on first read of ``enlarged``.
+    """Survival data of the model (F, tau, P): its fields are the model,
+    carried as ``filt`` and ``tau`` (P and the grid are ``space``, read from
+    ``filt``), and its processes Z, Zt, the compensator D^o and m.
 
-    ``death`` is the first grid time t >= 1 with Z_{t-1} = 0 (0 when Z_0 = 0,
-    INF when Z never dies), so Z_{death-} = 0 wherever it is finite: every
-    death is announced.  ``sudden_death`` restricts it to {Zt_death = 0},
-    INF elsewhere.  ``thin_mask`` collects the (atom, t) pairs where Zt_t = 0
-    while Z_{t-1} > 0.
-
-    The bundle also owns what more than one check reads, each built once
-    per bundle, on first read: ``alive``, the stochastic interval
-    ``]0, tau]``; ``collapse``, the F-predictable projection of the abrupt
-    collapse {Zt = 0}; and the two processes of m, ``mhat``, the
-    G-martingale part ``g_martingale_part(m)``, and ``m_bracket``, the
-    quadratic variation [m, m].  ``dataclasses.replace`` gives a new bundle
-    that builds all of them afresh.
+    Everything else is a view of the fields, built once per bundle on first
+    read, and ``dataclasses.replace`` gives a new bundle that builds all of
+    them afresh: the enlargement G, ``enlarged``; the stochastic interval
+    ``]0, tau]``, ``alive``; the zero sets of Z and Zt, ``z_zero`` and
+    ``zt_zero``; the thin set {Zt = 0 < Z_-}, ``thin`` and ``thin_mask``;
+    the death times ``death`` and ``sudden_death``; ``collapse``, the
+    F-predictable projection of the abrupt collapse {Zt = 0}; and the two
+    processes of m, ``mhat``, the G-martingale part ``g_martingale_part(m)``,
+    and ``m_bracket``, the quadratic variation [m, m].
     """
 
     Z: AdaptedProcess
     Ztilde: AdaptedProcess
     default_compensator: AdaptedProcess  # dual optional projection of I_[tau, inf)
     m: AdaptedProcess
-    thin_mask: frozenset
-    death: RandomTime
-    sudden_death: RandomTime
     filt: Filtration
     tau: RandomTime
 
@@ -152,6 +148,54 @@ class AzemaBundle:
         return tuple(tuple(0 < t <= v for v in tau) for t in self.space.times)
 
     @cached_property
+    def z_zero(self) -> tuple:
+        """``z_zero[t][i]`` is true iff Z_t = 0 at atom i; the atoms of a
+        node share one flag."""
+        return map_cells(self.Z.values, _vanishes)
+
+    @cached_property
+    def zt_zero(self) -> tuple:
+        """``zt_zero[t][i]`` is true iff Zt_t = 0 at atom i."""
+        return map_cells(self.Ztilde.values, _vanishes)
+
+    @cached_property
+    def thin(self) -> tuple:
+        """``thin[t][i]`` is true iff Zt_t = 0 < Z_{t-1} at atom i; row 0 is
+        all false.  Z >= 0, so Z_{t-1} > 0 is "Z_{t-1} does not vanish"."""
+        z, zt = self.z_zero, self.zt_zero
+        return ((False,) * self.space.n,) + tuple(
+            tuple(now and not before for now, before in zip(zt[t], z[t - 1]))
+            for t in range(1, self.space.horizon + 1)
+        )
+
+    @cached_property
+    def thin_mask(self) -> frozenset:
+        """The thin set as (atom name, t) pairs."""
+        atoms = self.space.atoms
+        return frozenset(
+            (atoms[i], t) for t, row in enumerate(self.thin) for i, on in enumerate(row) if on
+        )
+
+    @cached_property
+    def death(self) -> RandomTime:
+        """The first grid time t >= 1 with Z_{t-1} = 0 (0 when Z_0 = 0, INF
+        when Z never dies), so Z_{death-} = 0 wherever it is finite: every
+        death is announced."""
+        z = self.z_zero
+        return RandomTime(tuple(
+            next((t for t in self.space.times if z[max(t - 1, 0)][i]), INF)
+            for i in range(self.space.n)
+        ))
+
+    @cached_property
+    def sudden_death(self) -> RandomTime:
+        """``death`` restricted to {Zt_death = 0}, INF elsewhere."""
+        zt = self.zt_zero
+        return RandomTime(tuple(
+            d if d is not INF and zt[d][i] else INF for i, d in enumerate(self.death.values)
+        ))
+
+    @cached_property
     def collapse(self) -> tuple:
         """``collapse[t]`` is the atom vector P(Zt_t = 0 | F_{t-1}) for
         t >= 1 (None at t = 0).  It is 1 on {Z_{t-1} = 0}, where Zt_t
@@ -159,7 +203,7 @@ class AzemaBundle:
         seen from F."""
         one = Q(1)
         return (None,) + tuple(
-            condexp([one if c[0] == 0 else _ZERO for c in self.Ztilde.values[t]], self.filt, t - 1)
+            condexp([one if dead else _ZERO for dead in self.zt_zero[t]], self.filt, t - 1)
             for t in range(1, self.space.horizon + 1)
         )
 
@@ -186,10 +230,10 @@ def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
     partition, Z_{t-1} is constant on its coarser one, and
     :func:`assert_martingale` has checked that m is adapted, so every atom
     of a block carries the values of its first.  Only the check that
-    {Zt = 0} and {Z_- = 0} miss ]0, tau] reads tau and runs per atom."""
+    {Zt = 0} and {Z_- = 0} miss ]0, tau] runs per atom, on the bundle's
+    views ``alive``, ``z_zero`` and ``zt_zero``."""
     space = filt.space
     _check_fits(tau, space)
-    n = space.n
     one, zero = Q(1), Q(0)
     times = tau.values
 
@@ -206,10 +250,11 @@ def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
     Dof = AdaptedProcess.from_increments(default_increments)
     m = Z + Dof
 
+    bundle = AzemaBundle(Z=Z, Ztilde=Zt, default_compensator=Dof, m=m, filt=filt, tau=tau)
+
     # engine self-checks: these identities hold on every valid instance
     assert_martingale(m, filt, "survival martingale part")
-    z_dead = map_cells(Z.values, _vanishes)
-    zt_dead = map_cells(Zt.values, _vanishes)
+    z_dead, zt_dead = bundle.z_zero, bundle.zt_zero
     for t in space.times:
         prev = max(t - 1, 0)
         for block in filt.parts[t]:
@@ -220,36 +265,11 @@ def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
             if t >= 1 and zt != zprev + (m.values[t][i][0] - m.values[prev][i][0]):
                 raise StructuralViolation("Zt = Z_- + dm failed")
         if t >= 1 and any(
-            t <= v and (zt_dead[t][i] or z_dead[t - 1][i]) for i, v in enumerate(times)
+            alive and (zt_dead[t][i] or z_dead[t - 1][i])
+            for i, alive in enumerate(bundle.alive[t])
         ):
             raise StructuralViolation("{Zt=0} or {Z_-=0} met ]0, tau]")
-
-    # Z >= 0 is checked above, so Z_- > 0 is "Z_- does not vanish"
-    mask = frozenset(
-        (space.atoms[i], t)
-        for t in range(1, space.horizon + 1)
-        for i in range(n)
-        if zt_dead[t][i] and not z_dead[t - 1][i]
-    )
-
-    # 0 when Z_0 = 0, else the first t >= 1 with Z_{t-1} = 0
-    death = [
-        next((t for t in space.times if z_dead[max(t - 1, 0)][i]), INF)
-        for i in range(n)
-    ]
-    sudden = [d if d is not INF and zt_dead[d][i] else INF for i, d in enumerate(death)]
-
-    return AzemaBundle(
-        Z=Z,
-        Ztilde=Zt,
-        default_compensator=Dof,
-        m=m,
-        thin_mask=mask,
-        death=RandomTime(tuple(death)),
-        sudden_death=RandomTime(tuple(sudden)),
-        filt=filt,
-        tau=tau,
-    )
+    return bundle
 
 
 def _vanishes(cell) -> bool:
@@ -310,10 +330,20 @@ def _rescaled_sides(V: AdaptedProcess, bundle: AzemaBundle) -> list:
     for t in range(1, bundle.space.horizon + 1):
         zt, dv = bundle.Ztilde.values[t], V.increments[t]
         rescaled = zip_row(rescale, bundle.alive[t], zt, dv)
-        masked = [cell if z[0] > 0 else zero for z, cell in zip(zt, dv)]
+        masked = [zero if dead else cell for dead, cell in zip(bundle.zt_zero[t], dv)]
         g_side = condexp_cells(rescaled, bundle.enlarged, t - 1)
         sides.append((g_side, _over_zprev(masked, t, bundle)))
     return sides
+
+
+def _f_transfer(scalars, increments, bundle: AzemaBundle) -> AdaptedProcess:
+    """The process with increments (1/Z_{t-1}) I_{t <= tau} E[s_t dX_t |
+    F_{t-1}], for the scalar table ``scalars`` and the increment table
+    ``increments``: :func:`_over_zprev` of their product at each date."""
+    weighted = _times(scalars, increments)
+    return AdaptedProcess.from_increments(
+        [_over_zprev(weighted[t], t, bundle) for t in range(1, bundle.space.horizon + 1)]
+    )
 
 
 def compensator_of_stopped(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
@@ -324,11 +354,7 @@ def compensator_of_stopped(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPro
     equality is asserted by the test-suite rather than recomputed here.
     """
     assert_adapted(V, bundle.filt, "V")
-    weighted = _times(bundle.Ztilde.values, V.increments)
-    increments = [
-        _over_zprev(weighted[t], t, bundle) for t in range(1, bundle.space.horizon + 1)
-    ]
-    return AdaptedProcess.from_increments(increments)
+    return _f_transfer(bundle.Ztilde.values, V.increments, bundle)
 
 
 def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
@@ -342,10 +368,10 @@ def compensator_of_rescaled(V: AdaptedProcess, bundle: AzemaBundle) -> AdaptedPr
     assert_adapted(V, filt, "V")
     sides = _rescaled_sides(V, bundle)
     supported = all(
-        not any(V.increments[t][i])
+        not any(cell)
         for t in range(1, space.horizon + 1)
-        for i in range(space.n)
-        if bundle.Ztilde.scalar_at(t, i) == 0
+        for dead, cell in zip(bundle.zt_zero[t], V.increments[t])
+        if dead
     )
 
     def converse(alive, zprev, plain, got):
@@ -369,11 +395,8 @@ def g_martingale_part(M: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
 
     The output is verified to be an exact G-martingale.
     """
-    space = bundle.space
     assert_martingale(M, bundle.filt, "input of g_martingale_part")
-    covariation = _times(bundle.m.increments, M.increments)
-    drift = [_over_zprev(covariation[t], t, bundle) for t in range(1, space.horizon + 1)]
-    result = stop(M, bundle.tau) - AdaptedProcess.from_increments(drift)
+    result = stop(M, bundle.tau) - _f_transfer(bundle.m.increments, M.increments, bundle)
     if not is_martingale(result, bundle.enlarged):
         raise StructuralViolation("drift-corrected stopped process is not a G-martingale")
     return result
@@ -484,6 +507,7 @@ def reduce_g_predictable(
     with 1).  On each F_{t-1}-block the sub-block {tau >= t} is a single
     G_{t-1}-atom, so the copied value is well defined.
     """
+    _check_fits(tau, filt.space)
     if not is_predictable(H, enlarged):
         raise NotPredictable("input of reduce_g_predictable is not G-predictable")
     one = tuple(Q(1) for _ in range(H.dim))

@@ -22,7 +22,9 @@ criterion for thin processes, abrupt-collapse witnesses, and the universal
 preservation dichotomy driven by the thin set {Zt = 0 & Z_- > 0}.
 
 Every node walk is :meth:`Filtration.nodes`; the masked criterion's family
-is the Zt_t-positive family, the walk under the weights Zt_t.
+is the Zt_t-positive family, the walk over the nodes under {Zt_t > 0}.
+Every survival set (the zero sets of Z and Zt, the thin set) is a view of
+the bundle, read, never decided here.
 """
 
 from __future__ import annotations
@@ -202,10 +204,14 @@ def single_jump_process(
     return AdaptedProcess._trusted(rows, table)
 
 
-def _check_xi(xi_values: Sequence[tuple], space: FiniteSpace) -> None:
-    """``ValueError`` unless xi has one cell per atom, all of one length."""
-    if table_shape((xi_values,))[0] != space.n:
+def _check_xi(xi_values: Sequence[tuple], T: int, bundle: AzemaBundle) -> None:
+    """``ValueError`` unless T is a jump date and xi has one cell per atom,
+    all of one length; :class:`EngineError` unless xi is F_T-measurable."""
+    check_jump_date(T, bundle)
+    if table_shape((xi_values,))[0] != bundle.space.n:
         raise ValueError("xi needs one cell per atom of the space")
+    if first_nonconstant(xi_values, bundle.filt.parts[T]) is not None:
+        raise EngineError("xi must be measurable at the jump date")
 
 
 @dataclass(frozen=True)
@@ -233,16 +239,11 @@ def single_jump_equivalences(
 ) -> SingleJumpRecord:
     """Certify xi I_{Z_{T-}>0} I_{[T,inf)} four ways: stopped in G, masked by
     {Zt_T > 0} in F, and in F under the two jump-date reweightings."""
-    check_jump_date(T, bundle)
+    _check_xi(xi_values, T, bundle)
     space, filt = bundle.space, bundle.filt
-    _check_xi(xi_values, space)
-    if first_nonconstant(xi_values, filt.parts[T]) is not None:
-        raise EngineError("xi must be measurable at the jump date")
-    alive_prev = [bundle.Z.scalar_at(T - 1, i) > 0 for i in range(space.n)]
+    alive_prev = [not dead for dead in bundle.z_zero[T - 1]]
     S = single_jump_process(xi_values, T, space, mask=alive_prev)
-    masked = [
-        alive_prev[i] and bundle.Ztilde.scalar_at(T, i) > 0 for i in range(space.n)
-    ]
+    masked = [alive and not dead for alive, dead in zip(alive_prev, bundle.zt_zero[T])]
     S_masked = single_jump_process(xi_values, T, space, mask=masked)
     measures = jump_time_measures(T, bundle)
     return SingleJumpRecord(
@@ -259,7 +260,7 @@ def thin_set_empty_at(bundle: AzemaBundle, T: int) -> bool:
     survival collapse {Zt_T = 0} stays inside {Z_{T-} = 0}; ``ValueError``
     unless T lies in {1, ..., horizon}."""
     check_jump_date(T, bundle)
-    return all(t != T for (_, t) in bundle.thin_mask)
+    return not any(bundle.thin[T])
 
 
 def thin_set_empty(bundle: AzemaBundle) -> bool:
@@ -272,10 +273,7 @@ def witness_martingale(T: int, bundle: AzemaBundle) -> AdaptedProcess:
     ``bundle.collapse``; stopping it at tau fails NUPBR in the enlargement
     exactly when the thin set meets date T."""
     check_jump_date(T, bundle)
-    xi = [
-        ((1 if z[0] == 0 else 0) - c,)
-        for z, c in zip(bundle.Ztilde.values[T], bundle.collapse[T])
-    ]
+    xi = [((1 if dead else 0) - c,) for dead, c in zip(bundle.zt_zero[T], bundle.collapse[T])]
     return single_jump_process(xi, T, bundle.space)
 
 
@@ -285,9 +283,9 @@ def collapse_witness(bundle: AzemaBundle) -> Optional[tuple]:
     :func:`witness_martingale` and the NUPBR certificate of M stopped at
     tau in the enlargement (false, by the preservation theorem).  Read by
     :func:`preservation_report` and the CLI ``witness`` report."""
-    if thin_set_empty(bundle):
+    T = next((t for t, row in enumerate(bundle.thin) if any(row)), None)
+    if T is None:
         return None
-    T = min(t for (_, t) in bundle.thin_mask)
     M = witness_martingale(T, bundle)
     return T, M, certify_nupbr(stop(M, bundle.tau), bundle.enlarged, bundle.space)
 
@@ -306,11 +304,11 @@ class MaskedCriterionRecord:
 def _masked_families(S: AdaptedProcess, bundle: AzemaBundle):
     """(Z_{t-1}, increments of S over the children that keep Zt_t > 0) per
     node with Z_{t-1} > 0, in (date, block) order: as Z_{t-1} = E[Zt_t |
-    F_{t-1}], the nodes and children of positive mass under the weights Zt_t."""
+    F_{t-1}], the nodes and children that meet {Zt_t > 0}."""
     for t in range(1, bundle.space.horizon + 1):
         row = S.increments[t]
-        zt = [c[0] for c in bundle.Ztilde.values[t]]
-        for parent, kids in bundle.filt.nodes(t, zt):
+        positive = [not dead for dead in bundle.zt_zero[t]]
+        for parent, kids in bundle.filt.nodes(t, positive):
             yield bundle.Z.scalar_at(t - 1, parent[0]), [row[c[0]] for c in kids]
 
 
@@ -381,21 +379,15 @@ class MartingaleTransferRecord:
 def single_jump_martingale_transfer(
     xi_values: Sequence[tuple], T: int, bundle: AzemaBundle
 ) -> MartingaleTransferRecord:
-    check_jump_date(T, bundle)
+    _check_xi(xi_values, T, bundle)
     space, filt = bundle.space, bundle.filt
-    _check_xi(xi_values, space)
-    if first_nonconstant(xi_values, filt.parts[T]) is not None:
-        raise EngineError("xi must be measurable at the jump date")
     if any(any(c) for c in condexp_cells(xi_values, filt, T - 1)):
         raise EngineError("xi must have zero conditional mean at T-")
     M = single_jump_process(xi_values, T, space)
     measures = jump_time_measures(T, bundle)
 
     zero = (Q(0),) * len(xi_values[0])
-    thin = [
-        cell if (space.atoms[i], T) in bundle.thin_mask else zero
-        for i, cell in enumerate(xi_values)
-    ]
+    thin = [cell if on else zero for on, cell in zip(bundle.thin[T], xi_values)]
     thin_zero = not any(any(c) for c in condexp_cells(thin, filt, T - 1))
 
     return MartingaleTransferRecord(

@@ -5,6 +5,7 @@ import pytest
 from randomhorizon.deflator import DeflatorBundle, build_deflator
 from randomhorizon.enlargement import AzemaBundle, azema, jump_time_measures
 from randomhorizon.io import Scenario, load_builtin
+from randomhorizon.space import INF
 
 from helpers import block_of
 
@@ -53,11 +54,28 @@ def ex2():
 
 
 def _check_survival_views(bundle):
-    """Compare the bundle's ]0, tau] and collapse projection, and the weight q
-    of every jump date, with a per-atom recomputation from tau, Zt and P."""
+    """Compare the bundle's ]0, tau], zero sets, thin set, death times and
+    collapse projection, and the weight q of every jump date, with a
+    per-atom recomputation from tau, Z, Zt and P."""
     space, filt, tau = bundle.space, bundle.filt, bundle.tau
+    Z, Zt = bundle.Z.scalar_at, bundle.Ztilde.scalar_at
+    thin = set()
     for t in space.times:
         assert bundle.alive[t] == tuple(0 < t and t <= tau.at(i) for i in range(space.n))
+        assert bundle.z_zero[t] == tuple(Z(t, i) == 0 for i in range(space.n))
+        assert bundle.zt_zero[t] == tuple(Zt(t, i) == 0 for i in range(space.n))
+        row = tuple(t > 0 and Zt(t, i) == 0 and Z(t - 1, i) > 0 for i in range(space.n))
+        assert bundle.thin[t] == row
+        thin |= {(space.atoms[i], t) for i in range(space.n) if row[i]}
+    assert bundle.thin_mask == thin
+    for i in range(space.n):
+        if Z(0, i) == 0:
+            death = 0
+        else:
+            death = min((t for t in range(1, space.horizon + 1) if Z(t - 1, i) == 0), default=INF)
+        assert bundle.death.at(i) == death
+        sudden = death if death is not INF and Zt(death, i) == 0 else INF
+        assert bundle.sudden_death.at(i) == sudden
     assert bundle.collapse[0] is None
     for t in range(1, space.horizon + 1):
         zt = [bundle.Ztilde.scalar_at(t, i) for i in range(space.n)]

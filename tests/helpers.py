@@ -27,7 +27,7 @@ from typing import Callable
 
 import randomhorizon
 from randomhorizon.deflator import build_deflator, supermartingale_deflator
-from randomhorizon.enlargement import azema, enlarge
+from randomhorizon.enlargement import azema, enlarge, reduce_g_predictable
 from randomhorizon.errors import StructuralViolation
 from randomhorizon.generator import random_instance
 from randomhorizon.io import Scenario, load_builtin
@@ -185,7 +185,9 @@ def shape_mismatches() -> dict:
     sums and brackets would drop the fifth atom, five weights would make
     ``certify_nupbr`` certify the G-arbitrage S^tau, and a date of -1 would
     condition on the terminal partition; ``condexp_cells`` on a row with no
-    cell raised a bare ``IndexError``."""
+    cell raised a bare ``IndexError``.  ``reduce_g_predictable`` accepted a
+    random time with a fifth value or a value past the horizon, and raised a
+    bare ``IndexError`` on one with three values."""
     sc = load_builtin("ex1")
     S, filt, space = sc.price, sc.filtration, sc.space
     fifth = AdaptedProcess(tuple(row + row[-1:] for row in S.values))
@@ -228,6 +230,15 @@ def shape_mismatches() -> dict:
         "quadratic_covariation": lambda: quadratic_covariation(fifth, S),
         "supermartingale_deflator extra date": lambda: supermartingale_deflator(
             later, flat, build_deflator(azema(filt, sc.tau))
+        ),
+        "reduce_g_predictable fifth value": lambda: reduce_g_predictable(
+            flat, filt, enlarge(filt, sc.tau), RandomTime(sc.tau.values + (INF,))
+        ),
+        "reduce_g_predictable past horizon": lambda: reduce_g_predictable(
+            flat, filt, enlarge(filt, sc.tau), RandomTime(sc.tau.values[:3] + (9,))
+        ),
+        "reduce_g_predictable short": lambda: reduce_g_predictable(
+            flat, filt, enlarge(filt, sc.tau), RandomTime(sc.tau.values[:3])
         ),
     }
 

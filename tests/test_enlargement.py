@@ -274,6 +274,33 @@ def test_survival_views_follow_a_replaced_random_time(ex1):
     assert b.alive is before
 
 
+def test_bundle_fields_are_the_model_and_its_processes():
+    names = [f.name for f in fields(AzemaBundle)]
+    assert names == ["Z", "Ztilde", "default_compensator", "m", "filt", "tau"]
+
+
+def test_survival_sets_follow_a_replaced_process(ex1, survival_views_oracle):
+    # the zero sets, the thin set, the death times and the collapse mass are
+    # views of Z and Zt, so ``replace`` must build them afresh; ex1 has
+    # Zt_2 = 0 on {a, c} while Z_1 = 1/2
+    b = azema(ex1.filt, ex1.tau)
+    assert b.thin_mask == {("a", 2), ("c", 2)} and b.collapse[2] == (F(1, 2),) * 4
+    half = ((F(1, 2),),) * 4
+    lifted = replace(b, Ztilde=AdaptedProcess(b.Ztilde.values[:2] + (half,)))
+    assert lifted.thin_mask == frozenset() and lifted.collapse[2] == (F(0),) * 4
+    assert lifted.sudden_death == b.sudden_death == constant_time(ex1.space, INF)
+    survival_views_oracle(lifted)
+    # Z_1 = 0 everywhere: every atom dies at 2, suddenly where Zt_2 = 0, and
+    # a collapse inside {Z_- = 0} is not thin
+    dead = ((F(0),),) * 4
+    early = replace(b, Z=AdaptedProcess((b.Z.values[0], dead, dead)))
+    assert early.thin_mask == frozenset()
+    assert early.death == constant_time(ex1.space, 2)
+    assert early.sudden_death == RandomTime((2, INF, 2, INF))
+    assert early.collapse == b.collapse
+    assert b.thin_mask == {("a", 2), ("c", 2)}
+
+
 def test_jump_time_measures_ex1(ex1):
     out = jump_time_measures(2, ex1.bundle)
     assert out.q == (F(0), F(2), F(0), F(2))

@@ -178,32 +178,98 @@ def _decides_a_survival_view(call) -> bool:
     )
 
 
-def test_survival_views_are_read_from_the_bundle():
-    # ]0, tau] is ``AzemaBundle.alive`` and P(Zt_t = 0 | F_{t-1}) is
-    # ``AzemaBundle.collapse``: a function that takes a survival bundle (or
-    # a deflator bundle) reads them instead of deciding t <= tau(i) per atom
-    # or projecting an indicator with the scalar ``condexp`` itself
+def _compares_survival_with_zero(node) -> bool:
+    """An ``ast.Compare`` with the literal 0 among its operands and a read
+    of an attribute ``Z`` or ``Ztilde`` in another."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    zero = any(
+        isinstance(o, ast.Constant) and not isinstance(o.value, bool) and o.value == 0
+        for o in operands
+    )
+    return zero and any(
+        isinstance(n, ast.Attribute) and n.attr in ("Z", "Ztilde")
+        for o in operands
+        for n in ast.walk(o)
+    )
+
+
+def _survival_readers(sources: dict) -> dict:
+    """``module.function`` -> node of each function that takes a survival
+    bundle (``bundle``) or a deflator bundle (``deflators``), for a
+    module -> source map."""
     readers = {}
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.FunctionDef):
                 params = {a.arg for a in node.args.args + node.args.kwonlyargs}
                 if params & {"bundle", "deflators"}:
-                    readers[f"{path.stem}.{node.name}"] = node
+                    readers[f"{module}.{node.name}"] = node
+    return readers
+
+
+def _survival_view_deciders(readers: dict) -> list:
+    """``module.function:line`` of each survival set a reader decides
+    itself: a call :func:`_decides_a_survival_view` flags, or a comparison
+    :func:`_compares_survival_with_zero` flags."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, fn in readers.items()
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Call) and _decides_a_survival_view(node))
+        or _compares_survival_with_zero(node)
+    ]
+
+
+def test_survival_views_are_read_from_the_bundle():
+    # ]0, tau] is ``AzemaBundle.alive``, P(Zt_t = 0 | F_{t-1}) is
+    # ``AzemaBundle.collapse`` and the zero sets of Z and Zt are
+    # ``z_zero`` and ``zt_zero``: a function that takes a survival bundle
+    # (or a deflator bundle) reads them instead of deciding t <= tau(i) per
+    # atom, projecting an indicator with the scalar ``condexp`` itself, or
+    # comparing a value of Z or Zt with 0.  The comparison rule sees only an
+    # operand that reads ``.Z`` or ``.Ztilde`` itself: a local variable
+    # bound to such a value and compared with 0 is not seen.  The sample is
+    # the three comparisons the engine made before the bundle owned its
+    # zero sets, and a local one the rule does not see.
+    sample = {
+        "enlargement": (
+            "def compensator_of_rescaled(V, bundle):\n"
+            "    supported = all(\n"
+            "        not any(V.increments[t][i])\n"
+            "        for t in range(1, space.horizon + 1)\n"
+            "        for i in range(space.n)\n"
+            "        if bundle.Ztilde.scalar_at(t, i) == 0\n"
+            "    )\n"
+        ),
+        "nupbr": (
+            "def single_jump_equivalences(xi_values, T, bundle):\n"
+            "    alive_prev = [bundle.Z.scalar_at(T - 1, i) > 0 for i in range(space.n)]\n"
+            "    masked = [\n"
+            "        alive_prev[i] and bundle.Ztilde.scalar_at(T, i) > 0 for i in range(space.n)\n"
+            "    ]\n"
+            "    positive = [z[0] > 0 for z in bundle.Ztilde.values[T]]\n"
+        ),
+    }
+    assert _survival_view_deciders(_survival_readers(sample)) == [
+        "enlargement.compensator_of_rescaled:6",
+        "nupbr.single_jump_equivalences:2",
+        "nupbr.single_jump_equivalences:4",
+    ]
+    readers = _survival_readers(
+        {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    )
     assert {
         "enlargement._over_zprev",
+        "enlargement.compensator_of_rescaled",
         "enlargement.jump_time_measures",
         "deflator.build_deflator",
         "deflator.supermartingale_deflator",
+        "nupbr.single_jump_equivalences",
         "nupbr.witness_martingale",
     } <= set(readers)
-    found = [
-        f"{name}:{call.lineno}"
-        for name, fn in readers.items()
-        for call in ast.walk(fn)
-        if isinstance(call, ast.Call) and _decides_a_survival_view(call)
-    ]
-    assert found == []
+    assert _survival_view_deciders(readers) == []
 
 
 def test_node_walks_go_through_filtration_nodes():
