@@ -67,9 +67,9 @@ def inspect_report(sc: Scenario) -> dict:
         "m": _paths(bundle.m, space),
         "default_compensator": _paths(bundle.default_compensator, space),
         "thin_set": sorted([[a, t] for (a, t) in bundle.thin_mask]),
-        "death": {a: format_time(bundle.death.at(i)) for i, a in enumerate(space.atoms)},
+        "death": {a: format_time(v) for a, v in zip(space.atoms, bundle.death.values)},
         "sudden_death": {
-            a: format_time(bundle.sudden_death.at(i)) for i, a in enumerate(space.atoms)
+            a: format_time(v) for a, v in zip(space.atoms, bundle.sudden_death.values)
         },
     }
 
@@ -336,9 +336,5 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

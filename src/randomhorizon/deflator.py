@@ -180,21 +180,17 @@ def supermartingale_deflator(
     for t in range(1, space.horizon + 1):
         row = []
         for i in range(n):
-            gain = sum(
-                theta.at(t, i)[k] * stopped.delta_at(t, i)[k] for k in range(S.dim)
-            )
+            gain = sum(a * b for a, b in zip(theta.values[t][i], stopped.increments[t][i]))
             wealth[i] += gain
             if wealth[i] < -1:
                 raise InadmissibleStrategy(
                     f"wealth dropped below -1 at (atom {space.atoms[i]}, time {t})"
                 )
-            core = deflators.driver.delta_at(t, i)[0] - deflators.drawdown.delta_at(t, i)[0]
+            core = deflators.driver.increments[t][i][0] - deflators.drawdown.increments[t][i][0]
             row.append((core + (1 + core) * gain,))
         increments.append(row)
     E = stoch_exp(AdaptedProcess.from_increments(increments))
-    positive = all(
-        E.scalar_at(t, i) > 0 for t in space.times for i in range(n)
-    )
+    positive = all(cell[0] > 0 for row in E.values for cell in row)
     return WealthDeflation(E, positive, is_supermartingale(E, enlarged))
 
 
@@ -227,7 +223,7 @@ def verify_deflator(
     space = filt.space
     assert_adapted(Y, filt, "deflator")
     assert_adapted(S_stopped, filt, "stopped price")
-    if any(Y.scalar_at(t, i) <= 0 for t in space.times for i in range(space.n)):
+    if any(cell[0] <= 0 for row in Y.values for cell in row):
         raise EngineError("deflator must be strictly positive")
     worst: Optional[DeflatorFailure] = None
     names = space.atoms
@@ -236,10 +232,10 @@ def verify_deflator(
         base_row = condexp([cell[0] for cell in Y.values[t]], filt, t - 1)
         g_row = condexp_cells(gains[t], filt, t - 1)
         for parent, kids in filt.nodes(t):
-            deltas = [S_stopped.delta_at(t, c[0]) for c in kids]
+            deltas = [S_stopped.increments[t][c[0]] for c in kids]
             base, g = base_row[parent[0]], g_row[parent[0]]
             status, direction, value = maximize_over_admissible(g, deltas)
-            bound = Y.scalar_at(t - 1, parent[0])
+            bound = Y.values[t - 1][parent[0]][0]
             if status == "unbounded":
                 failure = DeflatorFailure(
                     t, tuple(names[i] for i in parent), direction, True, None

@@ -64,6 +64,8 @@ from .space import (
     Filtration,
     RandomTime,
     assert_adapted,
+    check_date,
+    check_fits,
     check_stopping_time,
     condexp_cells,
     first_nonconstant,
@@ -77,27 +79,17 @@ from .space import (
 _ZERO = Q(0)
 
 
-def _check_fits(tau: RandomTime, space: FiniteSpace) -> None:
-    if len(tau.values) != space.n or any(v is not INF and v > space.horizon for v in tau.values):
-        raise ValueError("a random time needs one grid time or inf per atom of the space")
-
-
-def check_jump_date(T: int, bundle: "AzemaBundle") -> None:
-    if not 1 <= T <= bundle.space.horizon:
-        raise ValueError("jump date must lie in {1, ..., horizon}")
-
-
 def enlarge(filt: Filtration, tau: RandomTime) -> Filtration:
     """Progressive enlargement: split each F_t-block by {tau = s}, s <= t,
     keeping {tau > t} together."""
-    _check_fits(tau, filt.space)
+    check_fits(tau, filt.space)
     parts = []
     for t in filt.space.times:
         blocks = []
         for block in filt.parts[t]:
             groups = {}
             for i in block:
-                v = tau.at(i)
+                v = tau.values[i]
                 key = v if (v is not INF and v <= t) else "alive"
                 groups.setdefault(key, []).append(i)
             blocks.extend(groups.values())
@@ -233,7 +225,7 @@ def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
     {Zt = 0} and {Z_- = 0} miss ]0, tau] runs per atom, on the bundle's
     views ``alive``, ``z_zero`` and ``zt_zero``."""
     space = filt.space
-    _check_fits(tau, space)
+    check_fits(tau, space)
     one, zero = Q(1), Q(0)
     times = tau.values
 
@@ -304,7 +296,7 @@ def _over_zprev(cells, t: int, bundle: AzemaBundle) -> tuple:
         inside = [i for i in block if alive[i]]
         if not inside:
             continue
-        zprev = survival_divisor(bundle.Z.scalar_at(t - 1, block[0]), "Z_-")
+        zprev = survival_divisor(bundle.Z.values[t - 1][block[0]][0], "Z_-")
         p = proj[block[0]]
         cell = tuple(c / zprev for c in p) if any(p) else zero
         for i in inside:
@@ -467,8 +459,8 @@ def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
 
     ``q`` is I_{Zt_T > 0} / P(Zt_T > 0 | F_{T-1}), where that mass is
     1 - ``bundle.collapse[T]`` > 0, and 1 elsewhere."""
-    check_jump_date(T, bundle)
     space = bundle.space
+    check_date(T, 1, space.horizon, "jump date")
     cached = bundle._jump_measures.get(T)
     if cached is not None:
         return cached
@@ -507,14 +499,14 @@ def reduce_g_predictable(
     with 1).  On each F_{t-1}-block the sub-block {tau >= t} is a single
     G_{t-1}-atom, so the copied value is well defined.
     """
-    _check_fits(tau, filt.space)
+    check_fits(tau, filt.space)
     if not is_predictable(H, enlarged):
         raise NotPredictable("input of reduce_g_predictable is not G-predictable")
     one = tuple(Q(1) for _ in range(H.dim))
     rows = []
     for t in filt.space.times:
         blocks = filt.parts[max(t - 1, 0)]
-        alive = [[i for i in block if tau.at(i) >= max(t, 1)] for block in blocks]
+        alive = [[i for i in block if tau.values[i] >= max(t, 1)] for block in blocks]
         if first_nonconstant(H.values[t], [a for a in alive if a]) is not None:
             raise StructuralViolation(
                 "G-predictable process not constant on an alive sub-block"

@@ -233,13 +233,13 @@ def serialize_scenario(sc: Scenario) -> dict:
             [[space.atoms[i] for i in block] for block in blocks]
             for blocks in sc.filtration.parts
         ],
-        "tau": {a: format_time(sc.tau.at(i)) for i, a in enumerate(space.atoms)},
+        "tau": {a: format_time(v) for a, v in zip(space.atoms, sc.tau.values)},
         "S": {
             "dim": sc.price.dim,
             "values": {
                 a: [
-                    [format_fraction(c) for c in sc.price.at(t, i)]
-                    for t in space.times
+                    [format_fraction(c) for c in row[i]]
+                    for row in sc.price.values
                 ]
                 for i, a in enumerate(space.atoms)
             },

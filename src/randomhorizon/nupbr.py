@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Optional, Sequence
 
-from .enlargement import AzemaBundle, check_jump_date, jump_time_measures
+from .enlargement import AzemaBundle, jump_time_measures
 from .errors import EngineError, PreconditionViolated, StructuralViolation
 from .generator import random_martingale
 from .lp import separating_direction, zero_in_relative_interior
@@ -45,6 +45,7 @@ from .space import (
     FiniteSpace,
     Filtration,
     assert_adapted,
+    check_date,
     condexp_cells,
     first_nonconstant,
     frac,
@@ -191,7 +192,9 @@ def single_jump_process(
     mask: Optional[Sequence[bool]] = None,
 ) -> AdaptedProcess:
     """xi I_{[T, inf)} with an optional atom mask applied to xi; its only
-    nonzero increments are at T."""
+    nonzero increments are at T.  ``ValueError`` unless T lies in
+    {1, ..., horizon}."""
+    check_date(T, 1, space.horizon, "jump date")
     dim = len(xi_values[0])
     zero = (Q(0),) * dim
     jump = tuple(
@@ -200,14 +203,14 @@ def single_jump_process(
     )
     flat = (zero,) * space.n
     rows = tuple(jump if t >= T else flat for t in space.times)
-    table = tuple(jump if 0 < t == T else flat for t in space.times)
+    table = tuple(jump if t == T else flat for t in space.times)
     return AdaptedProcess._trusted(rows, table)
 
 
 def _check_xi(xi_values: Sequence[tuple], T: int, bundle: AzemaBundle) -> None:
     """``ValueError`` unless T is a jump date and xi has one cell per atom,
     all of one length; :class:`EngineError` unless xi is F_T-measurable."""
-    check_jump_date(T, bundle)
+    check_date(T, 1, bundle.space.horizon, "jump date")
     if table_shape((xi_values,))[0] != bundle.space.n:
         raise ValueError("xi needs one cell per atom of the space")
     if first_nonconstant(xi_values, bundle.filt.parts[T]) is not None:
@@ -259,7 +262,7 @@ def thin_set_empty_at(bundle: AzemaBundle, T: int) -> bool:
     """True iff no atom has Zt_T = 0 while Z_{T-1} > 0, i.e. the abrupt
     survival collapse {Zt_T = 0} stays inside {Z_{T-} = 0}; ``ValueError``
     unless T lies in {1, ..., horizon}."""
-    check_jump_date(T, bundle)
+    check_date(T, 1, bundle.space.horizon, "jump date")
     return not any(bundle.thin[T])
 
 
@@ -272,7 +275,7 @@ def witness_martingale(T: int, bundle: AzemaBundle) -> AdaptedProcess:
     xi = I_{Zt_T = 0} - P(Zt_T = 0 | F_{T-}), the projection read from
     ``bundle.collapse``; stopping it at tau fails NUPBR in the enlargement
     exactly when the thin set meets date T."""
-    check_jump_date(T, bundle)
+    check_date(T, 1, bundle.space.horizon, "jump date")
     xi = [((1 if dead else 0) - c,) for dead, c in zip(bundle.zt_zero[T], bundle.collapse[T])]
     return single_jump_process(xi, T, bundle.space)
 
@@ -309,7 +312,7 @@ def _masked_families(S: AdaptedProcess, bundle: AzemaBundle):
         row = S.increments[t]
         positive = [not dead for dead in bundle.zt_zero[t]]
         for parent, kids in bundle.filt.nodes(t, positive):
-            yield bundle.Z.scalar_at(t - 1, parent[0]), [row[c[0]] for c in kids]
+            yield bundle.Z.values[t - 1][parent[0]][0], [row[c[0]] for c in kids]
 
 
 def masked_increment_criterion(S: AdaptedProcess, bundle: AzemaBundle, delta: Q) -> bool:

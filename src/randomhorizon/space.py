@@ -20,20 +20,33 @@ Discrete-time conventions used throughout the package:
 * ``X_{t-} := X_{t-1}`` and ``dX_t := X_t - X_{t-1}`` with ``X_{0-} := X_0``
   and ``dX_0 := 0``,
 * ``INF`` is a sentinel ordered strictly above every grid point; random
-  times take values in the grid or ``INF``.
+  times take values in the grid or ``INF``,
+* a date or an atom index is an ``int`` (not a ``bool``) in its range, and
+  :func:`check_date` is the one test of it: ``{0, ..., horizon}`` for
+  :func:`condexp`, :func:`condexp_cells` and :meth:`AdaptedProcess.at`,
+  ``{1, ..., horizon}`` for :meth:`Filtration.nodes` and a jump date, and
+  ``{0, ..., n - 1}`` for an atom.  Anything else is a ``ValueError``,
+  never a wrapped index, a ``True`` read as 1 or a bare ``TypeError``,
+* a random time fits a space when it has one value per atom and every
+  finite value on the grid (:func:`check_fits`).
+
+The checked accessors :meth:`AdaptedProcess.at`,
+:meth:`AdaptedProcess.scalar_at`, :meth:`AdaptedProcess.delta_at` and
+:meth:`RandomTime.at` are the read API for callers outside the engine; the
+engine indexes ``values`` and ``increments`` itself, so no check runs per
+atom on its paths.
 
 Conditional expectation is asked of a filtration at a date:
 ``condexp(values, filt, t)`` is E[values | F_t], read off the blocks of
 ``filt.parts[t]`` and P of ``filt.space``, so no caller can hand it a block
-list that does not partition the space; a date off ``{0, ..., horizon}``
-is a ``ValueError``, never a wrapped index.
+list that does not partition the space.
 
-Exact quantities are computed once per object that owns it:
-:meth:`AdaptedProcess.delta_at` reads a per-process increment table
-(:attr:`AdaptedProcess.increments`) and :func:`condexp` the per-filtration
-table of block masses :attr:`Filtration.masses`, ints over ``D``.  Both
-objects are frozen, so neither cache can go stale.  :func:`condexp` skips
-zero values and never divides on an all-zero block.  Processes built from
+Exact quantities are computed once per object that owns it: the
+per-process increment table :attr:`AdaptedProcess.increments` and the
+per-filtration table of block masses :attr:`Filtration.masses`, ints over
+``D``, which :func:`condexp` reads.  Both objects are frozen, so neither
+cache can go stale.  :func:`condexp` skips zero values and never divides
+on an all-zero block.  Processes built from
 increments (:meth:`AdaptedProcess.from_increments`, :func:`stop`, sums and
 differences) receive their increment table with their values, so it is
 never rebuilt by subtraction.
@@ -156,6 +169,14 @@ TimeValue = Union[int, _Infinity]
 _ZERO = Q(0)
 
 
+def check_date(t, lo: int, hi: int, what: str = "date") -> int:
+    """``t`` when it is an ``int``, not a ``bool``, with ``lo <= t <= hi``;
+    else ``ValueError``.  The one test of a date or an atom index."""
+    if isinstance(t, bool) or not isinstance(t, int) or not lo <= t <= hi:
+        raise ValueError(f"{what} must lie in {{{lo}, ..., {hi}}}, got {t!r}")
+    return t
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """Atoms with strictly positive rational probabilities and a time grid."""
@@ -261,14 +282,16 @@ class Filtration:
         object.__setattr__(self, "_children", tuple(children))
 
     def nodes(self, t: int, w=None):
-        """``(parent, children)`` per block of ``parts[t-1]``, in order; under
-        nonnegative atom weights ``w`` only the blocks of positive mass, i.e.
-        with some nonzero weight."""
-        for parent, kids in zip(self.parts[t - 1], self._children[t]):
-            if w is None:
-                yield parent, list(kids)
-            elif any(w[i] for i in parent):
-                yield parent, [c for c in kids if any(w[i] for i in c)]
+        """An iterator of ``(parent, children)`` per block of ``parts[t-1]``,
+        in order; under nonnegative atom weights ``w`` only the blocks of
+        positive mass, i.e. with some nonzero weight.  ``ValueError`` at
+        once unless ``1 <= t <= horizon``."""
+        pairs = zip(self.parts[check_date(t, 1, self.space.horizon) - 1], self._children[t])
+        return (
+            (parent, list(kids) if w is None else [c for c in kids if any(w[i] for i in c)])
+            for parent, kids in pairs
+            if w is None or any(w[i] for i in parent)
+        )
 
     @cached_property
     def masses(self) -> tuple:
@@ -317,10 +340,6 @@ def weighted_sum(weights: Sequence[int], values: Sequence, block) -> tuple:
     return num, den
 
 
-def _off_grid(t, filt: Filtration) -> ValueError:
-    return ValueError(f"date {t!r} is off the grid {{0, ..., {filt.space.horizon}}}")
-
-
 def condexp(values: Sequence[Q], filt: Filtration, t: int):
     """Exact conditional expectation E[values | F_t] of an atom vector.
 
@@ -330,13 +349,12 @@ def condexp(values: Sequence[Q], filt: Filtration, t: int):
     :func:`weighted_sum` and builds a single ``Q``
     ``num / (den * P_B)`` with ``P_B`` read from :attr:`Filtration.masses`
     (the common denominator D of ``prob`` cancels).  A block whose sum is
-    zero keeps 0 without a division.  ``ValueError`` unless
-    ``0 <= t <= horizon`` (a negative date would index the terminal
+    zero keeps 0 without a division.  ``ValueError`` unless ``t`` is a
+    date (:func:`check_date`; a negative date would index the terminal
     partition) and ``values`` has one value per atom.
     """
     space = filt.space
-    if not 0 <= t <= space.horizon:
-        raise _off_grid(t, filt)
+    check_date(t, 0, space.horizon)
     n = space.n
     if len(values) != n:
         raise ValueError("one value per atom required")
@@ -354,10 +372,9 @@ def condexp(values: Sequence[Q], filt: Filtration, t: int):
 def condexp_cells(cells: Sequence[tuple], filt: Filtration, t: int) -> tuple:
     """:func:`condexp` of each component of an atom vector of cells; returns
     E[cells | F_t] as a tuple of cells, one cell object shared by the atoms
-    of each block.  ``ValueError`` as :func:`condexp`: off the grid, or
-    unless the row has one cell per atom."""
-    if not 0 <= t <= filt.space.horizon:
-        raise _off_grid(t, filt)
+    of each block.  ``ValueError`` as :func:`condexp`: unless ``t`` is a
+    date and the row has one cell per atom."""
+    check_date(t, 0, filt.space.horizon)
     if len(cells) != filt.space.n:
         raise ValueError("one value per atom required")
     comps = [condexp(col, filt, t) for col in zip(*cells)]
@@ -501,10 +518,13 @@ class AdaptedProcess:
         return len(self.values) - 1
 
     def at(self, t: int, atom: int) -> tuple:
-        return self.values[t][atom]
+        """The cell at date ``t`` and atom index ``atom``; ``ValueError``
+        unless both lie in range (:func:`check_date`)."""
+        row = self.values[check_date(t, 0, self.horizon)]
+        return row[check_date(atom, 0, len(row) - 1, "atom")]
 
     def scalar_at(self, t: int, atom: int) -> Q:
-        cell = self.values[t][atom]
+        cell = self.at(t, atom)
         if len(cell) != 1:
             raise ValueError("scalar access on a vector process")
         return cell[0]
@@ -526,7 +546,8 @@ class AdaptedProcess:
         return (first,) + zip_cells(self.values[1:], self.values, delta)
 
     def delta_at(self, t: int, atom: int) -> tuple:
-        """dX_t(atom); dX_0 := 0."""
+        """dX_t(atom); dX_0 := 0.  Checked as :meth:`at`."""
+        self.at(t, atom)
         return self.increments[t][atom]
 
     # -- construction helpers -------------------------------------------
@@ -664,11 +685,22 @@ class RandomTime:
         object.__setattr__(self, "values", vals)
 
     def at(self, atom: int) -> TimeValue:
-        return self.values[atom]
+        """The value at atom index ``atom``; ``ValueError`` unless it lies
+        in range (:func:`check_date`)."""
+        return self.values[check_date(atom, 0, len(self.values) - 1, "atom")]
+
+
+def check_fits(time: RandomTime, space: FiniteSpace) -> None:
+    """``ValueError`` unless ``time`` has one value per atom of ``space``
+    and every finite value on its grid."""
+    if len(time.values) != space.n or any(v is not INF and v > space.horizon for v in time.values):
+        raise ValueError("a random time needs one grid time or inf per atom of the space")
 
 
 def check_stopping_time(time: RandomTime, filt: Filtration) -> bool:
-    """True iff {time <= t} is a union of parts[t]-blocks for every t."""
+    """True iff {time <= t} is a union of parts[t]-blocks for every t;
+    ``ValueError`` unless ``time`` fits ``filt.space`` (:func:`check_fits`)."""
+    check_fits(time, filt.space)
     return all(
         first_nonconstant([v <= t for v in time.values], blocks) is None
         for t, blocks in enumerate(filt.parts)

@@ -14,10 +14,15 @@ the engine's integer-row :func:`randomhorizon.lp.solve_min` must match.
 F-block (``split_instance`` in two), ``tau_class_draw`` draws a random
 time of a class whose survival facts are known a priori, and
 ``shape_mismatches`` lists the calls whose process does not fit what it
-meets; ``run_optimized`` runs a snippet under ``python -O``.
+meets, ``date_sweep`` the calls of every date- or atom-taking entry point
+with a value off its range; ``run_optimized`` runs a snippet under
+``python -O``.
 """
 
+import importlib
+import inspect
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -41,6 +46,7 @@ from randomhorizon.space import (
     Filtration,
     RandomTime,
     TimeValue,
+    check_stopping_time,
     condexp,
     condexp_cells,
     frac,
@@ -187,7 +193,8 @@ def shape_mismatches() -> dict:
     condition on the terminal partition; ``condexp_cells`` on a row with no
     cell raised a bare ``IndexError``.  ``reduce_g_predictable`` accepted a
     random time with a fifth value or a value past the horizon, and raised a
-    bare ``IndexError`` on one with three values."""
+    bare ``IndexError`` on one with three values; so did
+    ``check_stopping_time``, which returned ``False`` on the first two."""
     sc = load_builtin("ex1")
     S, filt, space = sc.price, sc.filtration, sc.space
     fifth = AdaptedProcess(tuple(row + row[-1:] for row in S.values))
@@ -240,7 +247,104 @@ def shape_mismatches() -> dict:
         "reduce_g_predictable short": lambda: reduce_g_predictable(
             flat, filt, enlarge(filt, sc.tau), RandomTime(sc.tau.values[:3])
         ),
+        "check_stopping_time fifth value": lambda: check_stopping_time(
+            RandomTime(sc.tau.values + (INF,)), filt
+        ),
+        "check_stopping_time past horizon": lambda: check_stopping_time(
+            RandomTime(sc.tau.values[:3] + (9,)), filt
+        ),
+        "check_stopping_time short": lambda: check_stopping_time(
+            RandomTime(sc.tau.values[:3]), filt
+        ),
+        "Filtration.nodes date 0": lambda: filt.nodes(0),
     }
+
+
+DATE_PARAMS = {"t": 1, "T": 1, "atom": 0}  # each with a value in range
+
+
+def date_entry_points(sc: Scenario) -> dict:
+    """Qualified name -> callable of every public function defined in an
+    exact-engine module (every package module but ``mc``, whose times are
+    floats by design) and every public method of a process, a random time
+    and a filtration of ``sc``, that takes a parameter in ``DATE_PARAMS``."""
+    found = {}
+    modules = [m.name for m in pkgutil.iter_modules(randomhorizon.__path__) if m.name != "mc"]
+    for name in modules:
+        module = importlib.import_module(f"randomhorizon.{name}")
+        for fname, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and not fname.startswith("_"):
+                found[f"{name}.{fname}"] = fn
+    for obj in (sc.price, sc.tau, sc.filtration):
+        for fname, _ in inspect.getmembers(type(obj), inspect.isfunction):
+            if not fname.startswith("_"):
+                found[f"{type(obj).__name__}.{fname}"] = getattr(obj, fname)
+    return {
+        name: fn
+        for name, fn in found.items()
+        if set(inspect.signature(fn).parameters) & set(DATE_PARAMS)
+    }
+
+
+def date_arguments(sc: Scenario) -> dict:
+    """The sweep's argument table on ``sc``, keyed by parameter name: the
+    value in range of a date or an atom index, and each other argument of
+    an entry point of :func:`date_entry_points`."""
+    bundle = azema(sc.filtration, sc.tau)
+    n, one = sc.space.n, Fraction(1)
+    return dict(
+        DATE_PARAMS,
+        values=[one] * n,
+        cells=[(one,)] * n,
+        filt=sc.filtration,
+        space=sc.space,
+        bundle=bundle,
+        xi_values=sc.price.increments[1],
+        lo=0,
+        hi=sc.space.horizon,
+    )
+
+
+def date_calls(sc: Scenario, table: dict) -> dict:
+    """``(entry point, parameter) -> call(value)`` of each date or atom
+    parameter of :func:`date_entry_points`: ``value`` is passed for that
+    parameter, every other one without a default is read from ``table`` by
+    name, so a call raises ``KeyError`` for an argument the table lacks."""
+    calls = {}
+    for name, fn in date_entry_points(sc).items():
+        params = inspect.signature(fn).parameters.values()
+        needed = [p.name for p in params if p.default is p.empty or p.name in DATE_PARAMS]
+        for param in [p for p in needed if p in DATE_PARAMS]:
+
+            def call(value, fn=fn, needed=needed, param=param):
+                args = {p: table[p] for p in needed}
+                args[param] = value
+                return fn(**args)
+
+            calls[(name, param)] = call
+    return calls
+
+
+def date_sweep() -> dict:
+    """Name -> zero-argument call of every date- and atom-taking entry
+    point of :func:`date_entry_points` on ex1 with one value off its range:
+    a float equal to a date (2.0), a bool (``True``), 1.5, a string, -1 and
+    one past the end (horizon + 1, or n for an atom), and 0 for a jump date
+    ``T``.  Every call must raise ``ValueError`` from
+    :func:`randomhorizon.space.check_date`.
+
+    Before the one date contract, ``True`` was read as date 1 everywhere,
+    -1 wrapped round in ``at``, ``scalar_at``, ``delta_at``,
+    ``RandomTime.at`` and ``Filtration.nodes``, floats and strings raised a
+    bare ``TypeError``, and ``single_jump_process`` took T = 1.5."""
+    sc = load_builtin("ex1")
+    cases = {}
+    for (name, param), call in date_calls(sc, date_arguments(sc)).items():
+        past = sc.space.n if param == "atom" else sc.space.horizon + 1
+        bad = [2.0, True, 1.5, "1", -1, past] + ([0] if param == "T" else [])
+        for value in bad:
+            cases[f"{name} {param}={value!r}"] = lambda call=call, value=value: call(value)
+    return cases
 
 
 def run_optimized(code):

@@ -10,7 +10,14 @@ import pytest
 
 import randomhorizon
 
-from helpers import run_optimized, shape_mismatches
+from helpers import (
+    date_arguments,
+    date_calls,
+    date_sweep,
+    run_optimized,
+    shape_mismatches,
+)
+from randomhorizon.io import load_builtin
 
 SOURCES = sorted(Path(randomhorizon.__file__).parent.rglob("*.py"))
 
@@ -394,11 +401,32 @@ def _identifiers(text: str) -> set:
     return set(re.findall(r"[A-Za-z_]\w*", text))
 
 
+def _documented(readme: str) -> set:
+    """The identifiers README names as code: every line of a fenced block,
+    and outside the fences the text between paired backticks of one line.
+    The fences are read first, since their backticks would shift a pairing
+    over the whole file onto the prose between two names."""
+    names, fenced = set(), False
+    for line in readme.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            names |= _identifiers(line)
+        else:
+            names |= _identifiers(" ".join(re.findall(r"`([^`]+)`", line)))
+    return names
+
+
 def test_every_definition_has_a_reader():
     # a helper that only the tests call belongs in tests/helpers.py, and one
     # that nothing calls is dead: every definition of the package is read by
-    # the package, exported by __init__, named in README between backticks,
-    # or used by the benchmark or the packaging metadata
+    # the package, exported by __init__, named in README as code, or used by
+    # the benchmark or the packaging metadata.  A pairing of backticks over
+    # the whole file reads the sample's fenced block as the start of a code
+    # span, so it takes the prose "where" and "and" for names and misses
+    # ``alone`` and ``meth``
+    readme_sample = "Run:\n```\npython -m tool --flag\n```\nwhere `alone` and `meth` are names.\n"
+    assert _documented(readme_sample) == {"python", "m", "tool", "flag", "alone", "meth"}
     sample = {
         "m.py": "def used():\n    return used()\n\ndef caller():\n    return used()\n\n"
         "def alone():\n    return alone()\n\nclass K:\n    def __eq__(self, o):\n"
@@ -410,12 +438,30 @@ def test_every_definition_has_a_reader():
         a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names
     }
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    documented = _identifiers(" ".join(re.findall(r"`([^`]+)`", readme)))
+    documented = _documented(readme)
     for path in sorted((ROOT / "bench").rglob("*")) + [ROOT / "pyproject.toml"]:
         if path.is_file():
             documented |= _identifiers(path.read_text(encoding="utf-8"))
     sources = {str(p): p.read_text(encoding="utf-8") for p in SOURCES}
     assert _unused_definitions(sources, exported, documented) == []
+
+
+def test_the_engine_reads_its_tables_not_the_checked_accessors():
+    # ``at``, ``scalar_at`` and ``delta_at`` check their date and atom on
+    # every call; they are the read API for callers outside the engine, and
+    # a package module indexes ``values`` or ``increments`` instead, so no
+    # check runs per atom on an engine path
+    accessors = {"at", "scalar_at", "delta_at"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "space.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in accessors
+    ]
+    assert found == []
 
 
 SHAPE_MISMATCHES = shape_mismatches()
@@ -441,6 +487,70 @@ def test_shape_guards_raise_under_optimize():
         "        call()\n"
         "    except ValueError:\n"
         "        continue\n"
+        "    missed.append(name)\n"
+        "print(missed)\n"
+        "raise SystemExit(1 if missed else 0)\n"
+    )
+    done = run_optimized(code)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+DATE_SWEEP = date_sweep()
+
+
+def test_the_date_sweep_reaches_every_date_taking_entry_point():
+    # the sweep finds its entry points by signature; these are the ones
+    # that took a bool, a float or a wrapped-round index before one
+    # ``check_date`` decided every date and atom index.  Each base call,
+    # with every date and atom in range, runs, so a ValueError of the sweep
+    # comes from the value swept and not from another argument
+    sc = load_builtin("ex1")
+    table = date_arguments(sc)
+    calls = date_calls(sc, table)
+    assert {name for name, _ in calls} >= {
+        "space.condexp",
+        "space.condexp_cells",
+        "Filtration.nodes",
+        "AdaptedProcess.at",
+        "AdaptedProcess.scalar_at",
+        "AdaptedProcess.delta_at",
+        "RandomTime.at",
+        "enlargement.jump_time_measures",
+        "nupbr.thin_set_empty_at",
+        "nupbr.witness_martingale",
+        "nupbr.single_jump_equivalences",
+        "nupbr.single_jump_martingale_transfer",
+        "nupbr.single_jump_process",
+    }
+    for (name, param), call in calls.items():
+        call(table[param])
+    # an argument missing from the table fails its entry point's cases
+    partial = date_calls(sc, {k: v for k, v in table.items() if k != "bundle"})
+    with pytest.raises(KeyError):
+        partial[("enlargement.jump_time_measures", "T")](1)
+
+
+@pytest.mark.parametrize("case", sorted(DATE_SWEEP))
+def test_a_date_or_atom_off_its_range_raises_value_error(case):
+    # a date or an atom index is an int, not a bool, in its range: True was
+    # read as date 1, -1 wrapped round to the last date or atom, a float or
+    # a string raised a bare TypeError, and single_jump_process built a
+    # process from T = 1.5 whose increment table was all zero
+    with pytest.raises(ValueError, match="must lie in"):
+        DATE_SWEEP[case]()
+
+
+def test_date_guards_raise_under_optimize():
+    # every date check is a raise, not an assert, so it survives python -O
+    code = (
+        "from helpers import date_sweep\n"
+        "missed = []\n"
+        "for name, call in date_sweep().items():\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        if 'must lie in' in str(exc):\n"
+        "            continue\n"
         "    missed.append(name)\n"
         "print(missed)\n"
         "raise SystemExit(1 if missed else 0)\n"
