@@ -50,6 +50,16 @@ from .space import condexp_cells, stop, zip_cells
 JOBS_ENV = "RANDOMHORIZON_JOBS"
 
 
+def _ran(check, *args):
+    """``check(*args)``, or None where it raises :class:`EngineError`: the
+    engine's self-checks report a failure by raising, and a report flag
+    reads that as false."""
+    try:
+        return check(*args)
+    except EngineError:
+        return None
+
+
 def _projection_identities(price, bundle):
     qv = bundle.m_bracket  # [m, m]
     out = {}
@@ -59,40 +69,27 @@ def _projection_identities(price, bundle):
         direct = dual_predictable(stop(V, bundle.tau), bundle.enlarged)
         ok = ok and closed.values == direct.values
     out["stopped_compensator"] = ok
-    try:
-        compensator_of_rescaled(qv, bundle)
-        compensator_of_rescaled(price, bundle)
-        out["rescaled_compensator"] = True
-    except EngineError:
-        out["rescaled_compensator"] = False
-    try:
-        out["projection_ratios"] = projection_transfer_identities(bundle.m, bundle).consistent
-    except EngineError:
-        out["projection_ratios"] = False
-    try:
-        bundle.mhat  # built and checked to be a G-martingale on first read
-        if is_martingale(price, bundle.filt):
-            g_martingale_part(price, bundle)
-            out["martingale_part"] = True
-        else:
-            out["martingale_part"] = None  # not applicable: no F-martingale price
-    except EngineError:
+    out["rescaled_compensator"] = all(
+        _ran(compensator_of_rescaled, V, bundle) is not None for V in (qv, price)
+    )
+    out["projection_ratios"] = _ran(projection_transfer_identities, bundle.m, bundle) is not None
+    # mhat is built and checked to be a G-martingale on first read
+    if _ran(getattr, bundle, "mhat") is None:
         out["martingale_part"] = False
+    elif is_martingale(price, bundle.filt):
+        out["martingale_part"] = _ran(g_martingale_part, price, bundle) is not None
+    else:
+        out["martingale_part"] = None  # not applicable: no F-martingale price
     out["survival_identity"] = True  # Zt = Z_- + dm: azema raises on any atom where it fails
     return out
 
 
 def _deflator_suite(price, bundle):
     enlarged = bundle.enlarged
-    out = {}
-    try:
-        deflators = build_deflator(bundle)
-        out["construction"] = True
-    except EngineError:
-        out["construction"] = False
-        out["supermartingale"] = False
-        out["deflates_stopped_price"] = None
-        return out
+    deflators = _ran(build_deflator, bundle)
+    out = {"construction": deflators is not None}
+    if deflators is None:
+        return {**out, "supermartingale": False, "deflates_stopped_price": None}
     out["supermartingale"] = is_supermartingale(deflators.deflator, enlarged)
     if thin_set_empty(bundle) and is_martingale(price, bundle.filt):
         verdict = verify_deflator(deflators.deflator, stop(price, bundle.tau), enlarged)

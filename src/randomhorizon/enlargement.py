@@ -25,10 +25,11 @@ abrupt-collapse mass P(Zt_t = 0 | F_{t-1}) as ``bundle.collapse``.  Every
 function below that takes a bundle takes nothing else of the model and
 decides none of these sets itself; only a body that divides by Z_- or Zt
 reads the value: the exact transfer formulas between F- and
-G-compensators and projections on ``]0, tau]`` and the two
-change-of-measure weight families attached to a predictable jump date.
-The reduction of G-predictable processes to F-predictable ones works on
-any pair of filtrations and keeps its explicit arguments.
+G-compensators and projections on ``]0, tau]``, the two
+change-of-measure weight families attached to a predictable jump date,
+and the reduction of a G-predictable process to an F-predictable one on
+``]0, tau]``, which holds only for the enlargement of F by tau and so
+reads G and ``]0, tau]`` from the bundle.
 
 Every transfer formula is an F-predictable projection divided by Z_- on
 ``]0, tau]``, written once in ``_over_zprev``: the G-compensator of V^tau
@@ -489,32 +490,32 @@ def jump_time_measures(T: int, bundle: AzemaBundle) -> JumpTimeMeasures:
     return out
 
 
-def reduce_g_predictable(
-    H: AdaptedProcess, filt: Filtration, enlarged: Filtration, tau: RandomTime
-) -> AdaptedProcess:
-    """F-predictable reduction of a G-predictable process.
+def reduce_g_predictable(H: AdaptedProcess, bundle: AzemaBundle) -> AdaptedProcess:
+    """F-predictable reduction of a process predictable in the enlargement
+    G = ``bundle.enlarged``.
 
-    The output agrees with the input on ]0, tau]; strict positivity and
-    upper bounds by 1 are preserved (cells not seen on ]0, tau] are filled
-    with 1).  On each F_{t-1}-block the sub-block {tau >= t} is a single
-    G_{t-1}-atom, so the copied value is well defined.
+    The output agrees with the input on ]0, tau] (``bundle.alive``); strict
+    positivity and upper bounds by 1 are preserved (cells not seen on
+    ]0, tau] are filled with 1).  On each F_{t-1}-block the sub-block
+    {tau >= t} is a single G_{t-1}-atom, so the copied value is well
+    defined.
     """
-    check_fits(tau, filt.space)
-    if not is_predictable(H, enlarged):
+    filt = bundle.filt
+    if not is_predictable(H, bundle.enlarged):
         raise NotPredictable("input of reduce_g_predictable is not G-predictable")
     one = tuple(Q(1) for _ in range(H.dim))
     rows = []
     for t in filt.space.times:
-        blocks = filt.parts[max(t - 1, 0)]
-        alive = [[i for i in block if tau.values[i] >= max(t, 1)] for block in blocks]
-        if first_nonconstant(H.values[t], [a for a in alive if a]) is not None:
+        blocks, alive = filt.parts[max(t - 1, 0)], bundle.alive[max(t, 1)]
+        survivors = [[i for i in block if alive[i]] for block in blocks]
+        if first_nonconstant(H.values[t], [s for s in survivors if s]) is not None:
             raise StructuralViolation(
                 "G-predictable process not constant on an alive sub-block"
             )
         row = [one] * filt.space.n
-        for block, survivors in zip(blocks, alive):
-            if survivors:
+        for block, inside in zip(blocks, survivors):
+            if inside:
                 for i in block:
-                    row[i] = H.values[t][survivors[0]]
+                    row[i] = H.values[t][inside[0]]
         rows.append(tuple(row))
     return AdaptedProcess._trusted(tuple(rows))

@@ -185,6 +185,16 @@ def certify_nupbr(
     return CertResult(True, node_weights=partial(_node_weights, filt, w, decided))
 
 
+def _jump_shape(xi_values: Sequence[tuple], T: int, space: FiniteSpace) -> int:
+    """The length of the cells of xi; ``ValueError`` unless T lies in
+    {1, ..., horizon} and xi has one cell per atom, all of one length."""
+    check_date(T, 1, space.horizon, "jump date")
+    n, dim = table_shape((xi_values,))
+    if n != space.n:
+        raise ValueError("xi needs one cell per atom of the space")
+    return dim
+
+
 def single_jump_process(
     xi_values: Sequence[tuple],
     T: int,
@@ -192,11 +202,12 @@ def single_jump_process(
     mask: Optional[Sequence[bool]] = None,
 ) -> AdaptedProcess:
     """xi I_{[T, inf)} with an optional atom mask applied to xi; its only
-    nonzero increments are at T.  ``ValueError`` unless T lies in
-    {1, ..., horizon}."""
-    check_date(T, 1, space.horizon, "jump date")
-    dim = len(xi_values[0])
-    zero = (Q(0),) * dim
+    nonzero increments are at T.  The shape rule holds: ``ValueError``
+    unless T lies in {1, ..., horizon}, xi has one cell per atom, all of
+    one length, and the mask one flag per atom."""
+    zero = (Q(0),) * _jump_shape(xi_values, T, space)
+    if mask is not None and len(mask) != space.n:
+        raise ValueError("the mask needs one flag per atom of the space")
     jump = tuple(
         tuple(frac(c) for c in xi) if mask is None or mask[i] else zero
         for i, xi in enumerate(xi_values)
@@ -209,10 +220,9 @@ def single_jump_process(
 
 def _check_xi(xi_values: Sequence[tuple], T: int, bundle: AzemaBundle) -> None:
     """``ValueError`` unless T is a jump date and xi has one cell per atom,
-    all of one length; :class:`EngineError` unless xi is F_T-measurable."""
-    check_date(T, 1, bundle.space.horizon, "jump date")
-    if table_shape((xi_values,))[0] != bundle.space.n:
-        raise ValueError("xi needs one cell per atom of the space")
+    all of one length (:func:`_jump_shape`); :class:`EngineError` unless xi
+    is F_T-measurable."""
+    _jump_shape(xi_values, T, bundle.space)
     if first_nonconstant(xi_values, bundle.filt.parts[T]) is not None:
         raise EngineError("xi must be measurable at the jump date")
 

@@ -25,7 +25,8 @@ Discrete-time conventions used throughout the package:
   :func:`check_date` is the one test of it: ``{0, ..., horizon}`` for
   :func:`condexp`, :func:`condexp_cells` and :meth:`AdaptedProcess.at`,
   ``{1, ..., horizon}`` for :meth:`Filtration.nodes` and a jump date, and
-  ``{0, ..., n - 1}`` for an atom.  Anything else is a ``ValueError``,
+  ``{0, ..., n - 1}`` for an atom, in the checked accessors and in each
+  block of a :class:`Filtration` alike.  Anything else is a ``ValueError``,
   never a wrapped index, a ``True`` read as 1 or a bare ``TypeError``,
 * a random time fits a space when it has one value per atom and every
   finite value on the grid (:func:`check_fits`).
@@ -97,14 +98,15 @@ A process reads its shape off its cells: ``AdaptedProcess(values)``,
 count, and ``dim`` is the length of the first cell.  One shape rule holds
 wherever a process meets something it must fit: one row per date, one
 cell per atom, one length per cell and one weight per atom.  The public
-constructor checks its rows (:func:`table_shape`), ``from_increments``
-each row and each new sum, :func:`check_shape` a process against the
-space of a filtration (behind :func:`is_adapted`, :func:`is_predictable`
-and the node drifts of :mod:`projections`), :func:`condexp` and
-:meth:`FiniteSpace.expectation` a vector against the space, and sums,
-differences and brackets one process against the other.  A mismatch is a
-``ValueError``, never a truncated result.  Engine-built rows enter through
-``_trusted`` unchecked.
+constructor and :meth:`AdaptedProcess.from_scalar_paths` check their rows
+(:func:`table_shape`), ``from_increments`` each row and each new sum,
+:func:`check_shape` a process against the space of a filtration (behind
+:func:`is_adapted`, :func:`is_predictable` and the node drifts of
+:mod:`projections`), :func:`condexp` and :meth:`FiniteSpace.expectation`
+a vector against the space, and sums, differences and brackets one
+process against the other.  A mismatch is a ``ValueError``, never a
+truncated result.  Only rows the engine built itself enter through
+``_trusted`` unchecked, so :func:`check_shape` needs to test row 0 alone.
 """
 
 from __future__ import annotations
@@ -235,19 +237,18 @@ class FiniteSpace:
 def _canonical_partition(blocks, n: int, t: int):
     seen = []
     covered = set()
+    what, where = f"atom index at time {t}", f"partition at time {t}"
     for block in blocks:
-        b = tuple(sorted(block))
+        b = tuple(sorted(check_date(i, 0, n - 1, what) for i in block))
         if not b:
-            raise ValueError("empty block in partition")
+            raise ValueError(f"empty block in {where}")
         for i in b:
-            if not 0 <= i < n:
-                raise ValueError(f"atom index {i} out of range")
             if i in covered:
-                raise ValueError(f"atom index {i} appears in two blocks")
+                raise ValueError(f"atom index {i} appears in two blocks of the {where}")
             covered.add(i)
         seen.append(b)
     if len(covered) != n:
-        raise ValueError(f"the partition at time {t} does not cover every atom of the space")
+        raise ValueError(f"the {where} does not cover every atom of the space")
     return tuple(sorted(seen))
 
 
@@ -598,14 +599,17 @@ class AdaptedProcess:
     def from_scalar_paths(paths) -> "AdaptedProcess":
         """``paths[t][atom]`` is a scalar; each distinct source object is
         coerced (:func:`frac`) once, and the atoms that carry it share one
-        cell.
+        cell.  The rows built pass the shape rule (:func:`table_shape`):
+        ``ValueError`` on no row or on ragged rows.
 
         :func:`map_cells` keys its memo by the sources, which the call
         copies into its own table and so keeps alive: a source a generator
         hands over (a string, a Fraction) would otherwise be freed once
         read, and a later one could reuse its address and its cell."""
         sources = [tuple(row) for row in paths]
-        return AdaptedProcess._trusted(map_cells(sources, lambda v: (frac(v),)))
+        rows = map_cells(sources, lambda v: (frac(v),))
+        table_shape(rows)
+        return AdaptedProcess._trusted(rows)
 
     # -- pointwise arithmetic -------------------------------------------
 

@@ -32,12 +32,12 @@ from typing import Callable
 
 import randomhorizon
 from randomhorizon.deflator import build_deflator, supermartingale_deflator
-from randomhorizon.enlargement import azema, enlarge, reduce_g_predictable
+from randomhorizon.enlargement import azema, enlarge
 from randomhorizon.errors import StructuralViolation
 from randomhorizon.generator import random_instance
 from randomhorizon.io import Scenario, load_builtin
 from randomhorizon.lp import LPResult
-from randomhorizon.nupbr import certify_nupbr
+from randomhorizon.nupbr import certify_nupbr, single_jump_process
 from randomhorizon.projections import is_martingale, quadratic_covariation
 from randomhorizon.space import (
     INF,
@@ -182,19 +182,27 @@ def tau_class_draw(family: str, seed: int) -> Scenario:
 
 def shape_mismatches() -> dict:
     """Name -> zero-argument call of a public entry point on ex1 whose
-    process does not fit the filtration, space, weights or second process
-    it meets, or that conditions on a date off the grid; every call must
-    raise ``ValueError``.
+    process, random time or partition does not fit the filtration, space,
+    weights or second process it meets, or that conditions on a date off
+    the grid; every call must raise ``ValueError``.
 
     Each would otherwise truncate silently: the ex1 price with a fifth atom
     would pass ``is_adapted``, ``is_martingale`` and ``certify_nupbr``,
     sums and brackets would drop the fifth atom, five weights would make
     ``certify_nupbr`` certify the G-arbitrage S^tau, and a date of -1 would
     condition on the terminal partition; ``condexp_cells`` on a row with no
-    cell raised a bare ``IndexError``.  ``reduce_g_predictable`` accepted a
-    random time with a fifth value or a value past the horizon, and raised a
-    bare ``IndexError`` on one with three values; so did
-    ``check_stopping_time``, which returned ``False`` on the first two."""
+    cell raised a bare ``IndexError``.  ``check_stopping_time`` returned
+    ``False`` on a random time with a fifth value or a value past the
+    horizon, and raised a bare ``IndexError`` on one with three values.
+
+    A partition took ``1.0`` and ``True`` as atom indices (and ``1.0``
+    then broke ``condexp``), and ``"1"`` raised a bare ``TypeError``;
+    ``-1`` and ``n`` are the two ends of the range.  ``single_jump_process``
+    built rows of two lengths from a xi of n - 1 or n + 1 cells, and cells
+    of two lengths from one of two cell lengths; a short mask raised a bare
+    ``IndexError`` and a long one was cut short.
+    ``AdaptedProcess.from_scalar_paths`` built ragged rows, and no row,
+    whose ``shape`` raised a bare ``IndexError``."""
     sc = load_builtin("ex1")
     S, filt, space = sc.price, sc.filtration, sc.space
     fifth = AdaptedProcess(tuple(row + row[-1:] for row in S.values))
@@ -203,6 +211,7 @@ def shape_mismatches() -> dict:
     flat = AdaptedProcess(tuple(tuple((0,) for _ in row) for row in S.values))
     five = [0, 0, 0, 0, 1]
     one = (Fraction(1),)
+    xi = S.increments[1]
     return {
         "constructor ragged rows": lambda: AdaptedProcess((((0,), (0,)), ((1,),))),
         "constructor cell lengths": lambda: AdaptedProcess((((0,), (0, 0)),)),
@@ -238,15 +247,9 @@ def shape_mismatches() -> dict:
         "supermartingale_deflator extra date": lambda: supermartingale_deflator(
             later, flat, build_deflator(azema(filt, sc.tau))
         ),
-        "reduce_g_predictable fifth value": lambda: reduce_g_predictable(
-            flat, filt, enlarge(filt, sc.tau), RandomTime(sc.tau.values + (INF,))
-        ),
-        "reduce_g_predictable past horizon": lambda: reduce_g_predictable(
-            flat, filt, enlarge(filt, sc.tau), RandomTime(sc.tau.values[:3] + (9,))
-        ),
-        "reduce_g_predictable short": lambda: reduce_g_predictable(
-            flat, filt, enlarge(filt, sc.tau), RandomTime(sc.tau.values[:3])
-        ),
+        "azema fifth value": lambda: azema(filt, RandomTime(sc.tau.values + (INF,))),
+        "azema past horizon": lambda: azema(filt, RandomTime(sc.tau.values[:3] + (9,))),
+        "azema short": lambda: azema(filt, RandomTime(sc.tau.values[:3])),
         "check_stopping_time fifth value": lambda: check_stopping_time(
             RandomTime(sc.tau.values + (INF,)), filt
         ),
@@ -257,6 +260,27 @@ def shape_mismatches() -> dict:
             RandomTime(sc.tau.values[:3]), filt
         ),
         "Filtration.nodes date 0": lambda: filt.nodes(0),
+        **{
+            f"Filtration atom index {i!r}": lambda i=i: Filtration(
+                filt.parts[:1] + (((0, i), (2, 3)),) + filt.parts[2:], space
+            )
+            for i in (1.0, True, "1", -1, space.n)
+        },
+        "single_jump_process short xi": lambda: single_jump_process(xi[:3], 1, space),
+        "single_jump_process long xi": lambda: single_jump_process(xi + xi[-1:], 1, space),
+        "single_jump_process cell lengths": lambda: single_jump_process(
+            xi[:3] + (one * 2,), 1, space
+        ),
+        "single_jump_process short mask": lambda: single_jump_process(
+            xi, 1, space, mask=[True] * 3
+        ),
+        "single_jump_process long mask": lambda: single_jump_process(
+            xi, 1, space, mask=[True] * 5
+        ),
+        "from_scalar_paths ragged rows": lambda: AdaptedProcess.from_scalar_paths(
+            [[0, 0, 0, 0], [1, 1]]
+        ),
+        "from_scalar_paths no row": lambda: AdaptedProcess.from_scalar_paths([]),
     }
 
 

@@ -30,6 +30,7 @@ from randomhorizon.space import (
     Filtration,
     RandomTime,
     check_stopping_time,
+    is_predictable,
     stop,
 )
 
@@ -338,7 +339,7 @@ def test_reduce_g_predictable_survival_reciprocal(ex1):
         return F(1)
 
     H = from_function(ex1.space, hg)
-    out = reduce_g_predictable(H, ex1.filt, ex1.enlarged, ex1.tau)
+    out = reduce_g_predictable(H, ex1.bundle)
     assert [out.scalar_at(2, i) for i in range(4)] == [F(2)] * 4
     assert [out.scalar_at(1, i) for i in range(4)] == [F(1)] * 4
     # agreement on ]0, tau] and positivity
@@ -351,7 +352,7 @@ def test_reduce_g_predictable_survival_reciprocal(ex1):
 
 def test_reduce_g_predictable_keeps_f_predictable(ex1):
     V = from_function(ex1.space, lambda t, i: F(t + 1))
-    out = reduce_g_predictable(V, ex1.filt, ex1.enlarged, ex1.tau)
+    out = reduce_g_predictable(V, ex1.bundle)
     for t in range(1, 3):
         for i in range(4):
             if t <= ex1.tau.at(i):
@@ -360,13 +361,26 @@ def test_reduce_g_predictable_keeps_f_predictable(ex1):
 
 def test_reduce_g_predictable_rejects_non_predictable(ex1):
     with pytest.raises(NotPredictable):
-        reduce_g_predictable(ex1.price, ex1.filt, ex1.enlarged, ex1.tau)
+        reduce_g_predictable(ex1.price, ex1.bundle)
+
+
+def test_reduce_g_predictable_reads_g_from_the_bundle(ex1):
+    # the reduction holds only for the enlargement of F by tau, which the
+    # bundle builds; a process predictable in a finer filtration but not in
+    # G is the caller's mistake, NotPredictable, where handing that finer
+    # filtration in as G raised the engine-bug class StructuralViolation
+    finest = Filtration((tuple((i,) for i in range(4)),) * 3, ex1.space)
+    H = from_function(ex1.space, lambda t, i: F(i + 1) if t == 1 else F(1))
+    assert is_predictable(H, finest) and not is_predictable(H, ex1.enlarged)
+    with pytest.raises(NotPredictable):
+        reduce_g_predictable(H, ex1.bundle)
 
 
 def test_reduce_g_predictable_positivity_on_random_instances():
     for seed in range(60):
         inst = random_instance(seed)
-        enlarged = enlarge(inst.filtration, inst.tau)
+        bundle = azema(inst.filtration, inst.tau)
+        enlarged = bundle.enlarged
         rng = random.Random(seed)
         # positive G-predictable process, constant on G_{t-1} blocks
         rows = []
@@ -378,7 +392,7 @@ def test_reduce_g_predictable_positivity_on_random_instances():
                     row[i] = (v,)
             rows.append(tuple(row))
         H = AdaptedProcess(tuple(rows))
-        out = reduce_g_predictable(H, inst.filtration, enlarged, inst.tau)
+        out = reduce_g_predictable(H, bundle)
         for t in inst.space.times:
             for i in range(inst.space.n):
                 assert out.scalar_at(t, i) > 0

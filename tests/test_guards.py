@@ -130,17 +130,22 @@ def test_tracer_targets_are_module_level_functions():
     assert broken == []
 
 
-def _beside_space(source: str, module: str, names: set) -> list:
-    """``module.function`` of each function in ``source`` that takes a
-    ``space`` parameter and one named in ``names``."""
-    found = []
+def _signatures(source: str):
+    """``(name, parameter names)`` of each function in ``source``."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
-            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
-            if "space" in params and params & names:
-                found.append(f"{module}.{node.name}")
-    return found
+            yield node.name, {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+
+
+def _beside_space(source: str, module: str, names: set) -> list:
+    """``module.function`` of each function in ``source`` that takes a
+    ``space`` parameter and one named in ``names``."""
+    return [
+        f"{module}.{name}"
+        for name, params in _signatures(source)
+        if "space" in params and params & names
+    ]
 
 
 def _package_beside_space(names: set) -> list:
@@ -170,6 +175,31 @@ def test_no_function_takes_a_partition_beside_a_space():
     partitions = {"blocks", "parts", "partition"}
     assert _beside_space(old, "space", partitions) == ["space.condexp", "space.condexp_cells"]
     assert _package_beside_space(partitions) == []
+
+
+def _taking(source: str, module: str, name: str) -> list:
+    """``module.function`` of each function in ``source`` that takes a
+    parameter called ``name``."""
+    return [f"{module}.{fn}" for fn, params in _signatures(source) if name in params]
+
+
+def test_no_function_takes_the_enlargement():
+    # G is the enlargement of F by tau, and the survival bundle builds it
+    # (``bundle.enlarged``); a function that took G beside F and tau could
+    # be handed another filtration, and a caller's mistake then surfaced as
+    # the engine-bug class StructuralViolation.  The sample is the
+    # reduction's old signature; the bundle's own view takes only ``self``
+    sample = (
+        "def reduce_g_predictable(H, filt, enlarged, tau):\n    pass\n\n"
+        "class AzemaBundle:\n    def enlarged(self):\n        pass\n"
+    )
+    assert _taking(sample, "enlargement", "enlarged") == ["enlargement.reduce_g_predictable"]
+    found = [
+        name
+        for path in SOURCES
+        for name in _taking(path.read_text(encoding="utf-8"), path.stem, "enlarged")
+    ]
+    assert found == []
 
 
 def _decides_a_survival_view(call) -> bool:
@@ -271,6 +301,7 @@ def test_survival_views_are_read_from_the_bundle():
         "enlargement._over_zprev",
         "enlargement.compensator_of_rescaled",
         "enlargement.jump_time_measures",
+        "enlargement.reduce_g_predictable",
         "deflator.build_deflator",
         "deflator.supermartingale_deflator",
         "nupbr.single_jump_equivalences",
@@ -474,6 +505,16 @@ def test_a_process_that_does_not_fit_raises_value_error(case):
     # filtration, a space, weights or a second process is an error, never
     # a truncated result or a verdict
     with pytest.raises(ValueError):
+        SHAPE_MISMATCHES[case]()
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c in SHAPE_MISMATCHES if c.startswith("Filtration atom index"))
+)
+def test_a_bad_partition_index_names_its_date(case):
+    # an atom index of a partition is an int, not a bool, in {0, ..., n - 1}
+    # (``check_date``), and the error names the date of its partition
+    with pytest.raises(ValueError, match=r"atom index at time 1 must lie in \{0, \.\.\., 3\}"):
         SHAPE_MISMATCHES[case]()
 
 

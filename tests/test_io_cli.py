@@ -144,6 +144,26 @@ def test_filtration_must_cover_every_atom(command, time_0, capsys, tmp_path):
     }
 
 
+def test_a_repeated_atom_reports_the_date_of_its_partition(capsys, tmp_path):
+    # the parser reports a bad filtration at ``$.filtration`` alone, so the
+    # message names the date; ["a", "a", "b"] lists atom a twice in one block
+    doc = _ex1_doc()
+    doc["filtration"][1] = [["a", "a", "b"], ["c", "d"]]
+    message = "atom index 0 appears in two blocks of the partition at time 1"
+    with pytest.raises(InvalidScenario) as err:
+        parse_scenario(doc)
+    assert (err.value.code, err.value.location, err.value.reason) == (
+        "filtration", "$.filtration", message
+    )
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err_text = _run(["inspect", str(path)], capsys)
+    assert (rc, out) == (1, "")
+    assert json.loads(err_text) == {
+        "error": "filtration", "location": "$.filtration", "message": message
+    }
+
+
 @pytest.mark.parametrize("cell", ["1e99999999", "-3e-4000000", "1e4000000", "2E+4300"])
 def test_huge_exponents_are_rejected_quickly(cell, capsys, tmp_path):
     # Fraction("1e4000000") builds a 4-million-digit integer (seconds of

@@ -184,6 +184,12 @@ def test_partition_errors_are_reported_before_coverage():
         Filtration.from_names([[("u",), ("u",)], [("u",), ("v",), ("x",)]], space)
 
 
+def test_an_empty_block_names_its_date():
+    space = FiniteSpace(("u", "v"), (F(1, 2),) * 2, 1)
+    with pytest.raises(ValueError, match="empty block in partition at time 1"):
+        Filtration((((0, 1),), ((0,), (1,), ())), space)
+
+
 def test_predictable_flag_vs_check(ex1):
     assert is_predictable(constant(ex1.space, F(5)), ex1.filt)
     assert not is_predictable(ex1.price, ex1.filt)
