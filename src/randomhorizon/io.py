@@ -12,7 +12,14 @@ A scenario is a JSON object::
 All rationals travel as strings "p/q" (plain "p" when the denominator is
 1); "inf" is the infinite time.  Parsing failures raise
 :class:`InvalidScenario` with a stable error code and the offending
-location; see the README for the code list.
+location; see the README for the code list.  The parser reads each value
+once: a rational in canonical form (``p`` or ``p/q`` in ASCII digits) skips
+``Fraction``'s string parser, each price path is checked once, and a cell
+whose strings repeat an earlier cell's is one lookup.
+
+:func:`dump_json` is the package's one report encoder: it writes the text of
+the stdlib's indented, key-sorted encoder in one recursive pass whose
+strings are escaped in C.
 """
 
 from __future__ import annotations
@@ -82,17 +89,27 @@ def _printable(x: Q, limit: int) -> bool:
     return max(abs(x.numerator), x.denominator) < 10**limit
 
 
+# a rational in canonical form, "p" or "p/q" in ASCII digits
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
+
+
 def parse_fraction(s, location="") -> Q:
+    """The rational of a JSON int or a string ``Fraction`` reads, within the
+    digit limit (see :func:`_max_digits`); else :class:`InvalidScenario`.
+    A canonical string skips ``Fraction``'s string parser."""
     try:
         if _is_int(s):
             return Q(s)
         if isinstance(s, str):
             limit = _max_digits()
-            m = _EXPONENT.search(s)
-            if m is None or abs(int(m.group(1))) < limit:
-                x = Q(s)
-                if _printable(x, limit):
-                    return x
+            m = _CANONICAL.match(s)
+            if m is not None:
+                x = Q(int(m[1]), int(m[2] or 1))
+            else:
+                m = _EXPONENT.search(s)
+                x = Q(s) if m is None or abs(int(m[1])) < limit else None
+            if x is not None and _printable(x, limit):
+                return x
     except (ValueError, ZeroDivisionError):
         pass
     raise InvalidScenario("schema", location, f"not a rational: {s!r}")
@@ -153,15 +170,17 @@ def parse_scenario(doc: dict) -> Scenario:
         raise InvalidScenario(
             "schema", "$.filtration", "need one partition per grid time"
         )
+    index = space.index
     for t, blocks in enumerate(filt_doc):
         if not isinstance(blocks, list):
             raise InvalidScenario("schema", f"$.filtration[{t}]", "must be a list of blocks")
         for b, block in enumerate(blocks):
-            loc = f"$.filtration[{t}][{b}]"
             if not isinstance(block, list) or not block:
+                loc = f"$.filtration[{t}][{b}]"
                 raise InvalidScenario("schema", loc, "block must be a non-empty list")
             for a in block:
-                if not isinstance(a, str) or a not in space.index:
+                if not isinstance(a, str) or a not in index:
+                    loc = f"$.filtration[{t}][{b}]"
                     raise InvalidScenario("schema", loc, f"unknown atom {a!r}")
     try:
         filtration = Filtration.from_names(filt_doc, space)
@@ -185,32 +204,40 @@ def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(vals, dict) or set(vals) != set(atoms):
         raise InvalidScenario("schema", "$.S.values", "need exactly one path per atom")
     # Each distinct rational string is parsed once, and the atoms whose cells
-    # carry the same strings share one cell.  Only strings are keys: True ==
-    # 1 and hash(1.0) == hash(1), so a wider key would let a JSON boolean or
-    # float skip its error.  A bad string is never stored and raises at its
-    # first location.
+    # carry the same strings share one cell, found by one lookup of the
+    # cell's tuple.  Only all-string tuples are keys: True == 1 and hash(1.0)
+    # == hash(1), so a wider key would let a JSON boolean or float skip its
+    # error.  A bad string is never stored and raises at its first location;
+    # each path is checked once, at t = 0, which finds errors in the same
+    # order as a check at every date.
+    paths = [vals[a] for a in atoms]
     parsed, shared = {}, {}
     rows = []
     for t in space.times:
         row = []
-        for a in atoms:
-            path = vals[a]
-            loc = f"$.S.values.{a}[{t}]"
-            if not isinstance(path, list) or len(path) != horizon + 1:
+        for a, path in zip(atoms, paths):
+            if not t and (not isinstance(path, list) or len(path) != horizon + 1):
                 raise InvalidScenario("schema", f"$.S.values.{a}", "need one cell per time")
             cell = path[t]
+            if isinstance(cell, list):
+                try:
+                    hit = shared.get(tuple(cell))
+                except TypeError:  # a list or a dict inside the cell
+                    hit = None
+                if hit is not None:
+                    row.append(hit)
+                    continue
+            loc = f"$.S.values.{a}[{t}]"
             if not isinstance(cell, list) or len(cell) != dim:
                 raise InvalidScenario("schema", loc, "need one rational per component")
             if not all(isinstance(c, str) for c in cell):
                 row.append(tuple(parse_fraction(c, loc) for c in cell))
                 continue
-            key = tuple(cell)
-            if key not in shared:
-                for c in cell:
-                    if c not in parsed:
-                        parsed[c] = parse_fraction(c, loc)
-                shared[key] = tuple(parsed[c] for c in cell)
-            row.append(shared[key])
+            for c in cell:
+                if c not in parsed:
+                    parsed[c] = parse_fraction(c, loc)
+            shared[tuple(cell)] = value = tuple(parsed[c] for c in cell)
+            row.append(value)
         rows.append(tuple(row))
     for t, (row, blocks) in enumerate(zip(rows, filtration.parts)):
         i = first_nonconstant(row, blocks)
@@ -264,9 +291,67 @@ def load_builtin(name: str) -> Scenario:
     return parse_scenario(json.loads(text))
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+# every leaf that is not a str, an int, a bool or None (a float in ``mc``'s
+# reports): the stdlib's text, ``ValueError`` when not finite, and
+# ``TypeError`` when it is no JSON value
+_LEAF = json.JSONEncoder(allow_nan=False).encode
+
+
+def _key(k) -> str:
+    """A dict key that is not a str, as the stdlib writes it: an int, a
+    float, a bool or None by its JSON text; any other key is a TypeError."""
+    if not isinstance(k, tuple):
+        try:
+            return _LEAF(k)
+        except TypeError:
+            pass
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _encode(o, nl: str) -> str:
+    """The text of ``o`` at the indent of ``nl`` ("\\n" and two spaces per
+    level): containers open a level, dict items are sorted by key, and a
+    list of strings is escaped and joined in one pass."""
+    if isinstance(o, str):
+        return _ESCAPE(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        if isinstance(o[0], str):
+            try:
+                return "[" + inner + sep.join(map(_ESCAPE, o)) + nl + "]"
+            except TypeError:  # not every item is a str
+                pass
+        return "[" + inner + sep.join([_encode(v, inner) for v in o]) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        items = [
+            _ESCAPE(k if isinstance(k, str) else _key(k)) + ": " + _encode(v, inner)
+            for k, v in sorted(o.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return _LEAF(o)
+
+
 def dump_json(obj) -> str:
-    """Report JSON; a non-finite float raises ``ValueError`` (JSON has none)."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Report JSON: the text of ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)`` plus a newline, with the same exceptions (a
+    non-finite float raises ``ValueError``; JSON has none), written by one
+    recursive pass that escapes strings in C."""
+    return _encode(obj, "\n") + "\n"
 
 
 def write_json(obj, path) -> None:

@@ -234,12 +234,28 @@ class FiniteSpace:
         return d, tuple(p.numerator * (d // p.denominator) for p in self.prob)
 
 
+def _members(x, what: str):
+    """An iterator over ``x``; ``ValueError`` saying ``what`` it must be
+    when ``x`` is not a collection."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise ValueError(f"{what}, got {x!r}") from None
+
+
 def _canonical_partition(blocks, n: int, t: int):
+    """The blocks of the partition at time ``t`` as sorted tuples of atom
+    indices, in sorted order; an index that is not an int in range goes to
+    :func:`check_date` for its message."""
     seen = []
     covered = set()
     what, where = f"atom index at time {t}", f"partition at time {t}"
-    for block in blocks:
-        b = tuple(sorted(check_date(i, 0, n - 1, what) for i in block))
+    not_block = f"a block of the {where} must be a collection of atom indices"
+    for block in _members(blocks, f"the {where} must be a collection of blocks"):
+        b = tuple(sorted([
+            i if type(i) is int and 0 <= i < n else check_date(i, 0, n - 1, what)
+            for i in _members(block, not_block)
+        ]))
         if not b:
             raise ValueError(f"empty block in {where}")
         for i in b:

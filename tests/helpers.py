@@ -197,10 +197,11 @@ def shape_mismatches() -> dict:
 
     A partition took ``1.0`` and ``True`` as atom indices (and ``1.0``
     then broke ``condexp``), and ``"1"`` raised a bare ``TypeError``;
-    ``-1`` and ``n`` are the two ends of the range.  ``single_jump_process``
-    built rows of two lengths from a xi of n - 1 or n + 1 cells, and cells
-    of two lengths from one of two cell lengths; a short mask raised a bare
-    ``IndexError`` and a long one was cut short.
+    ``-1`` and ``n`` are the two ends of the range; a partition or a block
+    that is not a collection raised a bare ``TypeError``.
+    ``single_jump_process`` built rows of two lengths from a xi of n - 1 or
+    n + 1 cells, and cells of two lengths from one of two cell lengths; a
+    short mask raised a bare ``IndexError`` and a long one was cut short.
     ``AdaptedProcess.from_scalar_paths`` built ragged rows, and no row,
     whose ``shape`` raised a bare ``IndexError``."""
     sc = load_builtin("ex1")
@@ -266,6 +267,12 @@ def shape_mismatches() -> dict:
             )
             for i in (1.0, True, "1", -1, space.n)
         },
+        "Filtration block not a collection": lambda: Filtration(
+            (filt.parts[0], (0, (1, 2, 3)), filt.parts[2]), space
+        ),
+        "Filtration partition not a collection": lambda: Filtration(
+            (filt.parts[0], 5, filt.parts[2]), space
+        ),
         "single_jump_process short xi": lambda: single_jump_process(xi[:3], 1, space),
         "single_jump_process long xi": lambda: single_jump_process(xi + xi[-1:], 1, space),
         "single_jump_process cell lengths": lambda: single_jump_process(

@@ -87,6 +87,46 @@ def test_one_rational_type():
     assert found == []
 
 
+def _json_writers(tree) -> list:
+    """Line numbers of each call of ``json.dump`` or ``json.dumps`` and
+    each import of either name from ``json``."""
+    names = {"dump", "dumps"}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and any(a.name in names for a in node.names)
+        )
+    )
+
+
+def test_one_report_encoder():
+    # every report goes through ``io.dump_json``, which writes the stdlib's
+    # indented, key-sorted text without its pure-Python encoder; a module
+    # that called ``json.dumps`` itself could drift from that format or
+    # bring the slow encoder back
+    sample = (
+        "import json\njson.dumps(x)\njson.dump(x, fh)\nfrom json import dumps\n"
+        "json.loads(s)\njson.JSONEncoder().encode(x)\n"
+    )
+    assert _json_writers(ast.parse(sample)) == [2, 3, 4]
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _json_writers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
 def test_pivot_loop_never_names_fraction():
     # the simplex pivots on ints over one denominator per row; a rational
     # (Q or Fraction) in the pivot or pricing loop would bring back its
@@ -515,6 +555,16 @@ def test_a_bad_partition_index_names_its_date(case):
     # an atom index of a partition is an int, not a bool, in {0, ..., n - 1}
     # (``check_date``), and the error names the date of its partition
     with pytest.raises(ValueError, match=r"atom index at time 1 must lie in \{0, \.\.\., 3\}"):
+        SHAPE_MISMATCHES[case]()
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c in SHAPE_MISMATCHES if c.endswith("not a collection"))
+)
+def test_a_partition_that_is_not_a_collection_names_its_date(case):
+    # a partition is a collection of blocks and a block one of atom
+    # indices; anything else is named with the date of its partition
+    with pytest.raises(ValueError, match=r"partition at time 1 must be a collection of "):
         SHAPE_MISMATCHES[case]()
 
 
