@@ -10,7 +10,7 @@ tested invariant (weights reassemble into an equivalent martingale
 measure, and failing nodes yield an explicit arbitrage direction).
 
 Only the dates where the process moves are decided: every node of a date
-whose increments are all zero passes with uniform weights.  Both witnesses
+outside ``X.moving`` passes with uniform weights.  Both witnesses
 are built on first read, since most callers read only the verdict: the
 arbitrage direction by one LP, the node weights from the weights found
 while deciding, so no LP runs twice.
@@ -124,7 +124,8 @@ class CertResult:
 def _node_weights(filt: Filtration, w, decided: dict) -> tuple:
     """The weight witness of a true verdict: ``decided[t]`` lists the
     (parent, children, weights) found on a date where the process moves;
-    every node of any other date has zero increments and uniform weights."""
+    every node of a date outside ``X.moving`` has zero increments and
+    uniform weights."""
     names = filt.space.atoms
     out = []
     for t in range(1, filt.space.horizon + 1):
@@ -160,8 +161,8 @@ def certify_nupbr(
     otherwise), so a node has positive mass iff some weight on it is
     nonzero.
 
-    Only the dates where X moves are decided: on a date whose increment
-    row is all zero every node passes, with the uniform weights of an
+    Only the dates where X moves are decided, read from ``X.moving``: on
+    a date outside it every node passes, with the uniform weights of an
     all-zero family.  The weights found on the moving nodes are kept, and
     the witness of a true verdict is built from them on first read of
     ``node_weights``.  ``space`` must be ``filt.space`` (else ValueError)."""
@@ -170,10 +171,8 @@ def certify_nupbr(
     assert_adapted(X, filt, "certify_nupbr input")
     w = nonnegative(weights, space)
     decided = {}
-    for t in range(1, space.horizon + 1):
+    for t in sorted(X.moving):
         row = X.increments[t]
-        if not any(map(any, row)):
-            continue
         nodes = decided[t] = []
         for parent, kids in filt.nodes(t, w):
             deltas = [row[child[0]] for child in kids]
@@ -202,7 +201,8 @@ def single_jump_process(
     mask: Optional[Sequence[bool]] = None,
 ) -> AdaptedProcess:
     """xi I_{[T, inf)} with an optional atom mask applied to xi; its only
-    nonzero increments are at T.  The shape rule holds: ``ValueError``
+    nonzero increments are at T, so it moves at T alone, or nowhere when
+    the masked jump is zero.  The shape rule holds: ``ValueError``
     unless T lies in {1, ..., horizon}, xi has one cell per atom, all of
     one length, and the mask one flag per atom."""
     zero = (Q(0),) * _jump_shape(xi_values, T, space)
@@ -215,7 +215,7 @@ def single_jump_process(
     flat = (zero,) * space.n
     rows = tuple(jump if t >= T else flat for t in space.times)
     table = tuple(jump if t == T else flat for t in space.times)
-    return AdaptedProcess._trusted(rows, table)
+    return AdaptedProcess._trusted(rows, table, frozenset((T,) if any(map(any, jump)) else ()))
 
 
 def _check_xi(xi_values: Sequence[tuple], T: int, bundle: AzemaBundle) -> None:

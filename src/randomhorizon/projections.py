@@ -116,20 +116,19 @@ def node_drifts(M: AdaptedProcess, filt: Filtration, weights: Optional[Sequence[
 
     Each sum runs on integers (:func:`weighted_sum` with q scaled to ints)
     and only a nonzero one becomes a ``Q``; a zero node yields 0.  On a
-    date whose increment row is all zero every node yields its zeros
-    without projecting the weights or summing.  ``ValueError`` unless M
+    date outside ``M.moving`` every node yields its zeros without
+    projecting the weights or summing.  ``ValueError`` unless M
     fits ``filt.space``."""
     check_shape(M, filt.space)
     D, P = filt.space.scaled
     zeros = (0,) * M.dim
     for t in range(1, filt.space.horizon + 1):
-        row = M.increments[t]
-        if not any(map(any, row)):
+        if t not in M.moving:
             for block in filt.parts[t - 1]:
                 if weights is None or any(weights[i] for i in block):
                     yield from zeros
             continue
-        cols = tuple(zip(*row))
+        cols = tuple(zip(*M.increments[t]))
         q, qden = P, D
         if weights is not None:
             # Q-weights P * E[w|F_t]: E_Q[dM_t|F_{t-1}] may use the density

@@ -43,14 +43,17 @@ Conditional expectation is asked of a filtration at a date:
 list that does not partition the space.
 
 Exact quantities are computed once per object that owns it: the
-per-process increment table :attr:`AdaptedProcess.increments` and the
-per-filtration table of block masses :attr:`Filtration.masses`, ints over
-``D``, which :func:`condexp` reads.  Both objects are frozen, so neither
-cache can go stale.  :func:`condexp` skips zero values and never divides
-on an all-zero block.  Processes built from
-increments (:meth:`AdaptedProcess.from_increments`, :func:`stop`, sums and
+per-process increment table :attr:`AdaptedProcess.increments` with its
+moving dates :attr:`AdaptedProcess.moving`, and the per-filtration table
+of block masses :attr:`Filtration.masses`, ints over ``D``, which
+:func:`condexp` reads.  Both objects are frozen, so neither cache can go
+stale.  :func:`condexp` skips zero values and never divides on an
+all-zero block.  Processes built from increments
+(:meth:`AdaptedProcess.from_increments`, :func:`stop`, sums and
 differences) receive their increment table with their values, so it is
-never rebuilt by subtraction.
+never rebuilt by subtraction.  A builder that knows which dates move says
+so: the readers of :attr:`AdaptedProcess.moving` (the measurability
+checks, the node drifts, the NUPBR certificate) never scan a quiet row.
 
 Atoms of one node share one cell.  A row of ``values`` is indexed by atom,
 but an adapted process repeats one value over each block, and the
@@ -87,7 +90,8 @@ walk visits every one-period node:
   measurability check,
 * :meth:`Filtration.nodes` -- each ``parts[t-1]`` block with its children,
   or only those of positive mass under atom weights; every node-wise test.
-  The children table is built once, by the pass that checks refinement.
+  The children table is built once, by the pass that checks refinement,
+  or, for the enlargement, by :func:`enlargement.enlarge` as it splits.
 
 A :class:`Filtration` carries its :class:`FiniteSpace` and covers every
 atom of it, so no function that takes a filtration also takes the space.
@@ -114,6 +118,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
@@ -273,7 +278,15 @@ class Filtration:
     """Refining partitions of the atoms of ``space``, one per grid time;
     blocks hold atom indices.  The pass that checks refinement also
     records, per block of ``parts[t-1]``, its children in ``parts[t]``: the
-    table behind :meth:`nodes`."""
+    table behind :meth:`nodes`.
+
+    :meth:`_trusted` is the unchecked twin of the constructor, as
+    :meth:`AdaptedProcess._trusted` is of the process's: it takes parts
+    that are canonical already and their children table.  Only
+    :func:`enlargement.enlarge` calls it, since only the enlargement is
+    built by the engine from a checked filtration, block by block in
+    canonical order; every other filtration, a parsed one included, goes
+    through every check of the constructor."""
 
     parts: tuple
     space: FiniteSpace
@@ -297,6 +310,18 @@ class Filtration:
                 kids[owners.pop()].append(block)
             children.append(tuple(map(tuple, kids)))
         object.__setattr__(self, "_children", tuple(children))
+
+    @classmethod
+    def _trusted(cls, base: "Filtration", parts: tuple, children: tuple) -> "Filtration":
+        """The filtration on the space of ``base`` whose ``parts`` are
+        canonical (sorted tuples of atom indices, in sorted order) and
+        refining, with ``children`` its table behind :meth:`nodes`; nothing
+        is sorted, checked or derived again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "space", base.space)
+        object.__setattr__(self, "_children", children)
+        return self
 
     def nodes(self, t: int, w=None):
         """An iterator of ``(parent, children)`` per block of ``parts[t-1]``,
@@ -509,16 +534,20 @@ class AdaptedProcess:
         table_shape(rows)
 
     @classmethod
-    def _trusted(cls, rows: tuple, increments: Optional[tuple] = None) -> "AdaptedProcess":
+    def _trusted(
+        cls, rows: tuple, increments: Optional[tuple] = None, moving: Optional[frozenset] = None
+    ) -> "AdaptedProcess":
         """Internal constructor for rows that are already tuples of tuples of
         ``Q`` values of one shape (results of ``Q`` arithmetic or cells of
         existing processes): skips the coercion and the shape check of
         ``__post_init__``.  ``increments``, when given, is the exact
-        :attr:`increments` table of ``rows`` and fills that cache."""
+        :attr:`increments` table of ``rows`` and ``moving``, given with it,
+        its :attr:`moving` dates; the two fill their caches together."""
         self = object.__new__(cls)
         object.__setattr__(self, "values", rows)
         if increments is not None:
             self.__dict__["increments"] = increments
+            self.__dict__["moving"] = moving
         return self
 
     @property
@@ -562,6 +591,16 @@ class AdaptedProcess:
         first = (zero,) * len(self.values[0])
         return (first,) + zip_cells(self.values[1:], self.values, delta)
 
+    @cached_property
+    def moving(self) -> frozenset:
+        """The dates t >= 1 whose increment row is not all zero, i.e. where
+        X_t differs from X_{t-1} at some atom.  A builder that hands its
+        increment table to :meth:`_trusted` says which dates move; any
+        other process compares its rows, up to the first atom that moved
+        (a shared cell compares by identity), without building
+        :attr:`increments`."""
+        return _moved(self.values)
+
     def delta_at(self, t: int, atom: int) -> tuple:
         """dX_t(atom); dX_0 := 0.  Checked as :meth:`at`."""
         self.at(t, atom)
@@ -579,14 +618,15 @@ class AdaptedProcess:
 
         An all-zero increment keeps the previous cell without an addition.
         The increments also fill the :attr:`increments` table of the result,
-        so it is never rebuilt by subtraction."""
+        so it is never rebuilt by subtraction, and a date moves iff its row
+        made a sum (:attr:`moving`)."""
         if not increments or not increments[0]:
             raise ValueError("increments need at least one row and one atom")
         n, dim = len(increments[0]), len(increments[0][0])
         zero = (_ZERO,) * dim
         cells = (zero,) * n
-        rows, table = [cells], [cells]
-        for inc in increments:
+        rows, table, moving = [cells], [cells], set()
+        for t, inc in enumerate(increments, 1):
             if len(inc) != n:
                 raise ValueError("ragged rows: one cell per atom required")
             # atoms that share both their cell and their increment object
@@ -606,10 +646,12 @@ class AdaptedProcess:
                     total = sums[key] = tuple(map(operator.add, cell, d))
                 row.append(total)
                 dx.append(tuple(d))
+            if sums:
+                moving.add(t)
             cells = tuple(row)
             rows.append(cells)
             table.append(tuple(dx))
-        return AdaptedProcess._trusted(tuple(rows), tuple(table))
+        return AdaptedProcess._trusted(tuple(rows), tuple(table), frozenset(moving))
 
     @staticmethod
     def from_scalar_paths(paths) -> "AdaptedProcess":
@@ -632,16 +674,21 @@ class AdaptedProcess:
     def _zip(self, other: "AdaptedProcess", op) -> "AdaptedProcess":
         """``op`` (``operator.add`` or ``operator.sub``) cell by cell.  A zero
         cell of ``other`` keeps this process's cell without arithmetic, and,
-        ``op`` being linear, the increment tables map to the result's."""
+        ``op`` being linear, the increment tables map to the result's.  The
+        result moves wherever exactly one operand moves, and only a date
+        where both move can cancel, so only such a row is scanned."""
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
 
         def cell(ca, cb):
             return tuple(map(op, ca, cb)) if any(cb) else ca
 
+        table = zip_cells(self.increments, other.increments, cell)
+        both = self.moving & other.moving
         return AdaptedProcess._trusted(
             zip_cells(self.values, other.values, cell),
-            zip_cells(self.increments, other.increments, cell),
+            table,
+            (self.moving ^ other.moving).union(t for t in both if any(map(any, table[t]))),
         )
 
     def __add__(self, other):
@@ -655,6 +702,13 @@ class AdaptedProcess:
         return AdaptedProcess._trusted(rows)
 
 
+def _moved(rows) -> frozenset:
+    """The dates t >= 1 whose row differs from the row before, compared
+    row against row in C up to the first atom that moved; a shared cell, or
+    a repeated row object, compares by identity."""
+    return frozenset(compress(range(1, len(rows)), map(operator.ne, rows[1:], rows)))
+
+
 def check_shape(X: AdaptedProcess, space: FiniteSpace) -> None:
     """``ValueError`` unless X has one row per date and one cell per atom
     of ``space``."""
@@ -664,15 +718,23 @@ def check_shape(X: AdaptedProcess, space: FiniteSpace) -> None:
 
 def _constant_on(X: AdaptedProcess, filt: Filtration, parts) -> bool:
     """True iff each row ``X.values[t]`` is constant on the blocks of
-    ``parts[t]``, one partition per date; ``ValueError`` unless X fits
-    ``filt.space``."""
+    ``parts[t]``, one partition per date, each refining the one before;
+    ``ValueError`` unless X fits ``filt.space``.
+
+    Only row 0 and the rows of ``X.moving`` are read, with the same answer
+    as reading every row: on a quiet date t, X_t = X_{t-1}, which is
+    constant on the blocks of ``parts[t-1]`` (checked there, or quiet in
+    turn down to a checked date), and ``parts[t]`` refines ``parts[t-1]``.
+    So a process that breaks the rule breaks it first at date 0 or at a
+    date where it moves, and the check sees it there."""
     check_shape(X, filt.space)
-    return all(
-        first_nonconstant(row, blocks) is None for row, blocks in zip(X.values, parts)
-    )
+    rows = X.values
+    return all(first_nonconstant(rows[t], parts[t]) is None for t in (0, *X.moving))
 
 
 def is_adapted(X: AdaptedProcess, filt: Filtration) -> bool:
+    """X_t constant on the blocks of ``parts[t]`` for every t, read at row
+    0 and the moving dates only (:func:`_constant_on`)."""
     return _constant_on(X, filt, filt.parts)
 
 
@@ -682,7 +744,9 @@ def assert_adapted(X: AdaptedProcess, filt: Filtration, name: str = "process"):
 
 
 def is_predictable(X: AdaptedProcess, filt: Filtration) -> bool:
-    """Constant on parts[t-1]-blocks for t >= 1 (and adapted at 0)."""
+    """Constant on parts[t-1]-blocks for t >= 1 (and adapted at 0), read
+    as :func:`is_adapted` is: the partitions ``parts[0], parts[0],
+    parts[1], ...`` refine one another too."""
     return _constant_on(X, filt, filt.parts[:1] + filt.parts[:-1])
 
 
@@ -731,21 +795,25 @@ def stop(X: AdaptedProcess, sigma: RandomTime) -> AdaptedProcess:
     """Stopped process X^sigma(w, t) = X(w, min(t, sigma(w))).
 
     Its increment table is read off X's: dX^sigma_t = dX_t up to sigma, 0
-    after; ``ValueError`` unless sigma has one value per atom of X."""
+    after.  Each row copies X's and revisits only the atoms stopped before
+    it, and it moves where its row differs from the one before
+    (:func:`_moved`); ``ValueError`` unless sigma has one value per atom
+    of X."""
     if len(sigma.values) != len(X.values[0]):
         raise ValueError("stopping time must have one value per atom of the process")
-    values, times = X.values, sigma.values
     zero = X.increments[0][0]
-    rows, table = [], []
-    for t, (cells, inc) in enumerate(zip(values, X.increments)):
-        row, dx = [], []
-        for i, (cell, d, s) in enumerate(zip(cells, inc, times)):
-            if t <= s:
-                row.append(cell)
-                dx.append(d)
-            else:
-                row.append(values[s][i])
-                dx.append(zero)
+    ends = {}  # t -> the atoms with sigma = t - 1
+    for i, s in enumerate(sigma.values):
+        if s is not INF:
+            ends.setdefault(s + 1, []).append(i)
+    stopped, rows, table = [], [], []
+    for t, (cells, inc) in enumerate(zip(X.values, X.increments)):
+        stopped += ends.get(t, ())
+        # an atom stopped before t keeps its cell of the row before
+        row, dx = list(cells), list(inc)
+        for i in stopped:
+            row[i] = rows[-1][i]
+            dx[i] = zero
         rows.append(tuple(row))
         table.append(tuple(dx))
-    return AdaptedProcess._trusted(tuple(rows), tuple(table))
+    return AdaptedProcess._trusted(tuple(rows), tuple(table), _moved(rows))

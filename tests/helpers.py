@@ -16,11 +16,18 @@ time of a class whose survival facts are known a priori, and
 ``shape_mismatches`` lists the calls whose process does not fit what it
 meets, ``date_sweep`` the calls of every date- or atom-taking entry point
 with a value off its range; ``run_optimized`` runs a snippet under
-``python -O``.
+``python -O``.  ``scenario_gen`` loads the benchmark's scenario
+generator, and ``bench_scenarios`` parses the files it writes for a
+seed.  ``moving_scan`` is the full-row reference for
+:attr:`AdaptedProcess.moving`, ``lagged`` the filtration of the
+F-predictable processes, and ``date_mutants`` the copies of a process
+changed at one atom of a quiet, the terminal or the first date.
 """
 
 import importlib
+import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import random
@@ -35,7 +42,7 @@ from randomhorizon.deflator import build_deflator, supermartingale_deflator
 from randomhorizon.enlargement import azema, enlarge
 from randomhorizon.errors import StructuralViolation
 from randomhorizon.generator import random_instance
-from randomhorizon.io import Scenario, load_builtin
+from randomhorizon.io import Scenario, dump_json, load_builtin, parse_scenario, serialize_scenario
 from randomhorizon.lp import LPResult
 from randomhorizon.nupbr import certify_nupbr, single_jump_process
 from randomhorizon.projections import is_martingale, quadratic_covariation
@@ -587,3 +594,57 @@ def solve_min_reference(A, b, c) -> LPResult:
     for r in range(len(T)):
         x[basis[r]] = T[r][-1]
     return LPResult("optimal", x=tuple(x), objective=sum(ci * xi for ci, xi in zip(cost2, x)))
+
+
+def moving_scan(X: AdaptedProcess) -> frozenset:
+    """The dates t >= 1 whose increment row is not all zero, scanned row by
+    row and cell by cell."""
+    return frozenset(t for t in range(1, len(X.increments)) if any(map(any, X.increments[t])))
+
+
+def lagged(filt: Filtration) -> Filtration:
+    """F one date late, ``parts[0], parts[0], parts[1], ..., parts[H-1]``:
+    the processes adapted to it are the F-predictable ones, and its
+    terminal partition is not the atoms."""
+    return Filtration(filt.parts[:1] + filt.parts[:-1], filt.space)
+
+
+def date_mutants(X: AdaptedProcess, filt: Filtration) -> list:
+    """``(kind, t, Y)`` per copy Y of X with one cell moved by +1 in its
+    first component: at each quiet date of X (``"quiet"``), at the
+    terminal date and at date 0.  The atom changed is the last of a
+    largest block of ``filt.parts[t]``, so Y breaks adaptedness at t
+    whenever that block holds two atoms."""
+    H = len(X.values) - 1
+    quiet = [t for t in range(1, H + 1) if t not in moving_scan(X)]
+    out = []
+    for kind, t in [("quiet", t) for t in quiet] + [("terminal", H), ("first", 0)]:
+        i = max(filt.parts[t], key=len)[-1]
+        rows = [list(row) for row in X.values]
+        cell = rows[t][i]
+        rows[t][i] = (cell[0] + 1,) + tuple(cell[1:])
+        out.append((kind, t, AdaptedProcess(tuple(map(tuple, rows)))))
+    return out
+
+
+def scenario_gen():
+    """The benchmark's ``bench/scenario_gen.py`` module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenario_gen.py"
+    spec = importlib.util.spec_from_file_location("bench_scenario_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_scenarios(seed: int, count: int) -> list:
+    """The scenarios of the ``count`` benchmark files of a workload seed,
+    parsed from the text each file holds, as ``write_scenarios`` names
+    and writes them."""
+    gen = scenario_gen()
+    horizons = gen.HORIZONS
+    return [
+        parse_scenario(json.loads(dump_json(serialize_scenario(
+            gen.random_scenario(seed * 1000 + k, horizons[k % len(horizons)])
+        ))))
+        for k in range(count)
+    ]

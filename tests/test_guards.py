@@ -381,6 +381,52 @@ def test_engine_rows_skip_the_coercing_constructor():
     assert found == []
 
 
+def _callers(source: str, module: str, owner: str, attr: str) -> list:
+    """``module.function`` of the innermost function around each call of
+    ``owner.attr`` in ``source``; ``module`` alone for a call outside
+    every function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            func = getattr(child, "func", None)
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and func.attr == attr
+                and isinstance(func.value, ast.Name)
+                and func.value.id == owner
+            ):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_only_the_enlargement_is_a_trusted_filtration():
+    # ``Filtration._trusted`` takes canonical parts and their children
+    # table without a check; ``enlarge`` builds G so from a checked F, and
+    # every other filtration, a parsed one first, keeps the constructor's
+    # checks and messages
+    sample = (
+        "def enlarge(f):\n    return Filtration._trusted(f, p, c)\n\n"
+        "class Filtration:\n    def from_names(self):\n"
+        "        return [Filtration._trusted(self, p, c) for _ in ()]\n\n"
+        "G = Filtration._trusted(F, p, c)\n"
+    )
+    assert _callers(sample, "m", "Filtration", "_trusted") == ["m.enlarge", "m.from_names", "m"]
+    found = [
+        name
+        for path in SOURCES
+        for name in _callers(path.read_text(encoding="utf-8"), path.stem, "Filtration", "_trusted")
+    ]
+    assert found == ["enlargement.enlarge"]
+
+
 def _unread_parameters(source: str, module: str) -> list:
     """``module.function.parameter`` for each parameter of a function in
     ``source`` that its body (nested functions included) never reads.

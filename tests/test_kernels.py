@@ -14,10 +14,8 @@ no cell shared.
 """
 
 import dataclasses
-import importlib.util
 import operator
 import random
-from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -62,7 +60,15 @@ from randomhorizon.space import (
     stop,
 )
 
-from helpers import block_of, children, component, mul_scalar_process, random_adapted, scale
+from helpers import (
+    block_of,
+    children,
+    component,
+    mul_scalar_process,
+    random_adapted,
+    scale,
+    scenario_gen,
+)
 
 
 def naive_increments(X):
@@ -597,14 +603,6 @@ def naive_transfer_rows(M, b, filt, enlarged, tau, space):
     return tuple(tuple(r) for r in rows)
 
 
-def _scenario_gen():
-    path = Path(__file__).resolve().parents[1] / "bench" / "scenario_gen.py"
-    spec = importlib.util.spec_from_file_location("bench_scenario_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _enlargement_cases():
     """(space, filtration, tau, price, adapted V's) on generator instances
     (1-D and 2-D prices) and on one 40-atom benchmark scenario file."""
@@ -613,7 +611,7 @@ def _enlargement_cases():
         rng = random.Random(seed)
         V = [random_adapted(inst.space, inst.filtration, rng, dim=d) for d in (1, 2)]
         yield inst.space, inst.filtration, inst.tau, inst.price, V
-    sc = _scenario_gen().random_scenario(7000, 5)
+    sc = scenario_gen().random_scenario(7000, 5)
     rng = random.Random(7000)
     V = [random_adapted(sc.space, sc.filtration, rng, dim=d) for d in (1, 2)]
     yield sc.space, sc.filtration, sc.tau, sc.price, V
@@ -723,7 +721,7 @@ def test_deflator_and_jump_measures_match_naive_references():
 
 
 def _bench_scenario():
-    sc = _scenario_gen().random_scenario(7000, 5)
+    sc = scenario_gen().random_scenario(7000, 5)
     assert sc.space.n == 40
     return sc
 
