@@ -232,28 +232,34 @@ def azema(filt: Filtration, tau: RandomTime) -> AzemaBundle:
     """The survival bundle of (F, tau, P).  Z, Zt, m and the compensator hold
     one cell object per F-node.
 
+    Z_t, Zt_t and dD^o_t are :func:`condexp_cells` rows of the indicators
+    of {tau > t}, {tau >= t} and {tau = t}, built from two shared cells,
+    (1,) and (0,): a block of ``filt.parts[t]`` on which the indicator is
+    constant (tau on one side of t) returns that cell object unchanged,
+    which is its exact mean, and only a block that tau splits is summed.
+
     The self-checks on Z, Zt and m are decided at one atom per
-    ``filt.parts[t]``-block: Z_t and Zt_t are :func:`condexp` rows on that
-    partition, Z_{t-1} is constant on its coarser one, and
+    ``filt.parts[t]``-block: Z_t and Zt_t are conditional expectations on
+    that partition, Z_{t-1} is constant on its coarser one, and
     :func:`assert_martingale` has checked that m is adapted, so every atom
     of a block carries the values of its first.  Only the check that
     {Zt = 0} and {Z_- = 0} miss ]0, tau] runs per atom, on the bundle's
     views ``alive``, ``z_zero`` and ``zt_zero``."""
     space = filt.space
     check_fits(tau, space)
-    one, zero = Q(1), Q(0)
+    on, off = (Q(1),), (_ZERO,)
     times = tau.values
 
     z_rows, zt_rows, default_increments = [], [], []
     for t in space.times:
-        z_rows.append(condexp([one if v > t else zero for v in times], filt, t))
-        zt_rows.append(condexp([one if v >= t else zero for v in times], filt, t))
+        z_rows.append(condexp_cells([on if v > t else off for v in times], filt, t))
+        zt_rows.append(condexp_cells([on if v >= t else off for v in times], filt, t))
         if t >= 1:
-            eq = [(one,) if v == t else (zero,) for v in times]
+            eq = [on if v == t else off for v in times]
             default_increments.append(condexp_cells(eq, filt, t))
 
-    Z = AdaptedProcess.from_scalar_paths(z_rows)
-    Zt = AdaptedProcess.from_scalar_paths(zt_rows)
+    Z = AdaptedProcess._trusted(tuple(z_rows))
+    Zt = AdaptedProcess._trusted(tuple(zt_rows))
     Dof = AdaptedProcess.from_increments(default_increments)
     m = Z + Dof
 

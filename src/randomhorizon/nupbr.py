@@ -49,6 +49,7 @@ from .space import (
     condexp_cells,
     first_nonconstant,
     frac,
+    map_cells,
     stop,
     table_shape,
 )
@@ -202,16 +203,17 @@ def single_jump_process(
 ) -> AdaptedProcess:
     """xi I_{[T, inf)} with an optional atom mask applied to xi; its only
     nonzero increments are at T, so it moves at T alone, or nowhere when
-    the masked jump is zero.  The shape rule holds: ``ValueError``
-    unless T lies in {1, ..., horizon}, xi has one cell per atom, all of
-    one length, and the mask one flag per atom."""
+    the masked jump is zero.  Each distinct cell object of xi is coerced
+    once (:func:`map_cells`) and the mask applied after, so the atoms of
+    an F_T-node keep sharing their jump cell.  The shape rule holds:
+    ``ValueError`` unless T lies in {1, ..., horizon}, xi has one cell per
+    atom, all of one length, and the mask one flag per atom."""
     zero = (Q(0),) * _jump_shape(xi_values, T, space)
     if mask is not None and len(mask) != space.n:
         raise ValueError("the mask needs one flag per atom of the space")
-    jump = tuple(
-        tuple(frac(c) for c in xi) if mask is None or mask[i] else zero
-        for i, xi in enumerate(xi_values)
-    )
+    jump = map_cells((xi_values,), lambda xi: tuple(map(frac, xi)))[0]
+    if mask is not None:
+        jump = tuple(cell if on else zero for cell, on in zip(jump, mask))
     flat = (zero,) * space.n
     rows = tuple(jump if t >= T else flat for t in space.times)
     table = tuple(jump if t == T else flat for t in space.times)

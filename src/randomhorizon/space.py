@@ -8,11 +8,11 @@ rational arithmetic, so equality of processes is decidable and exact.  The
 hot kernels run on integer numerators: :attr:`FiniteSpace.scaled` holds
 the probabilities as ints ``P`` over one common denominator ``D``, and
 :func:`weighted_sum` adds ``P[i] * v_i`` as one int numerator over a
-running common denominator, so :func:`condexp`,
-:meth:`FiniteSpace.expectation` and the node drifts of
-:mod:`projections` build a single ``Q`` per block or node.  Python
-ints have arbitrary precision, so every result is the exact value a
-Fraction computation gives, and every value a kernel returns is a ``Q``.
+running common denominator, so :func:`condexp_cells`,
+:meth:`FiniteSpace.expectation` and the node drifts of :mod:`projections`
+build a single ``Q`` per block or node and component.  Python ints have
+arbitrary precision, so every result is the exact value a Fraction
+computation gives, and every value a kernel returns is a ``Q``.
 
 Discrete-time conventions used throughout the package:
 
@@ -38,16 +38,21 @@ engine indexes ``values`` and ``increments`` itself, so no check runs per
 atom on its paths.
 
 Conditional expectation is asked of a filtration at a date:
-``condexp(values, filt, t)`` is E[values | F_t], read off the blocks of
+``condexp_cells(cells, filt, t)`` is E[cells | F_t], read off the blocks of
 ``filt.parts[t]`` and P of ``filt.space``, so no caller can hand it a block
-list that does not partition the space.
+list that does not partition the space; :func:`condexp` is its scalar
+entry point.  It runs once per block.  A block whose atoms hold one cell
+object, a singleton block or a node of a row that is measurable already,
+returns that object: its mean over the block is the cell itself, exactly,
+so no arithmetic runs and the object stays shared downstream.  Only a
+block of distinct cells sums its components.
 
 Exact quantities are computed once per object that owns it: the
 per-process increment table :attr:`AdaptedProcess.increments` with its
 moving dates :attr:`AdaptedProcess.moving`, and the per-filtration table
 of block masses :attr:`Filtration.masses`, ints over ``D``, which
-:func:`condexp` reads.  Both objects are frozen, so neither cache can go
-stale.  :func:`condexp` skips zero values and never divides on an
+:func:`condexp_cells` reads.  Both objects are frozen, so neither cache can
+go stale.  :func:`condexp_cells` skips zero values and never divides on an
 all-zero block.  Processes built from increments
 (:meth:`AdaptedProcess.from_increments`, :func:`stop`, sums and
 differences) receive their increment table with their values, so it is
@@ -58,8 +63,9 @@ checks, the node drifts, the NUPBR certificate) never scan a quiet row.
 Atoms of one node share one cell.  A row of ``values`` is indexed by atom,
 but an adapted process repeats one value over each block, and the
 constructors hand those atoms one cell object: :func:`condexp` and
-:func:`condexp_cells` one per block, :meth:`AdaptedProcess.from_increments`
-one per pair of previous cell and increment,
+:func:`condexp_cells` one per block (the input's own cell when the block
+shares one), :meth:`AdaptedProcess.from_increments` one per pair of
+previous cell and increment,
 :meth:`AdaptedProcess.from_scalar_paths` one per source object, and the
 increment table :attr:`AdaptedProcess.increments` one per pair of cell and
 previous cell.  The cell maps compute once per cell object, not per atom:
@@ -82,8 +88,9 @@ walk visits every one-period node:
 * :meth:`AdaptedProcess.from_increments` -- the running sum from 0 of a
   table of increments (compensators, dual projections, brackets, optional
   integrals); a zero increment keeps the previous cell without an addition,
-* :func:`condexp_cells` -- :func:`condexp` of each component of a row of
-  cells, given ``filt.parts[t]``,
+* :func:`condexp_cells` -- E[row | F_t] once per block of
+  ``filt.parts[t]``: a block that shares one cell object returns it, any
+  other sums its components; :func:`condexp` is its scalar entry point,
 * :func:`first_nonconstant` -- the first atom whose cell differs from the
   cell of its block's first atom; the body of :func:`is_adapted`,
   :func:`is_predictable`, :func:`check_stopping_time` and every
@@ -106,9 +113,10 @@ constructor and :meth:`AdaptedProcess.from_scalar_paths` check their rows
 (:func:`table_shape`), ``from_increments`` each row and each new sum,
 :func:`check_shape` a process against the space of a filtration (behind
 :func:`is_adapted`, :func:`is_predictable` and the node drifts of
-:mod:`projections`), :func:`condexp` and :meth:`FiniteSpace.expectation`
-a vector against the space, and sums, differences and brackets one
-process against the other.  A mismatch is a ``ValueError``, never a
+:mod:`projections`), :func:`condexp_cells` a row against the space and
+its cells against one length, :meth:`FiniteSpace.expectation` a vector
+against the space, and sums, differences and brackets one process
+against the other.  A mismatch is a ``ValueError``, never a
 truncated result.  Only rows the engine built itself enter through
 ``_trusted`` unchecked, so :func:`check_shape` needs to test row 0 alone.
 """
@@ -118,7 +126,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
@@ -364,65 +372,101 @@ def weighted_sum(weights: Sequence[int], values: Sequence, block) -> tuple:
 
     The sum runs on one integer numerator over a running common denominator
     (the least common multiple of the denominators met), so no rational is
-    built; atoms with a zero value or a zero weight are skipped."""
+    built.  A run of consecutive atoms that hold one value object (the
+    atoms of one child node share it) adds its weights first and the value
+    once; zero values and zero weights add nothing."""
     num, den = 0, 1
+    run, w = None, 0
     for i in block:
         v = values[i]
-        n = v.numerator
-        if n and weights[i]:
-            d = v.denominator
-            if d == den:
-                num += weights[i] * n
-            elif den % d == 0:
-                num += weights[i] * n * (den // d)
-            else:
-                g = gcd(den, d)
-                num = num * (d // g) + weights[i] * n * (den // g)
-                den *= d // g
+        if v is run:
+            w += weights[i]
+            continue
+        if w:
+            num, den = _add_term(num, den, w, run)
+        run, w = v, weights[i]
+    if w:
+        num, den = _add_term(num, den, w, run)
     return num, den
 
 
-def condexp(values: Sequence[Q], filt: Filtration, t: int):
-    """Exact conditional expectation E[values | F_t] of an atom vector.
+def _add_term(num: int, den: int, w: int, v) -> tuple:
+    """``num / den + w * v`` as ``(num, den)``, ``den`` growing to the least
+    common multiple of the denominators met."""
+    n = v.numerator
+    if not n:
+        return num, den
+    d = v.denominator
+    if d == den:
+        return num + w * n, den
+    if den % d == 0:
+        return num + w * n * (den // d), den
+    g = gcd(den, d)
+    return num * (d // g) + w * n * (den // g), den * (d // g)
 
-    Returns a vector over atoms, constant on each block of ``filt.parts[t]``,
-    equal on block B to sum(P(w) values(w) for w in B) / P(B).  Values may
-    be ints or rationals; each block sums ``P[i] * values[i]`` as
-    :func:`weighted_sum` and builds a single ``Q``
-    ``num / (den * P_B)`` with ``P_B`` read from :attr:`Filtration.masses`
-    (the common denominator D of ``prob`` cancels).  A block whose sum is
-    zero keeps 0 without a division.  ``ValueError`` unless ``t`` is a
-    date (:func:`check_date`; a negative date would index the terminal
-    partition) and ``values`` has one value per atom.
-    """
-    space = filt.space
-    check_date(t, 0, space.horizon)
-    n = space.n
-    if len(values) != n:
-        raise ValueError("one value per atom required")
-    P = space.scaled[1]
-    out = [_ZERO] * n
-    for block, mass in zip(filt.parts[t], filt.masses[t]):
-        num, den = weighted_sum(P, values, block)
-        if num:
-            avg = Q(num, den * mass)
-            for i in block:
-                out[i] = avg
-    return tuple(out)
+
+_QSET = frozenset((Q,))
+
+
+def condexp(values: Sequence[Q], filt: Filtration, t: int):
+    """Exact conditional expectation E[values | F_t] of an atom vector of
+    ints or rationals: a tuple of ``Q`` over atoms, constant on each block
+    of ``filt.parts[t]``, equal on block B to sum(P(w) values(w) for w in
+    B) / P(B).
+
+    The scalar entry point of :func:`condexp_cells`, which it calls on the
+    row with one one-component cell per distinct value object, so a block
+    whose atoms share one value object returns that value (as a ``Q``)
+    without arithmetic.  ``ValueError`` as :func:`condexp_cells`: unless
+    ``t`` is a date and ``values`` has one value per atom."""
+    cells = map_cells((values,), lambda v: (v,))[0]
+    return tuple(cell[0] for cell in condexp_cells(cells, filt, t))
 
 
 def condexp_cells(cells: Sequence[tuple], filt: Filtration, t: int) -> tuple:
-    """:func:`condexp` of each component of an atom vector of cells; returns
-    E[cells | F_t] as a tuple of cells, one cell object shared by the atoms
-    of each block.  ``ValueError`` as :func:`condexp`: unless ``t`` is a
-    date and the row has one cell per atom."""
-    check_date(t, 0, filt.space.horizon)
-    if len(cells) != filt.space.n:
+    """E[cells | F_t] of an atom vector of cells, computed once per block
+    of ``filt.parts[t]``; the atoms of a block share one cell object.
+
+    A block whose atoms all hold one cell object (a singleton block, or a
+    node of a row that is already F_t-measurable) returns that object: the
+    mean over B of a value constant on B is that value, P(B) v / P(B) = v,
+    so no arithmetic runs and the result is exact; the cell is coerced to
+    ``Q`` only when some component is not one.  Any other block sums each
+    component as :func:`weighted_sum` of ``P[i] * cell_i[k]`` over B and
+    builds one ``Q`` ``num / (den * P_B)`` per nonzero sum, with ``P_B``
+    read from :attr:`Filtration.masses` (the common denominator D of
+    ``prob`` cancels); a block whose sums are all zero gets the call's one
+    zero cell, without a division.  ``ValueError`` unless ``t`` is a date
+    (:func:`check_date`; a negative date would index the terminal
+    partition), the row has one cell per atom and every cell one length."""
+    space = filt.space
+    check_date(t, 0, space.horizon)
+    if len(cells) != space.n:
         raise ValueError("one value per atom required")
-    comps = [condexp(col, filt, t) for col in zip(*cells)]
-    out = [None] * len(cells)
-    for block in filt.parts[t]:
-        cell = tuple(c[block[0]] for c in comps)
+    if len(set(map(len, cells))) != 1:
+        raise ValueError("cell dimension mismatch")
+    P = space.scaled[1]
+    zero = (_ZERO,) * len(cells[0])
+    get = cells.__getitem__
+    # a block that shares a cell of Q values keeps it, so only the other
+    # blocks are written; the components are transposed once, in C, and
+    # only when some block is mixed
+    out, cols = list(cells), None
+    for block, mass in zip(filt.parts[t], filt.masses[t]):
+        cell = get(block[0])
+        if len(block) == 1 or all(map(operator.is_, map(get, block), repeat(cell))):
+            if _QSET.issuperset(map(type, cell)):
+                continue
+            cell = tuple(map(frac, cell))
+        else:
+            if cols is None:
+                cols = tuple(zip(*cells))
+            sums = [weighted_sum(P, col, block) for col in cols]
+            cell = (
+                tuple([Q(num, den * mass) if num else _ZERO for num, den in sums])
+                if any([num for num, _ in sums])
+                else zero
+            )
         for i in block:
             out[i] = cell
     return tuple(out)

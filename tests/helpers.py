@@ -198,7 +198,9 @@ def shape_mismatches() -> dict:
     sums and brackets would drop the fifth atom, five weights would make
     ``certify_nupbr`` certify the G-arbitrage S^tau, and a date of -1 would
     condition on the terminal partition; ``condexp_cells`` on a row with no
-    cell raised a bare ``IndexError``.  ``check_stopping_time`` returned
+    cell raised a bare ``IndexError``, and on cells of two lengths it
+    dropped the components past the shortest cell (a mean of 11/4 in one
+    component at every atom of ex1 at date 0).  ``check_stopping_time`` returned
     ``False`` on a random time with a fifth value or a value past the
     horizon, and raised a bare ``IndexError`` on one with three values.
 
@@ -247,6 +249,10 @@ def shape_mismatches() -> dict:
         "condexp_cells date -1": lambda: condexp_cells([one] * 4, filt, -1),
         "condexp_cells no atom": lambda: condexp_cells((), filt, 1),
         "condexp_cells fifth atom": lambda: condexp_cells([one] * 5, filt, 1),
+        "condexp_cells cell lengths": lambda: condexp_cells(
+            [(Fraction(1), Fraction(2)), (Fraction(3),), (Fraction(5), Fraction(1)),
+             (Fraction(2), Fraction(2))], filt, 0
+        ),
         "expectation": lambda: space.expectation([Fraction(1)] * 5),
         "add": lambda: fifth + S,
         "sub": lambda: S - fifth,

@@ -35,7 +35,7 @@ from randomhorizon.enlargement import (
 )
 from randomhorizon.errors import StructuralViolation
 from randomhorizon.generator import random_instance
-from randomhorizon.io import Scenario
+from randomhorizon.io import Scenario, load_builtin
 from randomhorizon.lp import zero_in_relative_interior
 from randomhorizon.nupbr import (
     Arbitrage,
@@ -475,6 +475,105 @@ def test_shared_source_objects_share_one_cell():
     assert S.values[0][0] is S.values[0][1] and S.values[0][0] == (F(1),)
 
 
+# -- the per-block conditional expectation --------------------------------
+
+BLOCK_KINDS = ("shared", "equal", "zero", "mixed")
+
+
+def _mixed_row(blocks, dim, rng):
+    """A row of cells over the atoms of ``blocks`` (a partition), each block
+    drawn as one kind: one cell object shared by its atoms, equal but
+    distinct cells, distinct all-zero cells, or cells drawn atom by atom
+    (ints, Fractions and ``Q`` values mixed).  Singleton blocks are
+    whatever their partition holds."""
+    def value():
+        return rng.choice([0, 1, -2, F(1, 2), F(-5, 3), Q(7, 4), Q(0), 3])
+
+    def fresh(cell):
+        return tuple(F(c.numerator, c.denominator) if isinstance(c, F) else c for c in cell)
+
+    row = [None] * sum(map(len, blocks))
+    for block in blocks:
+        kind = rng.choice(BLOCK_KINDS)
+        cell = tuple(value() for _ in range(dim))
+        for i in block:
+            if kind == "shared":
+                row[i] = cell
+            elif kind == "equal":
+                row[i] = fresh(cell)
+            elif kind == "zero":
+                row[i] = (F(0),) * dim
+            else:
+                row[i] = tuple(value() for _ in range(dim))
+    return row
+
+
+def _block_kind_cases():
+    for name in ("ex1", "ex2"):
+        sc = load_builtin(name)
+        yield sc.space, sc.filtration
+    for seed in range(40):
+        inst = random_instance(seed)
+        yield inst.space, inst.filtration
+        yield inst.space, enlarge(inst.filtration, inst.tau)
+
+
+def test_condexp_matches_naive_reference_on_every_kind_of_block():
+    rng = random.Random(32)
+    for space, filt in _block_kind_cases():
+        for t in space.times:
+            # rows drawn on the partition of each date, and on a finer one,
+            # against every date's conditioning
+            for s in space.times:
+                for dim in (1, 2):
+                    row = _mixed_row(filt.parts[s], dim, rng)
+                    got = condexp_cells(row, filt, t)
+                    assert got == naive_condexp_cells(row, filt.parts[t], space)
+                    assert all(type(c) is Q for cell in got for c in cell)
+                    for block in filt.parts[t]:
+                        assert all(got[i] is got[block[0]] for i in block)
+                        first = row[block[0]]
+                        if all(row[i] is first for i in block) and all(
+                            type(c) is Q for c in first
+                        ):
+                            assert got[block[0]] is first
+                scalars = [cell[0] for cell in _mixed_row(filt.parts[s], 1, rng)]
+                got = condexp(scalars, filt, t)
+                assert got == naive_condexp(scalars, filt.parts[t], space)
+                assert all(type(c) is Q for c in got)
+
+
+def test_a_shared_q_cell_comes_back_as_the_same_object():
+    sc = load_builtin("ex1")
+    filt, n = sc.filtration, sc.space.n
+    cell = (Q(2, 3), Q(-1))
+    for t in sc.space.times:
+        assert all(c is cell for c in condexp_cells([cell] * n, filt, t))
+    # a singleton block of the terminal partition returns its own cell
+    row = sc.price.values[-1]
+    H = sc.space.horizon
+    got = condexp_cells(row, filt, H)
+    for block in filt.parts[H]:
+        if len(block) == 1:
+            assert got[block[0]] is row[block[0]]
+    value = Q(5, 7)
+    assert all(v is value for v in condexp([value] * n, filt, 1))
+
+
+@pytest.mark.parametrize("cell", [(1, -2), (F(1, 2), F(3)), (0, F(4, 9))])
+def test_a_shared_cell_of_ints_or_fractions_comes_back_as_q(cell):
+    sc = load_builtin("ex1")
+    filt, n = sc.filtration, sc.space.n
+    for t in sc.space.times:
+        got = condexp_cells([cell] * n, filt, t)
+        assert got == (cell,) * n
+        assert all(type(c) is Q for out in got for c in out)
+        for block in filt.parts[t]:
+            assert all(got[i] is got[block[0]] for i in block)
+        scalar = condexp([cell[0]] * n, filt, t)
+        assert scalar == (cell[0],) * n and all(type(c) is Q for c in scalar)
+
+
 def test_filtration_masses_are_ints_over_d(ex1, ex2):
     # P(B) per block of each date as the int P_B over D, for F and G, built
     # once per filtration; the big-int space checks masses over D = 3**40
@@ -750,6 +849,27 @@ def test_increments_share_one_cell_per_node():
             for block in sc.filtration.parts[t]:
                 assert all(row[i] is row[block[0]] for i in block)
             assert row == naive_increments(X)[t]
+    for X in (b.Z, b.Ztilde):
+        for t, row in enumerate(X.values):
+            for block in sc.filtration.parts[t]:
+                assert all(row[i] is row[block[0]] for i in block)
+
+
+def test_a_single_jump_keeps_one_cell_per_node():
+    sc = scenario_gen().random_scenario(0, 5)
+    T = 2
+    xi = sc.price.increments[T]
+    distinct = len({id(cell) for cell in xi})
+    assert distinct == len(sc.filtration.parts[T]) == 8
+    S = single_jump_process(xi, T, sc.space)
+    assert S.values[T] == xi
+    assert len({id(cell) for cell in S.values[T]}) == distinct
+    mask = [i % 3 != 0 for i in range(sc.space.n)]
+    masked = single_jump_process(xi, T, sc.space, mask=mask)
+    assert len({id(cell) for cell in masked.values[T]}) <= distinct + 1
+    assert masked.values[T] == tuple(
+        cell if on else (F(0),) * sc.price.dim for cell, on in zip(xi, mask)
+    )
 
 
 def test_theorem_suite_is_unchanged_on_an_unshared_copy():
