@@ -372,37 +372,22 @@ def weighted_sum(weights: Sequence[int], values: Sequence, block) -> tuple:
 
     The sum runs on one integer numerator over a running common denominator
     (the least common multiple of the denominators met), so no rational is
-    built.  A run of consecutive atoms that hold one value object (the
-    atoms of one child node share it) adds its weights first and the value
-    once; zero values and zero weights add nothing."""
+    built; atoms with a zero value or a zero weight are skipped."""
     num, den = 0, 1
-    run, w = None, 0
     for i in block:
         v = values[i]
-        if v is run:
-            w += weights[i]
-            continue
-        if w:
-            num, den = _add_term(num, den, w, run)
-        run, w = v, weights[i]
-    if w:
-        num, den = _add_term(num, den, w, run)
+        n = v.numerator
+        if n and weights[i]:
+            d = v.denominator
+            if d == den:
+                num += weights[i] * n
+            elif den % d == 0:
+                num += weights[i] * n * (den // d)
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + weights[i] * n * (den // g)
+                den *= d // g
     return num, den
-
-
-def _add_term(num: int, den: int, w: int, v) -> tuple:
-    """``num / den + w * v`` as ``(num, den)``, ``den`` growing to the least
-    common multiple of the denominators met."""
-    n = v.numerator
-    if not n:
-        return num, den
-    d = v.denominator
-    if d == den:
-        return num + w * n, den
-    if den % d == 0:
-        return num + w * n * (den // d), den
-    g = gcd(den, d)
-    return num * (d // g) + w * n * (den // g), den * (d // g)
 
 
 _QSET = frozenset((Q,))
