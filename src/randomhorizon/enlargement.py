@@ -85,13 +85,14 @@ def enlarge(filt: Filtration, tau: RandomTime) -> Filtration:
     keeping {tau > t} together.
 
     F is canonical and a split keeps each block's order, so sorting the
-    blocks of each date makes G canonical; G_t refines G_{t-1}, since F
-    does and {tau > t-1} only splits further.  So the children table of
-    each date is read off an atom -> block map of the date before, and G
-    is built by :meth:`Filtration._trusted` without a second pass of
-    checks.  The stopping-time self-check still runs on the result."""
+    blocks of each date makes G canonical, and G is built by
+    :meth:`Filtration._trusted` without sorting or coercing again.  Its
+    children table comes from the one pass that builds every filtration's
+    (:func:`space._children`), which checks that G_t refines G_{t-1} (it
+    does: F does, and {tau > t-1} only splits further).  The
+    stopping-time self-check still runs on the result."""
     check_fits(tau, filt.space)
-    parts, children = [], [()]
+    parts = []
     for t in filt.space.times:
         blocks = []
         for block in filt.parts[t]:
@@ -102,14 +103,8 @@ def enlarge(filt: Filtration, tau: RandomTime) -> Filtration:
                 groups.setdefault(key, []).append(i)
             blocks.extend(map(tuple, groups.values()))
         blocks.sort()
-        if parts:
-            owner = {i: k for k, b in enumerate(parts[-1]) for i in b}
-            kids = [[] for _ in parts[-1]]
-            for b in blocks:
-                kids[owner[b[0]]].append(b)
-            children.append(tuple(map(tuple, kids)))
         parts.append(tuple(blocks))
-    enlarged = Filtration._trusted(filt, tuple(parts), tuple(children))
+    enlarged = Filtration._trusted(filt, tuple(parts))
     if not check_stopping_time(tau, enlarged):
         raise StructuralViolation("enlargement failed to absorb the random time")
     return enlarged

@@ -202,12 +202,13 @@ def single_jump_process(
     mask: Optional[Sequence[bool]] = None,
 ) -> AdaptedProcess:
     """xi I_{[T, inf)} with an optional atom mask applied to xi; its only
-    nonzero increments are at T, so it moves at T alone, or nowhere when
-    the masked jump is zero.  Each distinct cell object of xi is coerced
-    once (:func:`map_cells`) and the mask applied after, so the atoms of
-    an F_T-node keep sharing their jump cell.  The shape rule holds:
-    ``ValueError`` unless T lies in {1, ..., horizon}, xi has one cell per
-    atom, all of one length, and the mask one flag per atom."""
+    nonzero increments are at T, and it hands that table over with its
+    rows (its moving dates, T or none when the masked jump is zero, are
+    read off the rows as for any process).  Each distinct cell object of
+    xi is coerced once (:func:`map_cells`) and the mask applied after, so
+    the atoms of an F_T-node keep sharing their jump cell.  The shape rule
+    holds: ``ValueError`` unless T lies in {1, ..., horizon}, xi has one
+    cell per atom, all of one length, and the mask one flag per atom."""
     zero = (Q(0),) * _jump_shape(xi_values, T, space)
     if mask is not None and len(mask) != space.n:
         raise ValueError("the mask needs one flag per atom of the space")
@@ -217,7 +218,7 @@ def single_jump_process(
     flat = (zero,) * space.n
     rows = tuple(jump if t >= T else flat for t in space.times)
     table = tuple(jump if t == T else flat for t in space.times)
-    return AdaptedProcess._trusted(rows, table, frozenset((T,) if any(map(any, jump)) else ()))
+    return AdaptedProcess._trusted(rows, table)
 
 
 def _check_xi(xi_values: Sequence[tuple], T: int, bundle: AzemaBundle) -> None:

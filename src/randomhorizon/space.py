@@ -42,23 +42,29 @@ Conditional expectation is asked of a filtration at a date:
 ``filt.parts[t]`` and P of ``filt.space``, so no caller can hand it a block
 list that does not partition the space; :func:`condexp` is its scalar
 entry point.  It runs once per block.  A block whose atoms hold one cell
-object, a singleton block or a node of a row that is measurable already,
-returns that object: its mean over the block is the cell itself, exactly,
-so no arithmetic runs and the object stays shared downstream.  Only a
-block of distinct cells sums its components.
+object of ``Q`` values, a singleton block or a node of a row that is
+measurable already, returns that object: its mean over the block is the
+cell itself, exactly, so no arithmetic runs and the object stays shared
+downstream.  Any other block sums its components, and only ints and
+rationals are summed (:func:`weighted_sum`), so a float or a string fails
+alike in every kind of block.
 
-Exact quantities are computed once per object that owns it: the
-per-process increment table :attr:`AdaptedProcess.increments` with its
-moving dates :attr:`AdaptedProcess.moving`, and the per-filtration table
-of block masses :attr:`Filtration.masses`, ints over ``D``, which
-:func:`condexp_cells` reads.  Both objects are frozen, so neither cache can
-go stale.  :func:`condexp_cells` skips zero values and never divides on an
-all-zero block.  Processes built from increments
-(:meth:`AdaptedProcess.from_increments`, :func:`stop`, sums and
-differences) receive their increment table with their values, so it is
-never rebuilt by subtraction.  A builder that knows which dates move says
-so: the readers of :attr:`AdaptedProcess.moving` (the measurability
-checks, the node drifts, the NUPBR certificate) never scan a quiet row.
+Exact quantities are computed once per object that owns it, each by one
+derivation: the per-process increment table
+:attr:`AdaptedProcess.increments`, its moving dates
+:attr:`AdaptedProcess.moving`, the per-filtration children table behind
+:meth:`Filtration.nodes` and the table of block masses
+:attr:`Filtration.masses`, ints over ``D``, which :func:`condexp_cells`
+reads.  Both objects are frozen, so no cache can go stale.
+:func:`condexp_cells` skips zero values and never divides on an all-zero
+block.  Processes built from increments
+(:meth:`AdaptedProcess.from_increments`, :func:`stop`,
+:func:`nupbr.single_jump_process`) receive their increment table with
+their values, so it is never rebuilt by subtraction; any other process,
+sums and differences included, derives it on first read.  The moving
+dates are always read off the values, row against row in C, without the
+increment table, so their readers (the measurability checks, the node
+drifts, the NUPBR certificate) never visit a quiet row.
 
 Atoms of one node share one cell.  A row of ``values`` is indexed by atom,
 but an adapted process repeats one value over each block, and the
@@ -97,8 +103,8 @@ walk visits every one-period node:
   measurability check,
 * :meth:`Filtration.nodes` -- each ``parts[t-1]`` block with its children,
   or only those of positive mass under atom weights; every node-wise test.
-  The children table is built once, by the pass that checks refinement,
-  or, for the enlargement, by :func:`enlargement.enlarge` as it splits.
+  The children table is built once per filtration, the enlargement
+  included, by the one pass that checks refinement (:func:`_children`).
 
 A :class:`Filtration` carries its :class:`FiniteSpace` and covers every
 atom of it, so no function that takes a filtration also takes the space.
@@ -128,6 +134,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from math import gcd, lcm
+from numbers import Rational
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidProbabilities, NotAdapted, NotPredictable
@@ -231,8 +238,9 @@ class FiniteSpace:
         return {a: i for i, a in enumerate(self.atoms)}
 
     def expectation(self, values: Sequence[Q]) -> Q:
-        """E[values] for an atom vector; ``ValueError`` unless it has one
-        value per atom."""
+        """E[values] for an atom vector of ints or rationals; ``ValueError``
+        unless it has one value per atom, and ``TypeError`` on any other
+        value (:func:`weighted_sum`), the float ban for a float."""
         if len(values) != self.n:
             raise ValueError("one value per atom required")
         D, P = self.scaled
@@ -281,54 +289,70 @@ def _canonical_partition(blocks, n: int, t: int):
     return tuple(sorted(seen))
 
 
+def _children(parts) -> tuple:
+    """The children table of canonical partitions, one per date:
+    ``table[t][k]`` holds the blocks of ``parts[t]`` inside block k of
+    ``parts[t-1]``, in order, and entry 0 is unused padding.  The pass that
+    builds it checks refinement: ``ValueError`` naming t when a block of
+    ``parts[t]`` meets two blocks of ``parts[t-1]``."""
+    table, above = [()], None
+    for t, blocks in enumerate(parts):
+        owner = [0] * sum(map(len, blocks))  # atom -> its block at t
+        for k, block in enumerate(blocks):
+            for i in block:
+                owner[i] = k
+        if t:
+            # each block meets at least one block of t - 1, so there are
+            # as many (parent, block) pairs as blocks iff each meets one
+            if len(set(zip(above, owner))) != len(blocks):
+                raise ValueError(f"partition at time {t} does not refine time {t - 1}")
+            kids = [[] for _ in parts[t - 1]]
+            for block in blocks:
+                kids[above[block[0]]].append(block)
+            table.append(tuple(map(tuple, kids)))
+        above = owner
+    return tuple(table)
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Refining partitions of the atoms of ``space``, one per grid time;
-    blocks hold atom indices.  The pass that checks refinement also
-    records, per block of ``parts[t-1]``, its children in ``parts[t]``: the
-    table behind :meth:`nodes`.
+    blocks hold atom indices.  ``parts`` is read as each partition and
+    block is: a collection, else ``ValueError``.  The table behind
+    :meth:`nodes` is built by :func:`_children`, the pass that checks
+    refinement, for every filtration.
 
-    :meth:`_trusted` is the unchecked twin of the constructor, as
-    :meth:`AdaptedProcess._trusted` is of the process's: it takes parts
-    that are canonical already and their children table.  Only
-    :func:`enlargement.enlarge` calls it, since only the enlargement is
-    built by the engine from a checked filtration, block by block in
-    canonical order; every other filtration, a parsed one included, goes
-    through every check of the constructor."""
+    :meth:`_trusted` is the twin of the constructor for parts that are
+    canonical already, as :meth:`AdaptedProcess._trusted` is of the
+    process's: it skips sorting and the per-partition checks, but not the
+    refinement pass.  Only :func:`enlargement.enlarge` calls it, since
+    only the enlargement is built by the engine from a checked filtration,
+    block by block in canonical order; every other filtration, a parsed
+    one included, goes through every check of the constructor."""
 
     parts: tuple
     space: FiniteSpace
 
     def __post_init__(self):
-        if len(self.parts) != self.space.horizon + 1:
+        parts = tuple(_members(self.parts, "the parts of a filtration must be a collection"))
+        if len(parts) != self.space.horizon + 1:
             raise ValueError("filtration length must match the time grid")
         n = self.space.n
-        parts = tuple(_canonical_partition(p, n, t) for t, p in enumerate(self.parts))
+        parts = tuple(_canonical_partition(p, n, t) for t, p in enumerate(parts))
         object.__setattr__(self, "parts", parts)
-        # children[t][k] -> the blocks of parts[t] inside block k of
-        # parts[t-1]; entry 0 is unused padding
-        children = [()]
-        for t in range(1, len(parts)):
-            owner = {i: k for k, block in enumerate(parts[t - 1]) for i in block}
-            kids = [[] for _ in parts[t - 1]]
-            for block in parts[t]:
-                owners = {owner[i] for i in block}
-                if len(owners) != 1:
-                    raise ValueError(f"partition at time {t} does not refine time {t - 1}")
-                kids[owners.pop()].append(block)
-            children.append(tuple(map(tuple, kids)))
-        object.__setattr__(self, "_children", tuple(children))
+        object.__setattr__(self, "_children", _children(parts))
 
     @classmethod
-    def _trusted(cls, base: "Filtration", parts: tuple, children: tuple) -> "Filtration":
+    def _trusted(cls, base: "Filtration", parts: tuple) -> "Filtration":
         """The filtration on the space of ``base`` whose ``parts`` are
-        canonical (sorted tuples of atom indices, in sorted order) and
-        refining, with ``children`` its table behind :meth:`nodes`; nothing
-        is sorted, checked or derived again."""
+        canonical (sorted tuples of atom indices, in sorted order): nothing
+        is sorted or coerced again, and :func:`_children` builds the table
+        behind :meth:`nodes` as it checks refinement (``ValueError`` naming
+        the date that does not refine)."""
         self = object.__new__(cls)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "space", base.space)
-        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_children", _children(parts))
         return self
 
     def nodes(self, t: int, w=None):
@@ -372,21 +396,32 @@ def weighted_sum(weights: Sequence[int], values: Sequence, block) -> tuple:
 
     The sum runs on one integer numerator over a running common denominator
     (the least common multiple of the denominators met), so no rational is
-    built; atoms with a zero value or a zero weight are skipped."""
+    built; atoms with a zero value or a zero weight are skipped.
+
+    Only ints and rationals are read: a float raises the float ban of
+    :func:`frac`, and any other value, a string included, a ``TypeError``.
+    The values are tested only once one turns out to have no numerator, so
+    the loop pays nothing for the test."""
     num, den = 0, 1
-    for i in block:
-        v = values[i]
-        n = v.numerator
-        if n and weights[i]:
-            d = v.denominator
-            if d == den:
-                num += weights[i] * n
-            elif den % d == 0:
-                num += weights[i] * n * (den // d)
-            else:
-                g = gcd(den, d)
-                num = num * (d // g) + weights[i] * n * (den // g)
-                den *= d // g
+    try:
+        for i in block:
+            v = values[i]
+            n = v.numerator
+            if n and weights[i]:
+                d = v.denominator
+                if d == den:
+                    num += weights[i] * n
+                elif den % d == 0:
+                    num += weights[i] * n * (den // d)
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + weights[i] * n * (den // g)
+                    den *= d // g
+    except AttributeError:
+        bad = next(v for v in map(values.__getitem__, block) if not isinstance(v, Rational))
+        if not isinstance(bad, str):
+            frac(bad)  # the float ban for a float, a TypeError for a non-number
+        raise TypeError(f"the exact engine averages ints and rationals only; got {bad!r}") from None
     return num, den
 
 
@@ -401,9 +436,10 @@ def condexp(values: Sequence[Q], filt: Filtration, t: int):
 
     The scalar entry point of :func:`condexp_cells`, which it calls on the
     row with one one-component cell per distinct value object, so a block
-    whose atoms share one value object returns that value (as a ``Q``)
-    without arithmetic.  ``ValueError`` as :func:`condexp_cells`: unless
-    ``t`` is a date and ``values`` has one value per atom."""
+    whose atoms share one ``Q`` object returns that value without
+    arithmetic.  ``ValueError`` as :func:`condexp_cells`: unless
+    ``t`` is a date and ``values`` has one value per atom; ``TypeError`` on
+    a value that is not an int or a rational, as there."""
     cells = map_cells((values,), lambda v: (v,))[0]
     return tuple(cell[0] for cell in condexp_cells(cells, filt, t))
 
@@ -412,18 +448,22 @@ def condexp_cells(cells: Sequence[tuple], filt: Filtration, t: int) -> tuple:
     """E[cells | F_t] of an atom vector of cells, computed once per block
     of ``filt.parts[t]``; the atoms of a block share one cell object.
 
-    A block whose atoms all hold one cell object (a singleton block, or a
-    node of a row that is already F_t-measurable) returns that object: the
-    mean over B of a value constant on B is that value, P(B) v / P(B) = v,
-    so no arithmetic runs and the result is exact; the cell is coerced to
-    ``Q`` only when some component is not one.  Any other block sums each
-    component as :func:`weighted_sum` of ``P[i] * cell_i[k]`` over B and
-    builds one ``Q`` ``num / (den * P_B)`` per nonzero sum, with ``P_B``
-    read from :attr:`Filtration.masses` (the common denominator D of
-    ``prob`` cancels); a block whose sums are all zero gets the call's one
-    zero cell, without a division.  ``ValueError`` unless ``t`` is a date
-    (:func:`check_date`; a negative date would index the terminal
-    partition), the row has one cell per atom and every cell one length."""
+    A block whose atoms all hold one cell object of ``Q`` values (a
+    singleton block, or a node of a row that is already F_t-measurable)
+    returns that object: the mean over B of a value constant on B is that
+    value, P(B) v / P(B) = v, so no arithmetic runs and the result is
+    exact.  Any other block, a shared cell of ints or Fractions from a
+    caller included, sums each component as :func:`weighted_sum` of ``P[i]
+    * cell_i[k]`` over B and builds one ``Q`` ``num / (den * P_B)`` per
+    nonzero sum, with ``P_B`` read from :attr:`Filtration.masses` (the
+    common denominator D of ``prob`` cancels); a block whose sums are all
+    zero gets the call's one zero cell, without a division.
+
+    ``ValueError`` unless ``t`` is a date (:func:`check_date`; a negative
+    date would index the terminal partition), the row has one cell per
+    atom and every cell one length.  Every kind of block takes ints and
+    rationals only, as :func:`weighted_sum` does: a float raises the float
+    ban and any other type, a string included, ``TypeError``."""
     space = filt.space
     check_date(t, 0, space.horizon)
     if len(cells) != space.n:
@@ -435,23 +475,21 @@ def condexp_cells(cells: Sequence[tuple], filt: Filtration, t: int) -> tuple:
     get = cells.__getitem__
     # a block that shares a cell of Q values keeps it, so only the other
     # blocks are written; the components are transposed once, in C, and
-    # only when some block is mixed
+    # only when some block is summed
     out, cols = list(cells), None
     for block, mass in zip(filt.parts[t], filt.masses[t]):
         cell = get(block[0])
-        if len(block) == 1 or all(map(operator.is_, map(get, block), repeat(cell))):
-            if _QSET.issuperset(map(type, cell)):
-                continue
-            cell = tuple(map(frac, cell))
-        else:
-            if cols is None:
-                cols = tuple(zip(*cells))
-            sums = [weighted_sum(P, col, block) for col in cols]
-            cell = (
-                tuple([Q(num, den * mass) if num else _ZERO for num, den in sums])
-                if any([num for num, _ in sums])
-                else zero
-            )
+        shared = len(block) == 1 or all(map(operator.is_, map(get, block), repeat(cell)))
+        if shared and _QSET.issuperset(map(type, cell)):
+            continue
+        if cols is None:
+            cols = tuple(zip(*cells))
+        sums = [weighted_sum(P, col, block) for col in cols]
+        cell = (
+            tuple([Q(num, den * mass) if num else _ZERO for num, den in sums])
+            if any([num for num, _ in sums])
+            else zero
+        )
         for i in block:
             out[i] = cell
     return tuple(out)
@@ -563,20 +601,17 @@ class AdaptedProcess:
         table_shape(rows)
 
     @classmethod
-    def _trusted(
-        cls, rows: tuple, increments: Optional[tuple] = None, moving: Optional[frozenset] = None
-    ) -> "AdaptedProcess":
+    def _trusted(cls, rows: tuple, increments: Optional[tuple] = None) -> "AdaptedProcess":
         """Internal constructor for rows that are already tuples of tuples of
         ``Q`` values of one shape (results of ``Q`` arithmetic or cells of
         existing processes): skips the coercion and the shape check of
         ``__post_init__``.  ``increments``, when given, is the exact
-        :attr:`increments` table of ``rows`` and ``moving``, given with it,
-        its :attr:`moving` dates; the two fill their caches together."""
+        :attr:`increments` table of ``rows`` and fills its cache; the
+        :attr:`moving` dates are read off ``rows`` either way."""
         self = object.__new__(cls)
         object.__setattr__(self, "values", rows)
         if increments is not None:
             self.__dict__["increments"] = increments
-            self.__dict__["moving"] = moving
         return self
 
     @property
@@ -623,12 +658,13 @@ class AdaptedProcess:
     @cached_property
     def moving(self) -> frozenset:
         """The dates t >= 1 whose increment row is not all zero, i.e. where
-        X_t differs from X_{t-1} at some atom.  A builder that hands its
-        increment table to :meth:`_trusted` says which dates move; any
-        other process compares its rows, up to the first atom that moved
-        (a shared cell compares by identity), without building
-        :attr:`increments`."""
-        return _moved(self.values)
+        X_t differs from X_{t-1} at some atom.  Read off the values for
+        every process, however it was built: each row is compared with the
+        one before in C, up to the first atom that moved (a shared cell, or
+        a repeated row object, compares by identity), and
+        :attr:`increments` is not built."""
+        rows = self.values
+        return frozenset(compress(range(1, len(rows)), map(operator.ne, rows[1:], rows)))
 
     def delta_at(self, t: int, atom: int) -> tuple:
         """dX_t(atom); dX_0 := 0.  Checked as :meth:`at`."""
@@ -647,14 +683,13 @@ class AdaptedProcess:
 
         An all-zero increment keeps the previous cell without an addition.
         The increments also fill the :attr:`increments` table of the result,
-        so it is never rebuilt by subtraction, and a date moves iff its row
-        made a sum (:attr:`moving`)."""
+        so it is never rebuilt by subtraction."""
         if not increments or not increments[0]:
             raise ValueError("increments need at least one row and one atom")
         n, dim = len(increments[0]), len(increments[0][0])
         zero = (_ZERO,) * dim
         cells = (zero,) * n
-        rows, table, moving = [cells], [cells], set()
+        rows, table = [cells], [cells]
         for t, inc in enumerate(increments, 1):
             if len(inc) != n:
                 raise ValueError("ragged rows: one cell per atom required")
@@ -675,12 +710,10 @@ class AdaptedProcess:
                     total = sums[key] = tuple(map(operator.add, cell, d))
                 row.append(total)
                 dx.append(tuple(d))
-            if sums:
-                moving.add(t)
             cells = tuple(row)
             rows.append(cells)
             table.append(tuple(dx))
-        return AdaptedProcess._trusted(tuple(rows), tuple(table), frozenset(moving))
+        return AdaptedProcess._trusted(tuple(rows), tuple(table))
 
     @staticmethod
     def from_scalar_paths(paths) -> "AdaptedProcess":
@@ -701,24 +734,18 @@ class AdaptedProcess:
     # -- pointwise arithmetic -------------------------------------------
 
     def _zip(self, other: "AdaptedProcess", op) -> "AdaptedProcess":
-        """``op`` (``operator.add`` or ``operator.sub``) cell by cell.  A zero
-        cell of ``other`` keeps this process's cell without arithmetic, and,
-        ``op`` being linear, the increment tables map to the result's.  The
-        result moves wherever exactly one operand moves, and only a date
-        where both move can cancel, so only such a row is scanned."""
+        """``op`` (``operator.add`` or ``operator.sub``) cell by cell, once
+        per distinct pair of cells (:func:`zip_cells`); a zero cell of
+        ``other`` keeps this process's cell without arithmetic.  The result
+        derives its :attr:`increments` and :attr:`moving` as any process
+        built from values alone does, on first read."""
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
 
         def cell(ca, cb):
             return tuple(map(op, ca, cb)) if any(cb) else ca
 
-        table = zip_cells(self.increments, other.increments, cell)
-        both = self.moving & other.moving
-        return AdaptedProcess._trusted(
-            zip_cells(self.values, other.values, cell),
-            table,
-            (self.moving ^ other.moving).union(t for t in both if any(map(any, table[t]))),
-        )
+        return AdaptedProcess._trusted(zip_cells(self.values, other.values, cell))
 
     def __add__(self, other):
         return self._zip(other, operator.add)
@@ -729,13 +756,6 @@ class AdaptedProcess:
     def __neg__(self):
         rows = map_cells(self.values, lambda cell: tuple(-c for c in cell))
         return AdaptedProcess._trusted(rows)
-
-
-def _moved(rows) -> frozenset:
-    """The dates t >= 1 whose row differs from the row before, compared
-    row against row in C up to the first atom that moved; a shared cell, or
-    a repeated row object, compares by identity."""
-    return frozenset(compress(range(1, len(rows)), map(operator.ne, rows[1:], rows)))
 
 
 def check_shape(X: AdaptedProcess, space: FiniteSpace) -> None:
@@ -823,11 +843,11 @@ def check_stopping_time(time: RandomTime, filt: Filtration) -> bool:
 def stop(X: AdaptedProcess, sigma: RandomTime) -> AdaptedProcess:
     """Stopped process X^sigma(w, t) = X(w, min(t, sigma(w))).
 
-    Its increment table is read off X's: dX^sigma_t = dX_t up to sigma, 0
-    after.  Each row copies X's and revisits only the atoms stopped before
-    it, and it moves where its row differs from the one before
-    (:func:`_moved`); ``ValueError`` unless sigma has one value per atom
-    of X."""
+    Its increment table is read off X's, dX^sigma_t = dX_t up to sigma and
+    0 after, and handed over with the rows; its :attr:`~AdaptedProcess.moving`
+    dates are read off the rows, as for any process.  Each row copies X's
+    and revisits only the atoms stopped before it.  ``ValueError`` unless
+    sigma has one value per atom of X."""
     if len(sigma.values) != len(X.values[0]):
         raise ValueError("stopping time must have one value per atom of the process")
     zero = X.increments[0][0]
@@ -845,4 +865,4 @@ def stop(X: AdaptedProcess, sigma: RandomTime) -> AdaptedProcess:
             dx[i] = zero
         rows.append(tuple(row))
         table.append(tuple(dx))
-    return AdaptedProcess._trusted(tuple(rows), tuple(table), _moved(rows))
+    return AdaptedProcess._trusted(tuple(rows), tuple(table))

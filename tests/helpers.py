@@ -207,7 +207,8 @@ def shape_mismatches() -> dict:
     A partition took ``1.0`` and ``True`` as atom indices (and ``1.0``
     then broke ``condexp``), and ``"1"`` raised a bare ``TypeError``;
     ``-1`` and ``n`` are the two ends of the range; a partition or a block
-    that is not a collection raised a bare ``TypeError``.
+    that is not a collection raised a bare ``TypeError``, and so did parts
+    of a filtration that are not one.
     ``single_jump_process`` built rows of two lengths from a xi of n - 1 or
     n + 1 cells, and cells of two lengths from one of two cell lengths; a
     short mask raised a bare ``IndexError`` and a long one was cut short.
@@ -286,6 +287,7 @@ def shape_mismatches() -> dict:
         "Filtration partition not a collection": lambda: Filtration(
             (filt.parts[0], 5, filt.parts[2]), space
         ),
+        "Filtration parts not a collection": lambda: Filtration(5, space),
         "single_jump_process short xi": lambda: single_jump_process(xi[:3], 1, space),
         "single_jump_process long xi": lambda: single_jump_process(xi + xi[-1:], 1, space),
         "single_jump_process cell lengths": lambda: single_jump_process(

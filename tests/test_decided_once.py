@@ -12,7 +12,9 @@ from-scratch references.
 * a quiet date inserted at s (F'_s = F_{s-1}, the price held over s, every
   tau value >= s one date later): the moving dates and the node weights
   shift by one date from s on, s never moves, and the NUPBR verdicts in F
-  and in G stay.
+  and in G stay; Z, m and D^o repeat a row at s, Zt gains Z_{s-1} there,
+  the thin set moves one date later from s on, and ]0, tau] repeats its
+  row s.
 """
 
 from dataclasses import replace
@@ -244,5 +246,36 @@ def test_a_quiet_date_shifts_what_moves_and_keeps_every_verdict():
                 else:
                     arb, arb2 = cert.arbitrage, cert2.arbitrage
                     assert arb2 == replace(arb, time=later(arb.time))
+            inserted += 1
+    assert inserted > 100
+
+
+def test_a_quiet_date_repeats_the_survival_rows():
+    # the survival half of the quiet-date relation: tau' never equals s, so
+    # Z', m' and D^o' repeat their row s - 1 at s (dD^o'_s = P(tau' = s |
+    # F'_s) = 0) and s stays out of their moving dates, Zt'_s = P(tau' >= s
+    # | F_{s-1}) = Z_{s-1}, the thin set moves one date later from s on,
+    # and ]0, tau'] holds (i, s) iff tau(i) >= s, its old row s, twice
+    models = [load_builtin(name) for name in BUILTINS] + [random_instance(s) for s in range(50)]
+    inserted = 0
+    for sc in models:
+        b = azema(sc.filtration, sc.tau)
+        for s in range(1, sc.space.horizon + 1):
+
+            def later(t):
+                return t + 1 if t >= s else t
+
+            quiet = insert_quiet_date(sc, s)
+            b2 = azema(quiet.filtration, quiet.tau)
+            pairs = (b.Z, b2.Z), (b.m, b2.m), (b.default_compensator, b2.default_compensator)
+            for X, X2 in pairs:
+                assert X2.values == X.values[:s] + X.values[s - 1:]
+                assert X2.moving == {later(t) for t in X.moving} == moving_scan(X2)
+            zt = b.Ztilde.values
+            assert b2.Ztilde.values == zt[:s] + (b.Z.values[s - 1],) + zt[s:]
+            assert b2.Ztilde.moving == moving_scan(b2.Ztilde)
+            # later(t) is never s, so date s holds no thin pair
+            assert b2.thin_mask == {(a, later(t)) for a, t in b.thin_mask}
+            assert b2.alive == b.alive[: s + 1] + b.alive[s:]
             inserted += 1
     assert inserted > 100

@@ -408,15 +408,16 @@ def _callers(source: str, module: str, owner: str, attr: str) -> list:
 
 
 def test_only_the_enlargement_is_a_trusted_filtration():
-    # ``Filtration._trusted`` takes canonical parts and their children
-    # table without a check; ``enlarge`` builds G so from a checked F, and
+    # ``Filtration._trusted`` takes canonical parts without sorting or
+    # checking each partition (only the refinement pass that builds the
+    # children table runs); ``enlarge`` builds G so from a checked F, and
     # every other filtration, a parsed one first, keeps the constructor's
     # checks and messages
     sample = (
-        "def enlarge(f):\n    return Filtration._trusted(f, p, c)\n\n"
+        "def enlarge(f):\n    return Filtration._trusted(f, p)\n\n"
         "class Filtration:\n    def from_names(self):\n"
-        "        return [Filtration._trusted(self, p, c) for _ in ()]\n\n"
-        "G = Filtration._trusted(F, p, c)\n"
+        "        return [Filtration._trusted(self, p) for _ in ()]\n\n"
+        "G = Filtration._trusted(F, p)\n"
     )
     assert _callers(sample, "m", "Filtration", "_trusted") == ["m.enlarge", "m.from_names", "m"]
     found = [
@@ -605,7 +606,9 @@ def test_a_bad_partition_index_names_its_date(case):
 
 
 @pytest.mark.parametrize(
-    "case", sorted(c for c in SHAPE_MISMATCHES if c.endswith("not a collection"))
+    "case",
+    sorted(c for c in SHAPE_MISMATCHES if c.endswith(("partition not a collection",
+                                                     "block not a collection"))),
 )
 def test_a_partition_that_is_not_a_collection_names_its_date(case):
     # a partition is a collection of blocks and a block one of atom

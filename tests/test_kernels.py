@@ -319,6 +319,27 @@ def test_public_constructor_still_coerces_and_bans_floats():
     assert all(type(c) is Q for c in _cells(X.values))
     with pytest.raises(TypeError):
         AdaptedProcess((((F(1),),), ((0.5,),)))
+    # the averaging kernels take ints and rationals only, in every kind of
+    # block of ex1 (t = 2 is all singletons; at t = 1 the block {0, 1}
+    # shares the bad value's cell or mixes it with 1) and in ``expectation``:
+    # a float raises the ban, a string another TypeError; a mixed block
+    # used to raise AttributeError, and a singleton coerced "1/2"
+    sc = load_builtin("ex1")
+    filt = sc.filtration
+    for bad, message in ((0.5, "floats are banned"), ("1/2", "ints and rationals only")):
+        cell = (bad,)
+        calls = {
+            "singleton": lambda: condexp([bad, 1, 2, 3], filt, 2),
+            "singleton cells": lambda: condexp_cells([cell, (1,), (2,), (3,)], filt, 2),
+            "shared": lambda: condexp([bad, bad, 2, 3], filt, 1),
+            "shared cells": lambda: condexp_cells([cell, cell, (2,), (3,)], filt, 1),
+            "mixed": lambda: condexp([bad, 1, 2, 3], filt, 1),
+            "mixed cells": lambda: condexp_cells([(1,), cell, (2,), (3,)], filt, 1),
+            "expectation": lambda: sc.space.expectation([1, 2, bad, 3]),
+        }
+        for call in calls.values():
+            with pytest.raises(TypeError, match=message):
+                call()
 
 
 def _random_stopping_time(filt, space, rng):

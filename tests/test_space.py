@@ -123,6 +123,30 @@ def test_filtration_must_refine():
         Filtration((((0, 1), (2,)), ((0, 1, 2),)), FiniteSpace((0, 1, 2), (F(1, 3),) * 3, 1))
 
 
+def test_a_trusted_filtration_is_checked_for_refinement(ex1):
+    # ``_trusted`` takes canonical parts unsorted and unchecked, but its
+    # children table comes from the constructor's refinement pass: the
+    # block (0, 2) at time 2 meets both blocks of time 1.  It used to take
+    # any children table as given
+    first, coarse = ex1.filt.parts[:2]
+    with pytest.raises(ValueError, match="partition at time 2 does not refine time 1"):
+        Filtration._trusted(ex1.filt, (first, coarse, ((0, 2), (1,), (3,))))
+    G = Filtration._trusted(ex1.filt, ex1.enlarged.parts)
+    assert (G.parts, G._children, G.space) == (
+        ex1.enlarged.parts, ex1.enlarged._children, ex1.space
+    )
+
+
+def test_a_filtration_reads_its_parts_as_it_reads_their_blocks(ex1):
+    # the parts, like each partition and block, may be any collection, a
+    # generator included, and anything else is a ValueError; a generator
+    # of partitions, or 5, raised a bare TypeError from len()
+    lazy = ((iter(block) for block in blocks) for blocks in ex1.filt.parts)
+    assert Filtration(lazy, ex1.space) == ex1.filt
+    with pytest.raises(ValueError, match="the parts of a filtration must be a collection"):
+        Filtration(5, ex1.space)
+
+
 def test_a_filtration_cannot_be_paired_with_another_space(ex1):
     # ex1 beside a horizon-1 copy of its own space used to give an empty thin
     # set (true: {(a, 2), (c, 2)}), a true certificate for the G-arbitrage
