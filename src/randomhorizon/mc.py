@@ -38,8 +38,26 @@ and finite variance, so the reported standard errors are honest.
 Randomness is counter-based (Philox, keyed by (seed, stream, step) with
 the path index as counter position), so every draw is reproducible without
 storing paths, and a path's draws do not depend on which other paths are
-advanced.  Nothing is chunked: each step works on whole arrays, and each
-checkpoint reduces over all paths with numpy's mean and std.
+advanced.
+
+Chunks.  The paths are split into contiguous chunks [lo, hi), one per
+usable core (the CPU affinity of the process, so ``taskset`` limits it;
+no option or environment variable sets it), none smaller than about
+``MIN_CHUNK`` paths, so small runs stay on one thread.  The calling thread
+advances the first chunk and worker threads the others; numpy's and
+scipy's ufuncs and the Philox fill release the GIL.  No output bit
+depends on the chunking:
+
+* every lo is a multiple of 4, and Philox makes four 64-bit draws per
+  counter step, so a chunk's stream started at counter lo / 4 holds
+  exactly draws lo, lo + 1, ... of the full stream;
+* every step is elementwise, so a path's values do not depend on which
+  other paths share its arrays (the tests hold this for numpy's vector
+  loops too, comparing 4-path chunks, all loop tails, with one chunk);
+* at each checkpoint every chunk writes its slice of two full-length
+  arrays (value and control), and the finiteness check, mean and std run
+  on those, as in one pass over all paths; the counts (frozen paths,
+  positivity violations, validation hits) are integer sums.
 
 The step kernel is written for few passes over memory, with results
 bitwise equal to the formulas as written:
@@ -55,16 +73,19 @@ bitwise equal to the formulas as written:
   the next step's (and a checkpoint's) Z, but only when ``t + dt`` is the
   same float as ``(step + 1) * dt`` (at dt = 1e-2, 13 of 75 steps are
   not, and recompute it);
-* the nested validation advances only the paths that have not hit zero
-  yet (a hit is final, so the estimate is unchanged), and stops when none
-  is left.
+* each chunk of the nested validation advances only its paths that have
+  not hit zero yet (a hit is final, so the estimate is unchanged), and
+  stops when none is left.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -73,6 +94,10 @@ CHECKPOINTS = (0.25, 0.5, 0.75)
 
 # a path whose survival Z falls below this floor freezes its deflator
 Z_FLOOR = 1e-6
+
+# no chunk of paths is smaller than about this many, so small runs stay on
+# one thread
+MIN_CHUNK = 4096
 
 # stream identifiers for the Philox keys
 _STREAM_PRICE = 0
@@ -108,9 +133,11 @@ class McModel:
             raise McParameterError(
                 "model", f"unknown model {self.model!r}; catalog: {sorted(CATALOG)}"
             )
+        if not _is_int(self.paths):
+            raise McParameterError("paths", f"need an integer path count, got {self.paths!r}")
         if not self.paths >= 2:
             raise McParameterError("paths", "need paths >= 2 for a standard error")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+        if not _is_int(self.seed):
             raise McParameterError("seed", f"need an integer seed, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise McParameterError("seed", "need 0 <= seed < 2**64 (a Philox key word)")
@@ -125,6 +152,11 @@ class McModel:
         :func:`validate_survival_formula` simulates exactly up to time 1."""
         if not _divides(self.dt, [1.0 - t for t in times]):
             raise McParameterError("dt", "dt must divide the validation horizons 1 - t")
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _divides(dt: float, spans) -> bool:
@@ -164,24 +196,58 @@ class ValidationPoint:
     within_4se: bool
 
 
-def _uniforms(seed: int, stream: int, step: int, n: int, out=None) -> np.ndarray:
-    """Draws 0..n-1 of the Philox stream keyed by (seed, stream, step) as the
-    midpoints (k + 1/2) 2^-53 of the 53-bit grid, k the top 53 bits of a
-    draw: values in (0, 1).  Only k = 2^53 - 1 would round up to 1.0, where
-    ``ndtri`` is infinite; it is clamped to 1 - 2^-53, the largest double
-    below 1.
+def _uniforms(seed: int, stream: int, step: int, n: int, out=None, first: int = 0) -> np.ndarray:
+    """Draws first, ..., first + n - 1 of the Philox stream keyed by (seed,
+    stream, step) as the midpoints (k + 1/2) 2^-53 of the 53-bit grid, k the
+    top 53 bits of a draw: values in (0, 1).  Only k = 2^53 - 1 would round
+    up to 1.0, where ``ndtri`` is infinite; it is clamped to 1 - 2^-53, the
+    largest double below 1.
 
-    ``Generator.random`` returns k 2^-53; adding 2^-54 rounds exactly as
-    (k + 0.5) 2^-53 does, because the scale is a power of two."""
+    Philox makes four draws per counter step, so the stream starts at
+    counter first / 4, and ``first`` must be a multiple of 4 (``ValueError``
+    otherwise).  ``Generator.random`` returns k 2^-53; adding 2^-54 rounds
+    exactly as (k + 0.5) 2^-53 does, because the scale is a power of two."""
+    if first % 4:
+        raise ValueError(f"first draw {first} is not a multiple of 4, a Philox counter step")
     key = np.array([np.uint64(seed), np.uint64((stream << 40) + step)], dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(key=key)).random(n, out=out)
+    bits = np.random.Philox(key=key, counter=first // 4)
+    u = np.random.Generator(bits).random(n, out=out)
     u += 2.0**-54
     return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
 
-def _normals(seed: int, stream: int, step: int, n: int, out=None) -> np.ndarray:
-    u = _uniforms(seed, stream, step, n, out)
+def _normals(seed: int, stream: int, step: int, n: int, out=None, first: int = 0) -> np.ndarray:
+    u = _uniforms(seed, stream, step, n, out, first)
     return ndtri(u, out=u)
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity where the platform
+    has one (so ``taskset`` limits it), else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunks(n: int) -> list:
+    """Path slices (lo, hi) covering 0..n-1 in order: one per usable core,
+    none smaller than about ``MIN_CHUNK`` paths, every lo a multiple of 4."""
+    k = max(1, min(_usable_cores(), n // MIN_CHUNK))
+    size = -(-n // k)
+    size += -size % 4
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _on_threads(tasks) -> list:
+    """The results of the callables ``tasks``: the first runs on the calling
+    thread, the others on worker threads, and all have finished when this
+    returns or raises."""
+    if len(tasks) == 1:
+        return [tasks[0]()]
+    with ThreadPoolExecutor(min(len(tasks) - 1, _usable_cores())) as pool:
+        rest = [pool.submit(task) for task in tasks[1:]]
+        return [tasks[0]()] + [f.result() for f in rest]
 
 
 def survival_closed_form(t, x):
@@ -215,12 +281,12 @@ def _zero_in_step(w0: np.ndarray, w1: np.ndarray, dt: float, u: np.ndarray) -> n
     return crossed
 
 
-def simulate(model: McModel) -> PathEstimate:
-    """Estimate E[E(L)_t S_{t & tau}] and the undeflated control
-    E[S_{t & tau}] at the checkpoints, by conditional Monte Carlo."""
-    n = model.paths
+def _advance(model: McModel, cp_steps: list, first: int, value: np.ndarray, control: np.ndarray):
+    """Advance paths first, first + 1, ... (as many as ``value`` holds).  At
+    each checkpoint step, write their conditional values into ``value`` and
+    ``control`` and yield (frozen paths, positivity violations) so far."""
+    n = len(value)
     dt = model.dt
-    cp_steps = [int(round(t / dt)) for t in CHECKPOINTS]
     last_step = max(cp_steps)
 
     with_horizon = model.model == "CAT-1"
@@ -244,8 +310,6 @@ def simulate(model: McModel) -> PathEstimate:
             np.maximum(z, 1e-300, out=zsafe)
         return z
 
-    est, se, cest, cse = [], [], [], []
-
     def record(step):
         if with_horizon:
             z_t = survival_at(step * dt)
@@ -256,19 +320,11 @@ def simulate(model: McModel) -> PathEstimate:
             e_drawdown = defl * z_t
             np.copyto(e_drawdown, ea_frozen, where=~alive)
             at_zero = (1.0 - z_t) * s_at_zero
-            value = e_drawdown * (s + at_zero)
-            control = z_t * s + at_zero
+            value[:] = e_drawdown * (s + at_zero)
+            control[:] = z_t * s + at_zero
         else:
-            value = s.copy()
-            control = s
-        if not np.isfinite(value).all():
-            raise FloatingPointError(
-                f"non-finite path value at checkpoint {step * dt}"
-            )
-        est.append(float(value.mean()))
-        se.append(float(value.std(ddof=1) / math.sqrt(n)))
-        cest.append(float(control.mean()))
-        cse.append(float(control.std(ddof=1) / math.sqrt(n)))
+            value[:] = s
+            control[:] = s
 
     db = np.empty(n)
     if with_horizon:
@@ -283,7 +339,7 @@ def simulate(model: McModel) -> PathEstimate:
             newly &= alive
             np.multiply(defl, z, out=ea_frozen, where=newly)
             alive ^= newly
-            _normals(model.seed, _STREAM_HORIZON, step, n, dw)
+            _normals(model.seed, _STREAM_HORIZON, step, n, dw, first)
             dw *= sqdt
             np.add(w, dw, out=w1)
             # martingale increment of the survival process: difference the
@@ -330,13 +386,13 @@ def simulate(model: McModel) -> PathEstimate:
             np.divide(zsafe, z1, out=a)
             a *= b
             np.multiply(defl, a, out=defl, where=alive)
-            hit = _zero_in_step(w, w1, dt, _uniforms(model.seed, _STREAM_BRIDGE, step, n, a))
+            hit = _zero_in_step(w, w1, dt, _uniforms(model.seed, _STREAM_BRIDGE, step, n, a, first))
             hit &= alive
             w, w1 = w1, w
             absw, absw1 = absw1, absw
             z, z_time = z_next, t + dt
             zsafe, z1 = z1, zsafe
-        _normals(model.seed, _STREAM_PRICE, step, n, db)
+        _normals(model.seed, _STREAM_PRICE, step, n, db, first)
         db *= sqdt
         db -= 0.5 * dt
         s *= np.exp(db, out=db)
@@ -345,6 +401,31 @@ def simulate(model: McModel) -> PathEstimate:
             s_at_zero[hits] = s[hits]
         if (step + 1) in cp_steps:
             record(step + 1)
+            yield n - int(np.count_nonzero(alive)), violations
+
+
+def simulate(model: McModel) -> PathEstimate:
+    """Estimate E[E(L)_t S_{t & tau}] and the undeflated control
+    E[S_{t & tau}] at the checkpoints, by conditional Monte Carlo, the
+    chunks of paths advanced on threads."""
+    n = model.paths
+    dt = model.dt
+    cp_steps = [int(round(t / dt)) for t in CHECKPOINTS]
+    value, control = np.empty(n), np.empty(n)
+    runs = [
+        _advance(model, cp_steps, lo, value[lo:hi], control[lo:hi]) for lo, hi in _chunks(n)
+    ]
+    est, se, cest, cse = [], [], [], []
+    for step in cp_steps:
+        counts = _on_threads([run.__next__ for run in runs])
+        if not np.isfinite(value).all():
+            raise FloatingPointError(
+                f"non-finite path value at checkpoint {step * dt}"
+            )
+        est.append(float(value.mean()))
+        se.append(float(value.std(ddof=1) / math.sqrt(n)))
+        cest.append(float(control.mean()))
+        cse.append(float(control.std(ddof=1) / math.sqrt(n)))
 
     return PathEstimate(
         model=model.model,
@@ -356,9 +437,35 @@ def simulate(model: McModel) -> PathEstimate:
         standard_errors=tuple(se),
         control_estimates=tuple(cest),
         control_standard_errors=tuple(cse),
-        frozen_paths=n - int(np.count_nonzero(alive)),
-        positivity_violations=violations,
+        frozen_paths=sum(frozen for frozen, _ in counts),
+        positivity_violations=sum(v for _, v in counts),
     )
+
+
+def _hits(model: McModel, x: float, n_steps: int, base: int, first: int, n: int) -> int:
+    """How many of the nested paths first, ..., first + n - 1 from x hit
+    zero within ``n_steps`` steps.
+
+    A path that has hit zero is done, so each step advances only the paths
+    not yet hit; every step still draws both Philox arrays for all n paths,
+    so a path's draws sit at its own counter position whatever the others
+    did."""
+    sqdt = math.sqrt(model.dt)
+    alive = np.arange(n)      # path indices not yet hit
+    w = np.full(n, float(x))  # their positions
+    draws = np.empty(n)
+    for step in range(n_steps):
+        if not alive.size:
+            break
+        w1 = _uniforms(model.seed, _STREAM_NESTED, base + 2 * step, n, draws, first)[alive]
+        ndtri(w1, out=w1)
+        w1 *= sqdt
+        w1 += w
+        u = _uniforms(model.seed, _STREAM_NESTED, base + 2 * step + 1, n, draws, first)[alive]
+        stays = ~_zero_in_step(w, w1, model.dt, u)
+        alive = alive[stays]
+        w = w1[stays]
+    return n - alive.size
 
 
 def validate_survival_formula(
@@ -369,34 +476,24 @@ def validate_survival_formula(
     closed form.  dt must divide the horizon 1 - t (``McParameterError``
     otherwise), so the simulation ends exactly at time 1.
 
-    A path that has hit zero is done, so each step advances only the paths
-    not yet hit; every step still draws both full-length Philox arrays, so
-    a path's draws sit at its own counter position whatever the others did."""
+    Each chunk of paths counts its hits (see :func:`_hits`) on its own
+    thread."""
     if not 0.0 <= t < 1.0:
         raise ValueError("need t in [0, 1)")
+    if not _is_int(subpaths):
+        raise ValueError(f"need an integer subpath count, got {subpaths!r}")
     if subpaths < 1:
         raise ValueError("need subpaths >= 1")
     model.check_validation_times((t,))
-    dt = model.dt
-    n_steps = int(round((1.0 - t) / dt))
+    n_steps = int(round((1.0 - t) / model.dt))
     n = subpaths
-    sqdt = math.sqrt(dt)
-    alive = np.arange(n)      # path indices not yet hit
-    w = np.full(n, float(x))  # their positions
     base = (point_id + 1) * 10_000_000
-    draws = np.empty(n)
-    for step in range(n_steps):
-        if not alive.size:
-            break
-        w1 = _uniforms(model.seed, _STREAM_NESTED, base + 2 * step, n, draws)[alive]
-        ndtri(w1, out=w1)
-        w1 *= sqdt
-        w1 += w
-        u = _uniforms(model.seed, _STREAM_NESTED, base + 2 * step + 1, n, draws)[alive]
-        stays = ~_zero_in_step(w, w1, dt, u)
-        alive = alive[stays]
-        w = w1[stays]
-    p_hat = (n - alive.size) / n
+    hits = sum(
+        _on_threads(
+            [partial(_hits, model, x, n_steps, base, lo, hi - lo) for lo, hi in _chunks(n)]
+        )
+    )
+    p_hat = hits / n
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
     closed = float(survival_closed_form(t, x))
     return ValidationPoint(

@@ -4,7 +4,9 @@ The engine never builds a process from a Python function, a constant, a
 scaled copy, a pointwise product or one component, never draws an
 arbitrary adapted or predictable process, and never walks a filtration by
 atom or by child index; these helpers write those out for the tests to
-build inputs and check the engine against.  ``scale``,
+build inputs and check the engine against (``naive_nodes`` is
+:meth:`Filtration.nodes` written with ``children``, a scan of the parts
+that never reads the cached children table).  ``scale``,
 ``mul_scalar_process`` and ``component`` go through the package's cell
 maps, so the tests that compare them with a per-atom reference exercise
 :func:`map_cells` and :func:`zip_cells`.
@@ -438,6 +440,21 @@ def children(filt: Filtration, t: int, parent_index: int) -> tuple:
     """Indices in parts[t] of the sub-blocks of parts[t-1][parent_index]."""
     parent = set(filt.parts[t - 1][parent_index])
     return tuple(j for j, block in enumerate(filt.parts[t]) if block[0] in parent)
+
+
+def naive_nodes(filt: Filtration, t: int, w) -> list:
+    """The node walk written out with ``children``: every parent and child,
+    or only those whose weights sum to a positive mass."""
+    out = []
+    for p, parent in enumerate(filt.parts[t - 1]):
+        kids = [filt.parts[t][j] for j in children(filt, t, p)]
+        assert sorted(i for c in kids for i in c) == sorted(parent)
+        if w is not None:
+            if sum(w[i] for i in parent) == 0:
+                continue
+            kids = [c for c in kids if sum(w[i] for i in c) > 0]
+        out.append((parent, kids))
+    return out
 
 
 def block_of(filt: Filtration, t: int, atom: int) -> tuple:

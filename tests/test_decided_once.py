@@ -5,7 +5,8 @@ from-scratch references.
   the survival processes of generator models, on every process the
   theorem suite builds, and on hand cases that must cancel;
 * the enlargement G, built unchecked by ``enlarge``, against the public
-  constructor on its parts: parts, children table and masses;
+  constructor on its parts (parts and masses) and against a scan of its
+  parts (the children table);
 * :func:`is_adapted` and :func:`is_predictable`, which read row 0 and the
   moving rows only, against a check of every row, on models and on copies
   changed at one atom of a quiet, the terminal or the first date;
@@ -14,7 +15,8 @@ from-scratch references.
   shift by one date from s on, s never moves, and the NUPBR verdicts in F
   and in G stay; Z, m and D^o repeat a row at s, Zt gains Z_{s-1} there,
   the thin set moves one date later from s on, and ]0, tau] repeats its
-  row s.
+  row s; the masked-increment criterion keeps its verdict at every
+  threshold.
 """
 
 from dataclasses import replace
@@ -23,10 +25,10 @@ import pytest
 
 from randomhorizon.campaign import theorem_suite
 from randomhorizon.enlargement import azema, enlarge
-from randomhorizon.errors import NotAdapted
+from randomhorizon.errors import NotAdapted, PreconditionViolated
 from randomhorizon.generator import random_instance
 from randomhorizon.io import Scenario, load_builtin
-from randomhorizon.nupbr import certify_nupbr, single_jump_process
+from randomhorizon.nupbr import certify_nupbr, masked_increment_criterion_all, single_jump_process
 from randomhorizon.projections import predictable_projection
 from randomhorizon.space import (
     INF,
@@ -45,6 +47,7 @@ from helpers import (
     date_mutants,
     lagged,
     moving_scan,
+    naive_nodes,
     run_optimized,
 )
 
@@ -112,9 +115,11 @@ def test_the_trusted_enlargement_equals_the_checked_one():
         G = enlarge(sc.filtration, sc.tau)
         checked = Filtration(G.parts, sc.space)
         assert G.space is sc.space
-        assert (G.parts, G._children, G.masses) == (
-            checked.parts, checked._children, checked.masses
-        )
+        assert (G.parts, G.masses) == (checked.parts, checked.masses)
+        # the children table against a scan of the parts: both G and
+        # ``checked`` get theirs from the one refinement pass
+        for t in range(1, sc.space.horizon + 1):
+            assert list(G.nodes(t)) == naive_nodes(G, t, None)
         split += G.parts != sc.filtration.parts
     assert split > 100
 
@@ -279,3 +284,30 @@ def test_a_quiet_date_repeats_the_survival_rows():
             assert b2.alive == b.alive[: s + 1] + b.alive[s:]
             inserted += 1
     assert inserted > 100
+
+
+def masked_criterion(sc):
+    """The masked-increment criterion of the price of ``sc`` as
+    (per_delta, all_deltas, consistent), or None when the price fails NUPBR
+    in F, the criterion's precondition."""
+    try:
+        rec = masked_increment_criterion_all(sc.price, azema(sc.filtration, sc.tau))
+    except PreconditionViolated:
+        return None
+    return rec.per_delta, rec.all_deltas, rec.consistent
+
+
+def test_a_quiet_date_keeps_the_masked_criterion_at_every_threshold():
+    # the per-delta half of the quiet-date relation: Z' repeats its row
+    # s - 1 at s, so the thresholds (the positive values of Z_-) stay; the
+    # nodes of date s have one child each, which passes at any threshold,
+    # and every other node keeps its family and its Z_{t-1}
+    models = [load_builtin(name) for name in BUILTINS] + [random_instance(s) for s in range(50)]
+    inserted = decided = 0
+    for sc in models:
+        before = masked_criterion(sc)
+        for s in range(1, sc.space.horizon + 1):
+            assert masked_criterion(insert_quiet_date(sc, s)) == before
+            inserted += 1
+            decided += before is not None
+    assert inserted > 100 and decided > 100, (inserted, decided)

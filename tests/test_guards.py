@@ -127,6 +127,40 @@ def test_one_report_encoder():
     assert found == []
 
 
+def _environment_reads(tree) -> list:
+    """Line numbers of each read of ``os.environ`` or ``os.getenv`` (or
+    their bytes forms) and each import of those names from ``os``."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(a.name in names for a in node.names)
+        )
+    )
+
+
+def test_the_monte_carlo_reads_no_environment():
+    # the MC's thread count follows the CPU affinity (``taskset`` limits
+    # it), and its results do not depend on it; a variable that set it
+    # would be a knob with nothing to tune
+    sample = (
+        "import os\nos.environ['X']\nos.getenv('X')\nfrom os import environ\n"
+        "os.sched_getaffinity(0)\nos.cpu_count()\n"
+    )
+    assert _environment_reads(ast.parse(sample)) == [2, 3, 4]
+    mc = next(path for path in SOURCES if path.name == "mc.py")
+    assert _environment_reads(ast.parse(mc.read_text(encoding="utf-8"))) == []
+
+
 def test_pivot_loop_never_names_fraction():
     # the simplex pivots on ints over one denominator per row; a rational
     # (Q or Fraction) in the pivot or pricing loop would bring back its

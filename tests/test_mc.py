@@ -1,10 +1,13 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from randomhorizon import mc
 from randomhorizon.cli import VALIDATION_POINTS
 from randomhorizon.mc import (
     _STREAM_NESTED,
@@ -120,6 +123,21 @@ def test_model_rejects_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(McParameterError) as err:
         McModel(model="CAT-0", dt=0.25, paths=10, seed=seed)
     assert err.value.field == "seed"
+
+
+@pytest.mark.parametrize("paths", [2.5, 1000.0, "100"])
+def test_model_rejects_a_path_count_that_is_not_an_integer(paths):
+    # these used to build and then fail inside numpy with a bare TypeError
+    with pytest.raises(McParameterError) as err:
+        McModel(model="CAT-0", dt=0.25, paths=paths)
+    assert err.value.field == "paths"
+
+
+@pytest.mark.parametrize("subpaths", [2.5, 100.0, True])
+def test_validation_rejects_a_subpath_count_that_is_not_an_integer(subpaths):
+    model = McModel(model="CAT-1", dt=0.25, paths=2, seed=0)
+    with pytest.raises(ValueError, match="subpath"):
+        validate_survival_formula(model, 0.5, 0.5, subpaths)
 
 
 def test_validation_rejects_a_dt_that_does_not_divide_the_horizon():
@@ -332,3 +350,112 @@ def test_mc_outputs_bitwise_pinned():
     ]
     assert got[-1].estimate == 1.0
     assert tuple(_point_digest(v) for v in got) == PINNED_POINTS
+
+
+# Chunked runs: the paths are split into slices advanced on threads, and no
+# output bit may depend on the split.
+
+
+def _one_chunk(n):
+    return [(0, n)]
+
+
+def _four_path_chunks(n):
+    return [(lo, min(lo + 4, n)) for lo in range(0, n, 4)]
+
+
+def _uneven_three_chunks(n):
+    """4 paths, about two thirds of the rest, then the remainder, cut on
+    the grid of 4: (0, 4), (4, 2732), (2732, 4099) at 4099 paths, fewer
+    chunks when n is small."""
+    cuts = sorted({min(c, n) for c in (0, 4, 4 + (n - 4) * 2 // 3 // 4 * 4, n)})
+    return list(zip(cuts, cuts[1:]))
+
+
+def _chunked_outputs(model):
+    points = [(0.5, 0.5), (0.25, -0.1)]
+    return [
+        simulate(model),
+        simulate(McModel(model="CAT-0", dt=model.dt, paths=model.paths, seed=model.seed)),
+    ] + [
+        validate_survival_formula(model, t, x, model.paths, point_id=k)
+        for k, (t, x) in enumerate(points)
+    ]
+
+
+@pytest.mark.parametrize("paths", [2, 5, 4099])
+def test_chunked_runs_equal_the_one_chunk_run(monkeypatch, paths):
+    model = McModel(model="CAT-1", dt=5e-2, paths=paths, seed=8)
+    monkeypatch.setattr(mc, "_chunks", _one_chunk)
+    want = _chunked_outputs(model)
+    for split in (_four_path_chunks, _uneven_three_chunks):
+        monkeypatch.setattr(mc, "_chunks", split)
+        assert _chunked_outputs(model) == want, split.__name__
+
+
+def test_more_threads_than_cores_with_fast_switching_change_no_bit(monkeypatch):
+    # eight chunks on seven worker threads, the interpreter switching
+    # threads every microsecond: a chunk that wrote outside its slice, or
+    # a count lost between threads, would move an output
+    model = McModel(model="CAT-1", dt=5e-2, paths=300, seed=12)
+    monkeypatch.setattr(mc, "_chunks", _one_chunk)
+    want = _chunked_outputs(model)
+    monkeypatch.setattr(mc, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(mc, "_chunks", lambda n: [(lo, min(lo + 40, n)) for lo in range(0, n, 40)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [_chunked_outputs(model) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 4095, 4096, 8191, 8192, 100_000, 100_003])
+def test_chunks_cover_the_paths_on_the_counter_grid(n):
+    chunks = mc._chunks(n)
+    assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+    assert chunks[-1][1] == n
+    assert all(lo % 4 == 0 and lo < hi for lo, hi in chunks)
+    assert len(chunks) <= max(1, n // mc.MIN_CHUNK)
+    if len(chunks) > 1:
+        assert min(hi - lo for lo, hi in chunks) > mc.MIN_CHUNK - 4
+
+
+def test_chunks_follow_the_usable_cores(monkeypatch):
+    monkeypatch.setattr(mc, "_usable_cores", lambda: 3)
+    assert mc._chunks(100_000) == [(0, 33336), (33336, 66672), (66672, 100_000)]
+    monkeypatch.setattr(mc, "_usable_cores", lambda: 1)
+    assert mc._chunks(100_000) == [(0, 100_000)]
+
+
+@pytest.mark.parametrize("first", [0, 4, 8, 100, 500, 4096])
+def test_uniforms_from_a_first_draw_are_the_tail_of_the_stream(first):
+    n = 5000
+    want = _uniforms_reference(7, 2, 11, n)[first:]
+    assert _uniforms(7, 2, 11, n - first, first=first).tobytes() == want.tobytes()
+    out = np.full(n - first, np.nan)
+    assert _normals(7, 2, 11, n - first, out, first) is out
+    assert out.tobytes() == ndtri(want).tobytes()
+
+
+@pytest.mark.parametrize("first", [1, 2, 3, 5, 102])
+def test_uniforms_reject_a_first_draw_off_the_counter_grid(first):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        _uniforms(0, 0, 0, 10, first=first)
+
+
+def test_an_error_on_a_worker_thread_reaches_the_caller(monkeypatch):
+    real = survival_closed_form
+
+    def failing(t, x):
+        if threading.current_thread() is not threading.main_thread():
+            raise ArithmeticError("worker")
+        return real(t, x)
+
+    monkeypatch.setattr(mc, "survival_closed_form", failing)
+    monkeypatch.setattr(mc, "_chunks", _uneven_three_chunks)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="worker"):
+        simulate(McModel(model="CAT-1", dt=5e-2, paths=100, seed=0))
+    assert threading.active_count() == before
