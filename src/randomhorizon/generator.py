@@ -64,9 +64,14 @@ def random_martingale(
     then set X_t = E[X_{t+1} | F_t] backwards.
 
     When the terminal partition is the atoms this is one draw per atom, in
-    atom order.  ``space`` must be ``filt.space`` (else ValueError)."""
+    atom order.  ``space`` must be ``filt.space``, ``dim`` an int >= 1 and
+    ``spread`` an int >= 0, neither a bool (else ValueError)."""
     if space != filt.space:
         raise ValueError("the space must be the space of the filtration")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"dim must be an int >= 1, got {dim!r}")
+    if isinstance(spread, bool) or not isinstance(spread, int) or spread < 0:
+        raise ValueError(f"spread must be an int >= 0, got {spread!r}")
     terminal = [None] * space.n
     for block in filt.parts[space.horizon]:
         cell = tuple(Q(rng.randint(-spread, spread)) for _ in range(dim))

@@ -19,7 +19,11 @@ The remaining entry points package the equivalence statements that relate
 a base-filtration model to its enlargement: single predictable-jump
 processes and their reweighted counterparts, the masked-increment
 criterion for thin processes, abrupt-collapse witnesses, and the universal
-preservation dichotomy driven by the thin set {Zt = 0 & Z_- > 0}.
+preservation dichotomy driven by the thin set {Zt = 0 & Z_- > 0}.  The
+dichotomy's battery of n random martingales is one n-column draw: its
+terminal row is checked F_H-measurable once, it is stopped at tau and
+checked G-adapted once, and one walk over the G-nodes decides each column
+on its own 1-D family, node by node, up to the column's first failing node.
 
 Every node walk is :meth:`Filtration.nodes`; the masked criterion's family
 is the Zt_t-positive family, the walk over the nodes under {Zt_t > 0}.
@@ -433,30 +437,66 @@ class PreservationReport:
         return bool(self.witness_fails_enlarged)
 
 
+def _passing_columns(X: AdaptedProcess, filt: Filtration) -> list:
+    """The columns of the ``filt``-adapted process X that pass NUPBR in
+    ``filt``, in order, each decided as :func:`certify_nupbr` decides it
+    as its own 1-D process.
+
+    The nodes of the dates in ``X.moving`` are walked once, and each
+    column still open is decided on its 1-D child family; a column is
+    dropped at its first failing node.  On a date where a column does not
+    move its family is all zero and passes, as on a date that
+    :func:`certify_nupbr` skips."""
+    passing = list(range(X.dim))
+    for t in sorted(X.moving):
+        row = X.increments[t]
+        for _, kids in filt.nodes(t):
+            columns = list(zip(*[row[child[0]] for child in kids]))
+            passing = [
+                j for j in passing if zero_in_relative_interior([(x,) for x in columns[j]])[0]
+            ]
+            if not passing:
+                return passing
+    return passing
+
+
 def preservation_report(
     bundle: AzemaBundle, n_martingales: int = 100, seed: int = 0
 ) -> PreservationReport:
     """If the thin set is empty, stopping preserves NUPBR for a battery of
     ``n_martingales`` >= 0 random bounded martingales (each certified
     exactly); otherwise the explicit witness martingale at a violating date
-    fails in the enlargement.
+    fails in the enlargement.  ``ValueError`` unless ``n_martingales`` is
+    an int >= 0 (a bool is not).
+
+    The battery is one draw of :func:`random_martingale` with
+    ``n_martingales`` columns, each a martingale of the law of a 1-D draw
+    (independent uniform values on {-3, ..., 3} per F_H-block).  It is
+    stopped at tau once and its G-nodes are walked once; each column is
+    decided on its own 1-D family node by node, up to its first failing
+    node, and ``preserved`` counts the columns that pass.
 
     A draw whose terminal row is not F_H-measurable raises
     :class:`StructuralViolation`: the backward-induced draw is an
-    F-martingale exactly when its terminal row is."""
+    F-martingale exactly when its terminal row is.  A cell is constant on
+    a block exactly when each of its columns is, so the one check covers
+    every column, as does the one G-adaptedness check of the stopped
+    draw."""
+    if isinstance(n_martingales, bool) or not isinstance(n_martingales, int):
+        raise ValueError("the preservation battery size must be an int")
     if n_martingales < 0:
         raise ValueError("the preservation battery size must be >= 0")
-    space, filt, tau, enlarged = bundle.space, bundle.filt, bundle.tau, bundle.enlarged
+    space, filt = bundle.space, bundle.filt
     witness = collapse_witness(bundle)
     if witness is None:
-        rng = random.Random(seed)
         preserved = 0
-        terminal = filt.parts[space.horizon]
-        for _ in range(n_martingales):
-            M = random_martingale(space, filt, rng, dim=1, spread=3)
-            if first_nonconstant(M.values[space.horizon], terminal) is not None:
+        if n_martingales:
+            M = random_martingale(space, filt, random.Random(seed), dim=n_martingales, spread=3)
+            if first_nonconstant(M.values[space.horizon], filt.parts[space.horizon]) is not None:
                 raise StructuralViolation("battery draw is not F-adapted at the horizon")
-            preserved += certify_nupbr(stop(M, tau), enlarged, space).verdict
+            stopped = stop(M, bundle.tau)
+            assert_adapted(stopped, bundle.enlarged, "stopped battery draw")
+            preserved = len(_passing_columns(stopped, bundle.enlarged))
         return PreservationReport(True, n_martingales, preserved, None, None)
     T, _, stopped = witness
     return PreservationReport(False, 0, 0, T, not stopped.verdict)

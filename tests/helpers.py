@@ -24,6 +24,8 @@ seed.  ``moving_scan`` is the full-row reference for
 :attr:`AdaptedProcess.moving`, ``lagged`` the filtration of the
 F-predictable processes, and ``date_mutants`` the copies of a process
 changed at one atom of a quiet, the terminal or the first date.
+``battery_columns`` decides the columns of a preservation battery draw
+twice, by the engine's one walk and by one certificate per column.
 """
 
 import importlib
@@ -43,10 +45,10 @@ import randomhorizon
 from randomhorizon.deflator import build_deflator, supermartingale_deflator
 from randomhorizon.enlargement import azema, enlarge
 from randomhorizon.errors import StructuralViolation
-from randomhorizon.generator import random_instance
+from randomhorizon.generator import random_instance, random_martingale
 from randomhorizon.io import Scenario, dump_json, load_builtin, parse_scenario, serialize_scenario
 from randomhorizon.lp import LPResult
-from randomhorizon.nupbr import certify_nupbr, single_jump_process
+from randomhorizon.nupbr import _passing_columns, certify_nupbr, single_jump_process
 from randomhorizon.projections import is_martingale, quadratic_covariation
 from randomhorizon.space import (
     INF,
@@ -434,6 +436,21 @@ def component(X: AdaptedProcess, k: int) -> AdaptedProcess:
     """The scalar process of component ``k``: one cell per distinct cell
     object of a row, by :func:`map_cells`."""
     return AdaptedProcess._trusted(map_cells(X.values, lambda cell: (cell[k],)))
+
+
+def battery_columns(bundle, n: int = 100, seed: int = 0) -> tuple:
+    """The columns of the battery draw of ``preservation_report(bundle, n,
+    seed)`` that pass in G after stopping at tau, twice: as the engine's
+    one walk over the stopped n-column draw decides them, and as
+    :func:`certify_nupbr` decides each column stopped as its own 1-D
+    process."""
+    M = random_martingale(bundle.space, bundle.filt, random.Random(seed), dim=n, spread=3)
+    G, tau = bundle.enlarged, bundle.tau
+    oracle = [
+        j for j in range(n)
+        if certify_nupbr(stop(component(M, j), tau), G, bundle.space).verdict
+    ]
+    return _passing_columns(stop(M, tau), G), oracle
 
 
 def children(filt: Filtration, t: int, parent_index: int) -> tuple:

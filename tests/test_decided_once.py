@@ -16,7 +16,11 @@ from-scratch references.
   and in G stay; Z, m and D^o repeat a row at s, Zt gains Z_{s-1} there,
   the thin set moves one date later from s on, and ]0, tau] repeats its
   row s; the masked-increment criterion keeps its verdict at every
-  threshold.
+  threshold;
+* a quiet final date appended (the same relation at s = H + 1, tau = inf
+  kept): Z, m and D^o repeat their last row, the NUPBR verdicts, the
+  masked criterion's ``all_deltas`` and the preservation report stay, and
+  ``per_delta`` keeps every old threshold and reads d > delta* at a new one.
 """
 
 from dataclasses import replace
@@ -28,7 +32,12 @@ from randomhorizon.enlargement import azema, enlarge
 from randomhorizon.errors import NotAdapted, PreconditionViolated
 from randomhorizon.generator import random_instance
 from randomhorizon.io import Scenario, load_builtin
-from randomhorizon.nupbr import certify_nupbr, masked_increment_criterion_all, single_jump_process
+from randomhorizon.nupbr import (
+    certify_nupbr,
+    masked_increment_criterion_all,
+    preservation_report,
+    single_jump_process,
+)
 from randomhorizon.projections import predictable_projection
 from randomhorizon.space import (
     INF,
@@ -311,3 +320,33 @@ def test_a_quiet_date_keeps_the_masked_criterion_at_every_threshold():
             inserted += 1
             decided += before is not None
     assert inserted > 100 and decided > 100, (inserted, decided)
+
+
+def test_a_quiet_final_date_appended_keeps_every_verdict():
+    # the quiet date inserted at s = H + 1: F'_{H+1} = F_H, the price held,
+    # tau = inf kept.  Z, m and D^o repeat their last row; per_delta keeps
+    # every old key and value and may gain Z_H's values as keys, each read
+    # d > delta* (the new nodes are quiet and pass); the verdicts and the
+    # preservation report, battery count included, are unchanged
+    models = [load_builtin(name) for name in BUILTINS] + [random_instance(s) for s in range(50)]
+    gained = 0
+    for seed, sc in enumerate(models):
+        H = sc.space.horizon
+        longer = insert_quiet_date(sc, H + 1)
+        assert longer.tau == sc.tau and longer.space.horizon == H + 1
+        b, b2 = azema(sc.filtration, sc.tau), azema(longer.filtration, longer.tau)
+        for X, X2 in (b.Z, b2.Z), (b.m, b2.m), (b.default_compensator, b2.default_compensator):
+            assert X2.values == X.values + X.values[-1:]
+        (_, f), (_, g) = certificates(sc)
+        (_, f2), (_, g2) = certificates(longer)
+        assert (f2.verdict, g2.verdict) == (f.verdict, g.verdict)
+        rec = masked_increment_criterion_all(sc.price, b)
+        rec2 = masked_increment_criterion_all(longer.price, b2)
+        assert rec2.all_deltas == rec.all_deltas and rec2.consistent
+        worst = max((d for d, ok in rec.per_delta.items() if not ok), default=0)
+        assert {d: rec2.per_delta[d] for d in rec.per_delta} == rec.per_delta
+        new = set(rec2.per_delta) - set(rec.per_delta)
+        assert all(rec2.per_delta[d] == (d > worst) for d in new)
+        gained += len(new)
+        assert preservation_report(b2, 100, seed) == preservation_report(b, 100, seed)
+    assert gained > 0

@@ -1,4 +1,9 @@
-from randomhorizon.generator import MAX_ATOMS, MAX_HORIZON, random_instance
+import random
+
+import pytest
+
+from randomhorizon.generator import MAX_ATOMS, MAX_HORIZON, random_instance, random_martingale
+from randomhorizon.io import load_builtin
 from randomhorizon.projections import is_martingale
 from randomhorizon.space import INF
 
@@ -31,3 +36,24 @@ def test_generation_is_reproducible():
     assert random_instance(43).price.values != a.price.values or (
         random_instance(43).tau.values != a.tau.values
     )
+
+
+@pytest.mark.parametrize("dim", [0, -1, True, False, 1.0, "2", None])
+def test_random_martingale_rejects_a_dim_that_is_not_an_int_from_1(dim):
+    ex2 = load_builtin("ex2")
+    with pytest.raises(ValueError, match="dim"):
+        random_martingale(ex2.space, ex2.filtration, random.Random(0), dim=dim)
+
+
+@pytest.mark.parametrize("spread", [-1, True, False, 3.0, "3", None])
+def test_random_martingale_rejects_a_spread_that_is_not_an_int_from_0(spread):
+    ex2 = load_builtin("ex2")
+    with pytest.raises(ValueError, match="spread"):
+        random_martingale(ex2.space, ex2.filtration, random.Random(0), spread=spread)
+
+
+def test_random_martingale_draws_zero_at_spread_0_and_columns_at_dim_n():
+    ex2 = load_builtin("ex2")
+    M = random_martingale(ex2.space, ex2.filtration, random.Random(0), dim=5, spread=0)
+    assert M.shape == (3, 4, 5) and not M.moving
+    assert not any(any(cell) for row in M.values for cell in row)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from randomhorizon import nupbr
 from randomhorizon.enlargement import azema, enlarge
 from randomhorizon.errors import EngineError, NotAdapted, PreconditionViolated
 from randomhorizon.generator import random_instance, random_martingale
@@ -18,14 +19,17 @@ from randomhorizon.nupbr import (
     witness_martingale,
 )
 from randomhorizon.projections import is_martingale
-from randomhorizon.space import RandomTime, INF, stop
+from randomhorizon.space import AdaptedProcess, RandomTime, INF, stop
 
 from helpers import (
+    battery_columns,
     children,
+    component,
     constant,
     constant_time,
     from_function,
     martingale_measure_from_weights,
+    random_adapted,
     random_predictable_fv,
     scale,
     unadapted_price,
@@ -256,6 +260,99 @@ def test_preservation_rejects_a_negative_battery(ex2, bad):
         preservation_report(ex2.bundle, n_martingales=bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
+def test_preservation_rejects_a_battery_size_that_is_not_an_int(ex2, bad):
+    with pytest.raises(ValueError, match="an int"):
+        preservation_report(ex2.bundle, n_martingales=bad)
+
+
+def test_an_empty_battery_draws_nothing(ex2, monkeypatch):
+    monkeypatch.setattr(nupbr, "random_martingale", None)  # a draw would raise
+    rep = preservation_report(ex2.bundle, n_martingales=0)
+    assert rep.thin_set_empty and rep.martingales_checked == rep.preserved == 0
+
+
+def test_the_battery_is_one_draw_stopped_once_and_no_certificate(ex2, monkeypatch):
+    # the counts are deterministic: per-draw work would call the generator
+    # and stop once per martingale and certify_nupbr once per martingale
+    calls = {}
+
+    def counted(name):
+        fn = getattr(nupbr, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(nupbr, name, wrapper)
+
+    for name in ("random_martingale", "stop", "certify_nupbr"):
+        counted(name)
+    rep = preservation_report(ex2.bundle, n_martingales=100)
+    assert rep.preserved == rep.martingales_checked == 100
+    assert calls == {"random_martingale": 1, "stop": 1}
+
+
+def test_each_battery_column_is_decided_as_its_own_process(ex2):
+    # instances 0-99 with an empty thin set: every column passes (the
+    # preservation theorem), one certificate per column agrees
+    bundles = [(ex2.bundle, 0)]
+    for seed in range(100):
+        inst = random_instance(seed)
+        bundle = azema(inst.filtration, inst.tau)
+        if thin_set_empty(bundle):
+            bundles.append((bundle, seed))
+    assert len(bundles) == 29
+    for bundle, seed in bundles:
+        engine, oracle = battery_columns(bundle, 100, seed)
+        assert engine == oracle == list(range(100))
+        assert preservation_report(bundle, 100, seed).preserved == len(oracle)
+
+
+def test_the_column_walk_matches_a_certificate_per_column_where_columns_fail():
+    # a thin set that is not empty lets a stopped martingale fail in G, and
+    # an arbitrary adapted process fails in F and in G: the one walk must
+    # keep exactly the columns that pass as 1-D processes
+    mixed = 0
+    for seed in range(100):
+        inst = random_instance(seed)
+        bundle = azema(inst.filtration, inst.tau)
+        if not thin_set_empty(bundle):
+            engine, oracle = battery_columns(bundle, 20, seed)
+            assert engine == oracle
+            mixed += 0 < len(oracle) < 20
+        X = random_adapted(inst.space, inst.filtration, random.Random(seed), dim=6, spread=2)
+        for S, filt in ((X, inst.filtration), (stop(X, inst.tau), bundle.enlarged)):
+            oracle = [
+                j for j in range(6)
+                if certify_nupbr(component(S, j), filt, inst.space).verdict
+            ]
+            assert nupbr._passing_columns(S, filt) == oracle
+            mixed += 0 < len(oracle) < 6
+    assert mixed > 20, mixed
+
+
+def _two_columns(a, b):
+    """The process whose cells hold a's scalar cell, then b's."""
+    rows = tuple(
+        tuple(x + y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a.values, b.values)
+    )
+    return AdaptedProcess(rows)
+
+
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_a_column_with_an_arbitrage_in_g_is_not_preserved(ex2, monkeypatch, bad_first):
+    # X_t = t is F-adapted with an F_H-measurable terminal row, and its
+    # stopped copy gains at every G-node of date 1; the zero column passes
+    good = constant(ex2.space, 0)
+    bad = from_function(ex2.space, lambda t, i: (F(t),))
+    X = _two_columns(bad, good) if bad_first else _two_columns(good, bad)
+    assert nupbr._passing_columns(stop(X, ex2.tau), ex2.enlarged) == [1 if bad_first else 0]
+    monkeypatch.setattr(nupbr, "random_martingale", lambda *args, **kwargs: X)
+    rep = preservation_report(ex2.bundle, n_martingales=2)
+    assert rep.martingales_checked == 2 and rep.preserved == 1 and not rep.consistent
+
+
 def test_predictable_fv_nupbr_iff_constant(ex1):
     rng = random.Random(5)
     for _ in range(20):
@@ -320,7 +417,6 @@ def test_stopping_before_trouble_on_random_instances():
 
 
 def test_single_jump_certificate_decides_only_the_jump_date(monkeypatch):
-    from randomhorizon import nupbr
     from randomhorizon.nupbr import single_jump_process
 
     calls = []

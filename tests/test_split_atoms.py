@@ -34,7 +34,7 @@ from randomhorizon.space import (
     first_nonconstant,
 )
 
-from helpers import split_instance, split_space
+from helpers import battery_columns, split_instance, split_space
 
 
 def _grid(horizon):
@@ -139,6 +139,12 @@ def test_64_atom_horizon_8_split_file_preserves_the_whole_battery(capsys, tmp_pa
     pres = json.loads(capsys.readouterr().out)["preservation"]
     assert pres["thin_set_empty"] is True
     assert pres["preserved"] == pres["martingales_checked"] == 100
+
+
+def test_each_column_of_the_64_atom_battery_is_decided_as_its_own_process():
+    sc = _immortal_copy_scenario(8, 8, {1, 2, 4, 6, 8})
+    engine, oracle = battery_columns(azema(sc.filtration, sc.tau), 100, 0)
+    assert engine == oracle == list(range(100))
 
 
 def test_a_per_atom_battery_draw_is_an_engine_fault(capsys, monkeypatch, tmp_path):
